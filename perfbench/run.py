@@ -16,6 +16,7 @@ import hashlib
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 
@@ -79,6 +80,16 @@ def expected_metrics(trace):
             for m in spec["per_layer" if trace else "end_to_end"]}
 
 
+def exit_text(code):
+    """'exit N', or the signal that killed the process."""
+    if code < 0:
+        try:
+            return "killed by " + signal.Signals(-code).name
+        except ValueError:
+            return "killed by signal %d" % -code
+    return "exit %d" % code
+
+
 def last_json_line(text):
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
@@ -101,8 +112,9 @@ def main():
     try:
         binary = build()
         subprocess.run([binary, "selftest"], check=True, timeout=60)
-        # Inputs are kept per seed, so a seed run again skips the prepare.
-        data = os.path.join(BUILD, "data", args.workload, str(args.seed))
+        # The last seed's inputs are kept per workload, so running a seed
+        # again skips the prepare; another seed replaces them.
+        data = os.path.join(BUILD, "data", args.workload)
         subprocess.run([binary, "prepare", "--workload", args.workload,
                         "--seed", str(args.seed), "--data", data],
                        check=True, timeout=300)
@@ -120,7 +132,8 @@ def main():
     record = last_json_line(run.stdout)
     if record is None or set(record) != RESULT_KEYS:
         sys.stdout.write(run.stdout)
-        log("the driver printed no result record (exit %d)" % run.returncode)
+        log("perfbench printed no result record (%s)" %
+            exit_text(run.returncode))
         return 1
     sys.stdout.write(run.stdout)
     sys.stdout.flush()
@@ -129,7 +142,7 @@ def main():
         log("the printed metrics differ from BENCHMARK.json")
         return 1
     if run.returncode != 0 or record["correct"] is not True:
-        log("output checks failed (exit %d)" % run.returncode)
+        log("output checks failed (%s)" % exit_text(run.returncode))
         return 1
     return 0
 

@@ -43,16 +43,6 @@ int64_t SamplesNeeded(double p, int64_t min_beyond) {
   return n;
 }
 
-std::vector<std::pair<size_t, size_t>> Windows(size_t n, size_t count) {
-  std::vector<std::pair<size_t, size_t>> windows;
-  if (count == 0) return windows;
-  const size_t size = n / count;
-  for (size_t w = 0; w < count; ++w) {
-    windows.emplace_back(w * size, w + 1 == count ? n : (w + 1) * size);
-  }
-  return windows;
-}
-
 void FailureLedger::Query(int64_t terminal_updates, bool failed_update) {
   ++attempted_;
   if (terminal_updates != 1 || failed_update) ++failed_;

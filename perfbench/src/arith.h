@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace perfbench {
@@ -27,11 +26,6 @@ bool TailPercentile(std::vector<double> samples, double p, int64_t min_beyond,
 /// Samples needed so that the p-percentile has `min_beyond` samples above
 /// its rank (1000 for p99 with 10 beyond).
 int64_t SamplesNeeded(double p, int64_t min_beyond);
-
-/// Splits `n` ordered samples into `count` consecutive windows of equal
-/// size, the last one taking the remainder; returns each window's
-/// [begin, end).  Empty when `count` is 0.
-std::vector<std::pair<size_t, size_t>> Windows(size_t n, size_t count);
 
 /// Counts attempted and failed operations (queries plus appends) for
 /// `failed_share`.  Deadline cancellations are not failures.

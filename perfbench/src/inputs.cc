@@ -28,18 +28,24 @@ namespace {
 
 /// Bumped whenever `Prepare` would write different bytes for a seed, so a
 /// stale data directory is rebuilt instead of reused.
-constexpr const char* kInputFormat = "inputs-v5";
+constexpr const char* kInputFormat = "inputs-v6";
 
-/// Workflows generated per seed, replayed in a cycle.  A phase of 3,000
-/// sampled interactions plays about 180 of them, so it rarely repeats one:
-/// with 64 it cycled three times, and its p99 then swung with how many
-/// three- and four-query interactions the 64 happened to hold.
-constexpr int kWorkflowsPerSeed = 192;
+/// Workflows generated per seed, replayed in a cycle.  A workflow holds
+/// about 19 interactions, so a 45 s serve_ingest phase (about 4,300
+/// sampled interactions) plays over 220 of them, and at 384 no phase
+/// repeats one: with 64 an exact_scan phase cycled three times, and its p99
+/// then swung with how many three- and four-query interactions the 64
+/// happened to hold.
+constexpr int kWorkflowsPerSeed = 384;
 
 const std::vector<WorkloadSpec>& Workloads() {
   static const std::vector<WorkloadSpec> workloads = {
       // Paper size S (100M nominal): every query completes a full scan.
-      {"exact_scan", "blocking", /*threads=*/2, /*reuse_cache=*/false,
+      // One engine thread: over ten interleaved seeds, 2 threads spread p99
+      // 0.28 (quartiles over median) against 0.13 at 1 thread; two of the
+      // 2-thread runs slowed by 15 % where the 1-thread runs beside them
+      // did not.
+      {"exact_scan", "blocking", /*threads=*/1, /*reuse_cache=*/false,
        /*rows=*/2'000'000, /*nominal_rows=*/100'000'000,
        3 * kMicrosPerSecond, WorkflowType::kMixed, /*tail_rows=*/0,
        /*two_dim_prob=*/0.2},

@@ -47,6 +47,9 @@ struct RunOptions {
   std::string data_dir;  // written by `prepare`
   std::string work_dir;  // scratch: WAL directories, trace files
   std::string commit = "unknown";
+  /// serve_ingest only: turn on the progressive engine's semantic cache,
+  /// which the benchmark keeps off (see README.md).  Reproduces a defect.
+  bool semantic_cache = false;
 };
 
 /// Generates the seed's dataset (and ingest tail), packs it into segment

@@ -5,9 +5,10 @@
 ///       untimed: generate the seed's dataset, ingest tail and workflows
 ///       and pack them into DIR (skipped when DIR already holds them)
 ///   perfbench run --workload W --seed N --seconds S --trace 0|1
-///                 --data DIR --work DIR [--commit ID]
+///                 --data DIR --work DIR [--commit ID] [--semantic-cache 1]
 ///       set up, run the timed phase(s), check the answers; print a
-///       metadata record and, as the last line, the result record
+///       metadata record and, as the last line, the result record;
+///       --semantic-cache 1 reproduces a defect on serve_ingest (README.md)
 ///   perfbench selftest
 ///       check the benchmark's own arithmetic
 ///
@@ -54,7 +55,8 @@ int Usage() {
   std::fprintf(stderr,
                "usage: perfbench prepare --workload W --seed N --data DIR\n"
                "       perfbench run --workload W --seed N --seconds S "
-               "--trace 0|1 --data DIR --work DIR [--commit ID]\n"
+               "--trace 0|1 --data DIR --work DIR [--commit ID] "
+               "[--semantic-cache 1]\n"
                "       perfbench selftest\n");
   return 2;
 }
@@ -104,6 +106,7 @@ int main(int argc, char** argv) {
   options.trace = flags["trace"] == "1";
   options.work_dir = flags["work"];
   if (flags.count("commit") > 0) options.commit = flags["commit"];
+  options.semantic_cache = flags["semantic-cache"] == "1";
   if (options.seconds <= 0 || options.work_dir.empty()) return Usage();
   std::error_code ec;
   std::filesystem::create_directories(options.work_dir, ec);

@@ -7,17 +7,13 @@
 
 namespace perfbench {
 
-int64_t WindowSamples() { return SamplesNeeded(0.99, kSamplesBeyond); }
-
-int64_t MinInteractions() { return kMinWindows * WindowSamples(); }
+int64_t MinInteractions() { return SamplesNeeded(0.99, kSamplesBeyond); }
 
 namespace {
 
-std::vector<double> Latencies(const Phase& phase, size_t begin, size_t end) {
+std::vector<double> Latencies(const Phase& phase) {
   std::vector<double> values;
-  for (size_t i = begin; i < end; ++i) {
-    values.push_back(phase.samples[i].latency_ms);
-  }
+  for (const Sample& s : phase.samples) values.push_back(s.latency_ms);
   return values;
 }
 
@@ -40,35 +36,25 @@ SetupTimes MedianSetup(const std::vector<SetupTimes>& setups) {
 
 void AddEndToEnd(const Phase& phase, double setup_s, double peak_rss_mib,
                  RunResult* out) {
-  const size_t n = phase.samples.size();
-  const auto windows =
-      Windows(n, n / static_cast<size_t>(WindowSamples()));
-  if (static_cast<int64_t>(windows.size()) < kMinWindows) {
+  const std::vector<double> latencies = Latencies(phase);
+  int64_t queries = 0;
+  for (const Sample& s : phase.samples) queries += s.queries;
+  double p99 = 0;
+  if (!TailPercentile(latencies, 0.99, kSamplesBeyond, &p99)) {
     out->problems.push_back("the phase needs " +
                             std::to_string(MinInteractions()) +
                             " sampled interactions, it had " +
-                            std::to_string(n));
+                            std::to_string(latencies.size()));
   }
-  std::vector<double> p50s, p99s, rates;
-  double window_start_s = 0;
-  for (const auto& [begin, end] : windows) {
-    const std::vector<double> latencies = Latencies(phase, begin, end);
-    double p99 = 0;
-    TailPercentile(latencies, 0.99, kSamplesBeyond, &p99);
-    p50s.push_back(Median(latencies));
-    p99s.push_back(p99);
-    int64_t queries = 0;
-    for (size_t i = begin; i < end; ++i) queries += phase.samples[i].queries;
-    const double end_s = phase.samples[end - 1].end_s;
-    rates.push_back(static_cast<double>(queries) /
-                    std::max(end_s - window_start_s, 1e-9));
-    window_start_s = end_s;
-  }
+  // Terminal updates per second up to the last sampled interaction's end
+  // (an interaction that submits no query is not sampled).
+  const double end_s = phase.samples.empty() ? 0.0 : phase.samples.back().end_s;
   auto& m = out->end_to_end;
   m.push_back({"setup_s", setup_s, "s"});
-  m.push_back({"interaction_p50_ms", Median(p50s), "ms"});
-  m.push_back({"interaction_p99_ms", Median(p99s), "ms"});
-  m.push_back({"queries_per_s", Median(rates), "1/s"});
+  m.push_back({"interaction_p50_ms", Median(latencies), "ms"});
+  m.push_back({"interaction_p99_ms", p99, "ms"});
+  m.push_back({"queries_per_s",
+               static_cast<double>(queries) / std::max(end_s, 1e-9), "1/s"});
   m.push_back({"peak_rss_mib", peak_rss_mib, "MiB"});
   m.push_back({"tr_met_share",
                PerQuery(static_cast<double>(phase.tr_met), phase.queries),
@@ -145,10 +131,8 @@ void EmitPerLayer(const LayerValues& values, RunResult* out) {
 }
 
 double OverheadShare(const Phase& untraced, const Phase& traced) {
-  const double base =
-      Median(Latencies(untraced, 0, untraced.samples.size()));
-  const double with_spans =
-      Median(Latencies(traced, 0, traced.samples.size()));
+  const double base = Median(Latencies(untraced));
+  const double with_spans = Median(Latencies(traced));
   return base > 0 ? (with_spans - base) / base : 0.0;
 }
 

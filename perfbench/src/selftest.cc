@@ -46,17 +46,6 @@ void PercentileTests() {
          "median of odd, even and empty inputs");
 }
 
-void WindowTests() {
-  const auto w = Windows(3500, 3);
-  Expect(w.size() == 3 && w[0] == std::make_pair<size_t, size_t>(0, 1166) &&
-             w[1] == std::make_pair<size_t, size_t>(1166, 2332) &&
-             w[2] == std::make_pair<size_t, size_t>(2332, 3500),
-         "3500 samples cut into 3 windows, the last takes the remainder");
-  Expect(Windows(3500, 3500 / SamplesNeeded(0.99, 10)).size() == 3,
-         "3500 samples hold three p99 windows");
-  Expect(Windows(999, 0).empty(), "no window without enough samples");
-}
-
 void FailedShareTests() {
   FailureLedger ledger;
   ledger.Query(1, false);   // answered
@@ -108,7 +97,6 @@ void SelfTimeTests() {
 int RunSelfTest() {
   failures = 0;
   PercentileTests();
-  WindowTests();
   FailedShareTests();
   NormalisationTests();
   SelfTimeTests();

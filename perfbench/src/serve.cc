@@ -4,24 +4,26 @@
 /// one append connection feeds fixed-size, published batches through a
 /// durable Ingestor; every connection has one client thread.  The server
 /// runs on the virtual clock with a step of one time requirement, so a
-/// latency is the program's work, never pacing.
+/// latency is the program's work, never pacing.  Sessions do not think: a
+/// session sends its next interaction when the last one ends, so the server
+/// thread is saturated, a latency is the server pass that serves the
+/// interaction (often after the rest of the pass in progress), and
+/// queries_per_s is the stack's capacity.
 
 #include <malloc.h>
 #include <pthread.h>
 #include <time.h>
 
-#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <random>
 #include <thread>
 #include <unordered_map>
 
-#include "engines/registry.h"
+#include "engines/progressive_engine.h"
 #include "ingest/ingest.h"
 #include "net/client.h"
 #include "net/server.h"
@@ -45,15 +47,6 @@ constexpr int kSessions = kQueryConnections * kSessionsPerConnection;
 /// One append of kAppendRows rows per kInteractionsPerAppend completed
 /// interactions, so every run does ingest work in the same proportion.
 constexpr int64_t kInteractionsPerAppend = 16;
-/// Mean wall time a session thinks between the end of one interaction and
-/// the next.  It keeps the server thread below saturation, so a latency is
-/// the interaction's own service time plus modest queueing rather than the
-/// whole fleet's backlog.  Think times are exponential (independent users):
-/// a fixed think time lets the sessions fall into lockstep with the
-/// server's passes, and runs of one seed then settled into modes whose p50
-/// differed by 30 %.
-constexpr double kMeanThinkNs = 150e6;
-constexpr double kMaxThinkNs = 1e9;
 constexpr int64_t kAppendRows = 64;
 /// Rows reserved for appends beyond the base table: over 100 times what a
 /// run appends.  Reserved pages that are never written stay out of the
@@ -61,6 +54,9 @@ constexpr int64_t kAppendRows = 64;
 constexpr int64_t kAppendCapacity = 1'000'000;
 /// A client that hears nothing for this long counts the run as broken.
 constexpr Micros kSilenceLimit = 30'000'000;
+/// How long a client thread waits for a frame before it looks at the
+/// phase's stop flag again.
+constexpr Micros kPollMicros = 100'000;
 
 double Seconds(int64_t ns) { return static_cast<double>(ns) * 1e-9; }
 
@@ -108,8 +104,6 @@ struct SessionState {
   size_t next = 0;             // next interaction of the current workflow
   Mode mode = Mode::kIdle;
   int64_t sent_ns = 0;
-  int64_t ready_ns = 0;  // the session may send once the clock passes this
-  std::mt19937_64 think_rng;  // seeded per session from the workload seed
   int64_t request = -1;
   int64_t outstanding = 0;  // admitted queries without a terminal update
   int64_t admitted = 0;
@@ -130,11 +124,8 @@ struct QueryState {
 class QueryConnection {
  public:
   QueryConnection(std::unique_ptr<Client> client, int connection,
-                  const WorkflowSet* set, uint64_t seed)
-      : client_(std::move(client)),
-        connection_(connection),
-        set_(set),
-        seed_(seed) {}
+                  const WorkflowSet* set)
+      : client_(std::move(client)), connection_(connection), set_(set) {}
 
   Status OpenSessions() {
     for (int i = 0; i < kSessionsPerConnection; ++i) {
@@ -142,45 +133,35 @@ class QueryConnection {
       SessionState s;
       s.id = id;
       s.global_index = connection_ * kSessionsPerConnection + i;
-      s.think_rng.seed(seed_ * 0x9E3779B97F4A7C15ULL +
-                       static_cast<uint64_t>(s.global_index));
       sessions_.push_back(std::move(s));
     }
     return Status::OK();
   }
 
   /// Closed loop until `control->stop`, then drains what is in flight.
+  /// A session sends its next interaction as soon as the last one ended.
   void Run(PhaseControl* control, Observations* obs) {
     int64_t last_heard = NowNs();
-    // Every session starts the phase thinking, so the sixteen sessions do
-    // not all submit in one burst (1 % of a run's samples, its p99).
-    for (SessionState& s : sessions_) Think(&s, last_heard);
     while (true) {
       const bool stopping = control->stop.load();
       bool all_idle = true;
-      int64_t wake_ns = NowNs() + 100'000'000;
       for (size_t i = 0; i < sessions_.size(); ++i) {
         SessionState& s = sessions_[i];
-        if (s.mode == SessionState::Mode::kIdle && !stopping) {
-          if (s.ready_ns <= NowNs()) {
-            if (!Advance(static_cast<int>(i), obs)) return;
-          } else {
-            wake_ns = std::min(wake_ns, s.ready_ns);
-          }
+        if (s.mode == SessionState::Mode::kIdle && !stopping &&
+            !Advance(static_cast<int>(i), obs)) {
+          return;
         }
         all_idle = all_idle && s.mode == SessionState::Mode::kIdle;
       }
       if (stopping && all_idle) return;
       JsonValue msg;
-      Result<bool> got = client_->Next(
-          &msg, std::max<int64_t>(1, (wake_ns - NowNs()) / 1000));
+      Result<bool> got = client_->Next(&msg, kPollMicros);
       if (!got.ok()) {
         obs->Problem("query connection: " + got.status().ToString());
         return;
       }
       if (!*got) {
-        if (NowNs() - last_heard >
-            kSilenceLimit * 1000 + static_cast<int64_t>(kMaxThinkNs)) {
+        if (NowNs() - last_heard > kSilenceLimit * 1000) {
           obs->Problem("query connection silent for 30 s");
           return;
         }
@@ -206,12 +187,6 @@ class QueryConnection {
 
 
  private:
-  static void Think(SessionState* s, int64_t now) {
-    std::exponential_distribution<double> think(1.0 / kMeanThinkNs);
-    s->ready_ns =
-        now + static_cast<int64_t>(std::min(think(s->think_rng), kMaxThinkNs));
-  }
-
   const idebench::workflow::Workflow& WorkflowOf(const SessionState& s) const {
     const size_t n = set_->workflows.size();
     const size_t index =
@@ -267,7 +242,6 @@ class QueryConnection {
       Tracer::Record({s.sent_ns, now, s.request, SpanKind::kClientInteraction, 0});
     }
     s.mode = SessionState::Mode::kIdle;
-    Think(&s, now);
     {
       std::lock_guard<std::mutex> lock(control->mu);
       ++control->completed_interactions;
@@ -354,7 +328,6 @@ class QueryConnection {
   std::unique_ptr<Client> client_;
   int connection_;
   const WorkflowSet* set_;
-  uint64_t seed_;
   std::vector<SessionState> sessions_;
   std::unordered_map<int64_t, QueryState> queries_;
   std::unordered_map<int64_t, int> by_request_;
@@ -471,9 +444,16 @@ class ServeStack {
                                         catalog_, base_rows_ + kAppendCapacity,
                                         wal_dir, idebench::ingest::WalOptions()));
     const int64_t t2 = NowNs();
-    IDB_ASSIGN_OR_RETURN(engine_, idebench::engines::CreateEngine(
-                                      w.engine, options.seed, w.threads,
-                                      w.reuse_cache, kSessions));
+    // Reuse off, both kinds: the reuse cache, and the engine's semantic
+    // cache, which would continue an earlier identical query's sample
+    // (README.md: with it on, this workload hits a defect of the engine).
+    idebench::engines::ProgressiveEngineConfig config;
+    config.seed += options.seed;
+    config.execution_threads = w.threads;
+    config.reuse_cache = w.reuse_cache;
+    config.expected_sessions = kSessions;
+    config.enable_reuse = options.semantic_cache;
+    engine_ = std::make_unique<idebench::engines::ProgressiveEngine>(config);
     IDB_ASSIGN_OR_RETURN(Micros prepared, engine_->Prepare(catalog_));
     (void)prepared;
     traced_ = std::make_unique<TracingEngine>(engine_.get());
@@ -513,8 +493,7 @@ class ServeStack {
       IDB_ASSIGN_OR_RETURN(auto client,
                            Client::Connect("127.0.0.1", server_->port(),
                                            "query" + std::to_string(c)));
-      auto conn = std::make_unique<QueryConnection>(std::move(client), c, &set,
-                                                    options.seed);
+      auto conn = std::make_unique<QueryConnection>(std::move(client), c, &set);
       IDB_RETURN_NOT_OK(conn->OpenSessions());
       queries_.push_back(std::move(conn));
     }
@@ -708,6 +687,7 @@ Result<RunResult> RunServeIngest(const RunOptions& options) {
   out.meta = RunMetadata(options, idebench::ingest::WalSyncName(
                                       idebench::ingest::WalOptions().sync),
                          FilesystemOf(wal_dir));
+  out.meta.Set("semantic_cache", options.semantic_cache);
   Phase untraced;
   Observations untraced_obs;
   ServerCounters u0, u1;

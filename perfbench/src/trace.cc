@@ -90,11 +90,12 @@ void Tracer::Clear() {
 
 Result<QueryHandle> TracingEngine::Submit(
     const idebench::query::QuerySpec& spec) {
-  // "s<session>/<viz>" as qualified by the session manager.
+  // The interaction id set by the in-process runner, if any; otherwise
+  // the session of "s<session>/<viz>" as qualified by the session manager.
   int64_t id = default_id_;
   const std::string& viz = spec.viz_name;
   const size_t slash = viz.find('/');
-  if (viz.size() > 1 && viz[0] == 's' && slash != std::string::npos) {
+  if (id < 0 && viz.size() > 1 && viz[0] == 's' && slash != std::string::npos) {
     id = std::strtoll(viz.c_str() + 1, nullptr, 10);
   }
   Result<QueryHandle> handle = [&] {

@@ -86,15 +86,16 @@ class ScopedSpan {
 };
 
 /// Forwards every call to the wrapped engine, recording a span around
-/// Submit, RunFor, PollResult and Cancel.  Engine spans carry the session
-/// id parsed from the qualified viz name "s<session>/<viz>" the session
-/// manager submits, or `default_id()` when the name is unqualified.
+/// Submit, RunFor, PollResult and Cancel.  Engine spans carry the id set
+/// with `set_default_id` (the in-process runner's interaction) or, when
+/// none is set, the session id parsed from the qualified viz name
+/// "s<session>/<viz>" the session manager submits (serve_ingest).
 class TracingEngine : public idebench::engines::Engine {
  public:
   explicit TracingEngine(idebench::engines::Engine* inner) : inner_(inner) {}
 
-  /// Id stamped on spans whose query carries no session (the in-process
-  /// driver sets the current interaction here).
+  /// Id stamped on the spans of queries submitted from now on, in place of
+  /// their session (the in-process runner sets the current interaction).
   void set_default_id(int64_t id) { default_id_ = id; }
 
   const std::string& name() const override { return inner_->name(); }

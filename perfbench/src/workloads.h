@@ -20,18 +20,9 @@ inline constexpr int kSetupRepetitions = 5;
 /// A tail percentile needs ten samples beyond its rank.
 inline constexpr int64_t kSamplesBeyond = 10;
 
-/// A timed phase is cut into at least this many windows of consecutive
-/// interactions, each large enough for its own p99, and reports the median
-/// over windows, so a slow episode of the host that hits one window moves a
-/// metric by at most half its effect.  Three windows would reject such an
-/// episode outright but made runs 50-65 s, over the run budget.
-inline constexpr int64_t kMinWindows = 2;
-
-/// Sampled interactions a window needs (p99 with ten samples beyond it).
-int64_t WindowSamples();
-
-/// Interactions a timed phase needs before it may stop; the phase runs on
-/// past `--seconds` until it has them.
+/// Sampled interactions a timed phase needs before it may stop (p99 with
+/// ten samples beyond it); the phase runs on past `--seconds` until it has
+/// them.
 int64_t MinInteractions();
 
 /// Durations of the set-up phases of one set-up, in seconds.
