@@ -141,28 +141,6 @@ void BM_HotLoopVectorizedHashBins(benchmark::State& state) {
 }
 BENCHMARK(BM_HotLoopVectorizedHashBins);
 
-/// Two-phase reference (fused plan disabled): the PR-1/PR-2 pipeline with
-/// per-row bin kernels — what `BM_HotLoopVectorized` measured before the
-/// fused kernels landed.
-void BM_HotLoopTwoPhase(benchmark::State& state) {
-  auto catalog = SharedCatalog();
-  query::QuerySpec spec = HotLoopSpec();
-  auto bound = exec::BoundQuery::Bind(spec, *catalog);
-  IDB_CHECK(bound.ok());
-  const std::vector<int64_t>& walk = SharedWalk();
-  exec::BinnedAggregatorOptions options;
-  options.enable_fused = false;
-  for (auto _ : state) {
-    exec::BinnedAggregator agg(&*bound, options);
-    IDB_CHECK(!agg.uses_fused());
-    agg.ProcessBatch(walk.data(), static_cast<int64_t>(walk.size()));
-    benchmark::DoNotOptimize(agg.rows_matched());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(walk.size()));
-}
-BENCHMARK(BM_HotLoopTwoPhase);
-
 void BM_HotLoopVectorized(benchmark::State& state) {
   auto catalog = SharedCatalog();
   query::QuerySpec spec = HotLoopSpec();
@@ -181,8 +159,8 @@ void BM_HotLoopVectorized(benchmark::State& state) {
 BENCHMARK(BM_HotLoopVectorized);
 
 /// Morsel-parallel variant of the hot loop: the same shuffled walk, fed
-/// through exec::MorselProcessShuffled at 1/2/4/8 worker threads.  The
-/// walk is repeated `kWalkRepeats` times per iteration so it spans many
+/// through exec::MorselProcessWalk at 1/2/4/8 worker threads.  Each
+/// iteration walks the table `kWalkRepeats` times so it feeds many
 /// 64K-row morsels (a single pass over the 100K-row table is barely two).
 /// Run
 ///   bench_micro --benchmark_filter=HotLoop --benchmark_format=json
@@ -198,13 +176,15 @@ void BM_HotLoopParallel(benchmark::State& state) {
     Rng rng(17);
     return new aqp::ShuffledIndex(SharedTable().num_rows(), &rng);
   }();
-  const int64_t count = kWalkRepeats * walk_order->size();
+  const int64_t rows = walk_order->size();
   for (auto _ : state) {
     exec::BinnedAggregator agg(&*bound);
-    exec::MorselProcessShuffled(&agg, *walk_order, 0, count, threads);
+    for (int64_t r = 0; r < kWalkRepeats; ++r) {
+      exec::MorselProcessWalk(&agg, *walk_order, /*key=*/0, 0, rows, threads);
+    }
     benchmark::DoNotOptimize(agg.rows_matched());
   }
-  state.SetItemsProcessed(state.iterations() * count);
+  state.SetItemsProcessed(state.iterations() * kWalkRepeats * rows);
 }
 // Wall-clock measurement: the work happens on pool threads, so the
 // default main-thread CPU-time metric would wildly overstate throughput.
@@ -765,10 +745,8 @@ void BM_IngestWhileServing(benchmark::State& state) {
 
     engines::BlockingEngineConfig config;
     config.query_overhead_us = 0;
+    config.reuse_cache = true;
     engines::BlockingEngine engine(config);
-    exec::ReuseCacheOptions cache_options;
-    cache_options.invalidate_on_growth = !delta;
-    engine.EnableReuseCache(cache_options);
     IDB_CHECK(engine.Prepare(catalog).ok());
 
     // The dashboard's standing query: filtered, binned COUNT + AVG,
@@ -809,6 +787,10 @@ void BM_IngestWhileServing(benchmark::State& state) {
                     .ok());
       cursor += kEpochRows;
       IDB_CHECK((*ingestor)->Publish().ok());
+      // Invalidate-on-growth baseline: every publish drops the cached
+      // snapshots (the blocking engine's WorkflowStart only clears its
+      // reuse cache), so the re-render rescans from zero.
+      if (!delta) engine.WorkflowStart();
       state.ResumeTiming();
       run_to_completion(&engine, spec);
       rows_total += (*ingestor)->visible_rows();
@@ -818,8 +800,6 @@ void BM_IngestWhileServing(benchmark::State& state) {
         benchmark::Counter(static_cast<double>(rs.rows_served));
     state.counters["equal_hits"] +=
         benchmark::Counter(static_cast<double>(rs.equal_hits));
-    state.counters["stale_invalidations"] +=
-        benchmark::Counter(static_cast<double>(rs.stale_invalidations));
   }
   state.SetItemsProcessed(rows_total);
   state.SetLabel(delta ? "delta_maintenance" : "invalidate_and_rescan");

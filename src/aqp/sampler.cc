@@ -15,22 +15,6 @@ ShuffledIndex::ShuffledIndex(int64_t n, Rng* rng) {
   bounds_ = {size()};
 }
 
-void ShuffledIndex::Gather(int64_t start_pos, int64_t count,
-                           int64_t* out) const {
-  const int64_t n = size();
-  if (n <= 0 || count <= 0) return;
-  int64_t pos = start_pos % n;
-  int64_t remaining = count;
-  while (remaining > 0) {
-    const int64_t run = std::min(remaining, n - pos);
-    std::copy_n(permutation_.begin() + static_cast<ptrdiff_t>(pos),
-                static_cast<size_t>(run), out);
-    out += run;
-    remaining -= run;
-    pos = 0;
-  }
-}
-
 void ShuffledIndex::GatherWalk(int64_t key, int64_t start_pos, int64_t count,
                                int64_t* out) const {
   if (size() <= 0 || count <= 0) return;

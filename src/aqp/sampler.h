@@ -37,24 +37,12 @@ class ShuffledIndex {
   /// Builds a permutation of `n` row ids with `rng`.
   ShuffledIndex(int64_t n, Rng* rng);
 
-  /// Row id at permutation position `pos` (positions wrap modulo n).
-  int64_t At(int64_t pos) const {
-    return permutation_[static_cast<size_t>(pos % size())];
-  }
-
-  /// Copies `count` consecutive permutation entries starting at position
-  /// `start_pos` (wrapping modulo n) into `out` — the batch gather used
-  /// by the vectorized sampling engines instead of per-call `At`.
-  /// Ignores segment structure (legacy single-segment walks only).
-  void Gather(int64_t start_pos, int64_t count, int64_t* out) const;
-
-  /// Segment-aware keyed walk: position `pos` inside the segment spanning
-  /// rows [s0, s1) of length L maps to `permutation[s0 + (key % L +
-  /// (pos - s0)) % L]` — each segment is walked as its own ring, rotated
-  /// by the per-query `key`.  With a single segment this is bit-identical
-  /// to `Gather(key + pos, ...)` for any key in [0, n), since
-  /// (key % n + pos) % n == (key + pos) % n.  Positions must stay below
-  /// the current total size.
+  /// Segment-aware keyed walk: copies `count` row ids starting at walk
+  /// position `start_pos` into `out`.  Position `pos` inside the segment
+  /// spanning rows [s0, s1) of length L maps to `permutation[s0 + (key %
+  /// L + (pos - s0)) % L]` — each segment is walked as its own ring,
+  /// rotated by the per-query `key`.  Positions must stay below the
+  /// current total size.
   void GatherWalk(int64_t key, int64_t start_pos, int64_t count,
                   int64_t* out) const;
 

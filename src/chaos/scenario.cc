@@ -1,5 +1,7 @@
 #include "chaos/scenario.h"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <memory>
@@ -53,13 +55,17 @@ std::shared_ptr<const storage::Catalog> BaseCatalog() {
 
 /// Round-trips the base fact table through CSV with retry-on-transient,
 /// exercising the kCsvOpen/kCsvAlloc sites the way a resilient loader
-/// would.  The file lands in the working directory and is removed.
+/// would.  The file lands in the working directory and is removed; its
+/// name carries the process id, so concurrent runs of the same scenario
+/// never share one file.
 Result<std::shared_ptr<const storage::Catalog>> CsvRoundTripCatalog(
     const ScenarioSpec& spec, const std::string& engine_name, uint64_t seed,
     std::vector<std::string>* log) {
   const storage::Table* fact = BaseCatalog()->fact_table();
   const std::string path = "chaos_roundtrip_" + spec.name + "_" + engine_name +
-                           "_" + std::to_string(seed) + ".csv";
+                           "_" + std::to_string(seed) + "_" +
+                           std::to_string(static_cast<long>(::getpid())) +
+                           ".csv";
   constexpr int kMaxAttempts = 16;
   Status last = Status::OK();
   for (int attempt = 1; attempt <= kMaxAttempts; ++attempt) {

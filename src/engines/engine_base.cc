@@ -150,18 +150,13 @@ const aqp::ShuffledIndex& EngineBase::ShuffledRows() {
   return *shuffled_;
 }
 
-void EngineBase::EnableReuseCache(const exec::ReuseCacheOptions& options) {
-  if (reuse_cache_ == nullptr) {
-    reuse_cache_ = std::make_unique<exec::ReuseCache>(options);
-  }
-}
-
 void EngineBase::EnableReuseCacheForSessions(int expected_sessions) {
+  if (reuse_cache_ != nullptr) return;
   exec::ReuseCacheOptions options;
   if (expected_sessions > 1) {
     options.max_entries_total *= expected_sessions;
   }
-  EnableReuseCache(options);
+  reuse_cache_ = std::make_unique<exec::ReuseCache>(options);
 }
 
 void EngineBase::WorkflowStart() {
@@ -186,7 +181,6 @@ exec::BinnedAggregatorOptions EngineBase::MakeAggregatorOptions() const {
 exec::ReuseCache::Match EngineBase::AcquireReuse(
     const query::QuerySpec& spec) {
   if (reuse_cache_ == nullptr) return {};
-  reuse_cache_->SetEpochWatermark(visible_rows());
   return reuse_cache_->Lookup(spec);
 }
 
@@ -203,7 +197,6 @@ void EngineBase::StoreReuse(const query::QuerySpec& spec,
                             const exec::BinnedAggregator& agg,
                             bool lazy_joins) {
   if (reuse_cache_ == nullptr) return;
-  reuse_cache_->SetEpochWatermark(visible_rows());
   reuse_cache_->Store(spec, agg, [this, lazy_joins](const query::QuerySpec& s) {
     return BindQuery(s, lazy_joins);
   });

@@ -55,12 +55,6 @@ class EngineBase : public Engine {
   /// this must call the base implementation.
   void DiscardViz(const std::string& viz) override;
 
-  /// Turns the reuse cache on (Settings::reuse_cache).  First call wins:
-  /// callers wanting non-default options (e.g. the invalidate-on-growth
-  /// baseline BENCH_ingest.json compares against) invoke this before
-  /// `Prepare`, which makes the engine's own opt-in a no-op.
-  void EnableReuseCache(const exec::ReuseCacheOptions& options = {});
-
  protected:
   /// Binds the engine to a catalog; called from Prepare implementations.
   Status Attach(std::shared_ptr<const storage::Catalog> catalog);
@@ -119,21 +113,21 @@ class EngineBase : public Engine {
 
   // --- Cross-interaction reuse (exec/reuse_cache.h) --------------------
   //
-  // Engines opt in from Prepare via `EnableReuseCache`; every query then
-  // (1) builds its aggregator with `MakeAggregatorOptions` so candidates
-  // are recorded, (2) acquires a match at Submit, (3) routes each feed
-  // advance through `ServeReuse` before processing the remainder
-  // physically, and (4) stores its snapshot from Cancel.  All helpers are
-  // no-ops when the cache is disabled, keeping engine behavior (and
-  // results — see the transparency contract in reuse_cache.h) identical
-  // either way.
+  // Engines opt in from Prepare via `EnableReuseCacheForSessions`; every
+  // query then (1) builds its aggregator with `MakeAggregatorOptions` so
+  // candidates are recorded, (2) acquires a match at Submit, (3) routes
+  // each feed advance through `ServeReuse` before processing the
+  // remainder physically, and (4) stores its snapshot from Cancel.  All
+  // helpers are no-ops when the cache is disabled, keeping engine
+  // behavior (and results — see the transparency contract in
+  // reuse_cache.h) identical either way.
 
   /// Turns the cache on sized for `expected_sessions` concurrent
   /// dashboards (session/session.h): the global entry cap scales with
   /// the session count so one session's working set cannot evict every
   /// other session's snapshots; the byte budget stays the fixed
-  /// process-level bound.  `expected_sessions <= 1` equals
-  /// `EnableReuseCache()`.
+  /// process-level bound.  `expected_sessions <= 1` keeps the default
+  /// options.  First call wins.
   void EnableReuseCacheForSessions(int expected_sessions);
 
   bool reuse_cache_enabled() const { return reuse_cache_ != nullptr; }

@@ -38,7 +38,6 @@ void BinnedAggregator::DecideDense() {
                keys <= options_.dense_key_limit &&
                keys * naggs <= options_.dense_accum_limit;
   dense_keys_ = use_dense_ ? keys : 0;
-  use_fused_ = options_.enable_fused && vec_->fused_ok();
 }
 
 std::unique_ptr<BinnedAggregator> BinnedAggregator::NewPartial() const {
@@ -218,11 +217,7 @@ void BinnedAggregator::ProcessBatch(const int64_t* rows, int64_t n,
     const int64_t pos_base = rows_seen_;  // feed position of batch.rows[0]
     rows_seen_ += batch.n;
 
-    // Fused and two-phase front ends share the postcondition (compact
-    // sel + dense keys in feed order), so everything below — recorder,
-    // base resolution, accumulation — is common code.
-    const int64_t m = use_fused_ ? vec_->FusedFilterBin(&batch)
-                                 : vec_->FilterAndBin(&batch);
+    const int64_t m = vec_->FilterAndBin(&batch);
     rows_matched_ += m;
     if (m == 0) continue;
 
@@ -250,10 +245,8 @@ void BinnedAggregator::ProcessBatch(const int64_t* rows, int64_t n,
     // the selection, accumulator row resolved once per row, no bases
     // scratch.  Per-cell accumulation order (agg 0 then agg 1 within a
     // row, rows in feed order) matches the agg-major loops below
-    // bit-exactly because the two aggregates never share a cell.  Gated
-    // on the fused plan so enable_fused=false really is the unmodified
-    // two-phase reference, accumulation tail included.
-    if (use_fused_ && use_dense_ && weight == 1.0 && naggs == 2 &&
+    // bit-exactly because the two aggregates never share a cell.
+    if (use_dense_ && weight == 1.0 && naggs == 2 &&
         vec_->agg_is_count(0) && !vec_->agg_is_count(1)) {
       EnsureDenseAllocated();
       const double* values = vec_->GatherAggValues(1, &batch);
@@ -375,17 +368,6 @@ void BinnedAggregator::ProcessRange(int64_t begin, int64_t end) {
       ProcessBatch(rows.data(), c);
     }
     seg = seg_end;
-  }
-}
-
-void BinnedAggregator::ProcessShuffled(const aqp::ShuffledIndex& order,
-                                       int64_t start_pos, int64_t count) {
-  std::array<int64_t, kVectorBatchSize> rows;
-  for (int64_t done = 0; done < count;) {
-    const int64_t c = std::min(count - done, kVectorBatchSize);
-    order.Gather(start_pos + done, c, rows.data());
-    ProcessBatch(rows.data(), c);
-    done += c;
   }
 }
 

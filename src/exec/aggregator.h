@@ -17,26 +17,23 @@
 ///    where each row carries its stratum weight N_s/n_s; variances use a
 ///    Poisson-sampling approximation (see DESIGN.md).
 ///
-/// Rows arrive through three equivalent paths:
+/// Rows arrive through two equivalent paths:
 ///
-///  * the scalar reference path (`ProcessRow` / `ProcessRowWeighted`),
-///    one `MatchesFilter`+`BinKey`+`AggValueAt` chain per row;
-///  * the two-phase vectorized path (filter kernels → selection vector →
-///    bin kernels → aggregate gathers), kept as the vectorized
-///    differential reference (`enable_fused = false`);
-///  * the fused single-pass path (the default for `ProcessBatch` /
-///    `ProcessRange` / `ProcessShuffled`): one compiled plan per query
-///    walks each ~1024-row batch once — every distinct column gathered
-///    exactly once, vertical mask predicates, branchless SIMD bin keys
-///    (dictionary dimensions through a compile-time code→bin LUT) — and
+///  * the scalar path (`ProcessRow` / `ProcessRowWeighted`), one
+///    `MatchesFilter`+`BinKey`+`AggValueAt` chain per row — the reference
+///    implementation for differential testing, which
+///    `BinnedAggregatorOptions::enable_vectorized = false` forces for the
+///    batch entry points too;
+///  * the fused path behind `ProcessBatch` / `ProcessRange` /
+///    `ProcessWalk`: one compiled plan per query (exec/vectorized.h) walks
+///    each ~1024-row batch once — every distinct column gathered exactly
+///    once, vertical mask predicates, branchless SIMD bin keys — and
 ///    accumulates straight into a *dense flat bin table* whenever the
 ///    resolved bin-key space is small (the common IDEBench case),
 ///    falling back to the hash map transparently otherwise.
 ///
-/// All paths write the same accumulator streams in the same per-bin
-/// order, so results are bit-identical; the scalar path is the reference
-/// implementation for differential testing
-/// (`BinnedAggregatorOptions::enable_vectorized = false`).
+/// Both paths write the same accumulator streams in the same per-bin
+/// order, so results are bit-identical.
 ///
 /// `ProcessRange` feeds additionally consult the fact columns' zone maps
 /// (storage/column.h) through the compiled prune checks: 64K blocks that
@@ -86,13 +83,6 @@ struct BinnedAggregatorOptions {
   /// Compile and use the vectorized kernels for batch entry points.
   /// Disable to force the scalar reference path everywhere.
   bool enable_vectorized = true;
-
-  /// Run the batch entry points through the fused single-pass plan
-  /// (filter + bin + accumulate in one walk, each column gathered once).
-  /// Disable to force the two-phase pipeline (filter kernels → selection
-  /// vector → bin kernels → aggregate gathers), kept as the vectorized
-  /// differential reference.  Ignored when `enable_vectorized` is off.
-  bool enable_fused = true;
 
   /// Skip zone-map-excluded 64K blocks on `ProcessRange` feeds (skipped
   /// rows still advance `rows_seen()` via SkipRows, so results — rows
@@ -198,17 +188,9 @@ class BinnedAggregator {
   /// Feeds the half-open fact-row range [begin, end) with weight 1.
   void ProcessRange(int64_t begin, int64_t end);
 
-  /// Feeds `count` rows of a shuffled walk starting at permutation
-  /// position `start_pos` (wrapping), gathering into batches internally —
-  /// the shared hot loop of the sampling engines.
-  void ProcessShuffled(const aqp::ShuffledIndex& order, int64_t start_pos,
-                       int64_t count);
-
-  /// Segment-aware variant of `ProcessShuffled` for streaming ingest:
-  /// feeds `count` positions starting at `start_pos` of the keyed
-  /// per-epoch-segment walk `order.GatherWalk(key, ...)`.  With a
-  /// single-segment index this is bit-identical to
-  /// `ProcessShuffled(order, key + start_pos, count)` for key < n.
+  /// Feeds `count` positions starting at `start_pos` of the keyed
+  /// per-epoch-segment walk `order.GatherWalk(key, ...)`, gathering into
+  /// batches internally — the shared hot loop of the sampling engines.
   void ProcessWalk(const aqp::ShuffledIndex& order, int64_t key,
                    int64_t start_pos, int64_t count);
 
@@ -290,9 +272,6 @@ class BinnedAggregator {
 
   /// True when the batch entry points run the vectorized kernels.
   bool uses_vectorized() const { return vec_ != nullptr && vec_->ok(); }
-
-  /// True when the batch entry points run the fused single-pass plan.
-  bool uses_fused() const { return use_fused_; }
 
   /// The compiled kernel table when zone-map pruning is active for this
   /// aggregator (options + at least one fact-column check); nullptr
@@ -402,7 +381,6 @@ class BinnedAggregator {
   // Compiled kernel table; immutable after construction and shared with
   // partial aggregators, so morsel workers can run it concurrently.
   std::shared_ptr<const VectorizedQuery> vec_;
-  bool use_fused_ = false;
 
   // Hash-map bin store (always correct; the fallback).
   std::unordered_map<int64_t, std::vector<AggAccum>> bins_;

@@ -267,21 +267,6 @@ void MorselProcessRange(BinnedAggregator* agg, int64_t begin, int64_t end,
              });
 }
 
-void MorselProcessShuffled(BinnedAggregator* agg,
-                           const aqp::ShuffledIndex& order, int64_t start_pos,
-                           int64_t count, int parallelism,
-                           int64_t morsel_rows) {
-  if (count <= 0) return;
-  morsel_rows = MaybeSlowMorsels(ClampMorselRows(morsel_rows));
-  const int64_t morsels = (count + morsel_rows - 1) / morsel_rows;
-  RunMorsels(agg, morsels, parallelism,
-             [&](BinnedAggregator* partial, int64_t m) {
-               const int64_t off = m * morsel_rows;
-               partial->ProcessShuffled(order, start_pos + off,
-                                        std::min(morsel_rows, count - off));
-             });
-}
-
 void MorselProcessWalk(BinnedAggregator* agg, const aqp::ShuffledIndex& order,
                        int64_t key, int64_t start_pos, int64_t count,
                        int parallelism, int64_t morsel_rows) {
@@ -316,17 +301,6 @@ void ProcessRangeParallel(BinnedAggregator* agg, int64_t begin, int64_t end,
     return;
   }
   MorselProcessRange(agg, begin, end, ResolveThreadCount(threads));
-}
-
-void ProcessShuffledParallel(BinnedAggregator* agg,
-                             const aqp::ShuffledIndex& order,
-                             int64_t start_pos, int64_t count, int threads) {
-  if (threads == 1) {
-    agg->ProcessShuffled(order, start_pos, count);
-    return;
-  }
-  MorselProcessShuffled(agg, order, start_pos, count,
-                        ResolveThreadCount(threads));
 }
 
 void ProcessWalkParallel(BinnedAggregator* agg,

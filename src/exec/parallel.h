@@ -128,10 +128,6 @@ class WorkerPool {
 /// decision made from the input size only, so still schedule-independent).
 void MorselProcessRange(BinnedAggregator* agg, int64_t begin, int64_t end,
                         int parallelism, int64_t morsel_rows = kMorselRows);
-void MorselProcessShuffled(BinnedAggregator* agg,
-                           const aqp::ShuffledIndex& order, int64_t start_pos,
-                           int64_t count, int parallelism,
-                           int64_t morsel_rows = kMorselRows);
 void MorselProcessWalk(BinnedAggregator* agg, const aqp::ShuffledIndex& order,
                        int64_t key, int64_t start_pos, int64_t count,
                        int parallelism, int64_t morsel_rows = kMorselRows);
@@ -143,9 +139,6 @@ void MorselProcessBatch(BinnedAggregator* agg, const int64_t* rows, int64_t n,
 /// path; otherwise the morsel path with `ResolveThreadCount(threads)`.
 void ProcessRangeParallel(BinnedAggregator* agg, int64_t begin, int64_t end,
                           int threads);
-void ProcessShuffledParallel(BinnedAggregator* agg,
-                             const aqp::ShuffledIndex& order,
-                             int64_t start_pos, int64_t count, int threads);
 void ProcessWalkParallel(BinnedAggregator* agg,
                          const aqp::ShuffledIndex& order, int64_t key,
                          int64_t start_pos, int64_t count, int threads);

@@ -43,13 +43,6 @@ ReuseCache::Match ReuseCache::Lookup(const query::QuerySpec& spec) {
   Match match;
   const std::string full_key = spec.Signature();
   auto it = entries_.find(full_key);
-  if (it != entries_.end() && IsStale(*it->second)) {
-    // Invalidate-on-growth baseline: the entry predates the current
-    // epoch watermark, so it dies here and the query rescans from zero.
-    Erase(it);
-    ++stats_.stale_invalidations;
-    it = entries_.end();
-  }
   if (it != entries_.end() && it->second->watermark > 0) {
     if (PoisonHit()) {
       Erase(it);
@@ -79,7 +72,6 @@ ReuseCache::Match ReuseCache::Lookup(const query::QuerySpec& spec) {
   Entry* best = nullptr;
   for (auto& [key, entry] : entries_) {
     if (entry->core_key != core_key || entry->watermark <= 0) continue;
-    if (IsStale(*entry)) continue;  // dies lazily at its own equal lookup
     if (!expr::Refines(spec.filter, entry->spec->filter)) continue;
     if (best == nullptr || entry->watermark > best->watermark ||
         (entry->watermark == best->watermark &&
@@ -125,12 +117,6 @@ void ReuseCache::Store(const query::QuerySpec& spec,
 
   const std::string full_key = spec.Signature();
   auto it = entries_.find(full_key);
-  if (it != entries_.end() && IsStale(*it->second)) {
-    // A stale entry must not suppress a fresh store, whatever its depth.
-    Erase(it);
-    ++stats_.stale_invalidations;
-    it = entries_.end();
-  }
   if (it != entries_.end() && it->second->watermark >= agg.rows_seen() &&
       SameBinTables(spec, *it->second->spec)) {
     it->second->last_used = ++use_tick_;
@@ -157,7 +143,6 @@ void ReuseCache::Store(const query::QuerySpec& spec,
                                                        snapshot_options);
   entry->snapshot->MergeFrom(agg);
   entry->watermark = agg.rows_seen();
-  entry->epoch_watermark = epoch_watermark_;
   entry->last_used = ++use_tick_;
   // Candidate list + bin tables, plus a coarse per-entry floor for the
   // binding and bookkeeping.

@@ -41,6 +41,12 @@
 /// via `MergeFrom` (which also carries the recorded candidate list) and
 /// the remainder of a feed may run through `exec/parallel.h` as usual.
 ///
+/// Entries survive ingest epochs: every engine feed is *prefix-invariant*
+/// under epoch publishes (walk segments, scans and stratified samples are
+/// all append-only), so a snapshot's first `watermark` positions mean
+/// exactly the same rows at any later epoch, and a new epoch folds into a
+/// matching snapshot by feeding only the positions past its watermark.
+///
 /// Eviction is per-visualization LRU: dashboards hold few live vizs, and
 /// a viz's next query overwhelmingly resembles its previous one, so each
 /// viz keeps its most recent signatures; a global cap bounds the total.
@@ -72,17 +78,6 @@ struct ReuseCacheOptions {
   /// low-selectivity snapshots cannot pin entry-count × candidate-cap
   /// worth of memory.
   int64_t max_total_bytes = 64 << 20;
-
-  /// Baseline mode for benchmarking delta maintenance: when set, any
-  /// entry stored under an older epoch watermark than the cache's
-  /// current one is treated as stale at lookup and dropped (classic
-  /// invalidate-on-growth).  Off by default: every engine feed is
-  /// *prefix-invariant* under epoch publishes (walk segments, scans and
-  /// stratified samples are all append-only), so a snapshot's first
-  /// `watermark` positions mean exactly the same rows at any later
-  /// epoch — new epochs fold into matching snapshots by scanning only
-  /// the delta positions past the snapshot's watermark.
-  bool invalidate_on_growth = false;
 };
 
 /// Per-engine cross-interaction reuse cache.  Not thread-safe: engines
@@ -104,10 +99,6 @@ class ReuseCache {
     /// recorder holds the candidate (matched) rows of that prefix.
     std::unique_ptr<BinnedAggregator> snapshot;
     int64_t watermark = 0;
-    /// Visible-row epoch watermark when the snapshot was stored; keyed
-    /// into staleness decisions under `invalidate_on_growth` and
-    /// reported for observability (delta mode never invalidates on it).
-    int64_t epoch_watermark = 0;
     uint64_t last_used = 0;
     /// Estimated resident size (candidate list + bin tables); the unit
     /// of the cache's byte budget.
@@ -163,16 +154,6 @@ class ReuseCache {
   /// positions `Serve` displaced).
   void AddRowsServed(int64_t n) { stats_.rows_served += n; }
 
-  /// Advances the cache's view of the published epoch watermark (the
-  /// engine calls this around lookups/stores).  Monotonic; entries
-  /// stored from now on carry it, and under `invalidate_on_growth`
-  /// entries below it die at their next lookup.
-  void SetEpochWatermark(int64_t w) {
-    if (w > epoch_watermark_) epoch_watermark_ = w;
-  }
-
-  int64_t epoch_watermark() const { return epoch_watermark_; }
-
   /// Drops every entry owned by `viz` (the dashboard discarded it).
   /// Pinned matches stay alive through their shared_ptrs.
   void DropViz(const std::string& viz);
@@ -196,16 +177,8 @@ class ReuseCache {
   void Erase(std::unordered_map<std::string,
                                 std::shared_ptr<Entry>>::iterator it);
 
-  /// True when `entry` must be dropped instead of served (stale under
-  /// `invalidate_on_growth`).
-  bool IsStale(const Entry& entry) const {
-    return options_.invalidate_on_growth &&
-           entry.epoch_watermark < epoch_watermark_;
-  }
-
   ReuseCacheOptions options_;
   std::unordered_map<std::string, std::shared_ptr<Entry>> entries_;
-  int64_t epoch_watermark_ = 0;
   uint64_t use_tick_ = 0;
   int64_t total_bytes_ = 0;
   metrics::ReuseCacheStats stats_;

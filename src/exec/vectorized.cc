@@ -234,45 +234,6 @@ FilterKernel::Fn PickFilter(CompareOp op, Ld load, bool first) {
                : PickFilterImpl<false>(op, load);
 }
 
-template <Ld L, bool Nominal>
-void BinImpl(const BinKernel& k, const int64_t* rows, const int32_t* sel,
-             int64_t n_sel, int64_t* out, double* out_vals) {
-  for (int64_t i = 0; i < n_sel; ++i) {
-    double v;
-    if (!Load<L>(k.col, rows[sel[i]], &v) || !(v == v)) {
-      out[i] = -1;
-      out_vals[i] = kNaN;
-      continue;
-    }
-    out_vals[i] = v;
-    // Same expressions as BinDimension::BinIndex: truncation for nominal
-    // (integer-coded) dimensions, floor division for quantitative ones.
-    int64_t idx;
-    if constexpr (Nominal) {
-      idx = static_cast<int64_t>(v - k.lo);
-    } else {
-      idx = static_cast<int64_t>(std::floor((v - k.lo) / k.width));
-    }
-    out[i] = (idx >= 0 && idx < k.bin_count) ? idx : -1;
-  }
-}
-
-BinKernel::Fn PickBin(Ld load, bool nominal) {
-  switch (load) {
-    case Ld::kI64:
-      return nominal ? &BinImpl<Ld::kI64, true> : &BinImpl<Ld::kI64, false>;
-    case Ld::kF64:
-      return nominal ? &BinImpl<Ld::kF64, true> : &BinImpl<Ld::kF64, false>;
-    case Ld::kI64Join:
-      return nominal ? &BinImpl<Ld::kI64Join, true>
-                     : &BinImpl<Ld::kI64Join, false>;
-    case Ld::kF64Join:
-      return nominal ? &BinImpl<Ld::kF64Join, true>
-                     : &BinImpl<Ld::kF64Join, false>;
-  }
-  return nullptr;
-}
-
 template <Ld L>
 void AggImpl(const AggKernel& k, const int64_t* rows, const int32_t* sel,
              int64_t n_sel, double* out) {
@@ -389,7 +350,9 @@ void FusedBinQuantImpl(const BinKernel& k, const int64_t* rows,
 /// vertical key phase whose truncating cast *is* the scalar path's
 /// `(int64_t)(v - lo)`.  Guarding with `d > -1` (not `d >= 0`)
 /// reproduces its boundary behavior exactly — v - lo in (-1, 0)
-/// truncates to bin 0.
+/// truncates to bin 0.  String dimensions bin their dictionary codes
+/// here as well: the range check bounds every code, so a code that
+/// joined the dictionary after the query compiled lands in no bin.
 template <Ld L>
 void FusedBinNominalImpl(const BinKernel& k, const int64_t* rows,
                          const int32_t* sel, int64_t n_sel, int64_t* out,
@@ -427,60 +390,24 @@ void FusedBinNominalImpl(const BinKernel& k, const int64_t* rows,
 #endif
 }
 
-/// Pre-binned dictionary dimension, *direct* form (no aggregate shares
-/// the column, so the double value lane is not needed): per-row string
-/// binning is one int gather through the compile-time code -> bin LUT.
-/// Codes are dense in [0, dict size), so the LUT load can never go out
-/// of bounds.
-void FusedBinLutDirect(const BinKernel& k, const int64_t* rows,
-                       const int32_t* sel, int64_t n_sel, int64_t* out,
-                       double* /*out_vals*/) {
-  const int64_t* codes = k.col.i64;
-  const int32_t* lut = k.lut;
-  for (int64_t i = 0; i < n_sel; ++i) out[i] = lut[codes[rows[sel[i]]]];
-}
-
-void FusedBinLutDirectJoin(const BinKernel& k, const int64_t* rows,
-                           const int32_t* sel, int64_t n_sel, int64_t* out,
-                           double* /*out_vals*/) {
-  const int64_t* codes = k.col.i64;
-  const int32_t* join = k.col.join;
-  const int32_t* lut = k.lut;
-  for (int64_t i = 0; i < n_sel; ++i) {
-    const int32_t dim = join[rows[sel[i]]];
-    out[i] = dim < 0 ? -1 : lut[codes[dim]];
-  }
-}
-
-/// Pre-binned dictionary dimension, value-lane form (an aggregate reads
-/// the same column): gathers the code lane like the numeric kernels,
-/// then LUT-binned through an exact double -> int64 round trip (every
-/// representable dictionary code survives it bit-exactly).
 template <Ld L>
-void FusedBinLutValsImpl(const BinKernel& k, const int64_t* rows,
-                         const int32_t* sel, int64_t n_sel, int64_t* out,
-                         double* out_vals) {
-  if constexpr (L == Ld::kI64) {
-    const int64_t* data = k.col.i64;
-    for (int64_t i = 0; i < n_sel; ++i) {
-      out_vals[i] = static_cast<double>(data[rows[sel[i]]]);
-    }
-  } else {
-    for (int64_t i = 0; i < n_sel; ++i) {
-      double v;
-      out_vals[i] = Load<L>(k.col, rows[sel[i]], &v) ? v : kNaN;
-    }
-  }
-  const int32_t* lut = k.lut;
-  for (int64_t i = 0; i < n_sel; ++i) {
-    const double v = out_vals[i];
-    out[i] = (v == v) ? lut[static_cast<int64_t>(v)] : -1;
-  }
-}
-
-template <Ld L>
-BinKernel::Fn PickFusedQuant(bool use_inv) {
+BinKernel::Fn PickFusedBinFor(bool nominal, bool use_inv) {
+  if (nominal) return &FusedBinNominalImpl<L>;
   return use_inv ? &FusedBinQuantImpl<L, true> : &FusedBinQuantImpl<L, false>;
+}
+
+BinKernel::Fn PickFusedBin(Ld load, bool nominal, bool use_inv) {
+  switch (load) {
+    case Ld::kI64:
+      return PickFusedBinFor<Ld::kI64>(nominal, use_inv);
+    case Ld::kF64:
+      return PickFusedBinFor<Ld::kF64>(nominal, use_inv);
+    case Ld::kI64Join:
+      return PickFusedBinFor<Ld::kI64Join>(nominal, use_inv);
+    case Ld::kF64Join:
+      return PickFusedBinFor<Ld::kF64Join>(nominal, use_inv);
+  }
+  return nullptr;
 }
 
 /// True when 1/width is exactly representable, i.e. multiplying by the
@@ -494,69 +421,6 @@ bool ExactReciprocal(double width) {
 }
 
 }  // namespace
-
-void VectorizedQuery::CompileFused(const BoundQuery& query) {
-  const query::QuerySpec& spec = query.spec();
-  fused_bins_.reserve(bin_kernels_.size());
-  for (size_t d = 0; d < spec.bins.size(); ++d) {
-    const query::BinDimension& dim = spec.bins[d];
-    const ColumnBinding& binding = query.bin_bindings()[d];
-    const bool is_string =
-        binding.column->type() == storage::DataType::kString;
-    const bool is_double =
-        binding.column->type() == storage::DataType::kDouble;
-    const bool joined = binding.join != nullptr;
-    BinKernel b = bin_kernels_[d];  // copy access path + params
-
-    if (is_string && dim.mode == query::BinningMode::kNominal) {
-      // Pre-bin every dictionary code once at compile time.  Codes
-      // outside the resolved bin range (values that joined the
-      // dictionary after the bin config froze, or a refined lo) map to
-      // -1 like any out-of-range value.
-      const storage::Dictionary& dict = binding.column->dictionary();
-      auto lut = std::make_shared<std::vector<int32_t>>(
-          static_cast<size_t>(dict.size()), -1);
-      for (int64_t c = 0; c < dict.size(); ++c) {
-        const int64_t idx =
-            static_cast<int64_t>(static_cast<double>(c) - b.lo);
-        (*lut)[static_cast<size_t>(c)] =
-            (idx >= 0 && idx < b.bin_count) ? static_cast<int32_t>(idx) : -1;
-      }
-      b.lut = lut->data();
-      b.lut_owner = std::move(lut);
-      bool shared = false;
-      for (size_t a = 0; a < agg_shared_dim_.size(); ++a) {
-        if (agg_shared_dim_[a] == static_cast<int8_t>(d)) shared = true;
-      }
-      if (shared) {
-        b.fn = joined ? &FusedBinLutValsImpl<Ld::kI64Join>
-                      : &FusedBinLutValsImpl<Ld::kI64>;
-      } else {
-        b.fn = joined ? &FusedBinLutDirectJoin : &FusedBinLutDirect;
-      }
-    } else if (dim.mode == query::BinningMode::kNominal) {
-      if (joined) {
-        b.fn = is_double ? &FusedBinNominalImpl<Ld::kF64Join>
-                         : &FusedBinNominalImpl<Ld::kI64Join>;
-      } else {
-        b.fn = is_double ? &FusedBinNominalImpl<Ld::kF64>
-                         : &FusedBinNominalImpl<Ld::kI64>;
-      }
-    } else {
-      const bool use_inv = ExactReciprocal(b.width);
-      if (use_inv) b.inv_width = 1.0 / b.width;
-      if (joined) {
-        b.fn = is_double ? PickFusedQuant<Ld::kF64Join>(use_inv)
-                         : PickFusedQuant<Ld::kI64Join>(use_inv);
-      } else {
-        b.fn = is_double ? PickFusedQuant<Ld::kF64>(use_inv)
-                         : PickFusedQuant<Ld::kI64>(use_inv);
-      }
-    }
-    fused_bins_.push_back(std::move(b));
-  }
-  fused_ok_ = true;
-}
 
 void VectorizedQuery::CompilePrune(const BoundQuery& query) {
   const query::QuerySpec& spec = query.spec();
@@ -583,14 +447,14 @@ void VectorizedQuery::CompilePrune(const BoundQuery& query) {
     const query::BinDimension& dim = spec.bins[d];
     PruneCheck c;
     c.col = binding.column;
-    c.lo = bin_kernels_[d].lo;
-    c.bin_count = bin_kernels_[d].bin_count;
+    c.lo = bins_[d].lo;
+    c.bin_count = bins_[d].bin_count;
     if (dim.mode == query::BinningMode::kNominal) {
       c.kind = PruneCheck::Kind::kBinNominal;
     } else {
-      if (!(bin_kernels_[d].width > 0.0)) continue;
+      if (!(bins_[d].width > 0.0)) continue;
       c.kind = PruneCheck::Kind::kBinQuant;
-      c.width = bin_kernels_[d].width;
+      c.width = bins_[d].width;
     }
     prune_checks_.push_back(c);
   }
@@ -674,19 +538,22 @@ VectorizedQuery VectorizedQuery::Compile(const BoundQuery& query) {
   const query::QuerySpec& spec = query.spec();
   if (spec.bins.empty() || spec.bins.size() > 2) return vq;
 
-  // Bin-key kernels.
+  // Bin-key kernels, one per dimension.
   for (size_t d = 0; d < spec.bins.size(); ++d) {
     const query::BinDimension& dim = spec.bins[d];
     if (!dim.resolved || dim.bin_count <= 0) return vq;
     BinKernel k;
     Ld load;
     if (!CompileAccess(query.bin_bindings()[d], &k.col, &load)) return vq;
-    k.fn = PickBin(load, dim.mode == query::BinningMode::kNominal);
+    const bool nominal = dim.mode == query::BinningMode::kNominal;
+    const bool use_inv = !nominal && ExactReciprocal(dim.width);
+    k.fn = PickFusedBin(load, nominal, use_inv);
     k.lo = dim.lo;
     k.width = dim.width;
+    if (use_inv) k.inv_width = 1.0 / dim.width;
     k.bin_count = dim.bin_count;
     if (k.fn == nullptr) return vq;
-    vq.bin_kernels_.push_back(k);
+    vq.bins_.push_back(k);
   }
   vq.two_d_ = spec.bins.size() == 2;
   vq.bins1_ = vq.two_d_ ? spec.bins[1].bin_count : 1;
@@ -728,8 +595,8 @@ VectorizedQuery VectorizedQuery::Compile(const BoundQuery& query) {
   vq.agg_shared_dim_.assign(vq.agg_kernels_.size(), -1);
   for (size_t a = 0; a < vq.agg_kernels_.size(); ++a) {
     if (vq.agg_kernels_[a].is_count) continue;
-    for (size_t d = 0; d < vq.bin_kernels_.size(); ++d) {
-      if (SameAccess(vq.agg_kernels_[a].col, vq.bin_kernels_[d].col)) {
+    for (size_t d = 0; d < vq.bins_.size(); ++d) {
+      if (SameAccess(vq.agg_kernels_[a].col, vq.bins_[d].col)) {
         vq.agg_shared_dim_[a] = static_cast<int8_t>(d);
         if (d == 0) vq.stash_vals0_ = true;
         if (d == 1) vq.stash_vals1_ = true;
@@ -739,13 +606,11 @@ VectorizedQuery VectorizedQuery::Compile(const BoundQuery& query) {
   }
 
   vq.ok_ = true;
-  vq.CompileFused(query);
   vq.CompilePrune(query);
   return vq;
 }
 
-int64_t VectorizedQuery::FilterAndBinImpl(
-    RowBatch* batch, const std::vector<BinKernel>& bins) const {
+int64_t VectorizedQuery::FilterAndBin(RowBatch* batch) const {
   const int64_t n = batch->n;
   int64_t n_sel = n;
   // The first filter kernel synthesizes the identity selection itself;
@@ -762,11 +627,11 @@ int64_t VectorizedQuery::FilterAndBinImpl(
     return 0;
   }
 
-  const BinKernel& b0 = bins[0];
+  const BinKernel& b0 = bins_[0];
   b0.fn(b0, batch->rows, batch->sel.data(), n_sel, batch->keys.data(),
         batch->bin_vals.data());
   if (two_d_) {
-    const BinKernel& b1 = bins[1];
+    const BinKernel& b1 = bins_[1];
     b1.fn(b1, batch->rows, batch->sel.data(), n_sel, batch->keys2.data(),
           batch->bin_vals2.data());
   }

@@ -4,48 +4,39 @@
 /// \file vectorized.h
 /// Vectorized (batch-at-a-time) execution kernels for sampled aggregation.
 ///
-/// The scalar path runs one `MatchesFilter` + `BinKey` + `AggValueAt` call
-/// chain per row, each doing a per-call type switch inside
-/// `Column::ValueAsDouble`.  This subsystem replaces that hot loop with
-/// type-specialized kernels compiled once per bound query, in two tiers:
-///
-/// **Two-phase pipeline** (the PR-1 design, kept compiled alongside as
-/// the vectorized differential reference):
+/// A `BinnedAggregator` runs rows through one of two paths.  The scalar
+/// path runs one `MatchesFilter` + `BinKey` + `AggValueAt` call chain per
+/// row, each doing a per-call type switch inside `Column::ValueAsDouble`;
+/// it is the oracle the differential tests compare against.  This
+/// subsystem is the other path: type-specialized kernels compiled once
+/// per bound query.
 ///
 ///  * a `RowBatch` carries up to `kVectorBatchSize` gathered fact-row ids
 ///    plus a *selection vector* that filter kernels compact in place;
 ///  * filter kernels (range / IN-set / equality / ordering) are selected
 ///    from a per-(op, column-type, join) kernel table at compile time and
 ///    read raw contiguous arrays (`Column::Int64Data` / `DoubleData`);
-///  * bin-key kernels map selected rows to dense bin indices one row at a
-///    time (per-row `std::floor` + integer range check);
-///  * aggregate gather kernels materialize the aggregate inputs for the
-///    surviving selection.
-///
-/// **Fused pipeline** (the default): the bin/aggregate tail of the batch
-/// is one fused, branch-free sweep —
-///
-///  * bin kernels split into a gather phase (each dimension column
-///    loaded exactly once per batch into a contiguous value lane, join
-///    misses and NaNs becoming one NaN sentinel) and a *vertical* key
-///    phase: quantitative bins evaluate `(v - lo) / width` (an exact
-///    `* inv_width` multiply when width is a power of two) and replace
-///    the scalar path's `std::floor` call + integer range check with
-///    compare-guarded truncating casts — identical results for every
-///    value, no libm call, no per-row branch, fully vectorizable;
-///  * string/dictionary dimensions are *pre-binned*: a code → bin-id
-///    lookup table built once at query compile from the column
-///    `Dictionary` turns per-row string binning into an int gather;
+///  * each bin dimension compiles to one fused kernel with a gather phase
+///    (the dimension column loaded once per batch into a contiguous value
+///    lane, join misses and NaNs becoming one NaN sentinel) and a
+///    *vertical* key phase: quantitative bins evaluate `(v - lo) / width`
+///    (an exact `* inv_width` multiply when width is a power of two),
+///    nominal bins — string dictionary codes included — truncate
+///    `v - lo`.  Compare-guarded truncating casts replace the scalar
+///    path's `std::floor` call + integer range check: identical results
+///    for every value, no libm call, no per-row branch, fully
+///    vectorizable.  Every key is range-checked at run time, so a
+///    dictionary code that joined after compile lands in no bin;
 ///  * selection, keys, and the stashed dimension values compact in one
-///    fused branchless pass, and aggregate inputs that share a binned
-///    dimension column are read from the stash instead of re-gathered.
+///    branchless pass, and aggregate inputs that share a binned dimension
+///    column are read from the stash instead of re-gathered.
 ///
-/// Semantics of both tiers are bit-compatible with the scalar reference:
-/// every kernel evaluates the same double-typed expression the scalar
-/// path evaluates (including int64→double casts, NaN-never-matches,
-/// truncation for nominal bins and floor-division for quantitative
-/// bins), and surviving rows hit each per-bin accumulator in the same
-/// order, so accumulator streams are identical in value *and order*.
+/// The kernels are bit-compatible with the scalar path: every kernel
+/// evaluates the same double-typed expression the scalar path evaluates
+/// (including int64→double casts, NaN-never-matches, truncation for
+/// nominal bins and floor-division for quantitative bins), and surviving
+/// rows hit each per-bin accumulator in the same order, so accumulator
+/// streams are identical in value *and order*.
 ///
 /// The compiled form also carries **zone-map prune checks**: for every
 /// filter predicate and bin dimension that reads a fact column directly,
@@ -60,7 +51,6 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "exec/bound_query.h"
@@ -75,10 +65,10 @@ inline constexpr int64_t kVectorBatchSize = 1024;
 /// One batch of fact rows threaded through the kernels.  `rows` is the
 /// caller-owned gather list (e.g. a slice of a shuffled walk); `sel`
 /// holds the indices into `rows` that survived filtering; `keys` holds
-/// the dense bin key per selected row after `FilterAndBin` /
-/// `FusedFilterBin`; `bin_vals`/`bin_vals2` stash the binned dimension
-/// values (compacted with the selection) so aggregates sharing a binned
-/// column skip their gather.
+/// the dense bin key per selected row after `FilterAndBin`;
+/// `bin_vals`/`bin_vals2` stash the binned dimension values (compacted
+/// with the selection) so aggregates sharing a binned column skip their
+/// gather.
 struct RowBatch {
   const int64_t* rows = nullptr;
   int64_t n = 0;
@@ -117,9 +107,7 @@ struct FilterKernel {
 /// A compiled bin dimension: maps selected rows to per-dimension bin
 /// indices (-1 = out of range / join miss / NaN), writing the loaded
 /// value per row into `out_vals` (NaN on join miss) so aggregates over
-/// the same column can reuse it.  The same struct backs both the
-/// reference kernels and the fused vertical/LUT kernels (which ignore
-/// the fields they do not need).
+/// the same column can reuse it.
 struct BinKernel {
   using Fn = void (*)(const BinKernel&, const int64_t* rows,
                       const int32_t* sel, int64_t n_sel, int64_t* out,
@@ -128,10 +116,8 @@ struct BinKernel {
   ColumnAccess col;
   double lo = 0.0;
   double width = 1.0;
-  double inv_width = 1.0;  // fused: exact reciprocal (power-of-two width)
+  double inv_width = 1.0;  // exact reciprocal (power-of-two width only)
   int64_t bin_count = 0;
-  const int32_t* lut = nullptr;  // fused: dictionary code -> bin id / -1
-  std::shared_ptr<const std::vector<int32_t>> lut_owner;
 };
 
 /// A compiled aggregate input: gathers the aggregate's value per selected
@@ -156,9 +142,6 @@ class VectorizedQuery {
   /// False when the query shape could not be vectorized.
   bool ok() const { return ok_; }
 
-  /// True when the fused bin kernels compiled (implies `ok()`).
-  bool fused_ok() const { return fused_ok_; }
-
   /// Size of the dense bin-key space (product of per-dimension counts).
   int64_t key_space() const { return key_space_; }
 
@@ -168,15 +151,8 @@ class VectorizedQuery {
   /// Runs all filter kernels then the bin-key kernels over
   /// `batch->rows[0..n)`.  On return `batch->sel[0..n_sel)` are the
   /// surviving row indices and `batch->keys[0..n_sel)` their *dense* bin
-  /// keys.  Returns `n_sel`.  `FilterAndBin` runs the per-row reference
-  /// bin kernels; `FusedFilterBin` runs the fused vertical/LUT bin
-  /// kernels — same postcondition, bit-identical selection and keys.
-  int64_t FilterAndBin(RowBatch* batch) const {
-    return FilterAndBinImpl(batch, bin_kernels_);
-  }
-  int64_t FusedFilterBin(RowBatch* batch) const {
-    return FilterAndBinImpl(batch, fused_bins_);
-  }
+  /// keys.  Returns `n_sel`.
+  int64_t FilterAndBin(RowBatch* batch) const;
 
   /// Returns aggregate `a`'s inputs for the current selection (requires
   /// `!agg_is_count(a)`): a pointer into `batch->bin_vals`/`bin_vals2`
@@ -239,25 +215,16 @@ class VectorizedQuery {
     bool BlockCanMatch(const storage::ZoneEntry& z) const;
   };
 
-  /// Shared filter → bin → compact body parameterized on the bin kernel
-  /// table (reference or fused).
-  int64_t FilterAndBinImpl(RowBatch* batch,
-                           const std::vector<BinKernel>& bins) const;
-
-  /// Compiles the fused bin kernels / prune checks (called after the
-  /// reference kernels compiled).
-  void CompileFused(const BoundQuery& query);
+  /// Compiles the prune checks (called after the kernels compiled).
   void CompilePrune(const BoundQuery& query);
 
   std::vector<FilterKernel> filters_;
-  std::vector<BinKernel> bin_kernels_;  // 1 or 2 (per-row reference)
-  std::vector<BinKernel> fused_bins_;   // 1 or 2 (vertical / LUT)
+  std::vector<BinKernel> bins_;  // 1 or 2, one per dimension
   std::vector<AggKernel> agg_kernels_;
   bool two_d_ = false;
   int64_t bins1_ = 1;        // 2nd-dimension bin count (1 for 1-D)
   int64_t key_space_ = 0;
   bool ok_ = false;
-  bool fused_ok_ = false;
 
   // Gather dedup: per aggregate, the bin dimension whose stashed values
   // it can reuse (-1 = gather normally); the per-dimension flags turn on

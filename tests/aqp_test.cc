@@ -45,11 +45,22 @@ TEST(ShuffledIndexTest, IsPermutation) {
   for (int64_t i = 0; i < 100; ++i) EXPECT_EQ(sorted[static_cast<size_t>(i)], i);
 }
 
+/// Row id at walk position `pos` of the walk keyed `key`.
+int64_t WalkAt(const ShuffledIndex& index, int64_t key, int64_t pos) {
+  int64_t row = -1;
+  index.GatherWalk(key, pos, 1, &row);
+  return row;
+}
+
 TEST(ShuffledIndexTest, PositionsWrap) {
   Rng rng(2);
   ShuffledIndex index(10, &rng);
-  EXPECT_EQ(index.At(3), index.At(13));
-  EXPECT_EQ(index.At(0), index.At(10));
+  // A walk is a ring: keys wrap modulo n, and a walk keyed k reads the
+  // permutation from position k on, wrapping past the end.
+  EXPECT_EQ(WalkAt(index, 3, 0), WalkAt(index, 13, 0));
+  EXPECT_EQ(WalkAt(index, 0, 0), WalkAt(index, 10, 0));
+  EXPECT_EQ(WalkAt(index, 3, 7), index.permutation()[0]);
+  EXPECT_EQ(WalkAt(index, 3, 2), index.permutation()[5]);
 }
 
 TEST(ShuffledIndexTest, EmptyAndSingle) {
@@ -57,8 +68,8 @@ TEST(ShuffledIndexTest, EmptyAndSingle) {
   ShuffledIndex empty(0, &rng);
   EXPECT_EQ(empty.size(), 0);
   ShuffledIndex one(1, &rng);
-  EXPECT_EQ(one.At(0), 0);
-  EXPECT_EQ(one.At(5), 0);
+  EXPECT_EQ(WalkAt(one, 0, 0), 0);
+  EXPECT_EQ(WalkAt(one, 5, 0), 0);
 }
 
 TEST(ReservoirTest, KeepsAllWhenUnderCapacity) {

@@ -1,16 +1,16 @@
 /// \file exec_fused_test.cc
 /// Differential tests for the fused single-pass kernels and zone-map
-/// block pruning (PR 5): the fused pipeline (vertical branchless bin
-/// keys, dictionary code→bin LUTs, gather dedup) must produce results
-/// bit-identical to both the two-phase vectorized path and the scalar
+/// block pruning: the fused pipeline (vertical branchless bin keys,
+/// gather dedup) must produce results bit-identical to the scalar
 /// reference across every (op, type, join, bin, agg) combination —
-/// including NaN doubles, empty IN-sets, dictionary codes absent from
-/// the bin config — and zone-map pruning must never change any result,
-/// only skip provably-empty blocks.
+/// including NaN doubles, empty IN-sets, string dictionary codes absent
+/// from the bin config or added after compile — and zone-map pruning
+/// must never change any result, only skip provably-empty blocks.
 
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <numeric>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -106,11 +106,11 @@ void ExpectBitIdentical(const query::QueryResult& a,
   }
 }
 
-/// Feeds the same rows through scalar, two-phase, and fused aggregators
-/// and requires bit-identical state and snapshots from all three.
-void RunDifferential3(const QuerySpec& spec,
-                      const std::shared_ptr<storage::Catalog>& catalog,
-                      const std::vector<int64_t>& rows, double weight = 1.0) {
+/// Feeds the same rows through scalar and fused aggregators and requires
+/// bit-identical state and snapshots from both.
+void RunDifferential(const QuerySpec& spec,
+                     const std::shared_ptr<storage::Catalog>& catalog,
+                     const std::vector<int64_t>& rows, double weight = 1.0) {
   std::vector<const JoinIndex*> joins;
   std::unique_ptr<JoinIndex> join;
   auto required = BoundQuery::RequiredJoins(spec, *catalog);
@@ -126,26 +126,15 @@ void RunDifferential3(const QuerySpec& spec,
 
   BinnedAggregatorOptions scalar_options;
   scalar_options.enable_vectorized = false;
-  BinnedAggregatorOptions two_phase_options;
-  two_phase_options.enable_fused = false;
   BinnedAggregator scalar(&*bound, scalar_options);
-  BinnedAggregator two_phase(&*bound, two_phase_options);
   BinnedAggregator fused(&*bound);
   ASSERT_TRUE(fused.uses_vectorized());
-  ASSERT_TRUE(fused.uses_fused());
-  ASSERT_FALSE(two_phase.uses_fused());
 
   for (int64_t row : rows) scalar.ProcessRowWeighted(row, weight);
-  two_phase.ProcessBatch(rows.data(), static_cast<int64_t>(rows.size()),
-                         weight);
   fused.ProcessBatch(rows.data(), static_cast<int64_t>(rows.size()), weight);
 
-  for (const BinnedAggregator* agg : {&two_phase, &fused}) {
-    EXPECT_EQ(scalar.rows_seen(), agg->rows_seen());
-    EXPECT_EQ(scalar.rows_matched(), agg->rows_matched());
-  }
-  ExpectBitIdentical(scalar.ExactResult(), two_phase.ExactResult(),
-                     "scalar vs two-phase exact");
+  EXPECT_EQ(scalar.rows_seen(), fused.rows_seen());
+  EXPECT_EQ(scalar.rows_matched(), fused.rows_matched());
   ExpectBitIdentical(scalar.ExactResult(), fused.ExactResult(),
                      "scalar vs fused exact");
   ExpectBitIdentical(
@@ -223,7 +212,7 @@ TEST(FusedDifferentialTest, AllOpsOnFactAndJoinedColumns) {
       }
       spec.filter.And(p);
       SCOPED_TRACE(c.column + "/" + expr::CompareOpName(op));
-      RunDifferential3(spec, catalog, rows);
+      RunDifferential(spec, catalog, rows);
     }
   }
 }
@@ -236,7 +225,7 @@ TEST(FusedDifferentialTest, EmptyInSetSelectsNothing) {
   p.op = expr::CompareOp::kIn;
   p.set_values = {};  // empty IN: matches no row on every path
   spec.filter.And(p);
-  RunDifferential3(spec, catalog, ShuffledRows(6));
+  RunDifferential(spec, catalog, ShuffledRows(6));
 }
 
 TEST(FusedDifferentialTest, NaNFilterColumnNeverMatches) {
@@ -252,39 +241,90 @@ TEST(FusedDifferentialTest, NaNFilterColumnNeverMatches) {
     p.value = 300.0;
     spec.filter.And(p);
     SCOPED_TRACE(expr::CompareOpName(op));
-    RunDifferential3(spec, catalog, ShuffledRows(7));
+    RunDifferential(spec, catalog, ShuffledRows(7));
   }
 }
 
 // --- Bin shapes ------------------------------------------------------------
 
-TEST(FusedDifferentialTest, DictionaryLutBins) {
+TEST(FusedDifferentialTest, StringNominalBins) {
   auto catalog = MakeCatalog();
-  // Direct LUT (no aggregate shares the string column).
-  RunDifferential3(BaseSpec(catalog, "group", BinningMode::kNominal), catalog,
-                   ShuffledRows(8));
-  // Joined string dimension -> LUT behind the join mapping.
-  RunDifferential3(BaseSpec(catalog, "dlabel", BinningMode::kNominal),
-                   catalog, ShuffledRows(9));
+  // Fact string dimension: dictionary codes binned by truncation.
+  RunDifferential(BaseSpec(catalog, "group", BinningMode::kNominal), catalog,
+                  ShuffledRows(8));
+  // Joined string dimension: codes loaded behind the join mapping.
+  RunDifferential(BaseSpec(catalog, "dlabel", BinningMode::kNominal),
+                  catalog, ShuffledRows(9));
 }
 
-TEST(FusedDifferentialTest, DictionaryLutSharedWithAggregate) {
+TEST(FusedDifferentialTest, StringNominalSharedWithAggregate) {
   auto catalog = MakeCatalog();
   QuerySpec spec = BaseSpec(catalog, "group", BinningMode::kNominal);
   // SUM over the binned string column itself (sums dictionary codes):
-  // forces the value-lane LUT variant and the gather-dedup path.
+  // the aggregate reads the stashed code lane (gather dedup).
   spec.aggregates.push_back(Agg(AggregateType::kSum, "group"));
-  RunDifferential3(spec, catalog, ShuffledRows(10));
+  RunDifferential(spec, catalog, ShuffledRows(10));
 }
 
 TEST(FusedDifferentialTest, DictionaryCodesAbsentFromBinConfig) {
   auto catalog = MakeCatalog();
   QuerySpec spec = BaseSpec(catalog, "group", BinningMode::kNominal);
   // Narrow the resolved bin range below the dictionary: codes 0..1 and
-  // 6..9 must map to no bin on every path (the LUT's -1 entries).
+  // 6..9 must map to no bin on every path.
   spec.bins[0].lo = 2.0;
   spec.bins[0].bin_count = 4;
-  RunDifferential3(spec, catalog, ShuffledRows(11));
+  RunDifferential(spec, catalog, ShuffledRows(11));
+}
+
+TEST(FusedDifferentialTest, StringCodesAddedAfterCompileLandInNoBin) {
+  auto catalog = MakeCatalog();
+  std::shared_ptr<storage::Table> fact = catalog->GetTableShared("fact");
+  // Reserve first, as Ingestor::Create does: the compiled kernels keep
+  // raw column pointers, which an append past capacity would move.
+  fact->Reserve(2 * kRows);
+  QuerySpec direct = BaseSpec(catalog, "group", BinningMode::kNominal);
+  QuerySpec shared = direct;
+  shared.aggregates.push_back(Agg(AggregateType::kSum, "group"));
+  auto bound_direct = BoundQuery::Bind(direct, *catalog);
+  auto bound_shared = BoundQuery::Bind(shared, *catalog);
+  ASSERT_TRUE(bound_direct.ok() && bound_shared.ok());
+
+  // Compile before the dictionary grows.
+  BinnedAggregatorOptions scalar_options;
+  scalar_options.enable_vectorized = false;
+  std::vector<std::unique_ptr<BinnedAggregator>> scalar, fused;
+  for (const BoundQuery* bound : {&*bound_direct, &*bound_shared}) {
+    scalar.push_back(std::make_unique<BinnedAggregator>(bound, scalar_options));
+    fused.push_back(std::make_unique<BinnedAggregator>(bound));
+    ASSERT_TRUE(fused.back()->uses_vectorized());
+  }
+
+  // Every third appended row carries a string the dictionary lacks, so
+  // its code lies past the compiled bin range.
+  Rng rng(37);
+  int64_t known = 0;
+  for (int64_t i = 0; i < kRows; ++i) {
+    fact->mutable_column(0).AppendDouble(rng.Uniform(-40.0, 160.0));
+    fact->mutable_column(1).AppendDouble(rng.Uniform(-10.0, 900.0));
+    const bool late = i % 3 == 0;
+    fact->mutable_column(2).AppendString(late ? "late" + std::to_string(i)
+                                              : "c");
+    fact->mutable_column(3).AppendInt(rng.UniformInt(-3, 14));
+    fact->mutable_column(4).AppendInt(rng.UniformInt(0, 7));
+    known += late ? 0 : 1;
+  }
+  std::vector<int64_t> rows(static_cast<size_t>(kRows));
+  std::iota(rows.begin(), rows.end(), kRows);
+
+  for (size_t q = 0; q < fused.size(); ++q) {
+    SCOPED_TRACE(q == 0 ? "direct" : "shared");
+    scalar[q]->ProcessBatch(rows.data(), kRows);
+    fused[q]->ProcessBatch(rows.data(), kRows);
+    EXPECT_EQ(scalar[q]->rows_matched(), known);
+    EXPECT_EQ(fused[q]->rows_matched(), known);
+    ExpectBitIdentical(scalar[q]->ExactResult(), fused[q]->ExactResult(),
+                       "scalar vs fused after dictionary growth");
+  }
 }
 
 TEST(FusedDifferentialTest, PowerOfTwoWidthUsesExactReciprocal) {
@@ -297,10 +337,10 @@ TEST(FusedDifferentialTest, PowerOfTwoWidthUsesExactReciprocal) {
   spec.bins[0].lo = -64.0;
   spec.bins[0].width = 8.0;
   spec.bins[0].bin_count = 32;
-  RunDifferential3(spec, catalog, ShuffledRows(12));
+  RunDifferential(spec, catalog, ShuffledRows(12));
 
   spec.bins[0].width = 7.5;  // non-power-of-two: division variant
-  RunDifferential3(spec, catalog, ShuffledRows(13));
+  RunDifferential(spec, catalog, ShuffledRows(13));
 }
 
 TEST(FusedDifferentialTest, TwoDimensionalCombinations) {
@@ -332,7 +372,7 @@ TEST(FusedDifferentialTest, TwoDimensionalCombinations) {
     p.hi = 140.0;
     spec.filter.And(p);
     SCOPED_TRACE(c0 + " x " + c1);
-    RunDifferential3(spec, catalog, rows);
+    RunDifferential(spec, catalog, rows);
   }
 }
 
@@ -348,7 +388,7 @@ TEST(FusedDifferentialTest, AggregateSharesBinnedDimension) {
   p.op = expr::CompareOp::kGe;
   p.value = 1.0;
   spec.filter.And(p);
-  RunDifferential3(spec, catalog, ShuffledRows(15));
+  RunDifferential(spec, catalog, ShuffledRows(15));
 }
 
 TEST(FusedDifferentialTest, WeightedFeedsAndCanonicalPair) {
@@ -371,8 +411,8 @@ TEST(FusedDifferentialTest, WeightedFeedsAndCanonicalPair) {
   p.lo = 0.0;
   p.hi = 120.0;
   spec.filter.And(p);
-  RunDifferential3(spec, catalog, ShuffledRows(16));
-  RunDifferential3(spec, catalog, ShuffledRows(17), /*weight=*/3.25);
+  RunDifferential(spec, catalog, ShuffledRows(16));
+  RunDifferential(spec, catalog, ShuffledRows(17), /*weight=*/3.25);
 }
 
 TEST(FusedDifferentialTest, RandomizedTwentySeedSweep) {
@@ -430,8 +470,8 @@ TEST(FusedDifferentialTest, RandomizedTwentySeedSweep) {
     }
     ASSERT_TRUE(spec.ResolveBins(*catalog).ok());
     SCOPED_TRACE("seed " + std::to_string(seed));
-    RunDifferential3(spec, catalog, ShuffledRows(seed),
-                     rng.Bernoulli(0.3) ? rng.Uniform(0.5, 4.0) : 1.0);
+    RunDifferential(spec, catalog, ShuffledRows(seed),
+                    rng.Bernoulli(0.3) ? rng.Uniform(0.5, 4.0) : 1.0);
   }
 }
 
@@ -610,7 +650,7 @@ TEST(ZonePruneTest, ShuffledFeedsNeverPrune) {
   Rng rng(3);
   aqp::ShuffledIndex order(rows, &rng);
   BinnedAggregator agg(&*bound);
-  agg.ProcessShuffled(order, 0, rows);
+  agg.ProcessWalk(order, /*key=*/0, 0, rows);
   EXPECT_EQ(agg.zone_rows_skipped(), 0);
   EXPECT_EQ(agg.rows_seen(), rows);
 }

@@ -421,10 +421,10 @@ TEST(ThreadInvarianceTest, RangeAndShuffledDriversAtDefaultMorselSize) {
   Rng rng(31);
   aqp::ShuffledIndex order(kBig, &rng);
   BinnedAggregator walk_seq(&*bound);
-  walk_seq.ProcessShuffled(order, 500, kBig);
+  walk_seq.ProcessWalk(order, /*key=*/500, 0, kBig);
   for (int threads : {2, 7}) {
     BinnedAggregator walk_par(&*bound);
-    MorselProcessShuffled(&walk_par, order, 500, kBig, threads);
+    MorselProcessWalk(&walk_par, order, /*key=*/500, 0, kBig, threads);
     ExpectAggregatorsMatch(walk_seq, walk_par, /*tol=*/0.0);
   }
 }

@@ -184,17 +184,6 @@ TEST(EpochVisibilityTest, BinResolutionUsesVisibleStatsOnly) {
 // ---------------------------------------------------------------------
 // Sampler: segmented walks
 
-TEST(SegmentedWalkTest, SingleSegmentWalkMatchesLegacyGather) {
-  Rng rng(9);
-  aqp::ShuffledIndex index(257, &rng);
-  std::vector<int64_t> walk(64), gather(64);
-  for (int64_t key : {0, 1, 77, 256}) {
-    index.GatherWalk(key, 100, 64, walk.data());
-    index.Gather(key + 100, 64, gather.data());
-    EXPECT_EQ(walk, gather) << "key=" << key;
-  }
-}
-
 TEST(SegmentedWalkTest, ExtendToPreservesThePrefix) {
   Rng rng_a(9);
   aqp::ShuffledIndex grown(200, &rng_a);
@@ -643,6 +632,62 @@ TEST(IngestPinningTest, AppendTimingIsInvisibleOnlyPublishesMatter) {
     ASSERT_TRUE(fa.ok() && fb.ok());
     EXPECT_EQ(Canon(*fa), Canon(*fb));
     EXPECT_EQ(fa->rows_processed, fb->rows_processed);
+  }
+}
+
+TEST(IngestPinningTest, SemanticCacheHitAfterDictionaryGrowthStaysInRange) {
+  // The progressive engine's semantic cache (on by default) re-pins a
+  // cached sample state to the new watermark without recompiling its
+  // kernels, so the walk goes on to read rows whose carrier joined the
+  // dictionary after the compile.  Those rows must land in no bin.
+  IngestFixture f = MakeIngestFlights(1000, 1200);
+  engines::ProgressiveEngine engine;
+  ASSERT_TRUE(engine.config().enable_reuse);
+  ASSERT_TRUE(engine.Prepare(f.catalog).ok());
+  const query::QuerySpec spec = CountByCarrier(*f.catalog);
+  const int64_t bins = spec.bins[0].bin_count;
+
+  const auto run_to_completion = [&](query::QueryResult* out) {
+    auto h = engine.Submit(spec);
+    ASSERT_TRUE(h.ok());
+    for (int i = 0; i < 64 && !engine.IsDone(*h); ++i) {
+      engine.RunFor(*h, 10'000'000'000LL);
+    }
+    ASSERT_TRUE(engine.IsDone(*h));
+    auto r = engine.PollResult(*h);
+    ASSERT_TRUE(r.ok());
+    *out = *r;
+    engine.Cancel(*h);
+  };
+  query::QueryResult before;
+  ASSERT_NO_FATAL_FAILURE(run_to_completion(&before));
+  EXPECT_EQ(before.rows_processed, 1000);
+
+  // One epoch whose every row carries a carrier the dictionary lacks.
+  RowBatch batch = BatchFromTable(*f.source, 1000, 1200);
+  const size_t carrier =
+      static_cast<size_t>(f.source->ColumnIndex("carrier"));
+  for (std::vector<std::string>& row : batch.rows) row[carrier] = "NEWCARRIER";
+  ASSERT_TRUE(f.ingestor->Append(batch).ok());
+  ASSERT_TRUE(f.ingestor->Publish().ok());
+  ASSERT_EQ(f.catalog->fact_table()
+                ->ColumnByName("carrier")
+                ->dictionary()
+                .size(),
+            bins + 1);
+
+  query::QueryResult after;
+  ASSERT_NO_FATAL_FAILURE(run_to_completion(&after));
+  EXPECT_EQ(engine.reuse_hits(), 1);
+  EXPECT_EQ(after.rows_processed, 1200);
+  ASSERT_EQ(after.bins.size(), before.bins.size());
+  for (const auto& [key, bin] : after.bins) {
+    EXPECT_GE(key, 0);
+    EXPECT_LT(key, bins);
+    auto it = before.bins.find(key);
+    ASSERT_NE(it, before.bins.end()) << "bin " << key;
+    EXPECT_EQ(bin.values[0].estimate, it->second.values[0].estimate)
+        << "bin " << key;
   }
 }
 

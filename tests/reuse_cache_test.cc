@@ -139,28 +139,16 @@ TEST(ReuseCacheTest, EpochGrowthDeltaVsInvalidateModes) {
   BinnedAggregator agg(&*bound, Recording());
   agg.ProcessRange(0, 1000);
 
-  // Delta mode (the default): an epoch publish leaves the entry alive as
-  // an equal hit — Serve caps at the snapshot depth and the engine scans
-  // only the delta rows beyond it.
+  // The cache keeps no epoch state: after an epoch publish the same
+  // lookup is still an equal hit, and serving the grown feed caps at the
+  // snapshot depth, so the engine scans only the delta rows beyond it.
   ReuseCache delta;
-  delta.SetEpochWatermark(kRows);
   delta.Store(spec, agg, BinderFor(catalog));
-  delta.SetEpochWatermark(kRows + 500);
-  EXPECT_EQ(delta.Lookup(spec).kind, ReuseCache::MatchKind::kEqual);
-  EXPECT_EQ(delta.stats().stale_invalidations, 0);
-
-  // Invalidate-on-growth baseline: the same growth kills the entry and
-  // the query rescans from zero (the mode BENCH_ingest.json compares
-  // delta maintenance against).
-  ReuseCacheOptions options;
-  options.invalidate_on_growth = true;
-  ReuseCache baseline(options);
-  baseline.SetEpochWatermark(kRows);
-  baseline.Store(spec, agg, BinderFor(catalog));
-  baseline.SetEpochWatermark(kRows + 500);
-  EXPECT_EQ(baseline.Lookup(spec).kind, ReuseCache::MatchKind::kNone);
-  EXPECT_EQ(baseline.stats().stale_invalidations, 1);
-  EXPECT_EQ(baseline.size(), 0u);
+  const ReuseCache::Match match = delta.Lookup(spec);
+  EXPECT_EQ(match.kind, ReuseCache::MatchKind::kEqual);
+  BinnedAggregator grown(&*bound, Recording());
+  EXPECT_EQ(ReuseCache::Serve(match, &grown, 0, kRows + 500), 1000);
+  EXPECT_EQ(grown.rows_seen(), 1000);
 }
 
 TEST(ReuseCacheTest, ReshapedBinTablesDowngradeToReplay) {

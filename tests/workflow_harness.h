@@ -22,6 +22,7 @@
 #include "query/result.h"
 #include "session/session.h"
 #include "storage/catalog.h"
+#include "workflow/resolve.h"
 #include "workflow/viz_graph.h"
 #include "workflow/workflow.h"
 
@@ -44,7 +45,7 @@ struct HarnessOptions {
 
 /// Replays `wf` against a prepared `engine`; returns one outcome per
 /// (interaction, affected viz) in driver order.  Query enumeration is
-/// shared with the benchmark driver (`driver::ForEachInteraction`), so
+/// shared with the benchmark driver (`workflow::ForEachInteraction`), so
 /// the harness replays exactly the queries a real run would submit.
 inline Result<std::vector<QueryOutcome>> RunWorkflowOnEngine(
     engines::Engine* engine, const storage::Catalog& catalog,
@@ -52,7 +53,7 @@ inline Result<std::vector<QueryOutcome>> RunWorkflowOnEngine(
   std::vector<QueryOutcome> outcomes;
   engine->WorkflowStart();
   int64_t query_index = 0;
-  IDB_RETURN_NOT_OK(driver::ForEachInteraction(
+  IDB_RETURN_NOT_OK(workflow::ForEachInteraction(
       catalog, wf,
       [&](const workflow::Interaction& interaction, int64_t interaction_id,
           std::vector<query::QuerySpec>& specs) -> Status {
@@ -114,7 +115,7 @@ inline Result<std::vector<QueryOutcome>> RunWorkflowOnEngineBatched(
     const workflow::Workflow& wf, const BatchedHarnessOptions& options = {}) {
   std::vector<QueryOutcome> outcomes;
   engine->WorkflowStart();
-  IDB_RETURN_NOT_OK(driver::ForEachInteraction(
+  IDB_RETURN_NOT_OK(workflow::ForEachInteraction(
       catalog, wf,
       [&](const workflow::Interaction& interaction, int64_t interaction_id,
           std::vector<query::QuerySpec>& specs) -> Status {
