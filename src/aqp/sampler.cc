@@ -60,21 +60,6 @@ void ShuffledIndex::ExtendTo(int64_t new_n, Rng* rng) {
   bounds_.push_back(new_n);
 }
 
-ReservoirSampler::ReservoirSampler(int64_t capacity, Rng* rng)
-    : capacity_(std::max<int64_t>(capacity, 0)), rng_(rng) {
-  sample_.reserve(static_cast<size_t>(capacity_));
-}
-
-void ReservoirSampler::Offer(int64_t value) {
-  ++seen_;
-  if (static_cast<int64_t>(sample_.size()) < capacity_) {
-    sample_.push_back(value);
-    return;
-  }
-  const int64_t j = rng_->UniformInt(0, seen_ - 1);
-  if (j < capacity_) sample_[static_cast<size_t>(j)] = value;
-}
-
 Result<StratifiedSample> BuildStratifiedSample(const storage::Table& table,
                                                const std::string& strat_column,
                                                double rate,

@@ -7,8 +7,6 @@
 ///  * `ShuffledIndex` — a random permutation of row ids.  A progressive
 ///    engine that walks the permutation front-to-back sees a uniform
 ///    sample that grows without replacement (online sampling, IDEA-style).
-///  * `ReservoirSampler` — classic Algorithm R, for fixed-size uniform
-///    samples of streams.
 ///  * `BuildStratifiedSample` — offline stratified sample table with
 ///    per-row Horvitz–Thompson weights (System X-style).
 
@@ -61,28 +59,6 @@ class ShuffledIndex {
  private:
   std::vector<int64_t> permutation_;
   std::vector<int64_t> bounds_;  // cumulative segment ends
-};
-
-/// Fixed-capacity uniform sample of a stream (Vitter's Algorithm R).
-class ReservoirSampler {
- public:
-  /// Creates a reservoir holding at most `capacity` elements.
-  ReservoirSampler(int64_t capacity, Rng* rng);
-
-  /// Offers stream element `value` (a row id).
-  void Offer(int64_t value);
-
-  /// Elements currently in the reservoir.
-  const std::vector<int64_t>& sample() const { return sample_; }
-
-  /// Total elements offered so far.
-  int64_t stream_size() const { return seen_; }
-
- private:
-  int64_t capacity_;
-  int64_t seen_ = 0;
-  Rng* rng_;
-  std::vector<int64_t> sample_;
 };
 
 /// An offline stratified sample: base-table row ids plus per-row weights

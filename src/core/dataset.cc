@@ -6,7 +6,6 @@
 #include "datagen/cholesky_scaler.h"
 #include "datagen/flights_seed.h"
 #include "datagen/normalizer.h"
-#include "storage/segment.h"
 
 namespace idebench::core {
 
@@ -40,16 +39,6 @@ std::string DataSizeLabel(int64_t nominal_rows) {
 
 Result<std::shared_ptr<storage::Catalog>> BuildFlightsCatalog(
     const DatasetConfig& config) {
-  // Segment cache: decoding packed segments replays every value through
-  // the same append funnel the generator uses, so a cache hit yields a
-  // catalog bit-identical to a fresh build (tests pin this down).
-  if (!config.segment_cache_dir.empty()) {
-    Result<storage::Catalog> cached =
-        storage::LoadCatalogSegments(config.segment_cache_dir);
-    if (cached.ok()) {
-      return std::make_shared<storage::Catalog>(cached.MoveValueUnsafe());
-    }
-  }
   datagen::FlightsSeedConfig seed_config;
   seed_config.rows = config.seed_rows;
   seed_config.seed = config.seed;
@@ -74,11 +63,6 @@ Result<std::shared_ptr<storage::Catalog>> BuildFlightsCatalog(
                      std::make_shared<storage::Table>(std::move(scaled))));
   }
   catalog.set_nominal_rows(config.nominal_rows);
-  if (!config.segment_cache_dir.empty()) {
-    // Best-effort: a write failure (full/read-only disk) only costs the
-    // cache, never the run.
-    (void)storage::WriteCatalogSegments(catalog, config.segment_cache_dir);
-  }
   return std::make_shared<storage::Catalog>(std::move(catalog));
 }
 

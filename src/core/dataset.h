@@ -34,14 +34,6 @@ struct DatasetConfig {
 
   uint64_t seed = 42;
 
-  /// When non-empty, a directory of packed segment files (see
-  /// storage/segment.h): the build loads the catalog from there when the
-  /// directory holds a manifest, and otherwise generates the dataset as
-  /// usual and packs it into the directory for the next run.  A cache
-  /// that fails to load (corrupt/truncated/mismatched) is ignored and
-  /// rebuilt from the generated catalog.
-  std::string segment_cache_dir;
-
   /// Fills `actual_rows` when 0.
   int64_t EffectiveActualRows() const;
 };

@@ -304,43 +304,6 @@ void BinnedAggregator::ProcessBatch(const int64_t* rows, int64_t n,
   }
 }
 
-void BinnedAggregator::ProcessCountRun(int64_t dense_key, int64_t rows) {
-  // Precondition checks: the caller (the segment scan's RLE fast path)
-  // guarantees an all-COUNT aggregate list, so every accumulator this
-  // touches has only ever taken unit observations — all affected fields
-  // hold integers (n and sums of 1.0, exact far beyond any row count)
-  // and min/max fold idempotently to 1.0.  One bulk add is therefore
-  // bit-identical to `rows` individual batch-path updates.
-  IDB_CHECK(vec_ != nullptr && vec_->ok());
-  IDB_CHECK(!options_.record_matches);
-  IDB_CHECK(rows > 0);
-  IDB_CHECK(dense_key >= 0 && dense_key < vec_->key_space());
-  const size_t naggs = query_->spec().aggregates.size();
-  for (size_t a = 0; a < naggs; ++a) IDB_CHECK(vec_->agg_is_count(a));
-
-  rows_seen_ += rows;
-  rows_matched_ += rows;
-  AggAccum* base;
-  if (use_dense_) {
-    EnsureDenseAllocated();
-    dense_touched_[static_cast<size_t>(dense_key)] = 1;
-    base = dense_.data() + static_cast<size_t>(dense_key) * naggs;
-  } else {
-    base = AccumsForPublicKey(vec_->DenseKeyToPublic(dense_key));
-  }
-  const double r = static_cast<double>(rows);
-  for (size_t a = 0; a < naggs; ++a) {
-    AggAccum* acc = &base[a];
-    acc->n += rows;
-    acc->sum += r;
-    acc->sumsq += r;
-    acc->wsum += r;
-    acc->wvsum += r;
-    acc->min = std::min(acc->min, 1.0);
-    acc->max = std::max(acc->max, 1.0);
-  }
-}
-
 void BinnedAggregator::ProcessRange(int64_t begin, int64_t end) {
   if (vec_ == nullptr) {
     for (int64_t row = begin; row < end; ++row) ProcessRow(row);

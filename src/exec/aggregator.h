@@ -131,14 +131,6 @@ class BinnedAggregator {
   explicit BinnedAggregator(const BoundQuery* query,
                             BinnedAggregatorOptions options = {});
 
-  /// Adopts an already-compiled kernel table instead of recompiling.
-  /// `vec` must have been compiled from `*query`.  This is how partials
-  /// share their parent's kernels (`NewPartial`) and how the compressed
-  /// segment scan (exec/segment_scan.h) uses one compile for both its
-  /// aggregator and its footer-zone prune checks.
-  BinnedAggregator(const BoundQuery* query, BinnedAggregatorOptions options,
-                   std::shared_ptr<const VectorizedQuery> vec);
-
   /// Creates an empty partial aggregator over the same bound query that
   /// *shares* this aggregator's compiled kernels (immutable after
   /// construction, so safe to use from many threads at once) but owns its
@@ -193,18 +185,6 @@ class BinnedAggregator {
   /// batches internally — the shared hot loop of the sampling engines.
   void ProcessWalk(const aqp::ShuffledIndex& order, int64_t key,
                    int64_t start_pos, int64_t count);
-
-  /// Bulk-accumulates `rows` matching rows into the bin with dense key
-  /// `dense_key`, all aggregates taken as COUNT — the RLE run fast path
-  /// of the segment scan (exec/segment_scan.h): when every aggregate is
-  /// COUNT and a whole run of identical values passes the filter and
-  /// bins to one key, the run contributes `rows` unit observations.
-  /// Every accumulator field a COUNT observation touches is an integer
-  /// (n, and sums of 1.0) or folds to 1.0 (min/max), so one bulk add of
-  /// `rows` is bit-identical to `rows` individual batch-path updates.
-  /// Requires compiled vectorized kernels, an all-COUNT aggregate list
-  /// and no match recording (checked).
-  void ProcessCountRun(int64_t dense_key, int64_t rows);
 
   /// Advances `rows_seen()` by `n` without feeding rows — the accounting
   /// for feed positions whose rows are known (from a recorded match list)
@@ -309,6 +289,12 @@ class BinnedAggregator {
   void Reset();
 
  private:
+  /// Adopts an already-compiled kernel table instead of recompiling.
+  /// `vec` must have been compiled from `*query`.  This is how partials
+  /// share their parent's kernels (`NewPartial`).
+  BinnedAggregator(const BoundQuery* query, BinnedAggregatorOptions options,
+                   std::shared_ptr<const VectorizedQuery> vec);
+
   /// Applies the dense-table sizing decision shared by both constructors.
   void DecideDense();
 

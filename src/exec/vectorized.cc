@@ -674,37 +674,4 @@ const double* VectorizedQuery::GatherAggValues(size_t a,
   return batch->values.data();
 }
 
-bool VectorizedQuery::SegmentCanMatch(
-    const std::function<const storage::ZoneEntry*(const storage::Column*)>&
-        zone_of) const {
-  for (const PruneCheck& c : prune_checks_) {
-    const storage::ZoneEntry* z = zone_of(c.col);
-    if (z != nullptr && !c.BlockCanMatch(*z)) return false;
-  }
-  return true;
-}
-
-void ExpandRleRuns(const int64_t* values, const int32_t* lengths,
-                   int32_t num_runs, int64_t* out) {
-  for (int32_t r = 0; r < num_runs; ++r) {
-    const int64_t v = values[r];
-    const int32_t len = lengths[r];
-    for (int32_t i = 0; i < len; ++i) *out++ = v;
-  }
-}
-
-void UnpackBitsFOR(const uint64_t* words, uint8_t bits, int64_t base,
-                   int64_t n, int64_t* out) {
-  const uint64_t mask = (uint64_t{1} << bits) - 1;  // bits <= 32
-  const uint64_t ubase = static_cast<uint64_t>(base);
-  for (int64_t i = 0; i < n; ++i) {
-    const uint64_t bitpos = static_cast<uint64_t>(i) * bits;
-    const uint64_t shift = bitpos & 63;
-    uint64_t u = words[bitpos >> 6] >> shift;
-    // A value spans at most two words (bits <= 32 < 64).
-    if (shift + bits > 64) u |= words[(bitpos >> 6) + 1] << (64 - shift);
-    out[i] = static_cast<int64_t>(ubase + (u & mask));
-  }
-}
-
 }  // namespace idebench::exec

@@ -50,7 +50,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "exec/bound_query.h"
@@ -173,17 +172,6 @@ class VectorizedQuery {
   /// check prunes only when every overlapped block is excluded.
   bool RangeCanMatch(int64_t begin, int64_t end) const;
 
-  /// Segment-backed variant of `RangeCanMatch` for scans whose zone
-  /// entries come from a segment-file footer instead of the live column
-  /// zone map: `zone_of` maps each compiled fact column to the current
-  /// segment's persisted zone entry (nullptr = unknown, never pruned on).
-  /// Same soundness contract — `false` proves the segment holds no
-  /// matching row; the checks evaluate the identical monotone
-  /// expressions `BlockCanMatch` evaluates on live zones.
-  bool SegmentCanMatch(
-      const std::function<const storage::ZoneEntry*(const storage::Column*)>&
-          zone_of) const;
-
   /// Converts a dense key to the public packed key used in results.
   int64_t DenseKeyToPublic(int64_t dense) const {
     if (!two_d_) return dense;
@@ -236,23 +224,6 @@ class VectorizedQuery {
   // Zone-map prune checks.
   std::vector<PruneCheck> prune_checks_;
 };
-
-// --- Compressed-segment decode kernels ---------------------------------
-//
-// The segment scan (exec/segment_scan.h) decodes storage/segment.h blobs
-// into the staging columns the compiled kernels read.  These are the two
-// non-trivial decoders; raw blobs are a memcpy.
-
-/// Expands `num_runs` RLE runs (`values[r]` repeated `lengths[r]` times)
-/// into `out`, which must hold the runs' total length.
-void ExpandRleRuns(const int64_t* values, const int32_t* lengths,
-                   int32_t num_runs, int64_t* out);
-
-/// Decodes `n` frame-of-reference bit-packed values: `bits`-wide unsigned
-/// deltas packed LSB-first into little-endian 64-bit `words`, added to
-/// `base`.  `bits` must be in [1, 32].
-void UnpackBitsFOR(const uint64_t* words, uint8_t bits, int64_t base,
-                   int64_t n, int64_t* out);
 
 }  // namespace idebench::exec
 

@@ -1,7 +1,5 @@
 #include "storage/column.h"
 
-#include <algorithm>
-
 #include "common/logging.h"
 #include "common/string_util.h"
 
@@ -62,37 +60,6 @@ void Column::AppendCode(int64_t code) {
   IDB_CHECK(code >= 0 && code < dict_.size());
   ints_.push_back(code);
   UpdateStats(static_cast<double>(code));
-}
-
-void Column::AppendPlaceholderZeros(int64_t n) {
-  if (n <= 0) return;
-  if (field_.type == DataType::kString) {
-    IDB_CHECK(dict_.size() > 0);  // the zeros are dictionary code 0
-  }
-  if (field_.type == DataType::kDouble) {
-    doubles_.resize(doubles_.size() + static_cast<size_t>(n), 0.0);
-  } else {
-    ints_.resize(ints_.size() + static_cast<size_t>(n), 0);
-  }
-  // Fold the n zeros into the stats in bulk — one min/max fold per zone
-  // block instead of one per row.  Identical result to n single appends:
-  // every appended numeric-view value is exactly 0.0.
-  const int64_t new_size = size();
-  const int64_t first_row = new_size - n;
-  if (first_row == 0) {
-    cached_min_ = 0.0;
-    cached_max_ = 0.0;
-  } else {
-    cached_min_ = std::min(cached_min_, 0.0);
-    cached_max_ = std::max(cached_max_, 0.0);
-  }
-  for (int64_t row = first_row; row < new_size;
-       row = (row / kZoneMapBlockRows + 1) * kZoneMapBlockRows) {
-    if (row % kZoneMapBlockRows == 0) zones_.emplace_back();
-    ZoneEntry& z = zones_.back();
-    z.min = std::min(z.min, 0.0);
-    z.max = std::max(z.max, 0.0);
-  }
 }
 
 Status Column::AppendParsed(const std::string& text) {

@@ -8,9 +8,8 @@
 /// segments of `kSegmentRows` rows (the last segment may be short).  The
 /// segment size deliberately equals `kZoneMapBlockRows` and `kMorselRows`:
 /// one segment == one zone-map block == one morsel, so the zone map the
-/// column already maintains can be persisted per segment verbatim, and a
-/// parallel scan can hand whole segments to workers without splitting a
-/// zone entry across tasks.
+/// column already maintains can be persisted per segment verbatim, and
+/// each morsel of the decoded table covers exactly one segment.
 ///
 /// Per-segment encoding is chosen from the segment's own statistics,
 /// independently per segment (a sorted prefix can be RLE while a noisy
@@ -26,14 +25,13 @@
 ///    LSB-first into little-endian uint64 words at a fixed width of 1..32
 ///    bits.  Wins on narrow-range data (dates, small codes).
 ///
-/// The smallest encoding wins; ties break RLE < bit-packed < raw (run
-/// structure is worth more to the scan kernels than equal bytes).
+/// The smallest encoding wins; ties break RLE < bit-packed < raw.
 ///
 /// String columns persist their dictionary (in code order) in the footer
 /// and encode the code stream like any int64 column.  Each string-column
-/// segment also stores a *presence bitset* over dictionary codes, so an
-/// equality/membership probe can prove "code not in this segment" without
-/// touching the payload even when the zone-map range is too wide to help.
+/// segment also stores a *presence bitset* over dictionary codes
+/// (`SegmentView::MightContainCode`).  The bitsets are written and
+/// validated on `Open`, but no query reads them.
 ///
 /// File layout (native-endian; a same-host cache format, not a portable
 /// interchange format — the header magic doubles as an endianness check):

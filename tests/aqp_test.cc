@@ -72,38 +72,6 @@ TEST(ShuffledIndexTest, EmptyAndSingle) {
   EXPECT_EQ(WalkAt(one, 5, 0), 0);
 }
 
-TEST(ReservoirTest, KeepsAllWhenUnderCapacity) {
-  Rng rng(4);
-  ReservoirSampler sampler(10, &rng);
-  for (int64_t i = 0; i < 5; ++i) sampler.Offer(i);
-  EXPECT_EQ(sampler.sample().size(), 5u);
-  EXPECT_EQ(sampler.stream_size(), 5);
-}
-
-TEST(ReservoirTest, CapsAtCapacity) {
-  Rng rng(5);
-  ReservoirSampler sampler(10, &rng);
-  for (int64_t i = 0; i < 1000; ++i) sampler.Offer(i);
-  EXPECT_EQ(sampler.sample().size(), 10u);
-  EXPECT_EQ(sampler.stream_size(), 1000);
-}
-
-TEST(ReservoirTest, UniformInclusionProbability) {
-  // Each element of a 100-long stream should appear in a 10-slot
-  // reservoir with probability ~0.1.
-  const int trials = 3000;
-  std::vector<int> hits(100, 0);
-  for (int t = 0; t < trials; ++t) {
-    Rng rng(static_cast<uint64_t>(t) + 1000);
-    ReservoirSampler sampler(10, &rng);
-    for (int64_t i = 0; i < 100; ++i) sampler.Offer(i);
-    for (int64_t v : sampler.sample()) ++hits[static_cast<size_t>(v)];
-  }
-  for (int h : hits) {
-    EXPECT_NEAR(static_cast<double>(h) / trials, 0.1, 0.035);
-  }
-}
-
 TEST(StratifiedSampleTest, RespectsRateAndMinimum) {
   storage::Table t = testutil::MakeTinyTable();
   Rng rng(6);

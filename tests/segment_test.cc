@@ -167,6 +167,34 @@ TEST(SegmentFileTest, EdgeSizesRoundTrip) {
   }
 }
 
+TEST(SegmentFileTest, AllNaNSegmentRoundTrips) {
+  // A double column whose middle segment holds nothing but NaN: its
+  // footer zone must count every row as NaN, and the decode must rebuild
+  // the empty (+inf, -inf) zone bounds exactly.
+  Schema schema({{"v", DataType::kDouble, AttributeKind::kQuantitative}});
+  Table original("nanmid", schema);
+  Rng rng(11);
+  const int64_t rows = 2 * kSegmentRows + 4321;
+  for (int64_t i = 0; i < rows; ++i) {
+    const bool mid = i >= kSegmentRows && i < 2 * kSegmentRows;
+    original.mutable_column(0).AppendDouble(
+        mid ? std::numeric_limits<double>::quiet_NaN()
+            : rng.Uniform(0.0, 10.0));
+  }
+  TempPath file("nan_segment.seg");
+  ASSERT_TRUE(WriteSegmentFile(original, file.path()).ok());
+  auto opened = SegmentFile::Open(file.path());
+  ASSERT_TRUE(opened.ok()) << opened.status();
+  ASSERT_EQ(opened->num_segments(), 3);
+  EXPECT_EQ(opened->view(0, 0).zone.nan_count, 0);
+  EXPECT_EQ(opened->view(0, 1).zone.nan_count, kSegmentRows);
+  EXPECT_EQ(opened->view(0, 2).zone.nan_count, 0);
+
+  auto decoded = opened->Decode();
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  ExpectTablesIdentical(original, *decoded);
+}
+
 // --- Encoding choice --------------------------------------------------------
 
 TEST(SegmentFileTest, EncodingChosenPerColumnShape) {
@@ -212,6 +240,38 @@ TEST(SegmentFileTest, ConstantColumnPacksToRleSingleRun) {
   EXPECT_EQ(v.rle_lengths()[0], kSegmentRows);
   // 64K rows of one value: 12 payload bytes.
   EXPECT_EQ(v.bytes, 12u);
+}
+
+TEST(SegmentFileTest, BitPackedWidthSweepRoundTrips) {
+  // Frame-of-reference widths across the supported 1..32 bit range, with
+  // a negative base and a short tail segment: every segment must pack at
+  // exactly the width its value range needs, and decode bit-identically.
+  for (const int bits : {1, 3, 8, 13, 24, 31, 32}) {
+    Schema schema({{"v", DataType::kInt64, AttributeKind::kNominal}});
+    Table original("width", schema);
+    Rng rng(static_cast<uint64_t>(bits) * 7 + 1);
+    const int64_t range = (int64_t{1} << bits) - 1;
+    const int64_t base = -(range / 3);
+    const int64_t rows = kSegmentRows + 777;
+    for (int64_t i = 0; i < rows; ++i) {
+      original.mutable_column(0).AppendInt(base + rng.UniformInt(0, range));
+    }
+    TempPath file("width_" + std::to_string(bits) + ".seg");
+    ASSERT_TRUE(WriteSegmentFile(original, file.path()).ok()) << bits;
+    auto opened = SegmentFile::Open(file.path());
+    ASSERT_TRUE(opened.ok()) << bits << ": " << opened.status();
+    ASSERT_EQ(opened->num_segments(), 2) << bits;
+    for (int64_t s = 0; s < opened->num_segments(); ++s) {
+      const SegmentView& v = opened->view(0, s);
+      EXPECT_EQ(v.encoding, SegmentEncoding::kBitPacked)
+          << bits << " segment " << s;
+      EXPECT_EQ(static_cast<int>(v.bits), bits) << bits << " segment " << s;
+    }
+    auto decoded = opened->Decode();
+    ASSERT_TRUE(decoded.ok()) << bits << ": " << decoded.status();
+    ExpectTablesIdentical(original, *decoded);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
 }
 
 // --- Persisted zones and dictionary bitsets ---------------------------------

@@ -257,47 +257,6 @@ TEST(ZoneMapTest, AppendCodePathMaintainsZoneMapAndMinMax) {
   EXPECT_DOUBLE_EQ(c.Min(), 0.0);
 }
 
-TEST(ZoneMapTest, PlaceholderZerosMatchSingleAppendsBitForBit) {
-  // The bulk staging fill (one stats fold per zone block) must leave the
-  // column in exactly the state n single zero-appends would — including
-  // unaligned starts that continue a partial block.
-  for (const int64_t head : {int64_t{0}, int64_t{7}, kZoneMapBlockRows - 1}) {
-    for (const int64_t n :
-         {int64_t{1}, int64_t{100}, kZoneMapBlockRows, 2 * kZoneMapBlockRows + 3}) {
-      Column bulk({"v", DataType::kInt64, AttributeKind::kQuantitative});
-      Column slow({"v", DataType::kInt64, AttributeKind::kQuantitative});
-      for (int64_t i = 0; i < head; ++i) {
-        bulk.AppendInt(i + 5);
-        slow.AppendInt(i + 5);
-      }
-      bulk.AppendPlaceholderZeros(n);
-      for (int64_t i = 0; i < n; ++i) slow.AppendInt(0);
-      ASSERT_EQ(bulk.size(), slow.size()) << head << " " << n;
-      EXPECT_EQ(bulk.ints(), slow.ints()) << head << " " << n;
-      EXPECT_DOUBLE_EQ(bulk.Min(), slow.Min());
-      EXPECT_DOUBLE_EQ(bulk.Max(), slow.Max());
-      ASSERT_EQ(bulk.zone_map().size(), slow.zone_map().size())
-          << head << " " << n;
-      for (size_t z = 0; z < bulk.zone_map().size(); ++z) {
-        EXPECT_DOUBLE_EQ(bulk.zone_map()[z].min, slow.zone_map()[z].min);
-        EXPECT_DOUBLE_EQ(bulk.zone_map()[z].max, slow.zone_map()[z].max);
-        EXPECT_EQ(bulk.zone_map()[z].nan_count, slow.zone_map()[z].nan_count);
-      }
-    }
-  }
-  // Double and string variants take the same code path through the typed
-  // vectors; smoke the type dispatch.
-  Column d({"v", DataType::kDouble, AttributeKind::kQuantitative});
-  d.AppendPlaceholderZeros(10);
-  EXPECT_EQ(d.size(), 10);
-  EXPECT_DOUBLE_EQ(d.Min(), 0.0);
-  Column s({"s", DataType::kString, AttributeKind::kNominal});
-  s.mutable_dictionary().GetOrInsert("a");
-  s.AppendPlaceholderZeros(10);
-  EXPECT_EQ(s.size(), 10);
-  EXPECT_EQ(s.ValueAsString(0), "a");
-}
-
 TEST(CatalogTest, TableForColumnSearchesFactFirst) {
   Catalog c;
   auto fact = std::make_shared<Table>(testutil::MakeTinyTable());
