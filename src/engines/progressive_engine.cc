@@ -86,8 +86,12 @@ Result<QueryHandle> ProgressiveEngine::Submit(const query::QuerySpec& spec) {
   }
   rq->done = rq->state->cursor >= rq->state->pinned_rows;
 
-  if (!spec.viz_name.empty()) last_spec_[spec.viz_name] = spec;
-  if (config_.enable_speculation) RefreshSpeculations();
+  // Only speculation reads last_spec_ and links_; with it off, recording
+  // them would grow both by every viz a long-lived server ever sees.
+  if (config_.enable_speculation) {
+    if (!spec.viz_name.empty()) last_spec_[spec.viz_name] = spec;
+    RefreshSpeculations();
+  }
 
   const QueryHandle handle = NextHandle();
   queries_.emplace(handle, std::move(rq));
@@ -187,11 +191,12 @@ void ProgressiveEngine::Cancel(QueryHandle handle) {
 
 void ProgressiveEngine::LinkVizs(const std::string& from,
                                  const std::string& to) {
+  if (!config_.enable_speculation) return;  // see Submit
   const std::pair<std::string, std::string> edge{from, to};
   if (std::find(links_.begin(), links_.end(), edge) == links_.end()) {
     links_.push_back(edge);
   }
-  if (config_.enable_speculation) RefreshSpeculations();
+  RefreshSpeculations();
 }
 
 void ProgressiveEngine::DiscardViz(const std::string& viz) {

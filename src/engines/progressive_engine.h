@@ -129,7 +129,8 @@ class ProgressiveEngine : public EngineBase {
   std::unordered_map<QueryHandle, std::unique_ptr<RunningQuery>> queries_;
   /// Reuse cache: canonical signature -> sample state.
   std::unordered_map<std::string, std::shared_ptr<SampleState>> cache_;
-  /// Last submitted spec per viz name (for speculation).
+  /// Last submitted spec per viz name.  This and links_ feed only
+  /// speculation and are recorded only while it is enabled.
   std::unordered_map<std::string, query::QuerySpec> last_spec_;
   /// Dashboard links (from, to).
   std::vector<std::pair<std::string, std::string>> links_;

@@ -578,8 +578,7 @@ void Server::OnUpdate(Connection* conn,
       ++stats_.finals_after_disconnect;
       return;
     }
-    Enqueue(conn, QueuedFrame{EncodeFrame(UpdateToJson(update)),
-                              update.query_id, /*final_update=*/true});
+    EnqueueUpdate(conn, update);
     return;
   }
   if (conn->dead) return;  // partials to a gone client are worthless
@@ -597,21 +596,15 @@ void Server::OnUpdate(Connection* conn,
 
   // Coalescing: a queued, not-yet-sent partial for the same query is
   // replaced in place — a slow client sees the newest snapshot, and the
-  // queue never grows because of one chatty query.
-  for (size_t i = conn->write_queue.size(); i-- > 1;) {
+  // queue never grows because of one chatty query.  A front frame that
+  // is partly written is never touched; an unwritten one may already be
+  // encoded, so its bytes are cleared for FlushWrites to encode anew.
+  const size_t first = conn->front_written == 0 ? 0 : 1;
+  for (size_t i = conn->write_queue.size(); i-- > first;) {
     QueuedFrame& pending = conn->write_queue[i];
     if (pending.query_id == update.query_id && !pending.final_update) {
-      pending.bytes = EncodeFrame(UpdateToJson(update));
-      ++stats_.partials_coalesced;
-      if (sit != streams_.end()) sit->second.last_partial = update.virtual_time;
-      return;
-    }
-  }
-  // Index 0 is skipped above (possibly mid-write); check it separately.
-  if (!conn->write_queue.empty() && conn->front_written == 0) {
-    QueuedFrame& front = conn->write_queue.front();
-    if (front.query_id == update.query_id && !front.final_update) {
-      front.bytes = EncodeFrame(UpdateToJson(update));
+      pending.update = update;
+      pending.bytes.clear();
       ++stats_.partials_coalesced;
       if (sit != streams_.end()) sit->second.last_partial = update.virtual_time;
       return;
@@ -624,8 +617,16 @@ void Server::OnUpdate(Connection* conn,
     return;
   }
   if (sit != streams_.end()) sit->second.last_partial = update.virtual_time;
-  Enqueue(conn, QueuedFrame{EncodeFrame(UpdateToJson(update)),
-                            update.query_id, /*final_update=*/false});
+  EnqueueUpdate(conn, update);
+}
+
+void Server::EnqueueUpdate(Connection* conn,
+                           const session::ProgressiveUpdate& update) {
+  QueuedFrame frame;
+  frame.query_id = update.query_id;
+  frame.final_update = update.final_update;
+  frame.update = update;
+  Enqueue(conn, std::move(frame));
 }
 
 void Server::Enqueue(Connection* conn, QueuedFrame frame) {
@@ -643,7 +644,9 @@ void Server::Enqueue(Connection* conn, QueuedFrame frame) {
 
 void Server::SendMessage(Connection* conn, const JsonValue& msg) {
   if (conn->dead) return;
-  Enqueue(conn, QueuedFrame{EncodeFrame(msg), -1, false});
+  QueuedFrame frame;
+  frame.bytes = EncodeFrame(msg);
+  Enqueue(conn, std::move(frame));
 }
 
 void Server::FlushWrites(Connection* conn) {
@@ -655,6 +658,11 @@ void Server::FlushWrites(Connection* conn) {
   }
   while (!conn->write_queue.empty()) {
     QueuedFrame& front = conn->write_queue.front();
+    // An update frame is encoded once, here, as it reaches the socket:
+    // the partials coalesced away before this point never are.
+    if (front.bytes.empty()) {
+      front.bytes = EncodeFrame(UpdateToJson(front.update));
+    }
     size_t remaining = front.bytes.size() - conn->front_written;
     if (chaos::FaultInjector::Fire(chaos::FaultSite::kNetPartialFrame)) {
       // Injected short write: at most half the frame leaves this pass,

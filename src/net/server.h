@@ -33,7 +33,9 @@
 ///    limit; terminal updates always enqueue, and a client that cannot
 ///    even drain those is disconnected — explicitly counted, sessions
 ///    drained — rather than buffered without bound.  One stuck
-///    connection never stalls the loop or other sessions.
+///    connection never stalls the loop or other sessions.  Updates wait
+///    in the queue unencoded and become bytes only at its head, so a
+///    coalesced partial costs a copy, never a JSON encode.
 ///
 /// Threading: the loop, the manager and the ratekeeper live on the
 /// thread calling Serve().  `RequestStop` is the only cross-thread entry
@@ -167,13 +169,17 @@ class Server {
     Connection* conn_;
   };
 
-  /// One queued outbound frame.  `query_id >= 0` marks a non-final
-  /// update frame (the coalescing unit); finals and control frames are
-  /// never replaced.
+  /// One queued outbound frame.  Control frames are encoded into `bytes`
+  /// when queued.  Update frames (`query_id >= 0`) keep their `update`
+  /// with `bytes` empty until FlushWrites encodes them at the head of the
+  /// queue; until then a newer partial for the same query replaces a
+  /// non-final one in place.  Finals and control frames are never
+  /// replaced.
   struct QueuedFrame {
-    std::string bytes;
+    std::string bytes;  // the wire frame; empty = update not yet encoded
     int64_t query_id = -1;
     bool final_update = false;
+    session::ProgressiveUpdate update;  // update frames only
   };
 
   /// Per-query streaming state while admitted (degraded cadence).
@@ -210,6 +216,8 @@ class Server {
   void CloseAll();
 
   void OnUpdate(Connection* conn, const session::ProgressiveUpdate& update);
+  void EnqueueUpdate(Connection* conn,
+                     const session::ProgressiveUpdate& update);
   void Enqueue(Connection* conn, QueuedFrame frame);
   void SendMessage(Connection* conn, const JsonValue& msg);
   void KillConnection(Connection* conn);

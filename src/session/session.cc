@@ -129,10 +129,14 @@ Status SessionManager::CloseSession(ExplorationSession* session) {
                                /*swallow_poll_error=*/in_destructor_));
   }
   session->closed_ = true;
-  --open_sessions_;
   // The closed handle is retained in sessions_ so later calls through a
-  // stale pointer fail cleanly.  Mirror of CreateSession: the engine
-  // learns serving ended only when the last open session closes.
+  // stale pointer fail cleanly, but its dashboard is freed: a long-lived
+  // server would otherwise keep the graph of every session it ever
+  // opened.  (Clear() would keep the vectors' capacity.)
+  session->graph_ = workflow::VizGraph();
+  --open_sessions_;
+  // Mirror of CreateSession: the engine learns serving ended only when
+  // the last open session closes.
   if (open_sessions_ == 0) engine_->WorkflowEnd();
   return Status::OK();
 }

@@ -122,6 +122,31 @@ std::map<int64_t, JsonValue> CollectFinals(Client* client,
   return finals;
 }
 
+/// Reads the updates of the client's one live query, `query_id`, up to
+/// and including its terminal update; every update frame must decode.
+std::vector<session::ProgressiveUpdate> CollectUpdates(Client* client,
+                                                       int64_t query_id) {
+  std::vector<session::ProgressiveUpdate> updates;
+  while (updates.empty() || !updates.back().final_update) {
+    JsonValue msg;
+    auto next = client->Next(&msg, kWait);
+    if (!next.ok() || !*next) {
+      ADD_FAILURE() << "no terminal update: "
+                    << (next.ok() ? "timed out" : next.status().ToString());
+      break;
+    }
+    if (MessageType(msg) != "update") continue;
+    auto update = UpdateFromJson(msg);
+    if (!update.ok()) {
+      ADD_FAILURE() << update.status().ToString();
+      break;
+    }
+    EXPECT_EQ(update->query_id, query_id);
+    updates.push_back(std::move(update).MoveValueUnsafe());
+  }
+  return updates;
+}
+
 TEST(NetServerTest, LoopbackSubmitStreamsUpdatesToFinal) {
   engines::ProgressiveEngineConfig config;
   config.query_overhead_us = 0;
@@ -295,9 +320,39 @@ TEST(NetServerTest, WriteStallsCoalescePartialsNeverFinals) {
   const int64_t query_id =
       submitted->Get("queries").at(0).GetInt("query", -1);
 
-  const auto finals = CollectFinals(client->get(), {query_id});
-  ASSERT_EQ(finals.size(), 1u);
-  EXPECT_TRUE(finals.at(query_id).GetBool("completed", false));
+  // Every update frame decodes, torn or not, and the query's partials
+  // arrive in order: strictly increasing virtual time, non-decreasing
+  // rows.  The terminal update follows them.
+  const std::vector<session::ProgressiveUpdate> updates =
+      CollectUpdates(client->get(), query_id);
+  ASSERT_FALSE(updates.empty());
+  ASSERT_TRUE(updates.back().final_update);
+  EXPECT_TRUE(updates.back().completed);
+  for (size_t i = 1; i < updates.size(); ++i) {
+    const session::ProgressiveUpdate& prev = updates[i - 1];
+    const session::ProgressiveUpdate& cur = updates[i];
+    if (cur.final_update) {
+      EXPECT_GE(cur.virtual_time, prev.virtual_time);
+    } else {
+      EXPECT_GT(cur.virtual_time, prev.virtual_time);
+    }
+    EXPECT_GE(cur.result.rows_processed, prev.result.rows_processed);
+  }
+
+  // The terminal update came last: nothing for the query is queued
+  // behind it, so the next frame a ping flushes out is no update of it.
+  JsonValue ping = JsonValue::Object();
+  ping.Set("type", "ping");
+  ASSERT_TRUE((*client)->Send(ping).ok());
+  while (true) {
+    JsonValue msg;
+    auto next = (*client)->Next(&msg, kWait);
+    ASSERT_TRUE(next.ok()) << next.status().ToString();
+    ASSERT_TRUE(*next) << "timed out before the pong";
+    const std::string type = MessageType(msg);
+    if (type == "pong") break;
+    EXPECT_NE(type, "update") << "update after the terminal update";
+  }
 
   fixture.Stop();
   EXPECT_TRUE(fixture.serve_status().ok());
@@ -305,6 +360,54 @@ TEST(NetServerTest, WriteStallsCoalescePartialsNeverFinals) {
   EXPECT_GT(stats.partials_coalesced + stats.partials_dropped, 0)
       << "write stalls must trigger backpressure, not unbounded buffering";
   EXPECT_EQ(stats.slow_client_disconnects, 0);
+}
+
+TEST(NetServerTest, CoalescedPartialCarriesNewestSnapshot) {
+  // virtual_step == TR and an engine too slow to finish: the query's
+  // whole life, from submission to its deadline, falls inside one
+  // server pass.  Every partial after the first coalesces into the one
+  // queued frame, so the client receives exactly one partial — the
+  // newest, as of the deadline — and only that one is ever encoded.
+  engines::ProgressiveEngineConfig config;
+  config.query_overhead_us = 0;
+  config.restart_overhead_us = 0;
+  config.sample_us_per_row = 400'000.0;  // 8 rows > the 2 s TR
+  engines::ProgressiveEngine engine(config);
+  auto catalog = testutil::MakeTinyCatalog();
+  catalog->set_nominal_rows(1'000'000);
+  ASSERT_TRUE(engine.Prepare(catalog).ok());
+
+  ServerOptions options = VirtualModeOptions();
+  options.virtual_step = options.scheduler.time_requirement;
+  ServerFixture fixture(options, &engine, catalog);
+
+  auto client = Client::Connect("127.0.0.1", fixture.server().port(), "test");
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  auto session = (*client)->OpenSession();
+  ASSERT_TRUE(session.ok());
+  ASSERT_TRUE((*client)->Send(InteractionRequest(*session, 1, "viz_0")).ok());
+  auto submitted = (*client)->WaitFor("submitted", kWait);
+  ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
+  const int64_t query_id =
+      submitted->Get("queries").at(0).GetInt("query", -1);
+
+  // Exactly one partial, then the terminal update, at the same instant
+  // and over the same rows.
+  const std::vector<session::ProgressiveUpdate> updates =
+      CollectUpdates(client->get(), query_id);
+  ASSERT_EQ(updates.size(), 2u);
+  const session::ProgressiveUpdate& partial = updates[0];
+  const session::ProgressiveUpdate& terminal = updates[1];
+  ASSERT_TRUE(terminal.final_update);
+  EXPECT_TRUE(terminal.cancelled) << "the query must run to its deadline";
+  EXPECT_EQ(partial.virtual_time, terminal.virtual_time);
+  EXPECT_EQ(partial.result.rows_processed, terminal.result.rows_processed);
+
+  fixture.Stop();
+  EXPECT_TRUE(fixture.serve_status().ok());
+  const int64_t pushed = fixture.server().manager().stats().partial_updates;
+  EXPECT_GE(pushed, 2) << "nothing to coalesce";
+  EXPECT_EQ(fixture.server().stats().partials_coalesced, pushed - 1);
 }
 
 TEST(NetServerTest, AbruptDisconnectDrainsSessionsCleanly) {
