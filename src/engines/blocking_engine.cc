@@ -1,9 +1,5 @@
 #include "engines/blocking_engine.h"
 
-#include <algorithm>
-#include <cmath>
-
-#include "chaos/fault_injector.h"
 #include "exec/parallel.h"
 
 namespace idebench::engines {
@@ -33,132 +29,54 @@ Result<Micros> BlockingEngine::Prepare(
 
 Result<QueryHandle> BlockingEngine::Submit(const query::QuerySpec& spec) {
   if (!attached()) return Status::Invalid("engine not prepared");
-  auto rq = std::make_unique<RunningQuery>();
-  rq->spec = spec;
-
+  auto state = std::make_shared<QueryState>();
   int joins_built = 0;
-  IDB_ASSIGN_OR_RETURN(exec::BoundQuery bound,
-                       BindQuery(rq->spec, /*lazy=*/false, &joins_built));
-  rq->bound = std::make_unique<exec::BoundQuery>(std::move(bound));
-  rq->aggregator = std::make_unique<exec::BinnedAggregator>(
-      rq->bound.get(), MakeAggregatorOptions());
-  rq->reuse = AcquireReuse(rq->spec);
+  IDB_RETURN_NOT_OK(BindState(state.get(), spec, /*lazy=*/false, &joins_built));
 
-  IDB_ASSIGN_OR_RETURN(std::vector<std::string> dims, RequiredJoins(rq->spec));
+  IDB_ASSIGN_OR_RETURN(std::vector<std::string> dims, RequiredJoins(spec));
   const double mult = ComplexityMultiplier(
-      rq->spec, static_cast<int>(dims.size()), config_.factors);
+      spec, static_cast<int>(dims.size()), config_.factors);
   // Virtual cost per *actual* row so that scanning all actual rows costs
   // scan_ns * nominal rows.
   double scan_ns = config_.scan_ns_per_row;
   if (this->catalog().is_normalized()) {
     scan_ns *= 1.0 - config_.normalized_scan_discount;
   }
-  rq->row_cost_us = scan_ns * mult * scale() / 1000.0;
-  rq->overhead_remaining =
+  state->row_cost_us = scan_ns * mult * scale() / 1000.0;
+  // Pin the published watermark: the scan stops at it, so rows staged or
+  // published after submission never leak into the answer.
+  state->pinned_rows = visible_rows();
+  const Micros overhead =
       static_cast<Micros>(config_.query_overhead_us) +
       static_cast<Micros>(static_cast<double>(joins_built) *
                           static_cast<double>(nominal_rows()) *
                           config_.join_build_ns_per_row / 1000.0);
-  // Pin the published watermark: the scan stops at it, so rows staged or
-  // published after submission never leak into the answer.
-  rq->pinned_rows = visible_rows();
-
-  const QueryHandle handle = NextHandle();
-  queries_.emplace(handle, std::move(rq));
-  return handle;
+  return Register(std::move(state), overhead);
 }
 
-Micros BlockingEngine::RunFor(QueryHandle handle, Micros budget) {
-  auto it = queries_.find(handle);
-  if (it == queries_.end() || budget <= 0) return 0;
-  RunningQuery& rq = *it->second;
-  if (rq.done || rq.faulted) return 0;
-  // Chaos site: the physical pipeline hits a transient I/O-style failure
-  // mid-run.  The handle wedges (no further progress) and the error
-  // surfaces on the next PollResult, mirroring a real engine whose fetch
-  // fails after submission.
-  if (chaos::FaultInjector::Fire(chaos::FaultSite::kEngineRun)) {
-    rq.faulted = true;
-    return 0;
-  }
-
-  Micros consumed = 0;
-  // Pay fixed costs first.
-  const Micros overhead = std::min(budget, rq.overhead_remaining);
-  rq.overhead_remaining -= overhead;
-  consumed += overhead;
-  if (rq.overhead_remaining > 0) return consumed;
-
-  rq.credit_us += static_cast<double>(budget - consumed);
-  const int64_t affordable =
-      rq.row_cost_us > 0.0
-          ? static_cast<int64_t>(rq.credit_us / rq.row_cost_us)
-          : rq.pinned_rows;
-  const int64_t remaining = rq.pinned_rows - rq.cursor;
-  const int64_t todo = std::min(affordable, remaining);
-  if (todo > 0) {
-    // Scan positions covered by a cached snapshot are served from it; the
-    // remainder runs through the physical pipeline as usual (fused
-    // kernels + zone-map block skipping — this is the full-scan path the
-    // zone maps exist for; the *virtual* cost model still charges every
-    // row, only wall-clock work shrinks).
-    const int64_t end = rq.cursor + todo;
-    const int64_t served_to =
-        ServeReuse(rq.reuse, rq.aggregator.get(), rq.cursor, end);
-    if (served_to < end) {
-      exec::ProcessRangeParallel(rq.aggregator.get(), served_to, end,
-                                 config_.execution_threads);
-    }
-    rq.cursor += todo;
-    const double spent = static_cast<double>(todo) * rq.row_cost_us;
-    rq.credit_us -= spent;
-    consumed += static_cast<Micros>(std::llround(spent));
-  }
-  if (rq.cursor >= rq.pinned_rows) {
-    rq.done = true;
-    rq.credit_us = 0.0;
-  }
-  // Leftover sub-row budget is banked in credit_us, so the whole slice
-  // counts as consumed while the query is still running.
-  if (!rq.done) return budget;
-  return std::min(consumed, budget);
+void BlockingEngine::Feed(QueryState* state, int64_t begin, int64_t end) {
+  // Fused kernels + zone-map block skipping: this is the full-scan path
+  // the zone maps exist for (the virtual cost model still charges every
+  // row; only wall-clock work shrinks).
+  exec::ProcessRangeParallel(state->aggregator.get(), begin, end,
+                             config_.execution_threads);
 }
 
-bool BlockingEngine::IsDone(QueryHandle handle) const {
-  auto it = queries_.find(handle);
-  return it != queries_.end() && it->second->done;
-}
-
-Result<query::QueryResult> BlockingEngine::PollResult(QueryHandle handle) {
-  auto it = queries_.find(handle);
-  if (it == queries_.end()) {
-    return Status::KeyError("unknown query handle");
-  }
-  const RunningQuery& rq = *it->second;
-  if (rq.faulted) {
-    return Status::IOError("injected run fault (engine '" + name() + "')");
-  }
+query::QueryResult BlockingEngine::Answer(const RunningQuery& rq) const {
+  const QueryState& state = *rq.state;
   if (!rq.done) {
     // Blocking execution: nothing is fetchable until completion.
     query::QueryResult pending;
     pending.available = false;
-    pending.progress = rq.pinned_rows > 0
-                           ? static_cast<double>(rq.cursor) /
-                                 static_cast<double>(rq.pinned_rows)
+    pending.progress = state.pinned_rows > 0
+                           ? static_cast<double>(state.cursor) /
+                                 static_cast<double>(state.pinned_rows)
                            : 0.0;
     return pending;
   }
-  query::QueryResult result = rq.aggregator->ExactResult();
+  query::QueryResult result = state.aggregator->ExactResult();
   result.available = true;
   return result;
-}
-
-void BlockingEngine::Cancel(QueryHandle handle) {
-  auto it = queries_.find(handle);
-  if (it != queries_.end()) {
-    StoreReuse(it->second->spec, *it->second->aggregator, /*lazy_joins=*/false);
-    queries_.erase(it);
-  }
 }
 
 }  // namespace idebench::engines

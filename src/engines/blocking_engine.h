@@ -12,10 +12,8 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 
 #include "engines/engine_base.h"
-#include "exec/aggregator.h"
 
 namespace idebench::engines {
 
@@ -65,30 +63,15 @@ class BlockingEngine : public EngineBase {
   Result<Micros> Prepare(
       std::shared_ptr<const storage::Catalog> catalog) override;
   Result<QueryHandle> Submit(const query::QuerySpec& spec) override;
-  Micros RunFor(QueryHandle handle, Micros budget) override;
-  bool IsDone(QueryHandle handle) const override;
-  Result<query::QueryResult> PollResult(QueryHandle handle) override;
-  void Cancel(QueryHandle handle) override;
 
   const BlockingEngineConfig& config() const { return config_; }
 
  private:
-  struct RunningQuery {
-    query::QuerySpec spec;
-    std::unique_ptr<exec::BoundQuery> bound;
-    std::unique_ptr<exec::BinnedAggregator> aggregator;
-    exec::ReuseCache::Match reuse;  // cached prefix to serve scans from
-    int64_t cursor = 0;            // next actual fact row
-    int64_t pinned_rows = 0;       // visible watermark pinned at Submit
-    Micros overhead_remaining = 0; // fixed costs to pay before scanning
-    double row_cost_us = 0.0;      // virtual cost per actual row
-    double credit_us = 0.0;        // sub-row budget carry
-    bool done = false;
-    bool faulted = false;          // injected run fault; surfaced via Poll
-  };
+  /// Feed positions are fact rows in table order.
+  void Feed(QueryState* state, int64_t begin, int64_t end) override;
+  query::QueryResult Answer(const RunningQuery& rq) const override;
 
   BlockingEngineConfig config_;
-  std::unordered_map<QueryHandle, std::unique_ptr<RunningQuery>> queries_;
 };
 
 }  // namespace idebench::engines

@@ -1,6 +1,7 @@
 #include "engines/engine_base.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "aqp/confidence.h"
 #include "chaos/fault_injector.h"
@@ -172,34 +173,121 @@ metrics::ReuseCacheStats EngineBase::reuse_cache_stats() const {
                                  : metrics::ReuseCacheStats{};
 }
 
-exec::BinnedAggregatorOptions EngineBase::MakeAggregatorOptions() const {
+Status EngineBase::BindState(QueryState* state, const query::QuerySpec& spec,
+                             bool lazy, int* joins_built_now) {
+  state->spec = spec;
+  state->lazy_joins = lazy;
+  IDB_ASSIGN_OR_RETURN(exec::BoundQuery bound,
+                       BindQuery(state->spec, lazy, joins_built_now));
+  state->bound = std::make_unique<exec::BoundQuery>(std::move(bound));
+  // Candidates are recorded only for the reuse cache to store at Cancel.
   exec::BinnedAggregatorOptions options;
-  options.record_matches = reuse_cache_enabled();
-  return options;
+  options.record_matches = reuse_cache_ != nullptr;
+  state->aggregator =
+      std::make_unique<exec::BinnedAggregator>(state->bound.get(), options);
+  if (reuse_cache_ != nullptr) state->reuse = reuse_cache_->Lookup(state->spec);
+  return Status::OK();
 }
 
-exec::ReuseCache::Match EngineBase::AcquireReuse(
-    const query::QuerySpec& spec) {
-  if (reuse_cache_ == nullptr) return {};
-  return reuse_cache_->Lookup(spec);
+QueryHandle EngineBase::Register(std::shared_ptr<QueryState> state,
+                                 Micros overhead_us, bool done) {
+  const QueryHandle handle = next_handle_++;
+  RunningQuery& rq = queries_[handle];
+  rq.state = std::move(state);
+  rq.overhead_remaining = overhead_us;
+  rq.done = done;
+  return handle;
 }
 
-int64_t EngineBase::ServeReuse(const exec::ReuseCache::Match& match,
-                               exec::BinnedAggregator* agg, int64_t begin,
-                               int64_t end) {
-  if (reuse_cache_ == nullptr) return begin;
-  const int64_t served_to = exec::ReuseCache::Serve(match, agg, begin, end);
-  if (served_to > begin) reuse_cache_->AddRowsServed(served_to - begin);
-  return served_to;
+Micros EngineBase::Advance(QueryState* state, Micros budget) {
+  if (budget <= 0) return 0;
+  state->credit_us += static_cast<double>(budget);
+  const int64_t affordable =
+      state->row_cost_us > 0.0
+          ? static_cast<int64_t>(state->credit_us / state->row_cost_us)
+          : state->pinned_rows;
+  const int64_t remaining = state->pinned_rows - state->cursor;
+  const int64_t todo = std::min(affordable, remaining);
+  if (todo <= 0) {
+    // Out of budget for even one position, or the extent is complete.
+    if (remaining == 0) state->credit_us = 0.0;
+    return 0;
+  }
+  // Positions covered by a cached snapshot are served from it; the
+  // remainder runs through the engine's physical pipeline.  The virtual
+  // cost model charges every position either way.
+  const int64_t end = state->cursor + todo;
+  int64_t served_to = state->cursor;
+  if (reuse_cache_ != nullptr) {
+    served_to = exec::ReuseCache::Serve(state->reuse, state->aggregator.get(),
+                                        state->cursor, end);
+    if (served_to > state->cursor) {
+      reuse_cache_->AddRowsServed(served_to - state->cursor);
+    }
+  }
+  if (served_to < end) Feed(state, served_to, end);
+  state->cursor = end;
+  const double spent = static_cast<double>(todo) * state->row_cost_us;
+  state->credit_us -= spent;
+  return static_cast<Micros>(std::llround(spent));
 }
 
-void EngineBase::StoreReuse(const query::QuerySpec& spec,
-                            const exec::BinnedAggregator& agg,
-                            bool lazy_joins) {
-  if (reuse_cache_ == nullptr) return;
-  reuse_cache_->Store(spec, agg, [this, lazy_joins](const query::QuerySpec& s) {
-    return BindQuery(s, lazy_joins);
-  });
+Micros EngineBase::RunFor(QueryHandle handle, Micros budget) {
+  auto it = queries_.find(handle);
+  if (it == queries_.end() || budget <= 0) return 0;
+  RunningQuery& rq = it->second;
+  if (rq.done || rq.faulted) return 0;
+  // Chaos site: the physical pipeline hits a transient I/O-style failure
+  // mid-run.  The handle wedges (no further progress) and the error
+  // surfaces on the next PollResult, mirroring a real engine whose fetch
+  // fails after submission.
+  if (chaos::FaultInjector::Fire(chaos::FaultSite::kEngineRun)) {
+    rq.faulted = true;
+    return 0;
+  }
+  // Pay fixed costs first.
+  Micros consumed = std::min(budget, rq.overhead_remaining);
+  rq.overhead_remaining -= consumed;
+  if (rq.overhead_remaining > 0) return consumed;
+
+  const Micros rows_us = Advance(rq.state.get(), budget - consumed);
+  consumed += rows_us;
+  rq.done = rq.state->cursor >= rq.state->pinned_rows;
+  AfterSlice(rq.state.get(), rows_us);
+  // Leftover sub-position budget is banked in the state's credit, so the
+  // whole slice counts as consumed while the query is still running.
+  if (!rq.done) return budget;
+  return std::min(consumed, budget);
+}
+
+bool EngineBase::IsDone(QueryHandle handle) const {
+  auto it = queries_.find(handle);
+  return it != queries_.end() && it->second.done;
+}
+
+Result<query::QueryResult> EngineBase::PollResult(QueryHandle handle) {
+  auto it = queries_.find(handle);
+  if (it == queries_.end()) return Status::KeyError("unknown query handle");
+  if (it->second.faulted) {
+    return Status::IOError("injected run fault (engine '" + name_ + "')");
+  }
+  return Answer(it->second);
+}
+
+void EngineBase::Cancel(QueryHandle handle) {
+  auto it = queries_.find(handle);
+  if (it == queries_.end()) return;
+  // Snapshot the query's progress so later equal or refined queries can
+  // skip the physical recomputation.
+  if (reuse_cache_ != nullptr) {
+    const QueryState& state = *it->second.state;
+    const bool lazy = state.lazy_joins;
+    reuse_cache_->Store(state.spec, *state.aggregator,
+                        [this, lazy](const query::QuerySpec& s) {
+                          return BindQuery(s, lazy);
+                        });
+  }
+  queries_.erase(it);
 }
 
 namespace {

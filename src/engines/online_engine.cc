@@ -1,9 +1,5 @@
 #include "engines/online_engine.h"
 
-#include <algorithm>
-#include <cmath>
-
-#include "chaos/fault_injector.h"
 #include "exec/parallel.h"
 
 namespace idebench::engines {
@@ -36,34 +32,29 @@ Result<Micros> OnlineEngine::Prepare(
 
 Result<QueryHandle> OnlineEngine::Submit(const query::QuerySpec& spec) {
   if (!attached()) return Status::Invalid("engine not prepared");
-  auto rq = std::make_unique<RunningQuery>();
-  rq->spec = spec;
-  rq->online = SupportsOnline(spec);
-  if (!rq->online && !config_.enable_fallback) {
+  auto state = std::make_shared<OnlineQuery>();
+  state->online = SupportsOnline(spec);
+  if (!state->online && !config_.enable_fallback) {
     return Status::NotImplemented(
         "query not supported online and fallback is disabled");
   }
 
   int joins_built = 0;
-  IDB_ASSIGN_OR_RETURN(
-      exec::BoundQuery bound,
-      BindQuery(rq->spec, /*lazy=*/rq->online, &joins_built));
-  rq->bound = std::make_unique<exec::BoundQuery>(std::move(bound));
-  rq->aggregator = std::make_unique<exec::BinnedAggregator>(
-      rq->bound.get(), MakeAggregatorOptions());
-  rq->reuse = AcquireReuse(rq->spec);
+  IDB_RETURN_NOT_OK(
+      BindState(state.get(), spec, /*lazy=*/state->online, &joins_built));
 
-  IDB_ASSIGN_OR_RETURN(std::vector<std::string> dims, RequiredJoins(rq->spec));
+  IDB_ASSIGN_OR_RETURN(std::vector<std::string> dims, RequiredJoins(spec));
   const double mult = ComplexityMultiplier(
-      rq->spec, static_cast<int>(dims.size()), config_.factors);
-  if (rq->online) {
+      spec, static_cast<int>(dims.size()), config_.factors);
+  Micros overhead = static_cast<Micros>(config_.query_overhead_us);
+  if (state->online) {
     // Wander-join-style sampling: each sampled tuple costs sample_us
     // (times complexity), independent of data scale — absolute sample
     // size is what determines estimate quality.  The walk offset is a
     // stable function of the query's core signature, so equal or refined
     // queries re-walk the same rows — the precondition for reuse.
-    rq->row_cost_us = config_.sample_us_per_row * mult;
-    rq->walk_offset = WalkOffsetFor(rq->spec);
+    state->row_cost_us = config_.sample_us_per_row * mult;
+    state->walk_offset = WalkOffsetFor(spec);
   } else {
     // Blocking fallback at row-store scan speed over the nominal data;
     // the normalized fact table's narrower rows scan faster.
@@ -71,127 +62,57 @@ Result<QueryHandle> OnlineEngine::Submit(const query::QuerySpec& spec) {
     if (this->catalog().is_normalized()) {
       scan_ns *= 1.0 - config_.normalized_scan_discount;
     }
-    rq->row_cost_us = scan_ns * mult * scale() / 1000.0;
+    state->row_cost_us = scan_ns * mult * scale() / 1000.0;
     // Fallback joins are materialized and charged like a hash join build.
-    rq->overhead_remaining += static_cast<Micros>(
+    overhead += static_cast<Micros>(
         static_cast<double>(joins_built) * static_cast<double>(nominal_rows()) *
         (2.0 * config_.fallback_scan_ns_per_row) / 1000.0);
   }
-  rq->overhead_remaining += static_cast<Micros>(config_.query_overhead_us);
   // Pin the published watermark: the walk/scan never reads past it, so
   // the answer is independent of rows staged or published afterwards.
-  rq->pinned_rows = visible_rows();
-
-  const QueryHandle handle = NextHandle();
-  queries_.emplace(handle, std::move(rq));
-  return handle;
+  state->pinned_rows = visible_rows();
+  return Register(std::move(state), overhead);
 }
 
-void OnlineEngine::PublishSnapshot(RunningQuery* rq) {
-  query::QueryResult snapshot =
-      rq->aggregator->EstimateFromUniformSample(rq->pinned_rows, z_score());
-  snapshot.available = rq->aggregator->rows_seen() > 0;
-  rq->snapshot = std::move(snapshot);
-  rq->last_report_us = rq->work_done_us;
+void OnlineEngine::Feed(QueryState* state, int64_t begin, int64_t end) {
+  if (static_cast<const OnlineQuery*>(state)->online) {
+    // Batched shuffled-walk sampling through the vectorized pipeline.
+    exec::ProcessWalkParallel(state->aggregator.get(), ShuffledRows(),
+                              state->walk_offset, begin, end - begin,
+                              config_.execution_threads);
+  } else {
+    exec::ProcessRangeParallel(state->aggregator.get(), begin, end,
+                               config_.execution_threads);
+  }
 }
 
-Micros OnlineEngine::RunFor(QueryHandle handle, Micros budget) {
-  auto it = queries_.find(handle);
-  if (it == queries_.end() || budget <= 0) return 0;
-  RunningQuery& rq = *it->second;
-  if (rq.done || rq.faulted) return 0;
-  // Chaos site: transient mid-run failure; the handle wedges and the
-  // error surfaces on the next PollResult.
-  if (chaos::FaultInjector::Fire(chaos::FaultSite::kEngineRun)) {
-    rq.faulted = true;
-    return 0;
+void OnlineEngine::AfterSlice(QueryState* state, Micros rows_us) {
+  auto* oq = static_cast<OnlineQuery*>(state);
+  oq->work_done_us += rows_us;
+  // Intermediate results surface only at report-interval boundaries.
+  if (!oq->online ||
+      oq->work_done_us - oq->last_report_us < config_.report_interval_us) {
+    return;
   }
-
-  Micros consumed = 0;
-  const Micros overhead = std::min(budget, rq.overhead_remaining);
-  rq.overhead_remaining -= overhead;
-  consumed += overhead;
-  if (rq.overhead_remaining > 0) return consumed;
-
-  rq.credit_us += static_cast<double>(budget - consumed);
-  const int64_t affordable =
-      rq.row_cost_us > 0.0
-          ? static_cast<int64_t>(rq.credit_us / rq.row_cost_us)
-          : rq.pinned_rows;
-  const int64_t remaining = rq.pinned_rows - rq.cursor;
-  const int64_t todo = std::min(affordable, remaining);
-  if (todo > 0) {
-    // Positions covered by a cached snapshot (walk and scan positions
-    // alike — the mode is a function of the core signature) are served
-    // from it; the remainder runs through the physical pipeline.
-    const int64_t end = rq.cursor + todo;
-    const int64_t served_to =
-        ServeReuse(rq.reuse, rq.aggregator.get(), rq.cursor, end);
-    if (served_to < end) {
-      if (rq.online) {
-        // Batched shuffled-walk sampling through the vectorized pipeline.
-        exec::ProcessWalkParallel(rq.aggregator.get(), ShuffledRows(),
-                                  rq.walk_offset, served_to, end - served_to,
-                                  config_.execution_threads);
-      } else {
-        exec::ProcessRangeParallel(rq.aggregator.get(), served_to, end,
-                                   config_.execution_threads);
-      }
-    }
-    rq.cursor += todo;
-    const double spent = static_cast<double>(todo) * rq.row_cost_us;
-    rq.credit_us -= spent;
-    consumed += static_cast<Micros>(std::llround(spent));
-    rq.work_done_us += static_cast<Micros>(std::llround(spent));
-  }
-
-  if (rq.cursor >= rq.pinned_rows) {
-    rq.done = true;
-    rq.credit_us = 0.0;
-    PublishSnapshot(&rq);
-  } else if (rq.online && rq.work_done_us - rq.last_report_us >=
-                              config_.report_interval_us) {
-    // Intermediate results surface only at report-interval boundaries.
-    PublishSnapshot(&rq);
-  }
-  // Leftover sub-row budget is banked in credit_us, so the whole slice
-  // counts as consumed while the query is still running.
-  if (!rq.done) return budget;
-  return std::min(consumed, budget);
+  oq->snapshot = oq->aggregator->EstimateFromUniformSample(oq->pinned_rows,
+                                                           z_score());
+  oq->snapshot.available = oq->aggregator->rows_seen() > 0;
+  oq->last_report_us = oq->work_done_us;
 }
 
-bool OnlineEngine::IsDone(QueryHandle handle) const {
-  auto it = queries_.find(handle);
-  return it != queries_.end() && it->second->done;
-}
-
-Result<query::QueryResult> OnlineEngine::PollResult(QueryHandle handle) {
-  auto it = queries_.find(handle);
-  if (it == queries_.end()) return Status::KeyError("unknown query handle");
-  RunningQuery& rq = *it->second;
-  if (rq.faulted) {
-    return Status::IOError("injected run fault (engine '" + name() + "')");
-  }
+query::QueryResult OnlineEngine::Answer(const RunningQuery& rq) const {
+  const auto& oq = static_cast<const OnlineQuery&>(*rq.state);
   if (rq.done) {
-    query::QueryResult result = rq.aggregator->ExactResult();
+    query::QueryResult result = oq.aggregator->ExactResult();
     result.available = true;
     return result;
   }
-  if (!rq.online) {
+  if (!oq.online) {
     query::QueryResult pending;
     pending.available = false;
     return pending;
   }
-  return rq.snapshot;  // may be unavailable before the first interval
-}
-
-void OnlineEngine::Cancel(QueryHandle handle) {
-  auto it = queries_.find(handle);
-  if (it != queries_.end()) {
-    StoreReuse(it->second->spec, *it->second->aggregator,
-               /*lazy_joins=*/it->second->online);
-    queries_.erase(it);
-  }
+  return oq.snapshot;  // may be unavailable before the first interval
 }
 
 }  // namespace idebench::engines

@@ -18,10 +18,8 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 
 #include "engines/engine_base.h"
-#include "exec/aggregator.h"
 
 namespace idebench::engines {
 
@@ -62,10 +60,6 @@ class OnlineEngine : public EngineBase {
   Result<Micros> Prepare(
       std::shared_ptr<const storage::Catalog> catalog) override;
   Result<QueryHandle> Submit(const query::QuerySpec& spec) override;
-  Micros RunFor(QueryHandle handle, Micros budget) override;
-  bool IsDone(QueryHandle handle) const override;
-  Result<query::QueryResult> PollResult(QueryHandle handle) override;
-  void Cancel(QueryHandle handle) override;
 
   const OnlineEngineConfig& config() const { return config_; }
 
@@ -73,29 +67,21 @@ class OnlineEngine : public EngineBase {
   static bool SupportsOnline(const query::QuerySpec& spec);
 
  private:
-  struct RunningQuery {
-    query::QuerySpec spec;
-    std::unique_ptr<exec::BoundQuery> bound;
-    std::unique_ptr<exec::BinnedAggregator> aggregator;
-    exec::ReuseCache::Match reuse;  // cached prefix (walk or scan)
-    bool online = false;
-    int64_t cursor = 0;             // position in the shuffled walk / scan
-    int64_t walk_offset = 0;        // random start into the permutation
-    int64_t pinned_rows = 0;        // visible watermark pinned at Submit
-    Micros overhead_remaining = 0;
-    double row_cost_us = 0.0;
-    double credit_us = 0.0;
-    Micros work_done_us = 0;        // virtual work spent on rows so far
-    Micros last_report_us = 0;      // work mark of the published snapshot
-    query::QueryResult snapshot;    // last published intermediate result
-    bool done = false;
-    bool faulted = false;           // injected run fault; surfaced via Poll
+  struct OnlineQuery : QueryState {
+    bool online = false;           // shuffled walk; else blocking fallback
+    Micros work_done_us = 0;       // virtual work spent on rows so far
+    Micros last_report_us = 0;     // work mark of the published snapshot
+    query::QueryResult snapshot;   // last published intermediate result
   };
 
-  void PublishSnapshot(RunningQuery* rq);
+  /// Feed positions are shuffled-walk steps on the online path and fact
+  /// rows in table order on the fallback.
+  void Feed(QueryState* state, int64_t begin, int64_t end) override;
+  /// Publishes a snapshot at every report-interval boundary.
+  void AfterSlice(QueryState* state, Micros rows_us) override;
+  query::QueryResult Answer(const RunningQuery& rq) const override;
 
   OnlineEngineConfig config_;
-  std::unordered_map<QueryHandle, std::unique_ptr<RunningQuery>> queries_;
 };
 
 }  // namespace idebench::engines

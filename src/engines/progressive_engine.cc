@@ -1,9 +1,7 @@
 #include "engines/progressive_engine.h"
 
 #include <algorithm>
-#include <cmath>
 
-#include "chaos/fault_injector.h"
 #include "exec/parallel.h"
 
 namespace idebench::engines {
@@ -24,16 +22,10 @@ Result<Micros> ProgressiveEngine::Prepare(
   return config_.prepare_time_us;
 }
 
-Result<std::shared_ptr<ProgressiveEngine::SampleState>>
-ProgressiveEngine::MakeState(const query::QuerySpec& spec) {
-  auto state = std::make_shared<SampleState>();
-  state->spec = spec;
-  IDB_ASSIGN_OR_RETURN(exec::BoundQuery bound,
-                       BindQuery(state->spec, /*lazy=*/true));
-  state->bound = std::make_unique<exec::BoundQuery>(std::move(bound));
-  state->aggregator = std::make_unique<exec::BinnedAggregator>(
-      state->bound.get(), MakeAggregatorOptions());
-  state->reuse = AcquireReuse(state->spec);
+Result<std::shared_ptr<EngineBase::QueryState>> ProgressiveEngine::MakeState(
+    const query::QuerySpec& spec) {
+  auto state = std::make_shared<QueryState>();
+  IDB_RETURN_NOT_OK(BindState(state.get(), spec, /*lazy=*/true));
   IDB_ASSIGN_OR_RETURN(std::vector<std::string> dims, RequiredJoins(spec));
   const double mult = ComplexityMultiplier(
       spec, static_cast<int>(dims.size()), config_.factors);
@@ -50,41 +42,40 @@ Result<QueryHandle> ProgressiveEngine::Submit(const query::QuerySpec& spec) {
   if (!attached()) return Status::Invalid("engine not prepared");
   const std::string signature = QuerySignature(spec);
 
-  auto rq = std::make_unique<RunningQuery>();
+  std::shared_ptr<QueryState> state;
   // 1. Reuse a cached sample state for an identical query.
   if (config_.enable_reuse) {
     auto cached = cache_.find(signature);
     if (cached != cache_.end()) {
-      rq->state = cached->second;
+      state = cached->second;
       ++reuse_hits_;
     }
   }
   // 2. Adopt a speculative pre-execution.
-  if (rq->state == nullptr) {
+  if (state == nullptr) {
     auto spec_it = speculations_.find(signature);
     if (spec_it != speculations_.end()) {
-      rq->state = spec_it->second.state;
-      if (rq->state->cursor > 0) ++speculation_hits_;
+      state = spec_it->second.state;
+      if (state->cursor > 0) ++speculation_hits_;
       speculations_.erase(spec_it);
     }
   }
   // 3. Cold start.
-  if (rq->state == nullptr) {
-    IDB_ASSIGN_OR_RETURN(rq->state, MakeState(spec));
+  if (state == nullptr) {
+    IDB_ASSIGN_OR_RETURN(state, MakeState(spec));
   }
   // (Re)pin to the watermark current at this submission: an adopted
   // cached state keeps its sample and extends its walk over any epochs
   // published since it last ran.
-  rq->state->pinned_rows = visible_rows();
-  if (config_.enable_reuse) cache_[signature] = rq->state;
+  state->pinned_rows = visible_rows();
+  if (config_.enable_reuse) cache_[signature] = state;
 
-  rq->overhead_remaining = static_cast<Micros>(config_.query_overhead_us);
+  Micros overhead = static_cast<Micros>(config_.query_overhead_us);
   if (first_query_after_prepare_) {
-    rq->overhead_remaining +=
-        static_cast<Micros>(config_.restart_overhead_us);
+    overhead += static_cast<Micros>(config_.restart_overhead_us);
     first_query_after_prepare_ = false;
   }
-  rq->done = rq->state->cursor >= rq->state->pinned_rows;
+  const bool done = state->cursor >= state->pinned_rows;
 
   // Only speculation reads last_spec_ and links_; with it off, recording
   // them would grow both by every viz a long-lived server ever sees.
@@ -92,101 +83,24 @@ Result<QueryHandle> ProgressiveEngine::Submit(const query::QuerySpec& spec) {
     if (!spec.viz_name.empty()) last_spec_[spec.viz_name] = spec;
     RefreshSpeculations();
   }
-
-  const QueryHandle handle = NextHandle();
-  queries_.emplace(handle, std::move(rq));
-  return handle;
+  return Register(std::move(state), overhead, done);
 }
 
-Micros ProgressiveEngine::AdvanceState(SampleState* state, Micros budget) {
-  if (budget <= 0) return 0;
-  state->credit_us += static_cast<double>(budget);
-  const int64_t affordable =
-      state->row_cost_us > 0.0
-          ? static_cast<int64_t>(state->credit_us / state->row_cost_us)
-          : state->pinned_rows;
-  const int64_t remaining = state->pinned_rows - state->cursor;
-  const int64_t todo = std::min(affordable, remaining);
-  if (todo <= 0) {
-    // Either out of budget for even one row, or the walk is complete.
-    if (remaining == 0) {
-      state->credit_us = 0.0;
-      return 0;
-    }
-    return 0;
-  }
-  // Walk positions covered by a cached snapshot are served from it; the
-  // remainder runs batched shuffled-walk sampling through the vectorized
-  // pipeline, morsel-parallel when worker threads are configured.
-  const int64_t end = state->cursor + todo;
-  const int64_t served_to =
-      ServeReuse(state->reuse, state->aggregator.get(), state->cursor, end);
-  if (served_to < end) {
-    exec::ProcessWalkParallel(state->aggregator.get(), ShuffledRows(),
-                              state->walk_offset, served_to, end - served_to,
-                              config_.execution_threads);
-  }
-  state->cursor += todo;
-  const double spent = static_cast<double>(todo) * state->row_cost_us;
-  state->credit_us -= spent;
-  return static_cast<Micros>(std::llround(spent));
+void ProgressiveEngine::Feed(QueryState* state, int64_t begin, int64_t end) {
+  // Batched shuffled-walk sampling through the vectorized pipeline,
+  // morsel-parallel when worker threads are configured.
+  exec::ProcessWalkParallel(state->aggregator.get(), ShuffledRows(),
+                            state->walk_offset, begin, end - begin,
+                            config_.execution_threads);
 }
 
-Micros ProgressiveEngine::RunFor(QueryHandle handle, Micros budget) {
-  auto it = queries_.find(handle);
-  if (it == queries_.end() || budget <= 0) return 0;
-  RunningQuery& rq = *it->second;
-  if (rq.done || rq.faulted) return 0;
-  // Chaos site: transient mid-run failure; the handle wedges and the
-  // error surfaces on the next PollResult.
-  if (chaos::FaultInjector::Fire(chaos::FaultSite::kEngineRun)) {
-    rq.faulted = true;
-    return 0;
-  }
-
-  Micros consumed = 0;
-  const Micros overhead = std::min(budget, rq.overhead_remaining);
-  rq.overhead_remaining -= overhead;
-  consumed += overhead;
-  if (rq.overhead_remaining > 0) return consumed;
-
-  consumed += AdvanceState(rq.state.get(), budget - consumed);
-  if (rq.state->cursor >= rq.state->pinned_rows) rq.done = true;
-  // Leftover sub-row budget is banked in the state's credit, so the whole
-  // slice counts as consumed while the walk is still running.
-  if (!rq.done) return budget;
-  return std::min(consumed, budget);
-}
-
-bool ProgressiveEngine::IsDone(QueryHandle handle) const {
-  auto it = queries_.find(handle);
-  return it != queries_.end() && it->second->done;
-}
-
-Result<query::QueryResult> ProgressiveEngine::PollResult(QueryHandle handle) {
-  auto it = queries_.find(handle);
-  if (it == queries_.end()) return Status::KeyError("unknown query handle");
-  RunningQuery& rq = *it->second;
-  if (rq.faulted) {
-    return Status::IOError("injected run fault (engine '" + name() + "')");
-  }
-  query::QueryResult result = rq.state->aggregator->EstimateFromUniformSample(
-      rq.state->pinned_rows, z_score());
+query::QueryResult ProgressiveEngine::Answer(const RunningQuery& rq) const {
+  const QueryState& state = *rq.state;
+  query::QueryResult result =
+      state.aggregator->EstimateFromUniformSample(state.pinned_rows, z_score());
   // Fully progressive: anything sampled so far is fetchable immediately.
-  result.available = rq.state->aggregator->rows_seen() > 0;
+  result.available = state.aggregator->rows_seen() > 0;
   return result;
-}
-
-void ProgressiveEngine::Cancel(QueryHandle handle) {
-  // The sample state stays in the semantic reuse cache; only the handle
-  // dies.  The cross-interaction cache snapshots the state's progress so
-  // later equal/refined queries can skip the physical recomputation.
-  auto it = queries_.find(handle);
-  if (it != queries_.end()) {
-    const SampleState& state = *it->second->state;
-    StoreReuse(state.spec, *state.aggregator, /*lazy_joins=*/true);
-    queries_.erase(it);
-  }
 }
 
 void ProgressiveEngine::LinkVizs(const std::string& from,
@@ -302,7 +216,7 @@ void ProgressiveEngine::OnThink(Micros duration) {
   for (auto& [sig, spec_entry] : speculations_) {
     const Micros share = static_cast<Micros>(
         static_cast<double>(duration) * spec_entry.weight / total_weight);
-    AdvanceState(spec_entry.state.get(), share);
+    Advance(spec_entry.state.get(), share);
   }
 }
 

@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "engines/engine_base.h"
-#include "exec/aggregator.h"
 
 namespace idebench::engines {
 
@@ -71,10 +70,6 @@ class ProgressiveEngine : public EngineBase {
   Result<Micros> Prepare(
       std::shared_ptr<const storage::Catalog> catalog) override;
   Result<QueryHandle> Submit(const query::QuerySpec& spec) override;
-  Micros RunFor(QueryHandle handle, Micros budget) override;
-  bool IsDone(QueryHandle handle) const override;
-  Result<query::QueryResult> PollResult(QueryHandle handle) override;
-  void Cancel(QueryHandle handle) override;
 
   void LinkVizs(const std::string& from, const std::string& to) override;
   void DiscardViz(const std::string& viz) override;
@@ -89,46 +84,22 @@ class ProgressiveEngine : public EngineBase {
   int64_t speculation_hits() const { return speculation_hits_; }
 
  private:
-  /// Shared sample state for one canonical query (live, cached or
-  /// speculative).
-  struct SampleState {
-    query::QuerySpec spec;
-    std::unique_ptr<exec::BoundQuery> bound;
-    std::unique_ptr<exec::BinnedAggregator> aggregator;
-    exec::ReuseCache::Match reuse;  // cached walk prefix to serve from
-    int64_t cursor = 0;       // progress along the shuffled walk
-    int64_t walk_offset = 0;  // signature-stable start into the permutation
-    /// Visible-row watermark the walk is pinned to: set at creation,
-    /// refreshed to the current watermark each time a Submit adopts this
-    /// state (the continuous-aggregate behavior — a re-submitted query
-    /// keeps its sample and extends the walk over newly published
-    /// epochs).  The walk never reads past it, so results stay
-    /// bit-identical to a run against a table frozen at this watermark
-    /// no matter what lands in the open epoch meanwhile.
-    int64_t pinned_rows = 0;
-    double row_cost_us = 0.0;
-    double credit_us = 0.0;
-  };
+  /// A cold sample state for `spec`, pinned at the current watermark.
+  Result<std::shared_ptr<QueryState>> MakeState(const query::QuerySpec& spec);
 
-  struct RunningQuery {
-    std::shared_ptr<SampleState> state;
-    Micros overhead_remaining = 0;
-    bool done = false;
-    bool faulted = false;  // injected run fault; surfaced via Poll
-  };
-
-  Result<std::shared_ptr<SampleState>> MakeState(const query::QuerySpec& spec);
-
-  /// Advances `state` by up to `budget`; returns consumed micros.
-  Micros AdvanceState(SampleState* state, Micros budget);
+  /// Feed positions are shuffled-walk steps.
+  void Feed(QueryState* state, int64_t begin, int64_t end) override;
+  query::QueryResult Answer(const RunningQuery& rq) const override;
 
   /// (Re)builds the speculative candidate list for one link.
   void RefreshSpeculations();
 
   ProgressiveEngineConfig config_;
-  std::unordered_map<QueryHandle, std::unique_ptr<RunningQuery>> queries_;
-  /// Reuse cache: canonical signature -> sample state.
-  std::unordered_map<std::string, std::shared_ptr<SampleState>> cache_;
+  /// Semantic cache: canonical signature -> sample state.  An equal
+  /// query adopts the state with its cursor and banked credit, and
+  /// re-pins it to the current watermark, so it keeps its sample and
+  /// extends the walk over epochs published since.
+  std::unordered_map<std::string, std::shared_ptr<QueryState>> cache_;
   /// Last submitted spec per viz name.  This and links_ feed only
   /// speculation and are recorded only while it is enabled.
   std::unordered_map<std::string, query::QuerySpec> last_spec_;
@@ -136,7 +107,7 @@ class ProgressiveEngine : public EngineBase {
   std::vector<std::pair<std::string, std::string>> links_;
   /// Speculative candidates: signature -> (state, popularity weight).
   struct Speculation {
-    std::shared_ptr<SampleState> state;
+    std::shared_ptr<QueryState> state;
     double weight = 1.0;
   };
   std::map<std::string, Speculation> speculations_;

@@ -1,9 +1,5 @@
 #include "engines/stratified_engine.h"
 
-#include <algorithm>
-#include <cmath>
-
-#include "chaos/fault_injector.h"
 #include "exec/parallel.h"
 
 namespace idebench::engines {
@@ -92,103 +88,40 @@ Result<QueryHandle> StratifiedEngine::Submit(const query::QuerySpec& spec) {
   // this query's sample extent.
   ExtendSampleForPublishedEpochs();
 
-  auto rq = std::make_unique<RunningQuery>();
-  rq->spec = spec;
-  IDB_ASSIGN_OR_RETURN(exec::BoundQuery bound,
-                       BindQuery(rq->spec, /*lazy=*/true));
-  rq->bound = std::make_unique<exec::BoundQuery>(std::move(bound));
-  rq->aggregator = std::make_unique<exec::BinnedAggregator>(
-      rq->bound.get(), MakeAggregatorOptions());
-  rq->reuse = AcquireReuse(rq->spec);
-
-  const double mult = ComplexityMultiplier(rq->spec, 0, config_.factors);
+  auto state = std::make_shared<QueryState>();
+  IDB_RETURN_NOT_OK(BindState(state.get(), spec, /*lazy=*/true));
+  const double mult = ComplexityMultiplier(spec, 0, config_.factors);
   // Scanning the whole sample costs rate * nominal * ns; spread evenly
   // over the actual sample rows.
   const double total_us = static_cast<double>(nominal_rows()) *
                           config_.sampling_rate *
                           config_.sample_scan_ns_per_row * mult / 1000.0;
-  rq->row_cost_us =
+  state->row_cost_us =
       sample_.size() > 0 ? total_us / static_cast<double>(sample_.size()) : 0.0;
-  rq->overhead_remaining = static_cast<Micros>(config_.query_overhead_us);
-  rq->pinned_sample = sample_.size();
-
-  const QueryHandle handle = NextHandle();
-  queries_.emplace(handle, std::move(rq));
-  return handle;
+  state->pinned_rows = sample_.size();
+  return Register(std::move(state),
+                  static_cast<Micros>(config_.query_overhead_us));
 }
 
-Micros StratifiedEngine::RunFor(QueryHandle handle, Micros budget) {
-  auto it = queries_.find(handle);
-  if (it == queries_.end() || budget <= 0) return 0;
-  RunningQuery& rq = *it->second;
-  if (rq.done || rq.faulted) return 0;
-  // Chaos site: transient mid-run failure; the handle wedges and the
-  // error surfaces on the next PollResult.
-  if (chaos::FaultInjector::Fire(chaos::FaultSite::kEngineRun)) {
-    rq.faulted = true;
-    return 0;
-  }
-
-  Micros consumed = 0;
-  const Micros overhead = std::min(budget, rq.overhead_remaining);
-  rq.overhead_remaining -= overhead;
-  consumed += overhead;
-  if (rq.overhead_remaining > 0) return consumed;
-
-  rq.credit_us += static_cast<double>(budget - consumed);
-  const int64_t affordable =
-      rq.row_cost_us > 0.0
-          ? static_cast<int64_t>(rq.credit_us / rq.row_cost_us)
-          : rq.pinned_sample;
-  const int64_t remaining = rq.pinned_sample - rq.cursor;
-  const int64_t todo = std::min(affordable, remaining);
-  if (todo > 0) {
-    // Sample positions covered by a cached snapshot are served from it
-    // (candidates carry their stratum weights).  The sample is laid out
-    // stratum by stratum, so per-row weights of the remainder form runs
-    // of equal values; feed each run as one weighted batch through the
-    // vectorized pipeline.
-    const int64_t end = rq.cursor + todo;
-    const int64_t served_to =
-        ServeReuse(rq.reuse, rq.aggregator.get(), rq.cursor, end);
-    for (int64_t i = served_to; i < end;) {
-      const size_t pos = static_cast<size_t>(i);
-      const double w = sample_.weights[pos];
-      int64_t j = i + 1;
-      while (j < end && sample_.weights[static_cast<size_t>(j)] == w) {
-        ++j;
-      }
-      exec::ProcessBatchParallel(rq.aggregator.get(), &sample_.rows[pos],
-                                 j - i, w, config_.execution_threads);
-      i = j;
+void StratifiedEngine::Feed(QueryState* state, int64_t begin, int64_t end) {
+  // The sample is laid out stratum by stratum, so per-row weights form
+  // runs of equal values; feed each run as one weighted batch through the
+  // vectorized pipeline.  (Positions served from the reuse cache replay
+  // with their recorded stratum weights.)
+  for (int64_t i = begin; i < end;) {
+    const size_t pos = static_cast<size_t>(i);
+    const double w = sample_.weights[pos];
+    int64_t j = i + 1;
+    while (j < end && sample_.weights[static_cast<size_t>(j)] == w) {
+      ++j;
     }
-    rq.cursor += todo;
-    const double spent = static_cast<double>(todo) * rq.row_cost_us;
-    rq.credit_us -= spent;
-    consumed += static_cast<Micros>(std::llround(spent));
+    exec::ProcessBatchParallel(state->aggregator.get(), &sample_.rows[pos],
+                               j - i, w, config_.execution_threads);
+    i = j;
   }
-  if (rq.cursor >= rq.pinned_sample) {
-    rq.done = true;
-    rq.credit_us = 0.0;
-  }
-  // Leftover sub-row budget is banked in credit_us, so the whole slice
-  // counts as consumed while the query is still running.
-  if (!rq.done) return budget;
-  return std::min(consumed, budget);
 }
 
-bool StratifiedEngine::IsDone(QueryHandle handle) const {
-  auto it = queries_.find(handle);
-  return it != queries_.end() && it->second->done;
-}
-
-Result<query::QueryResult> StratifiedEngine::PollResult(QueryHandle handle) {
-  auto it = queries_.find(handle);
-  if (it == queries_.end()) return Status::KeyError("unknown query handle");
-  const RunningQuery& rq = *it->second;
-  if (rq.faulted) {
-    return Status::IOError("injected run fault (engine '" + name() + "')");
-  }
+query::QueryResult StratifiedEngine::Answer(const RunningQuery& rq) const {
   if (!rq.done) {
     // The sample scan is blocking: no intermediate results.
     query::QueryResult pending;
@@ -196,20 +129,12 @@ Result<query::QueryResult> StratifiedEngine::PollResult(QueryHandle handle) {
     return pending;
   }
   query::QueryResult result =
-      rq.aggregator->EstimateFromWeightedSample(z_score());
+      rq.state->aggregator->EstimateFromWeightedSample(z_score());
   result.available = true;
   // Progress in nominal terms: the whole sample covers `sampling_rate` of
   // the data.
   result.progress = config_.sampling_rate;
   return result;
-}
-
-void StratifiedEngine::Cancel(QueryHandle handle) {
-  auto it = queries_.find(handle);
-  if (it != queries_.end()) {
-    StoreReuse(it->second->spec, *it->second->aggregator, /*lazy_joins=*/true);
-    queries_.erase(it);
-  }
 }
 
 }  // namespace idebench::engines

@@ -19,11 +19,9 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 
 #include "aqp/sampler.h"
 #include "engines/engine_base.h"
-#include "exec/aggregator.h"
 
 namespace idebench::engines {
 
@@ -62,10 +60,6 @@ class StratifiedEngine : public EngineBase {
   Result<Micros> Prepare(
       std::shared_ptr<const storage::Catalog> catalog) override;
   Result<QueryHandle> Submit(const query::QuerySpec& spec) override;
-  Micros RunFor(QueryHandle handle, Micros budget) override;
-  bool IsDone(QueryHandle handle) const override;
-  Result<query::QueryResult> PollResult(QueryHandle handle) override;
-  void Cancel(QueryHandle handle) override;
 
   const StratifiedEngineConfig& config() const { return config_; }
 
@@ -73,22 +67,12 @@ class StratifiedEngine : public EngineBase {
   const aqp::StratifiedSample& sample() const { return sample_; }
 
  private:
-  struct RunningQuery {
-    query::QuerySpec spec;
-    std::unique_ptr<exec::BoundQuery> bound;
-    std::unique_ptr<exec::BinnedAggregator> aggregator;
-    exec::ReuseCache::Match reuse;  // cached sample-scan prefix
-    int64_t cursor = 0;  // position within the sample
-    /// Sample size pinned at Submit: under streaming ingest the sample
-    /// grows by one delta block per published epoch, and a query must
-    /// only scan the rows its watermark covers.
-    int64_t pinned_sample = 0;
-    Micros overhead_remaining = 0;
-    double row_cost_us = 0.0;  // per sample row
-    double credit_us = 0.0;
-    bool done = false;
-    bool faulted = false;  // injected run fault; surfaced via Poll
-  };
+  /// Feed positions are sample indices.  A query pins the sample size at
+  /// Submit: under streaming ingest the sample grows by one delta block
+  /// per published epoch, and a query must only scan the rows its
+  /// watermark covers.
+  void Feed(QueryState* state, int64_t begin, int64_t end) override;
+  query::QueryResult Answer(const RunningQuery& rq) const override;
 
   /// Appends one range-local stratified delta block per epoch published
   /// since the last call (no-op without ingest).  Each delta's shuffle is
@@ -100,7 +84,6 @@ class StratifiedEngine : public EngineBase {
   aqp::StratifiedSample sample_;
   std::string strat_column_;         // resolved stratification column
   int64_t sampled_watermark_ = 0;    // base rows covered by sample_
-  std::unordered_map<QueryHandle, std::unique_ptr<RunningQuery>> queries_;
 };
 
 }  // namespace idebench::engines
