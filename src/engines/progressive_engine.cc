@@ -43,10 +43,18 @@ Result<QueryHandle> ProgressiveEngine::Submit(const query::QuerySpec& spec) {
   const std::string signature = QuerySignature(spec);
 
   std::shared_ptr<QueryState> state;
-  // 1. Reuse a cached sample state for an identical query.
+  // 1. Continue the cached sample state of an identical query.  Adopting
+  // re-pins it to the current watermark, so it must not be one that
+  // another live handle runs at an older watermark (use_count 1: only
+  // the cache holds it).  And its bins must still be the spec's: a
+  // publish can re-resolve them.  Otherwise start cold, and the new
+  // state replaces the entry.
   if (config_.enable_reuse) {
     auto cached = cache_.find(signature);
-    if (cached != cache_.end()) {
+    if (cached != cache_.end() &&
+        exec::SameBinTables(cached->second->spec, spec) &&
+        (cached->second->pinned_rows == visible_rows() ||
+         cached->second.use_count() == 1)) {
       state = cached->second;
       ++reuse_hits_;
     }

@@ -98,7 +98,8 @@ class ProgressiveEngine : public EngineBase {
   /// Semantic cache: canonical signature -> sample state.  An equal
   /// query adopts the state with its cursor and banked credit, and
   /// re-pins it to the current watermark, so it keeps its sample and
-  /// extends the walk over epochs published since.
+  /// extends the walk over epochs published since (see Submit for when
+  /// it may not).
   std::unordered_map<std::string, std::shared_ptr<QueryState>> cache_;
   /// Last submitted spec per viz name.  This and links_ feed only
   /// speculation and are recorded only while it is enabled.

@@ -17,12 +17,12 @@ bool PoisonHit() {
   return chaos::FaultInjector::Fire(chaos::FaultSite::kReusePoison);
 }
 
-/// Delta maintenance folds new epochs into *matching bin-table*
-/// snapshots.  An epoch publish that moves a column's min/max or grows a
-/// dictionary re-resolves the spec's bins, and a snapshot resolved under
-/// the old tables can no longer be adopted index-wise — its dense arrays
-/// are keyed by the old bin layout.  (The recorded candidate list stays
-/// valid either way: replay re-bins by value through the new binding.)
+}  // namespace
+
+// Delta maintenance folds new epochs into *matching bin-table* snapshots
+// only: a snapshot's dense arrays are keyed by the bin layout it was
+// resolved under.  (The recorded candidate list stays valid either way:
+// replay re-bins by value through the new binding.)
 bool SameBinTables(const query::QuerySpec& a, const query::QuerySpec& b) {
   if (a.bins.size() != b.bins.size()) return false;
   for (size_t i = 0; i < a.bins.size(); ++i) {
@@ -34,8 +34,6 @@ bool SameBinTables(const query::QuerySpec& a, const query::QuerySpec& b) {
   }
   return true;
 }
-
-}  // namespace
 
 ReuseCache::ReuseCache(ReuseCacheOptions options) : options_(options) {}
 

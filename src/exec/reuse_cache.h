@@ -65,6 +65,13 @@
 
 namespace idebench::exec {
 
+/// True when `a` and `b` resolved their bins to the same tables (count,
+/// origin and width per dimension), so aggregator state built for one is
+/// laid out index-wise for the other.  An epoch publish that moves a
+/// column's min/max or grows a dictionary re-resolves a spec's bins, and
+/// state resolved under the old tables can then no longer be adopted.
+bool SameBinTables(const query::QuerySpec& a, const query::QuerySpec& b);
+
 /// Capacity knobs.
 struct ReuseCacheOptions {
   /// Entries retained per visualization (LRU within the viz).

@@ -647,8 +647,9 @@ TEST(IngestPinningTest, SemanticCacheHitAfterDictionaryGrowthStaysInRange) {
   const query::QuerySpec spec = CountByCarrier(*f.catalog);
   const int64_t bins = spec.bins[0].bin_count;
 
-  const auto run_to_completion = [&](query::QueryResult* out) {
-    auto h = engine.Submit(spec);
+  const auto run_to_completion = [&](const query::QuerySpec& submitted,
+                                     query::QueryResult* out) {
+    auto h = engine.Submit(submitted);
     ASSERT_TRUE(h.ok());
     for (int i = 0; i < 64 && !engine.IsDone(*h); ++i) {
       engine.RunFor(*h, 10'000'000'000LL);
@@ -660,7 +661,7 @@ TEST(IngestPinningTest, SemanticCacheHitAfterDictionaryGrowthStaysInRange) {
     engine.Cancel(*h);
   };
   query::QueryResult before;
-  ASSERT_NO_FATAL_FAILURE(run_to_completion(&before));
+  ASSERT_NO_FATAL_FAILURE(run_to_completion(spec, &before));
   EXPECT_EQ(before.rows_processed, 1000);
 
   // One epoch whose every row carries a carrier the dictionary lacks.
@@ -677,7 +678,7 @@ TEST(IngestPinningTest, SemanticCacheHitAfterDictionaryGrowthStaysInRange) {
             bins + 1);
 
   query::QueryResult after;
-  ASSERT_NO_FATAL_FAILURE(run_to_completion(&after));
+  ASSERT_NO_FATAL_FAILURE(run_to_completion(spec, &after));
   EXPECT_EQ(engine.reuse_hits(), 1);
   EXPECT_EQ(after.rows_processed, 1200);
   ASSERT_EQ(after.bins.size(), before.bins.size());
@@ -689,6 +690,63 @@ TEST(IngestPinningTest, SemanticCacheHitAfterDictionaryGrowthStaysInRange) {
     EXPECT_EQ(bin.values[0].estimate, it->second.values[0].estimate)
         << "bin " << key;
   }
+
+  // The spec re-resolved against the grown dictionary has one more bin.
+  // The cached state's bins no longer match it, so it starts cold and
+  // answers exactly as a fresh engine does.
+  const query::QuerySpec regrown = CountByCarrier(*f.catalog);
+  ASSERT_EQ(regrown.bins[0].bin_count, bins + 1);
+  query::QueryResult cold;
+  ASSERT_NO_FATAL_FAILURE(run_to_completion(regrown, &cold));
+  EXPECT_EQ(engine.reuse_hits(), 1);
+  engines::ProgressiveEngine fresh;
+  ASSERT_TRUE(fresh.Prepare(f.catalog).ok());
+  auto h = fresh.Submit(regrown);
+  ASSERT_TRUE(h.ok());
+  for (int i = 0; i < 64 && !fresh.IsDone(*h); ++i) {
+    fresh.RunFor(*h, 10'000'000'000LL);
+  }
+  ASSERT_TRUE(fresh.IsDone(*h));
+  auto expected = fresh.PollResult(*h);
+  ASSERT_TRUE(expected.ok());
+  EXPECT_EQ(cold.bins.size(), static_cast<size_t>(bins + 1));
+  EXPECT_EQ(Canon(cold), Canon(*expected));
+}
+
+TEST(IngestPinningTest, SemanticCacheKeepsLiveQueryPinned) {
+  // An equal query submitted after a publish must not re-pin the sample
+  // state a live handle is still walking: that handle stays pinned at
+  // its own submission watermark.
+  IngestFixture f = MakeIngestFlights(1000, 1200);
+  engines::ProgressiveEngine engine;
+  ASSERT_TRUE(engine.config().enable_reuse);
+  ASSERT_TRUE(engine.Prepare(f.catalog).ok());
+  const query::QuerySpec spec = CountByCarrier(*f.catalog);
+
+  auto first = engine.Submit(spec);
+  ASSERT_TRUE(first.ok());
+  // 610,000 us of restart + query overhead, then about 250 rows at 8 us.
+  engine.RunFor(*first, 612'000);
+  ASSERT_FALSE(engine.IsDone(*first));
+
+  ASSERT_TRUE(
+      f.ingestor->Append(BatchFromTable(*f.source, 1000, 1200)).ok());
+  ASSERT_TRUE(f.ingestor->Publish().ok());
+  auto second = engine.Submit(spec);
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(engine.reuse_hits(), 0);
+
+  for (const engines::QueryHandle h : {*first, *second}) {
+    for (int i = 0; i < 64 && !engine.IsDone(h); ++i) {
+      engine.RunFor(h, 10'000'000'000LL);
+    }
+    ASSERT_TRUE(engine.IsDone(h));
+  }
+  auto r1 = engine.PollResult(*first);
+  auto r2 = engine.PollResult(*second);
+  ASSERT_TRUE(r1.ok() && r2.ok());
+  EXPECT_EQ(r1->rows_processed, 1000);
+  EXPECT_EQ(r2->rows_processed, 1200);
 }
 
 }  // namespace
