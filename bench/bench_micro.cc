@@ -161,8 +161,7 @@ BENCHMARK(BM_HotLoopVectorized);
 /// iteration walks the table `kWalkRepeats` times so it feeds many
 /// 64K-row morsels (a single pass over the 100K-row table is barely two).
 /// Run
-///   bench_micro --benchmark_filter=HotLoop --benchmark_format=json
-/// to emit the JSON recorded in BENCH_parallel_pipeline.json.
+///   bench_micro --benchmark_filter=HotLoopParallel
 void BM_HotLoopParallel(benchmark::State& state) {
   constexpr int64_t kWalkRepeats = 8;
   const int threads = static_cast<int>(state.range(0));
@@ -193,8 +192,7 @@ BENCHMARK(BM_HotLoopParallel)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 /// built for) scanned end to end under a selective day-range filter.
 /// Arg 0 = pruning off, arg 1 = on; the on-variant reports how many rows
 /// and 64K blocks the fact-column zone maps excluded.  Run
-///   bench_micro --benchmark_filter=ZoneMap --benchmark_format=json
-/// to emit the JSON recorded in BENCH_fused_kernels.json.
+///   bench_micro --benchmark_filter=ZoneMap
 std::shared_ptr<storage::Catalog> ClusteredCatalog() {
   static std::shared_ptr<storage::Catalog> catalog = [] {
     constexpr int64_t kScanRows = 2'000'000;

@@ -16,7 +16,7 @@
 ///
 ///  * `kEnginePrepare` — `EngineBase::Attach` fails with an I/O-style
 ///    error before binding the catalog (engines recover on re-Prepare);
-///  * `kEngineRun` — an engine's `RunFor` wedges the query: the handle
+///  * `kEngineRun` — `EngineBase::RunFor` wedges the query: the handle
 ///    stops making progress and `PollResult` reports the fault, which the
 ///    session scheduler turns into a cancel + resubmit with virtual-time
 ///    backoff;

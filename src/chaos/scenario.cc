@@ -216,9 +216,9 @@ const std::vector<ScenarioSpec>& ScenarioCatalog() {
                   {FaultSite::kEngineRun, {0.02, -1}}};
       // A wedged query legitimately consumes less than it was offered.
       s.expect_full_entitlement = false;
-      // Retries re-enter Submit, where engine-internal semantic reuse can
-      // hand them a sibling's more-advanced state (see
-      // ScenarioSpec::completion_monotone).
+      // Retries re-enter Submit, where the reuse cache and the
+      // progressive engine's semantic cache can hand them a sibling's
+      // more-advanced state (see ScenarioSpec::completion_monotone).
       s.completion_monotone = false;
       out->push_back(std::move(s));
     }

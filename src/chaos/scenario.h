@@ -84,13 +84,12 @@ struct ScenarioSpec {
   // implies completing in the reference run.  That breaks once kEngineRun
   // is armed: a wedged query's cancel + retry re-enters Submit, where
   // engines may share state across submissions — the exec reuse cache
-  // snapshots the cancelled partial answer, and the progressive/
-  // stratified engines' internal semantic reuse hands the retry a
-  // sibling's more-advanced sample state — letting the retry finish
-  // *faster* than the fault-free run ever did.  Specs arming kEngineRun
-  // clear this; the cross-run check then only demands matching results
-  // for queries completed in both runs (completed answers are full-data
-  // and path-independent).
+  // snapshots the cancelled partial answer, and the progressive engine's
+  // semantic cache hands the retry a sibling's more-advanced sample
+  // state — letting the retry finish *faster* than the fault-free run
+  // ever did.  Specs arming kEngineRun clear this; the cross-run check
+  // then only demands matching results for queries completed in both
+  // runs (completed answers are full-data and path-independent).
   bool completion_monotone = true;
 
   // Serving-layer behaviors driven by the net fault sites.  These make

@@ -96,9 +96,8 @@ class EngineBase : public Engine {
   /// indices — and the query covers [0, pinned_rows).  Each handle owns
   /// one, except that the progressive engine's semantic cache lets equal
   /// handles share one (and its speculation advances some no handle
-  /// holds yet).
+  /// holds yet).  An engine may derive from it to keep fields of its own.
   struct QueryState {
-    virtual ~QueryState() = default;
     query::QuerySpec spec;
     std::unique_ptr<exec::BoundQuery> bound;
     std::unique_ptr<exec::BinnedAggregator> aggregator;

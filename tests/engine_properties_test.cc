@@ -169,6 +169,54 @@ TEST_P(EngineTrSweep, NonPositiveBudgetIsNoOp) {
   (*engine)->Cancel(*handle);
 }
 
+/// The kEngineRun chaos site wedges a handle: it makes no progress, the
+/// fault surfaces on poll, Cancel releases it, and the engine serves a
+/// resubmission normally once the site is disarmed.
+TEST_P(EngineTrSweep, InjectedRunFaultWedgesUntilCancel) {
+  const auto& [name, tr] = GetParam();
+  auto engine = CreateEngine(name);
+  ASSERT_TRUE(engine.ok());
+  auto catalog = PropCatalog(100'000);  // small: queries can finish
+  ASSERT_TRUE((*engine)->Prepare(catalog).ok());
+  QuerySpec spec = testutil::MakeCountByGroupSpec(*catalog);
+
+  auto wedged = (*engine)->Submit(spec);
+  ASSERT_TRUE(wedged.ok());
+  {
+    chaos::FaultInjector injector(23);
+    injector.Arm(chaos::FaultSite::kEngineRun, {1.0, -1});
+    chaos::ScopedFaultInjector scope(&injector);
+    EXPECT_EQ((*engine)->RunFor(*wedged, tr), 0);
+  }
+  // Wedged for good, armed site or not.
+  EXPECT_EQ((*engine)->RunFor(*wedged, tr), 0);
+  EXPECT_FALSE((*engine)->IsDone(*wedged));
+  auto polled = (*engine)->PollResult(*wedged);
+  if (name == "frontend") {
+    // The frontend shows nothing until its backend completes and the
+    // render finishes; a wedged backend never completes.
+    ASSERT_TRUE(polled.ok());
+    EXPECT_FALSE(polled->available);
+  } else {
+    EXPECT_EQ(polled.status().code(), StatusCode::kIoError);
+  }
+  (*engine)->Cancel(*wedged);
+  EXPECT_EQ((*engine)->PollResult(*wedged).status().code(),
+            StatusCode::kKeyError);
+
+  auto retry = (*engine)->Submit(spec);
+  ASSERT_TRUE(retry.ok());
+  for (int i = 0; i < 64 && !(*engine)->IsDone(*retry); ++i) {
+    (*engine)->RunFor(*retry, 10'000'000'000LL);
+  }
+  ASSERT_TRUE((*engine)->IsDone(*retry));
+  auto result = (*engine)->PollResult(*retry);
+  ASSERT_TRUE(result.ok());
+  EXPECT_TRUE(result->available);
+  EXPECT_NEAR(result->TotalEstimate(), 8.0, 1e-6);  // all 8 tiny rows
+  (*engine)->Cancel(*retry);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllEnginesAllTrs, EngineTrSweep,
     ::testing::Combine(

@@ -597,7 +597,9 @@ TEST(IngestPinningTest, AppendTimingIsInvisibleOnlyPublishesMatter) {
       auto ra = (*ea)->PollResult(*ha);
       auto rb = (*eb)->PollResult(*hb);
       ASSERT_EQ(ra.ok(), rb.ok());
-      if (ra.ok()) ASSERT_EQ(Canon(*ra), Canon(*rb)) << "slice=" << slice;
+      if (ra.ok()) {
+        ASSERT_EQ(Canon(*ra), Canon(*rb)) << "slice=" << slice;
+      }
       if (cursor < 1400) {
         ASSERT_TRUE(
             dribs.ingestor
