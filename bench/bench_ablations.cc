@@ -1,5 +1,5 @@
 /// \file bench_ablations.cc
-/// Ablations of the design choices DESIGN.md calls out (beyond the
+/// Ablations of this reproduction's own design choices (beyond the
 /// paper's own experiments):
 ///
 ///  A. stratified sample-rate sweep — the paper's §6 discussion: "a good

@@ -65,9 +65,8 @@ query::QuerySpec CountByCarrierSpec() {
 /// feeding a filtered, binned COUNT + AVG — the per-row work every
 /// sampling engine performs.  Three variants trace the perf trajectory:
 /// scalar reference, vectorized kernels + hash bin table, and vectorized
-/// kernels + dense bin table (the default).  Run
-///   bench_micro --benchmark_filter=HotLoop --benchmark_format=json
-/// to emit the JSON recorded in BENCH_vectorized_pipeline.json.
+/// kernels + dense bin table (the default).  Run with
+/// `bench_micro --benchmark_filter=HotLoop`.
 query::QuerySpec HotLoopSpec() {
   query::QuerySpec spec;
   spec.viz_name = "hot_loop";
@@ -272,10 +271,8 @@ BENCHMARK(BM_ZoneMapFullScan)->Arg(0)->Arg(1);
 /// step k+1 replays only step k's candidate rows instead of rescanning
 /// the full table, so physical work tracks the shrinking selectivity.
 /// Results are bit-identical either way (the transparency contract of
-/// exec/reuse_cache.h); only wall-clock changes.  Run
-///   bench_micro --benchmark_filter=RefinementWorkflow
-///               --benchmark_format=json
-/// to emit the JSON recorded in BENCH_reuse_cache.json.
+/// exec/reuse_cache.h); only wall-clock changes.  Run with
+/// `bench_micro --benchmark_filter=RefinementWorkflow`.
 void BM_RefinementWorkflow(benchmark::State& state) {
   const bool reuse = state.range(0) != 0;
   auto catalog = SharedCatalog();
@@ -357,10 +354,8 @@ BENCHMARK(BM_RefinementWorkflow)->Arg(0)->Arg(1);
 /// (session/session.h) — round-robin time slices, per-query deadlines,
 /// push-based result delivery.  Total per-query work is fixed, so the
 /// sweep isolates the multiplexing overhead and the contention penalty's
-/// fair budget division.  Run
-///   bench_micro --benchmark_filter=SessionConcurrency
-///               --benchmark_format=json
-/// to emit the JSON recorded in BENCH_session_concurrency.json.
+/// fair budget division.  Run with
+/// `bench_micro --benchmark_filter=SessionConcurrency`.
 void BM_SessionConcurrency(benchmark::State& state) {
   const int sessions = static_cast<int>(state.range(0));
   static std::vector<workflow::Workflow>* workflows = [] {
@@ -559,10 +554,7 @@ BENCHMARK(BM_GroundTruthQuery);
 // invalidate-on-growth baseline drops the entry at every publish and
 // rescans from zero.  Results are bit-identical either way
 // (tests/workflow_fuzz_test.cc ingest sweep); only physical work moves.
-// Run
-//   bench_micro --benchmark_filter=IngestWhileServing
-//               --benchmark_format=json
-// to emit the JSON recorded in BENCH_ingest.json.
+// Run with `bench_micro --benchmark_filter=IngestWhileServing`.
 
 /// Base rows plus every epoch's tail, generated once.
 std::shared_ptr<storage::Table> IngestBenchSource() {
@@ -678,9 +670,8 @@ BENCHMARK(BM_IngestWhileServing)->Arg(0)->Arg(1)
 /// durability tax an ingest pipeline pays per published epoch.  Arg(0)
 /// = no fsync (upper bound, page-cache speed), Arg(1) = grouped (one
 /// fsync per 8 commits), Arg(2) = fsync every commit (the default
-/// publish-is-durable contract).  Run
-///   bench_micro --benchmark_filter=WalAppend --benchmark_format=json
-/// to emit the JSON recorded in BENCH_wal.json.
+/// publish-is-durable contract).  Run with
+/// `bench_micro --benchmark_filter=WalAppend`.
 void BM_WalAppend(benchmark::State& state) {
   constexpr int64_t kBatchRows = 200;
   constexpr int kEpochs = 16;

@@ -7,8 +7,8 @@
 /// generation, engine x time-requirement sweeps, and table printing.
 ///
 /// Every binary regenerates one table or figure of the paper and prints
-/// the same rows/series the paper reports.  Experiment ids refer to
-/// DESIGN.md's experiment index.
+/// the same rows/series the paper reports.  Experiment ids follow the
+/// paper's numbering (Exp. 1-5, Table 1).
 
 #include <cstdio>
 #include <cstdlib>

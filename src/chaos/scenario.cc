@@ -20,20 +20,6 @@ namespace idebench::chaos {
 
 namespace {
 
-/// Mirrors SessionManager's transient classification for the setup path
-/// (Prepare / CSV ingest), which runs before any manager exists.
-bool IsTransientStatus(StatusCode code) {
-  switch (code) {
-    case StatusCode::kIoError:
-    case StatusCode::kResourceExhausted:
-    case StatusCode::kCancelled:
-    case StatusCode::kUnknown:
-      return true;
-    default:
-      return false;
-  }
-}
-
 /// The shared chaos dataset: the fuzz fixture's small denormalized
 /// flights catalog (below exec::kMorselRows, so fault-free runs stay on
 /// the single-morsel direct path and bit-identity is meaningful).
@@ -83,7 +69,7 @@ Result<std::shared_ptr<const storage::Catalog>> CsvRoundTripCatalog(
       }
       last = read.status();
     }
-    if (!IsTransientStatus(last.code())) break;
+    if (!session::SessionManager::IsTransientEngineError(last.code())) break;
   }
   std::remove(path.c_str());
   return last;
@@ -350,7 +336,9 @@ Result<int> PrepareWithRetry(engines::Engine* engine,
     auto prepared = engine->Prepare(catalog);
     if (prepared.ok()) return attempt;
     last = prepared.status();
-    if (!IsTransientStatus(last.code())) return last;
+    if (!session::SessionManager::IsTransientEngineError(last.code())) {
+      return last;
+    }
   }
   return last;
 }

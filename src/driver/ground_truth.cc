@@ -10,31 +10,9 @@ namespace idebench::driver {
 
 GroundTruthOracle::GroundTruthOracle(
     std::shared_ptr<const storage::Catalog> catalog, int threads)
-    : catalog_(std::move(catalog)), threads_(threads) {}
-
-Result<std::vector<const exec::JoinIndex*>> GroundTruthOracle::JoinsFor(
-    const query::QuerySpec& spec) {
-  IDB_ASSIGN_OR_RETURN(std::vector<std::string> dims,
-                       exec::BoundQuery::RequiredJoins(spec, *catalog_));
-  std::vector<const exec::JoinIndex*> joins;
-  for (const std::string& dim : dims) {
-    auto join_it = joins_.find(dim);
-    if (join_it == joins_.end()) {
-      const storage::ForeignKey* fk = catalog_->FindForeignKey(dim);
-      if (fk == nullptr) {
-        return Status::KeyError("no foreign key to dimension '" + dim + "'");
-      }
-      IDB_ASSIGN_OR_RETURN(exec::JoinIndex index,
-                           exec::JoinIndex::BuildMaterialized(*catalog_, *fk));
-      join_it = joins_
-                    .emplace(dim, std::make_unique<exec::JoinIndex>(
-                                      std::move(index)))
-                    .first;
-    }
-    joins.push_back(join_it->second.get());
-  }
-  return joins;
-}
+    : catalog_(std::move(catalog)),
+      threads_(threads),
+      joins_(catalog_.get()) {}
 
 Result<query::QueryResult> GroundTruthOracle::Compute(
     const query::QuerySpec& spec,
@@ -43,12 +21,12 @@ Result<query::QueryResult> GroundTruthOracle::Compute(
                        exec::BoundQuery::Bind(spec, *catalog_, joins));
   exec::BinnedAggregator aggregator(&bound);
   // Morsel-parallel full scan; results do not depend on the thread count
-  // (exec/parallel.h), so cached answers are machine-independent.  The
-  // dispatcher consults the fact columns' zone maps and skips whole
-  // morsels the query's filter/bin ranges provably exclude — on the
-  // selective ground-truth queries of a warm-up pass most blocks never
-  // get scanned, and skipped rows are still accounted so the exact
-  // answers are bit-identical to an unpruned scan.
+  // (exec/parallel.h), so cached answers are machine-independent.  Each
+  // morsel consults the fact columns' zone maps and skips the blocks the
+  // query's filter/bin ranges provably exclude — on the selective
+  // ground-truth queries of a warm-up pass most blocks never get
+  // scanned, and skipped rows are still accounted so the exact answers
+  // are bit-identical to an unpruned scan.
   exec::MorselProcessRange(&aggregator, 0, catalog_->fact_table()->num_rows(),
                            exec::ResolveThreadCount(threads_));
   query::QueryResult result = aggregator.ExactResult();
@@ -65,7 +43,7 @@ Result<const query::QueryResult*> GroundTruthOracle::Get(
     return it->second.get();
   }
   IDB_ASSIGN_OR_RETURN(std::vector<const exec::JoinIndex*> joins,
-                       JoinsFor(spec));
+                       joins_.For(spec));
   IDB_ASSIGN_OR_RETURN(query::QueryResult computed, Compute(spec, joins));
   auto result = std::make_unique<query::QueryResult>(std::move(computed));
   const query::QueryResult* ptr = result.get();
@@ -93,7 +71,7 @@ Status GroundTruthOracle::Warm(const std::vector<query::QuerySpec>& specs) {
     Pending p;
     p.spec = &spec;
     p.signature = std::move(signature);
-    IDB_ASSIGN_OR_RETURN(p.joins, JoinsFor(spec));
+    IDB_ASSIGN_OR_RETURN(p.joins, joins_.For(spec));
     pending.push_back(std::move(p));
   }
   if (pending.empty()) return Status::OK();

@@ -50,18 +50,13 @@ class GroundTruthOracle {
   int64_t cache_size() const { return static_cast<int64_t>(cache_.size()); }
 
  private:
-  /// Returns (building and caching if needed) the join indexes `spec`
-  /// requires, in RequiredJoins order.
-  Result<std::vector<const exec::JoinIndex*>> JoinsFor(
-      const query::QuerySpec& spec);
-
   /// Computes the exact answer (no cache interaction).
   Result<query::QueryResult> Compute(
       const query::QuerySpec& spec,
       const std::vector<const exec::JoinIndex*>& joins) const;
   std::shared_ptr<const storage::Catalog> catalog_;
   int threads_ = 0;
-  std::unordered_map<std::string, std::unique_ptr<exec::JoinIndex>> joins_;
+  exec::JoinIndexCache joins_;
   std::unordered_map<std::string, std::unique_ptr<query::QueryResult>> cache_;
   int64_t cache_hits_ = 0;
 };

@@ -30,8 +30,8 @@ Result<Micros> BlockingEngine::Prepare(
 Result<QueryHandle> BlockingEngine::Submit(const query::QuerySpec& spec) {
   if (!attached()) return Status::Invalid("engine not prepared");
   auto state = std::make_shared<QueryState>();
-  int joins_built = 0;
-  IDB_RETURN_NOT_OK(BindState(state.get(), spec, /*lazy=*/false, &joins_built));
+  int joins_charged = 0;
+  IDB_RETURN_NOT_OK(BindState(state.get(), spec, &joins_charged));
 
   IDB_ASSIGN_OR_RETURN(std::vector<std::string> dims, RequiredJoins(spec));
   const double mult = ComplexityMultiplier(
@@ -48,7 +48,7 @@ Result<QueryHandle> BlockingEngine::Submit(const query::QuerySpec& spec) {
   state->pinned_rows = visible_rows();
   const Micros overhead =
       static_cast<Micros>(config_.query_overhead_us) +
-      static_cast<Micros>(static_cast<double>(joins_built) *
+      static_cast<Micros>(static_cast<double>(joins_charged) *
                           static_cast<double>(nominal_rows()) *
                           config_.join_build_ns_per_row / 1000.0);
   return Register(std::move(state), overhead);

@@ -29,6 +29,7 @@ Status EngineBase::Attach(std::shared_ptr<const storage::Catalog> catalog) {
     return Status::Invalid("engine '" + name_ + "' already prepared");
   }
   catalog_ = std::move(catalog);
+  joins_ = exec::JoinIndexCache(catalog_.get());
   // Visible (published-watermark) rows only: rows staged in an open
   // ingest epoch are invisible to every reader until published.
   actual_rows_ = catalog_->fact_table()->visible_rows();
@@ -45,61 +46,16 @@ Result<std::vector<std::string>> EngineBase::RequiredJoins(
   return exec::BoundQuery::RequiredJoins(spec, *catalog_);
 }
 
-Result<const exec::JoinIndex*> EngineBase::MaterializedJoin(
-    const std::string& dimension, bool* built_now) {
-  // Coarse once-per-dimension guard: the index is built completely (and
-  // its mapping frozen) before the pointer escapes the lock, so morsel
-  // workers can gather from it without further synchronization.
-  std::lock_guard<std::mutex> lock(join_mu_);
-  if (built_now != nullptr) *built_now = false;
-  auto it = materialized_joins_.find(dimension);
-  if (it != materialized_joins_.end()) return it->second.get();
-  const storage::ForeignKey* fk = catalog_->FindForeignKey(dimension);
-  if (fk == nullptr) {
-    return Status::KeyError("no foreign key to dimension '" + dimension + "'");
-  }
-  IDB_ASSIGN_OR_RETURN(exec::JoinIndex index,
-                       exec::JoinIndex::BuildMaterialized(*catalog_, *fk));
-  auto owned = std::make_unique<exec::JoinIndex>(std::move(index));
-  const exec::JoinIndex* ptr = owned.get();
-  materialized_joins_.emplace(dimension, std::move(owned));
-  if (built_now != nullptr) *built_now = true;
-  return ptr;
-}
-
-Result<const exec::JoinIndex*> EngineBase::LazyJoin(
-    const std::string& dimension) {
-  std::lock_guard<std::mutex> lock(join_mu_);
-  auto it = lazy_joins_.find(dimension);
-  if (it != lazy_joins_.end()) return it->second.get();
-  const storage::ForeignKey* fk = catalog_->FindForeignKey(dimension);
-  if (fk == nullptr) {
-    return Status::KeyError("no foreign key to dimension '" + dimension + "'");
-  }
-  IDB_ASSIGN_OR_RETURN(exec::JoinIndex index,
-                       exec::JoinIndex::BuildLazy(*catalog_, *fk));
-  auto owned = std::make_unique<exec::JoinIndex>(std::move(index));
-  const exec::JoinIndex* ptr = owned.get();
-  lazy_joins_.emplace(dimension, std::move(owned));
-  return ptr;
-}
-
 Result<exec::BoundQuery> EngineBase::BindQuery(const query::QuerySpec& spec,
-                                               bool lazy,
-                                               int* joins_built_now) {
-  if (joins_built_now != nullptr) *joins_built_now = 0;
-  IDB_ASSIGN_OR_RETURN(std::vector<std::string> dims, RequiredJoins(spec));
-  std::vector<const exec::JoinIndex*> joins;
-  for (const std::string& dim : dims) {
-    if (lazy) {
-      IDB_ASSIGN_OR_RETURN(const exec::JoinIndex* join, LazyJoin(dim));
-      joins.push_back(join);
-    } else {
-      bool built = false;
-      IDB_ASSIGN_OR_RETURN(const exec::JoinIndex* join,
-                           MaterializedJoin(dim, &built));
-      if (built && joins_built_now != nullptr) ++(*joins_built_now);
-      joins.push_back(join);
+                                               int* joins_charged) {
+  IDB_ASSIGN_OR_RETURN(std::vector<const exec::JoinIndex*> joins,
+                       joins_.For(spec));
+  if (joins_charged != nullptr) {
+    *joins_charged = 0;
+    for (const exec::JoinIndex* join : joins) {
+      if (charged_joins_.insert(join->dimension_table()).second) {
+        ++*joins_charged;
+      }
     }
   }
   return exec::BoundQuery::Bind(spec, *catalog_, joins);
@@ -174,11 +130,10 @@ metrics::ReuseCacheStats EngineBase::reuse_cache_stats() const {
 }
 
 Status EngineBase::BindState(QueryState* state, const query::QuerySpec& spec,
-                             bool lazy, int* joins_built_now) {
+                             int* joins_charged) {
   state->spec = spec;
-  state->lazy_joins = lazy;
   IDB_ASSIGN_OR_RETURN(exec::BoundQuery bound,
-                       BindQuery(state->spec, lazy, joins_built_now));
+                       BindQuery(state->spec, joins_charged));
   state->bound = std::make_unique<exec::BoundQuery>(std::move(bound));
   // Candidates are recorded only for the reuse cache to store at Cancel.
   exec::BinnedAggregatorOptions options;
@@ -281,11 +236,9 @@ void EngineBase::Cancel(QueryHandle handle) {
   // skip the physical recomputation.
   if (reuse_cache_ != nullptr) {
     const QueryState& state = *it->second.state;
-    const bool lazy = state.lazy_joins;
-    reuse_cache_->Store(state.spec, *state.aggregator,
-                        [this, lazy](const query::QuerySpec& s) {
-                          return BindQuery(s, lazy);
-                        });
+    reuse_cache_->Store(
+        state.spec, *state.aggregator,
+        [this](const query::QuerySpec& s) { return BindQuery(s); });
   }
   queries_.erase(it);
 }

@@ -3,9 +3,10 @@
 
 /// \file engine_base.h
 /// The one query lifecycle every concrete engine runs on, plus shared
-/// plumbing: catalog/handle bookkeeping, join-index caches (materialized
-/// and lazy), query binding, the shuffled row order used by sampling
-/// engines, and the cross-interaction reuse cache.
+/// plumbing: catalog/handle bookkeeping, one join index per dimension
+/// with the once-per-engine charge for its build, query binding, the
+/// shuffled row order used by sampling engines, and the cross-interaction
+/// reuse cache.
 ///
 /// `EngineBase` implements the adapter protocol (§4.5) once.  `RunFor`
 /// fires the `kEngineRun` chaos site, pays the query's fixed overhead,
@@ -20,9 +21,9 @@
 ///  * `Answer` — what `PollResult` returns for a live, unfaulted handle.
 
 #include <memory>
-#include <mutex>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "aqp/sampler.h"
@@ -102,7 +103,6 @@ class EngineBase : public Engine {
     std::unique_ptr<exec::BoundQuery> bound;
     std::unique_ptr<exec::BinnedAggregator> aggregator;
     exec::ReuseCache::Match reuse;  // cached prefix to serve positions from
-    bool lazy_joins = false;        // join strategy `bound` was built with
     int64_t walk_offset = 0;        // start into the shuffled walk (walkers)
     int64_t cursor = 0;             // next feed position
     int64_t pinned_rows = 0;        // extent pinned at Submit
@@ -132,12 +132,15 @@ class EngineBase : public Engine {
     (void)rows_us;
   }
 
-  /// Binds `spec` into a fresh `state` with materialized (`lazy ==
-  /// false`) or lazy joins, gives it an aggregator, and acquires the
-  /// reuse cache's best match for it.  `joins_built_now` (optional)
-  /// receives the number of materialized indexes this call constructed.
+  /// Binds `spec` into a fresh `state`, gives it an aggregator, and
+  /// acquires the reuse cache's best match for it.  Every engine binds
+  /// through the same join index per dimension; what differs is the cost
+  /// model.  An engine that pays a materialized build (a hash join) passes
+  /// `joins_charged`, which receives the number of `spec`'s dimensions
+  /// this engine has not charged before: each is charged once per engine.
+  /// Wander-join sampling passes nothing and is never charged.
   Status BindState(QueryState* state, const query::QuerySpec& spec,
-                   bool lazy, int* joins_built_now = nullptr);
+                   int* joins_charged = nullptr);
 
   /// Hands `state` a fresh handle that must pay `overhead_us` before its
   /// first feed position; `done` marks it complete from the start.
@@ -194,28 +197,10 @@ class EngineBase : public Engine {
   int64_t WalkOffsetFor(const query::QuerySpec& spec) const;
 
  private:
-  /// Returns (building and caching if needed) the materialized join index
-  /// for `dimension`; sets `*built_now` when this call constructed it (the
-  /// caller must charge the build cost).
-  ///
-  /// Threading: join indexes are built *eagerly and completely* here at
-  /// bind time — before any morsel dispatch — and a `JoinIndex`'s flat
-  /// fact→dim mapping is immutable after construction, so morsel workers
-  /// only ever read frozen arrays.  The cache maps themselves are guarded
-  /// by `join_mu_` so concurrent Submit calls cannot race on insertion.
-  Result<const exec::JoinIndex*> MaterializedJoin(const std::string& dimension,
-                                                  bool* built_now);
-
-  /// Returns (building and caching if needed) the lazy join index; same
-  /// threading contract as `MaterializedJoin`.
-  Result<const exec::JoinIndex*> LazyJoin(const std::string& dimension);
-
-  /// Binds `spec` using materialized (`lazy == false`) or lazy joins.
-  /// `spec` must outlive the returned BoundQuery.  `joins_built_now`
-  /// (optional) receives the number of materialized indexes constructed
-  /// by this call.
-  Result<exec::BoundQuery> BindQuery(const query::QuerySpec& spec, bool lazy,
-                                     int* joins_built_now = nullptr);
+  /// Binds `spec` (which must outlive the result) through `joins_`;
+  /// counts into `joins_charged` as `BindState` documents.
+  Result<exec::BoundQuery> BindQuery(const query::QuerySpec& spec,
+                                     int* joins_charged = nullptr);
 
   std::string name_;
   double confidence_level_;
@@ -227,14 +212,8 @@ class EngineBase : public Engine {
   int64_t actual_rows_ = 0;
   double scale_ = 1.0;
   QueryHandle next_handle_ = 1;
-  /// Guards the join caches: binding may run while morsel workers of a
-  /// previously bound query are still touching *other* join mappings, and
-  /// rehashing the cache map must never invalidate anything mid-build.
-  std::mutex join_mu_;
-  std::unordered_map<std::string, std::unique_ptr<exec::JoinIndex>>
-      materialized_joins_;
-  std::unordered_map<std::string, std::unique_ptr<exec::JoinIndex>>
-      lazy_joins_;
+  exec::JoinIndexCache joins_;
+  std::unordered_set<std::string> charged_joins_;  // dimensions charged
   std::unique_ptr<aqp::ShuffledIndex> shuffled_;
   std::unique_ptr<exec::ReuseCache> reuse_cache_;
   std::unordered_map<QueryHandle, RunningQuery> queries_;

@@ -39,9 +39,10 @@ Result<QueryHandle> OnlineEngine::Submit(const query::QuerySpec& spec) {
         "query not supported online and fallback is disabled");
   }
 
-  int joins_built = 0;
-  IDB_RETURN_NOT_OK(
-      BindState(state.get(), spec, /*lazy=*/state->online, &joins_built));
+  // Wander-join sampling builds no hash join; only the fallback pays one.
+  int joins_charged = 0;
+  IDB_RETURN_NOT_OK(BindState(state.get(), spec,
+                              state->online ? nullptr : &joins_charged));
 
   IDB_ASSIGN_OR_RETURN(std::vector<std::string> dims, RequiredJoins(spec));
   const double mult = ComplexityMultiplier(
@@ -64,9 +65,10 @@ Result<QueryHandle> OnlineEngine::Submit(const query::QuerySpec& spec) {
     }
     state->row_cost_us = scan_ns * mult * scale() / 1000.0;
     // Fallback joins are materialized and charged like a hash join build.
-    overhead += static_cast<Micros>(
-        static_cast<double>(joins_built) * static_cast<double>(nominal_rows()) *
-        (2.0 * config_.fallback_scan_ns_per_row) / 1000.0);
+    overhead += static_cast<Micros>(static_cast<double>(joins_charged) *
+                                    static_cast<double>(nominal_rows()) *
+                                    (2.0 * config_.fallback_scan_ns_per_row) /
+                                    1000.0);
   }
   // Pin the published watermark: the walk/scan never reads past it, so
   // the answer is independent of rows staged or published afterwards.

@@ -25,7 +25,7 @@ Result<Micros> ProgressiveEngine::Prepare(
 Result<std::shared_ptr<EngineBase::QueryState>> ProgressiveEngine::MakeState(
     const query::QuerySpec& spec) {
   auto state = std::make_shared<QueryState>();
-  IDB_RETURN_NOT_OK(BindState(state.get(), spec, /*lazy=*/true));
+  IDB_RETURN_NOT_OK(BindState(state.get(), spec));
   IDB_ASSIGN_OR_RETURN(std::vector<std::string> dims, RequiredJoins(spec));
   const double mult = ComplexityMultiplier(
       spec, static_cast<int>(dims.size()), config_.factors);

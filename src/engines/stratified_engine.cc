@@ -89,7 +89,7 @@ Result<QueryHandle> StratifiedEngine::Submit(const query::QuerySpec& spec) {
   ExtendSampleForPublishedEpochs();
 
   auto state = std::make_shared<QueryState>();
-  IDB_RETURN_NOT_OK(BindState(state.get(), spec, /*lazy=*/true));
+  IDB_RETURN_NOT_OK(BindState(state.get(), spec));
   const double mult = ComplexityMultiplier(spec, 0, config_.factors);
   // Scanning the whole sample costs rate * nominal * ns; spread evenly
   // over the actual sample rows.

@@ -312,16 +312,19 @@ void BinnedAggregator::ProcessRange(int64_t begin, int64_t end) {
   // Physical scans consult the fact columns' zone maps block by block:
   // a 64K block whose bounds prove no row can pass the filter (or land
   // in any bin) is skipped wholesale — rows still accounted, so results
-  // are bit-identical to the unpruned scan.
-  const VectorizedQuery* prune = zone_prune_query();
+  // are bit-identical to the unpruned scan.  This is the only place a
+  // scan prunes: a morsel is one block, and each runs through here.
   std::array<int64_t, kVectorBatchSize> rows;
   for (int64_t seg = begin; seg < end;) {
     // Zone-block-aligned segment [seg, seg_end).
     const int64_t block_end =
         (seg / storage::kZoneMapBlockRows + 1) * storage::kZoneMapBlockRows;
     const int64_t seg_end = std::min(end, block_end);
-    if (prune != nullptr && !prune->RangeCanMatch(seg, seg_end)) {
-      AccountZoneSkip(seg_end - seg);
+    if (options_.enable_zone_pruning &&
+        !vec_->BlockCanMatch(seg / storage::kZoneMapBlockRows)) {
+      rows_seen_ += seg_end - seg;
+      zone_rows_skipped_ += seg_end - seg;
+      ++zone_blocks_skipped_;
       seg = seg_end;
       continue;
     }

@@ -15,7 +15,7 @@
 ///    intervals and a finite-population correction.
 ///  * `EstimateFromWeightedSample()` — the offline stratified engine,
 ///    where each row carries its stratum weight N_s/n_s; variances use a
-///    Poisson-sampling approximation (see DESIGN.md).
+///    Poisson-sampling approximation, sum of w(w-1) terms (`AggAccum`).
 ///
 /// Rows arrive through two equivalent paths:
 ///
@@ -38,8 +38,9 @@
 /// `ProcessRange` feeds additionally consult the fact columns' zone maps
 /// (storage/column.h) through the compiled prune checks: 64K blocks that
 /// provably cannot contain a match are skipped wholesale (rows still
-/// accounted via `SkipRows`, so results stay bit-identical).  Shuffled
-/// walks cannot prune — their batches mix rows from every block.
+/// advance `rows_seen()`, so results stay bit-identical).  This is the
+/// only place a scan prunes; the morsel path reaches it once per morsel.
+/// Shuffled walks cannot prune — their batches mix rows from every block.
 ///
 /// For multi-core execution (exec/parallel.h) an aggregator is
 /// *mergeable*: morsel workers accumulate into partial aggregators
@@ -191,18 +192,6 @@ class BinnedAggregator {
   /// not to pass the filter.
   void SkipRows(int64_t n) { rows_seen_ += n; }
 
-  /// Accounts a zone-map-pruned range spanning `blocks` zone blocks:
-  /// the rows are skipped (they provably cannot match) and the skip
-  /// telemetry advances.  Called by the morsel dispatcher for whole
-  /// pruned morsels (which may straddle two blocks when the scan cursor
-  /// is unaligned); `ProcessRange` uses it internally for block-aligned
-  /// sub-ranges.
-  void AccountZoneSkip(int64_t rows, int64_t blocks = 1) {
-    rows_seen_ += rows;
-    zone_rows_skipped_ += rows;
-    zone_blocks_skipped_ += blocks;
-  }
-
   /// Rows / block-sized ranges skipped by zone-map pruning so far
   /// (telemetry; folded by MergeFrom like the row counters).
   int64_t zone_rows_skipped() const { return zone_rows_skipped_; }
@@ -252,17 +241,6 @@ class BinnedAggregator {
 
   /// True when the batch entry points run the vectorized kernels.
   bool uses_vectorized() const { return vec_ != nullptr && vec_->ok(); }
-
-  /// The compiled kernel table when zone-map pruning is active for this
-  /// aggregator (options + at least one fact-column check); nullptr
-  /// otherwise.  The morsel dispatcher consults it to skip whole morsels
-  /// before they are ever dispatched to a worker.
-  const VectorizedQuery* zone_prune_query() const {
-    return options_.enable_zone_pruning && vec_ != nullptr &&
-                   vec_->can_prune_blocks()
-               ? vec_.get()
-               : nullptr;
-  }
 
   /// The bound query this aggregator executes.
   const BoundQuery& query() const { return *query_; }

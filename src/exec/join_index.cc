@@ -5,6 +5,7 @@
 #include <string>
 
 #include "common/logging.h"
+#include "exec/bound_query.h"
 
 namespace idebench::exec {
 namespace {
@@ -34,10 +35,6 @@ Result<FkColumns> ResolveFk(const storage::Catalog& catalog,
   return out;
 }
 
-}  // namespace
-
-namespace {
-
 /// The integer-keyed index requires double-typed key columns to hold
 /// integral values (truncating ValueAsInt would otherwise silently merge
 /// distinct fractional keys); enforce the documented constraint.
@@ -61,7 +58,7 @@ Status CheckIntegralKeys(const storage::Column& col, const char* side) {
 }  // namespace
 
 Result<JoinIndex> JoinIndex::Build(const storage::Catalog& catalog,
-                                   const storage::ForeignKey& fk, bool lazy) {
+                                   const storage::ForeignKey& fk) {
   IDB_ASSIGN_OR_RETURN(FkColumns cols, ResolveFk(catalog, fk));
   IDB_RETURN_NOT_OK(CheckIntegralKeys(*cols.pk, "dimension"));
   IDB_RETURN_NOT_OK(CheckIntegralKeys(*cols.fk, "fact"));
@@ -82,7 +79,6 @@ Result<JoinIndex> JoinIndex::Build(const storage::Catalog& catalog,
 
   JoinIndex out;
   out.dimension_table_ = fk.dimension_table;
-  out.lazy_ = lazy;
   const int64_t fact_rows = catalog.fact_table()->num_rows();
   out.mapping_.resize(static_cast<size_t>(fact_rows), -1);
   for (int64_t r = 0; r < fact_rows; ++r) {
@@ -96,14 +92,24 @@ Result<JoinIndex> JoinIndex::Build(const storage::Catalog& catalog,
   return out;
 }
 
-Result<JoinIndex> JoinIndex::BuildMaterialized(const storage::Catalog& catalog,
-                                               const storage::ForeignKey& fk) {
-  return Build(catalog, fk, /*lazy=*/false);
-}
-
-Result<JoinIndex> JoinIndex::BuildLazy(const storage::Catalog& catalog,
-                                       const storage::ForeignKey& fk) {
-  return Build(catalog, fk, /*lazy=*/true);
+Result<std::vector<const JoinIndex*>> JoinIndexCache::For(
+    const query::QuerySpec& spec) {
+  IDB_ASSIGN_OR_RETURN(std::vector<std::string> dims,
+                       BoundQuery::RequiredJoins(spec, *catalog_));
+  std::vector<const JoinIndex*> joins;
+  for (const std::string& dim : dims) {
+    auto it = indexes_.find(dim);
+    if (it == indexes_.end()) {
+      const storage::ForeignKey* fk = catalog_->FindForeignKey(dim);
+      if (fk == nullptr) {
+        return Status::KeyError("no foreign key to dimension '" + dim + "'");
+      }
+      IDB_ASSIGN_OR_RETURN(JoinIndex index, JoinIndex::Build(*catalog_, *fk));
+      it = indexes_.emplace(dim, std::move(index)).first;
+    }
+    joins.push_back(&it->second);
+  }
+  return joins;
 }
 
 }  // namespace idebench::exec

@@ -5,38 +5,34 @@
 /// Foreign-key join support for star schemas.
 ///
 /// A `JoinIndex` maps fact row numbers to dimension row numbers for one
-/// fact→dimension foreign key.  It supports two *logical* forms that
-/// drive the engines' virtual cost model:
+/// fact→dimension foreign key, as one flat `int32_t` array built at
+/// construction: a probe is a single array read, which is what the
+/// vectorized kernels gather from.  The dimension's primary key is hashed
+/// on its *integer* view (`ValueAsInt`) rather than on raw doubles,
+/// avoiding FP-equality hazards and double-hashing cost.  Double-typed
+/// key columns must hold integral values (keys in this benchmark are
+/// int64 or dictionary codes); fractional keys are rejected with an error
+/// at build time rather than silently truncated.
 ///
-///  * **Materialized** — the moral equivalent of a radix hash join's
-///    build+probe (what a blocking column store runs); building it costs
-///    a full fact scan, which engines charge against their virtual-time
-///    budget.
-///  * **Lazy** — models wander-join-style online aggregation (XDB):
-///    per-sampled-tuple random walks, no charged fact scan.
+/// The engines join differently in the paper — a column store pays a
+/// hash-join build, XDB wander-joins per sampled tuple — but that
+/// difference lives in their cost models (engines/engine_base.h charges
+/// the build), not here: every engine and the ground-truth oracle gather
+/// through the same index, one per dimension, held by a `JoinIndexCache`.
 ///
-/// Physically both forms now pre-materialize the fact→dim mapping as one
-/// flat `int32_t` array at construction: a probe is a single array read,
-/// which is what the vectorized kernels gather from.  The dimension's
-/// primary key is hashed on its *integer* view (`ValueAsInt`) rather than
-/// on raw doubles, avoiding FP-equality hazards and double-hashing cost.
-/// Double-typed key columns must hold integral values (keys in this
-/// benchmark are int64 or dictionary codes); fractional keys are rejected
-/// with an error at build time rather than silently truncated.
-///
-/// Thread safety: both forms materialize the complete mapping inside
-/// `Build` and never mutate it afterwards, so a fully constructed
-/// `JoinIndex` is safe to probe from any number of morsel workers
-/// concurrently.  Construction itself must finish before the index is
-/// shared (EngineBase guards its caches accordingly).
+/// Thread safety: the mapping is complete when `Build` returns and never
+/// mutated afterwards, so a `JoinIndex` is safe to probe from any number
+/// of morsel workers concurrently.  A `JoinIndexCache` is not
+/// synchronized: build every index a parallel section needs before it
+/// starts.
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
+#include "query/spec.h"
 #include "storage/catalog.h"
 
 namespace idebench::exec {
@@ -44,15 +40,10 @@ namespace idebench::exec {
 /// Fact-row -> dimension-row mapping for one foreign key.
 class JoinIndex {
  public:
-  /// Builds the materialized (dense array) form.  Fact rows with no
-  /// dimension match map to -1 (inner-join semantics drop them).
-  static Result<JoinIndex> BuildMaterialized(const storage::Catalog& catalog,
-                                             const storage::ForeignKey& fk);
-
-  /// Builds the lazy (wander-join) form.  Physically identical mapping;
-  /// only the engines' cost accounting differs (see file comment).
-  static Result<JoinIndex> BuildLazy(const storage::Catalog& catalog,
-                                     const storage::ForeignKey& fk);
+  /// Builds the index.  Fact rows with no dimension match map to -1
+  /// (inner-join semantics drop them).
+  static Result<JoinIndex> Build(const storage::Catalog& catalog,
+                                 const storage::ForeignKey& fk);
 
   /// Dimension row for `fact_row`, or -1.
   int64_t DimRow(int64_t fact_row) const {
@@ -66,20 +57,31 @@ class JoinIndex {
 
   const std::string& dimension_table() const { return dimension_table_; }
 
-  /// True for the lazy (wander-join) form.
-  bool is_lazy() const { return lazy_; }
-
   /// Number of fact rows with no dimension match.
   int64_t miss_count() const { return miss_count_; }
 
  private:
-  static Result<JoinIndex> Build(const storage::Catalog& catalog,
-                                 const storage::ForeignKey& fk, bool lazy);
-
   std::string dimension_table_;
-  bool lazy_ = false;
   std::vector<int32_t> mapping_;
   int64_t miss_count_ = 0;
+};
+
+/// One `JoinIndex` per dimension of a catalog, built on first request and
+/// kept for the cache's lifetime.
+class JoinIndexCache {
+ public:
+  /// `catalog` must outlive the cache.
+  explicit JoinIndexCache(const storage::Catalog* catalog = nullptr)
+      : catalog_(catalog) {}
+
+  /// The indexes `spec` reads through, in `BoundQuery::RequiredJoins`
+  /// order, building those not cached yet.
+  Result<std::vector<const JoinIndex*>> For(const query::QuerySpec& spec);
+
+ private:
+  const storage::Catalog* catalog_;
+  // Node-based: element addresses survive rehashing.
+  std::unordered_map<std::string, JoinIndex> indexes_;
 };
 
 }  // namespace idebench::exec

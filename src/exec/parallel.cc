@@ -227,39 +227,6 @@ void MorselProcessRange(BinnedAggregator* agg, int64_t begin, int64_t end,
   if (total <= 0) return;
   morsel_rows = MaybeSlowMorsels(ClampMorselRows(morsel_rows));
   const int64_t morsels = (total + morsel_rows - 1) / morsel_rows;
-
-  // Zone-map consult: morsels whose fact-column zone maps prove "no row
-  // can match" are skipped *before dispatch* — no partial, no worker
-  // wake-up, just the row accounting (skipped rows match nothing, so
-  // results stay bit-identical at every thread count).  Morsels that
-  // survive may still prune finer-grained block segments inside
-  // ProcessRange.  Recording aggregators must account skips in feed
-  // order (match positions are walk positions), so they keep the
-  // in-order ProcessRange pruning and skip this reordering shortcut.
-  const VectorizedQuery* prune =
-      agg->options().record_matches ? nullptr : agg->zone_prune_query();
-  if (prune != nullptr) {
-    std::vector<int64_t> live;
-    live.reserve(static_cast<size_t>(morsels));
-    for (int64_t m = 0; m < morsels; ++m) {
-      const int64_t b = begin + m * morsel_rows;
-      const int64_t e = std::min(end, b + morsel_rows);
-      if (prune->RangeCanMatch(b, e)) {
-        live.push_back(b);
-      } else {
-        agg->AccountZoneSkip(
-            e - b, (e - 1) / storage::kZoneMapBlockRows -
-                       b / storage::kZoneMapBlockRows + 1);
-      }
-    }
-    RunMorsels(agg, static_cast<int64_t>(live.size()), parallelism,
-               [&](BinnedAggregator* partial, int64_t m) {
-                 const int64_t b = live[static_cast<size_t>(m)];
-                 partial->ProcessRange(b, std::min(end, b + morsel_rows));
-               });
-    return;
-  }
-
   RunMorsels(agg, morsels, parallelism,
              [&](BinnedAggregator* partial, int64_t m) {
                const int64_t b = begin + m * morsel_rows;

@@ -21,11 +21,11 @@
 /// (`AcquirePartial`/`ReleasePartial`), so dense tables survive across
 /// waves and across the many small budget slices engines advance in.
 ///
-/// Range scans additionally consult the fact columns' zone maps
-/// (storage/column.h) through the target's compiled prune checks:
-/// morsels that provably cannot contain a match are skipped before
-/// dispatch (rows accounted via `AccountZoneSkip`, results unchanged);
-/// shuffled walks mix rows from every block and never prune.
+/// Range scans prune with the fact columns' zone maps (storage/column.h)
+/// inside each morsel's `BinnedAggregator::ProcessRange`, the one place
+/// blocks are skipped: a morsel is one zone block's worth of rows, so
+/// a dispatcher-level check would test the same blocks again.  Shuffled
+/// walks mix rows from every block and never prune.
 ///
 /// Determinism contract: the morsel decomposition and the merge order
 /// depend only on the input range and the morsel size — never on the

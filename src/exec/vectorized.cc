@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <type_traits>
 
 namespace idebench::exec {
 namespace {
@@ -10,253 +11,138 @@ using expr::CompareOp;
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
-
 /// Physical load path a kernel is specialized on.
 enum class Ld { kI64, kF64, kI64Join, kF64Join };
 
-/// Loads the numeric-view value of `row` through access path `L`.
-/// Returns false on a join miss (inner-join semantics drop the row).
-template <Ld L>
-inline bool Load(const ColumnAccess& c, int64_t row, double* v) {
-  if constexpr (L == Ld::kI64) {
-    *v = static_cast<double>(c.i64[row]);
-    return true;
-  } else if constexpr (L == Ld::kF64) {
-    *v = c.f64[row];
-    return true;
-  } else {
-    const int32_t dim = c.join[row];
-    if (dim < 0) return false;
-    if constexpr (L == Ld::kI64Join) {
-      *v = static_cast<double>(c.i64[dim]);
-    } else {
-      *v = c.f64[dim];
-    }
-    return true;
-  }
-}
-
-/// Predicate test, mirroring expr::Predicate::Matches exactly.  `K` is
-/// any kernel struct carrying value/lo/hi/set_begin/set_end.
-template <CompareOp Op, typename K>
-inline bool Test(const K& k, double v) {
-  if constexpr (Op == CompareOp::kEq) return v == k.value;
-  if constexpr (Op == CompareOp::kNeq) return v != k.value;
-  if constexpr (Op == CompareOp::kLt) return v < k.value;
-  if constexpr (Op == CompareOp::kLe) return v <= k.value;
-  if constexpr (Op == CompareOp::kGt) return v > k.value;
-  if constexpr (Op == CompareOp::kGe) return v >= k.value;
-  if constexpr (Op == CompareOp::kRange) return v >= k.lo && v < k.hi;
-  if constexpr (Op == CompareOp::kIn) {
-    for (const double* s = k.set_begin; s != k.set_end; ++s) {
-      if (*s == v) return true;
-    }
-    return false;
-  }
-}
-
-/// `First` marks the first filter of the chain: the incoming selection
-/// is the identity, so the kernel synthesizes it instead of reading it —
-/// the caller skips the selection-vector init pass entirely.
-template <CompareOp Op, Ld L, bool First = false>
-int64_t FilterImpl(const FilterKernel& k, const int64_t* rows, int32_t* sel,
-                   int64_t n_sel) {
-  int64_t out = 0;
-  for (int64_t i = 0; i < n_sel; ++i) {
-    const int32_t s = First ? static_cast<int32_t>(i) : sel[i];
-    double v = std::numeric_limits<double>::quiet_NaN();
-    const bool loaded = Load<L>(k.col, rows[s], &v);
-    // Branchless compaction; NaN fails every predicate (scalar parity).
-    const bool pass = loaded & (v == v) & Test<Op>(k, v);
-    sel[out] = s;
-    out += pass;
-  }
-  return out;
-}
-
-/// SIMD-friendly specialization of the two hottest kernels: the int64 and
-/// double *fact-column* range filters.  The generic `FilterImpl` keeps a
-/// predicate test inside the gather loop, which blocks vectorization of
-/// the comparisons; here the gather is split into its own loop writing a
-/// contiguous scratch array, so the compare + branchless compaction loop
-/// is a pure vertical operation the compiler can turn into SIMD compares
-/// (and, with -march=native, the gather loop into hardware gathers).
-/// Semantics are identical to FilterImpl<kRange, L>: NaN never matches
-/// ((NaN >= lo) is false), bounds are [lo, hi).
-template <Ld L, bool First = false>
-int64_t RangeFilterDense(const FilterKernel& k, const int64_t* rows,
-                         int32_t* sel, int64_t n_sel) {
-  static_assert(L == Ld::kI64 || L == Ld::kF64,
-                "join loads keep the generic kernel");
-  const double lo = k.lo;
-  const double hi = k.hi;
-  alignas(64) double vals[kVectorBatchSize];
-  if constexpr (L == Ld::kI64) {
-    const int64_t* data = k.col.i64;
-    for (int64_t i = 0; i < n_sel; ++i) {
-      vals[i] = static_cast<double>(data[rows[First ? i : sel[i]]]);
-    }
-  } else {
-    const double* data = k.col.f64;
-    for (int64_t i = 0; i < n_sel; ++i) {
-      vals[i] = data[rows[First ? i : sel[i]]];
-    }
-  }
-  int64_t out = 0;
-  for (int64_t i = 0; i < n_sel; ++i) {
-    sel[out] = First ? static_cast<int32_t>(i) : sel[i];
-    out += (vals[i] >= lo) & (vals[i] < hi);
-  }
-  return out;
-}
-
-/// SIMD-friendly two-phase *fact-column* equality filter, mirroring
-/// `RangeFilterDense`: gather into contiguous scratch, then a pure
-/// vertical compare + branchless compaction loop the compiler can turn
-/// into SIMD compares.  Semantics are identical to FilterImpl<kEq, L>:
-/// NaN never matches ((NaN == v) is false), so the explicit NaN guard of
-/// the generic kernel is redundant here.
-template <Ld L, bool First = false>
-int64_t EqFilterDense(const FilterKernel& k, const int64_t* rows,
-                      int32_t* sel, int64_t n_sel) {
-  static_assert(L == Ld::kI64 || L == Ld::kF64,
-                "join loads keep the generic kernel");
-  const double value = k.value;
-  alignas(64) double vals[kVectorBatchSize];
-  if constexpr (L == Ld::kI64) {
-    const int64_t* data = k.col.i64;
-    for (int64_t i = 0; i < n_sel; ++i) {
-      vals[i] = static_cast<double>(data[rows[First ? i : sel[i]]]);
-    }
-  } else {
-    const double* data = k.col.f64;
-    for (int64_t i = 0; i < n_sel; ++i) {
-      vals[i] = data[rows[First ? i : sel[i]]];
-    }
-  }
-  int64_t out = 0;
-  for (int64_t i = 0; i < n_sel; ++i) {
-    sel[out] = First ? static_cast<int32_t>(i) : sel[i];
-    out += vals[i] == value;
-  }
-  return out;
-}
-
-/// SIMD-friendly two-phase *fact-column* IN-set filter: gather into
-/// contiguous scratch, then one vertical equality sweep per set element
-/// OR-ing into a pass mask, then branchless compaction.  Turning the
-/// per-row set loop of the generic kernel inside-out makes every inner
-/// loop a vertical operation over contiguous arrays.  Semantics are
-/// identical to FilterImpl<kIn, L>: NaN matches nothing, an empty set
-/// selects nothing, duplicates in the set are harmless.
-template <Ld L, bool First = false>
-int64_t InFilterDense(const FilterKernel& k, const int64_t* rows,
-                      int32_t* sel, int64_t n_sel) {
-  static_assert(L == Ld::kI64 || L == Ld::kF64,
-                "join loads keep the generic kernel");
-  alignas(64) double vals[kVectorBatchSize];
-  alignas(64) uint8_t pass[kVectorBatchSize];
-  if constexpr (L == Ld::kI64) {
-    const int64_t* data = k.col.i64;
-    for (int64_t i = 0; i < n_sel; ++i) {
-      vals[i] = static_cast<double>(data[rows[First ? i : sel[i]]]);
-    }
-  } else {
-    const double* data = k.col.f64;
-    for (int64_t i = 0; i < n_sel; ++i) {
-      vals[i] = data[rows[First ? i : sel[i]]];
-    }
-  }
-  for (int64_t i = 0; i < n_sel; ++i) pass[i] = 0;
-  for (const double* s = k.set_begin; s != k.set_end; ++s) {
-    const double v = *s;
-    for (int64_t i = 0; i < n_sel; ++i) {
-      pass[i] |= static_cast<uint8_t>(vals[i] == v);
-    }
-  }
-  int64_t out = 0;
-  for (int64_t i = 0; i < n_sel; ++i) {
-    sel[out] = First ? static_cast<int32_t>(i) : sel[i];
-    out += pass[i];
-  }
-  return out;
-}
-
-template <CompareOp Op, bool First>
-FilterKernel::Fn PickFilterForOp(Ld load) {
+/// Calls `f` with load path `load` as a compile-time constant, so one
+/// switch serves every kernel family.
+template <typename F>
+auto WithLoad(Ld load, F f) {
   switch (load) {
     case Ld::kI64:
-      return &FilterImpl<Op, Ld::kI64, First>;
+      return f(std::integral_constant<Ld, Ld::kI64>{});
     case Ld::kF64:
-      return &FilterImpl<Op, Ld::kF64, First>;
+      return f(std::integral_constant<Ld, Ld::kF64>{});
     case Ld::kI64Join:
-      return &FilterImpl<Op, Ld::kI64Join, First>;
+      return f(std::integral_constant<Ld, Ld::kI64Join>{});
     case Ld::kF64Join:
-      return &FilterImpl<Op, Ld::kF64Join, First>;
+      break;
   }
-  return nullptr;
+  return f(std::integral_constant<Ld, Ld::kF64Join>{});
 }
 
-template <bool First>
-FilterKernel::Fn PickFilterImpl(CompareOp op, Ld load) {
+/// The one gather every kernel reads its column through: loads the
+/// numeric-view value of each selected row into the contiguous lane
+/// `out[0..n)`.  Row i is `rows[sel[i]]`, or `rows[i]` when `First` (a
+/// chain's first filter, whose identity selection is never written).  A
+/// join miss loads NaN, which then passes no predicate and lands in no
+/// bin, exactly like a NaN cell.
+template <Ld L, bool First>
+void Gather(const ColumnAccess& c, const int64_t* rows, const int32_t* sel,
+            int64_t n, double* out) {
+  for (int64_t i = 0; i < n; ++i) {
+    const int64_t row = rows[First ? i : sel[i]];
+    if constexpr (L == Ld::kI64) {
+      out[i] = static_cast<double>(c.i64[row]);
+    } else if constexpr (L == Ld::kF64) {
+      out[i] = c.f64[row];
+    } else {
+      const int32_t dim = c.join[row];
+      if (dim < 0) {
+        out[i] = kNaN;
+      } else if (L == Ld::kI64Join) {
+        out[i] = static_cast<double>(c.i64[dim]);
+      } else {
+        out[i] = c.f64[dim];
+      }
+    }
+  }
+}
+
+/// Predicate test on a gathered value, mirroring expr::Predicate::Matches.
+/// NaN fails every comparison by IEEE rules except `!=`, which needs the
+/// explicit guard (NaN rows never match: scalar parity).
+template <CompareOp Op>
+inline bool Test(double v, double value, double lo, double hi) {
+  if constexpr (Op == CompareOp::kEq) return v == value;
+  if constexpr (Op == CompareOp::kNeq) return (v == v) & (v != value);
+  if constexpr (Op == CompareOp::kLt) return v < value;
+  if constexpr (Op == CompareOp::kLe) return v <= value;
+  if constexpr (Op == CompareOp::kGt) return v > value;
+  if constexpr (Op == CompareOp::kGe) return v >= value;
+  if constexpr (Op == CompareOp::kRange) return (v >= lo) & (v < hi);
+}
+
+/// One filter predicate, two phases: `Gather` fills a contiguous lane,
+/// then one loop compares each lane value and compacts the selection
+/// branchlessly.  IN-sets first build a pass mask inside-out, one
+/// vertical equality sweep per set element (an empty set selects
+/// nothing; duplicates are harmless).  `First` synthesizes the identity
+/// selection, so the caller skips the selection-vector init pass.
+template <CompareOp Op, Ld L, bool First>
+int64_t FilterImpl(const FilterKernel& k, const int64_t* rows, int32_t* sel,
+                   int64_t n_sel) {
+  alignas(64) double vals[kVectorBatchSize];
+  Gather<L, First>(k.col, rows, sel, n_sel, vals);
+  [[maybe_unused]] alignas(64) uint8_t pass[kVectorBatchSize];
+  if constexpr (Op == CompareOp::kIn) {
+    for (int64_t i = 0; i < n_sel; ++i) pass[i] = 0;
+    for (const double* s = k.set_begin; s != k.set_end; ++s) {
+      const double v = *s;
+      for (int64_t i = 0; i < n_sel; ++i) {
+        pass[i] |= static_cast<uint8_t>(vals[i] == v);
+      }
+    }
+  }
+  const double value = k.value;
+  const double lo = k.lo;
+  const double hi = k.hi;
+  int64_t out = 0;
+  for (int64_t i = 0; i < n_sel; ++i) {
+    sel[out] = First ? static_cast<int32_t>(i) : sel[i];
+    if constexpr (Op == CompareOp::kIn) {
+      out += pass[i];
+    } else {
+      out += Test<Op>(vals[i], value, lo, hi);
+    }
+  }
+  return out;
+}
+
+template <Ld L, bool First>
+FilterKernel::Fn PickFilterFor(CompareOp op) {
   switch (op) {
     case CompareOp::kEq:
-      // Fact-column equality takes the SIMD-friendly two-phase kernel.
-      if (load == Ld::kI64) return &EqFilterDense<Ld::kI64, First>;
-      if (load == Ld::kF64) return &EqFilterDense<Ld::kF64, First>;
-      return PickFilterForOp<CompareOp::kEq, First>(load);
+      return &FilterImpl<CompareOp::kEq, L, First>;
     case CompareOp::kNeq:
-      return PickFilterForOp<CompareOp::kNeq, First>(load);
+      return &FilterImpl<CompareOp::kNeq, L, First>;
     case CompareOp::kLt:
-      return PickFilterForOp<CompareOp::kLt, First>(load);
+      return &FilterImpl<CompareOp::kLt, L, First>;
     case CompareOp::kLe:
-      return PickFilterForOp<CompareOp::kLe, First>(load);
+      return &FilterImpl<CompareOp::kLe, L, First>;
     case CompareOp::kGt:
-      return PickFilterForOp<CompareOp::kGt, First>(load);
+      return &FilterImpl<CompareOp::kGt, L, First>;
     case CompareOp::kGe:
-      return PickFilterForOp<CompareOp::kGe, First>(load);
+      return &FilterImpl<CompareOp::kGe, L, First>;
     case CompareOp::kRange:
-      // Fact-column range filters take the SIMD-friendly two-phase kernel.
-      if (load == Ld::kI64) return &RangeFilterDense<Ld::kI64, First>;
-      if (load == Ld::kF64) return &RangeFilterDense<Ld::kF64, First>;
-      return PickFilterForOp<CompareOp::kRange, First>(load);
+      return &FilterImpl<CompareOp::kRange, L, First>;
     case CompareOp::kIn:
-      // Fact-column IN-sets take the SIMD-friendly two-phase kernel.
-      if (load == Ld::kI64) return &InFilterDense<Ld::kI64, First>;
-      if (load == Ld::kF64) return &InFilterDense<Ld::kF64, First>;
-      return PickFilterForOp<CompareOp::kIn, First>(load);
+      return &FilterImpl<CompareOp::kIn, L, First>;
   }
   return nullptr;
 }
 
 FilterKernel::Fn PickFilter(CompareOp op, Ld load, bool first) {
-  return first ? PickFilterImpl<true>(op, load)
-               : PickFilterImpl<false>(op, load);
+  return WithLoad(load, [&](auto l) {
+    constexpr Ld L = decltype(l)::value;
+    return first ? PickFilterFor<L, true>(op) : PickFilterFor<L, false>(op);
+  });
 }
 
 template <Ld L>
 void AggImpl(const AggKernel& k, const int64_t* rows, const int32_t* sel,
              int64_t n_sel, double* out) {
-  for (int64_t i = 0; i < n_sel; ++i) {
-    double v;
-    out[i] = Load<L>(k.col, rows[sel[i]], &v)
-                 ? v
-                 : std::numeric_limits<double>::quiet_NaN();
-  }
-}
-
-AggKernel::Fn PickAgg(Ld load) {
-  switch (load) {
-    case Ld::kI64:
-      return &AggImpl<Ld::kI64>;
-    case Ld::kF64:
-      return &AggImpl<Ld::kF64>;
-    case Ld::kI64Join:
-      return &AggImpl<Ld::kI64Join>;
-    case Ld::kF64Join:
-      return &AggImpl<Ld::kF64Join>;
-  }
-  return nullptr;
+  Gather<L, false>(k.col, rows, sel, n_sel, out);
 }
 
 /// Resolves the access path of `binding`; returns false when it cannot be
@@ -286,49 +172,47 @@ bool SameAccess(const ColumnAccess& a, const ColumnAccess& b) {
 
 // --- Fused bin kernels -----------------------------------------------------
 
-/// Fused quantitative bin keys: a gather phase loads each selected row's
-/// value once into the contiguous lane `out_vals` (NaN sentinel on join
-/// miss), then a *vertical* key phase evaluates the scalar path's
-/// floor-division.  The range check moves onto the quotient itself —
-/// `t >= 0` iff `floor(t) >= 0`, and (bin_count being an exactly
-/// representable integer) `t < bin_count` iff `floor(t) < bin_count` —
-/// after which truncation *is* floor (t is non-negative), so the key
-/// phase is two compares, one select in the double domain (the cast is
-/// always of a value in [-1, bin_count) — never UB) and one truncating
-/// cast: no libm floor call, no per-row branch, fully vectorizable.
-/// `UseInv` replaces the division with an exact reciprocal multiply,
-/// chosen at compile time only when width is a power of two, where
-/// `v * (1/width)` rounds identically to `v / width` for every v.
-template <Ld L, bool UseInv>
-void FusedBinQuantImpl(const BinKernel& k, const int64_t* rows,
-                       const int32_t* sel, int64_t n_sel, int64_t* out,
-                       double* out_vals) {
-  if constexpr (L == Ld::kI64) {
-    const int64_t* data = k.col.i64;
-    for (int64_t i = 0; i < n_sel; ++i) {
-      out_vals[i] = static_cast<double>(data[rows[sel[i]]]);
-    }
-  } else if constexpr (L == Ld::kF64) {
-    const double* data = k.col.f64;
-    for (int64_t i = 0; i < n_sel; ++i) out_vals[i] = data[rows[sel[i]]];
-  } else {
-    for (int64_t i = 0; i < n_sel; ++i) {
-      double v;
-      out_vals[i] = Load<L>(k.col, rows[sel[i]], &v) ? v : kNaN;
-    }
-  }
+/// Fused bin keys: `Gather` loads each selected row's value once into the
+/// contiguous lane `out_vals` (NaN on a join miss), then a *vertical* key
+/// phase evaluates the scalar path's bin index.
+///
+///  * Quantitative bins floor-divide `(v - lo) / width`.  The range check
+///    moves onto the quotient itself: `t >= 0` iff `floor(t) >= 0`, and
+///    (bin_count being an exactly representable integer) `t < bin_count`
+///    iff `floor(t) < bin_count`; after it, truncation *is* floor (t is
+///    non-negative).  `UseInv` replaces the division with an exact
+///    reciprocal multiply, chosen at compile time only when width is a
+///    power of two, where `v * (1/width)` rounds identically to
+///    `v / width` for every v.
+///  * Nominal bins truncate `v - lo`, the scalar path's
+///    `(int64_t)(v - lo)`; guarding with `d > -1` (not `d >= 0`)
+///    reproduces its boundary behavior exactly (v - lo in (-1, 0)
+///    truncates to bin 0).  String dimensions bin their dictionary codes
+///    here as well: the range check bounds every code, so a code that
+///    joined the dictionary after the query compiled lands in no bin.
+///
+/// Either way the key phase is two compares, one select in the double
+/// domain (the cast is always of a value in [-1, bin_count), never UB)
+/// and one truncating cast: no libm floor call, no per-row branch, fully
+/// vectorizable.  NaN fails both compares and keys to -1, matching the
+/// scalar NaN/miss path.
+template <Ld L, bool Nominal, bool UseInv>
+void FusedBinImpl(const BinKernel& k, const int64_t* rows, const int32_t* sel,
+                  int64_t n_sel, int64_t* out, double* out_vals) {
+  Gather<L, false>(k.col, rows, sel, n_sel, out_vals);
   const double lo = k.lo;
   const double width = k.width;
   const double inv = k.inv_width;
   const double dbc = static_cast<double>(k.bin_count);
+  const auto key = [&](double v) {
+    const double d = v - lo;
+    const double t = Nominal ? d : UseInv ? d * inv : d / width;
+    return (Nominal ? t > -1.0 : t >= 0.0) & (t < dbc) ? t : -1.0;
+  };
 #if defined(__AVX512DQ__)
   // vcvttpd2qq converts packed double -> int64 directly; no staging.
   for (int64_t i = 0; i < n_sel; ++i) {
-    const double t =
-        UseInv ? (out_vals[i] - lo) * inv : (out_vals[i] - lo) / width;
-    // NaN fails both compares -> -1, matching the scalar NaN/miss path.
-    const double ts = (t >= 0.0) & (t < dbc) ? t : -1.0;
-    out[i] = static_cast<int64_t>(ts);
+    out[i] = static_cast<int64_t>(key(out_vals[i]));
   }
 #else
   // Staging through int32 lets the cast vectorize (cvttpd2dq exists from
@@ -336,78 +220,19 @@ void FusedBinQuantImpl(const BinKernel& k, const int64_t* rows,
   // below 2^21 (`query::kBinKeyStride`), so the narrow cast is lossless.
   alignas(64) int32_t stage[kVectorBatchSize];
   for (int64_t i = 0; i < n_sel; ++i) {
-    const double t =
-        UseInv ? (out_vals[i] - lo) * inv : (out_vals[i] - lo) / width;
-    // NaN fails both compares -> -1, matching the scalar NaN/miss path.
-    const double ts = (t >= 0.0) & (t < dbc) ? t : -1.0;
-    stage[i] = static_cast<int32_t>(ts);
+    stage[i] = static_cast<int32_t>(key(out_vals[i]));
   }
   for (int64_t i = 0; i < n_sel; ++i) out[i] = stage[i];
 #endif
-}
-
-/// Fused nominal (truncation) bin keys: same gather phase, then a
-/// vertical key phase whose truncating cast *is* the scalar path's
-/// `(int64_t)(v - lo)`.  Guarding with `d > -1` (not `d >= 0`)
-/// reproduces its boundary behavior exactly — v - lo in (-1, 0)
-/// truncates to bin 0.  String dimensions bin their dictionary codes
-/// here as well: the range check bounds every code, so a code that
-/// joined the dictionary after the query compiled lands in no bin.
-template <Ld L>
-void FusedBinNominalImpl(const BinKernel& k, const int64_t* rows,
-                         const int32_t* sel, int64_t n_sel, int64_t* out,
-                         double* out_vals) {
-  if constexpr (L == Ld::kI64) {
-    const int64_t* data = k.col.i64;
-    for (int64_t i = 0; i < n_sel; ++i) {
-      out_vals[i] = static_cast<double>(data[rows[sel[i]]]);
-    }
-  } else if constexpr (L == Ld::kF64) {
-    const double* data = k.col.f64;
-    for (int64_t i = 0; i < n_sel; ++i) out_vals[i] = data[rows[sel[i]]];
-  } else {
-    for (int64_t i = 0; i < n_sel; ++i) {
-      double v;
-      out_vals[i] = Load<L>(k.col, rows[sel[i]], &v) ? v : kNaN;
-    }
-  }
-  const double lo = k.lo;
-  const double dbc = static_cast<double>(k.bin_count);
-#if defined(__AVX512DQ__)
-  for (int64_t i = 0; i < n_sel; ++i) {
-    const double d = out_vals[i] - lo;
-    const double ds = (d > -1.0) & (d < dbc) ? d : -1.0;
-    out[i] = static_cast<int64_t>(ds);
-  }
-#else
-  alignas(64) int32_t stage[kVectorBatchSize];
-  for (int64_t i = 0; i < n_sel; ++i) {
-    const double d = out_vals[i] - lo;
-    const double ds = (d > -1.0) & (d < dbc) ? d : -1.0;
-    stage[i] = static_cast<int32_t>(ds);
-  }
-  for (int64_t i = 0; i < n_sel; ++i) out[i] = stage[i];
-#endif
-}
-
-template <Ld L>
-BinKernel::Fn PickFusedBinFor(bool nominal, bool use_inv) {
-  if (nominal) return &FusedBinNominalImpl<L>;
-  return use_inv ? &FusedBinQuantImpl<L, true> : &FusedBinQuantImpl<L, false>;
 }
 
 BinKernel::Fn PickFusedBin(Ld load, bool nominal, bool use_inv) {
-  switch (load) {
-    case Ld::kI64:
-      return PickFusedBinFor<Ld::kI64>(nominal, use_inv);
-    case Ld::kF64:
-      return PickFusedBinFor<Ld::kF64>(nominal, use_inv);
-    case Ld::kI64Join:
-      return PickFusedBinFor<Ld::kI64Join>(nominal, use_inv);
-    case Ld::kF64Join:
-      return PickFusedBinFor<Ld::kF64Join>(nominal, use_inv);
-  }
-  return nullptr;
+  return WithLoad(load, [&](auto l) -> BinKernel::Fn {
+    constexpr Ld L = decltype(l)::value;
+    if (nominal) return &FusedBinImpl<L, true, false>;
+    return use_inv ? &FusedBinImpl<L, false, true>
+                   : &FusedBinImpl<L, false, false>;
+  });
 }
 
 /// True when 1/width is exactly representable, i.e. multiplying by the
@@ -460,7 +285,7 @@ void VectorizedQuery::CompilePrune(const BoundQuery& query) {
   }
 }
 
-bool VectorizedQuery::PruneCheck::BlockCanMatch(
+bool VectorizedQuery::PruneCheck::CanMatch(
     const storage::ZoneEntry& z) const {
   // All tests are written so that a block with no finite values
   // (min = +inf > max = -inf) is excluded — its rows are all NaN and NaN
@@ -514,21 +339,13 @@ bool VectorizedQuery::PruneCheck::BlockCanMatch(
   return true;
 }
 
-bool VectorizedQuery::RangeCanMatch(int64_t begin, int64_t end) const {
-  if (begin >= end) return true;
+bool VectorizedQuery::BlockCanMatch(int64_t block) const {
   for (const PruneCheck& c : prune_checks_) {
     const std::vector<storage::ZoneEntry>& zones = c.col->zone_map();
-    const int64_t b0 = begin / storage::kZoneMapBlockRows;
-    const int64_t b1 = (end - 1) / storage::kZoneMapBlockRows;
-    bool any_block_matches = false;
-    for (int64_t b = b0; b <= b1; ++b) {
-      if (b >= static_cast<int64_t>(zones.size()) ||
-          c.BlockCanMatch(zones[static_cast<size_t>(b)])) {
-        any_block_matches = true;
-        break;
-      }
+    if (block < static_cast<int64_t>(zones.size()) &&
+        !c.CanMatch(zones[static_cast<size_t>(block)])) {
+      return false;
     }
-    if (!any_block_matches) return false;
   }
   return true;
 }
@@ -584,7 +401,9 @@ VectorizedQuery VectorizedQuery::Compile(const BoundQuery& query) {
     } else {
       Ld load;
       if (!CompileAccess(query.agg_bindings()[a], &k.col, &load)) return vq;
-      k.fn = PickAgg(load);
+      k.fn = WithLoad(load, [](auto l) -> AggKernel::Fn {
+        return &AggImpl<decltype(l)::value>;
+      });
       if (k.fn == nullptr) return vq;
     }
     vq.agg_kernels_.push_back(k);

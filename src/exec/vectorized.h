@@ -13,16 +13,19 @@
 ///
 ///  * a `RowBatch` carries up to `kVectorBatchSize` gathered fact-row ids
 ///    plus a *selection vector* that filter kernels compact in place;
-///  * filter kernels (range / IN-set / equality / ordering) are selected
-///    from a per-(op, column-type, join) kernel table at compile time and
-///    read raw contiguous arrays (`Column::Int64Data` / `DoubleData`);
-///  * each bin dimension compiles to one fused kernel with a gather phase
-///    (the dimension column loaded once per batch into a contiguous value
-///    lane, join misses and NaNs becoming one NaN sentinel) and a
-///    *vertical* key phase: quantitative bins evaluate `(v - lo) / width`
-///    (an exact `* inv_width` multiply when width is a power of two),
-///    nominal bins — string dictionary codes included — truncate
-///    `v - lo`.  Compare-guarded truncating casts replace the scalar
+///  * every kernel reads its column through one gather, which loads the
+///    raw contiguous array (`Column::Int64Data` / `DoubleData`) of a fact
+///    column, or of a dimension column through the join mapping, into a
+///    contiguous value lane; a join miss loads NaN, so join misses and
+///    NaN cells are one case from there on;
+///  * each filter predicate compiles to one two-phase kernel per (op,
+///    load path): the gather, then a compare fused into branchless
+///    compaction (IN-sets inside-out, one sweep per set element);
+///  * each bin dimension compiles to one fused kernel: the gather (the
+///    dimension column loaded once per batch) and a *vertical* key
+///    phase: quantitative bins evaluate `(v - lo) / width` (an exact
+///    `* inv_width` multiply when width is a power of two), nominal
+///    bins — string dictionary codes included — truncate `v - lo`.  Compare-guarded truncating casts replace the scalar
 ///    path's `std::floor` call + integer range check: identical results
 ///    for every value, no libm call, no per-row branch, fully
 ///    vectorizable.  Every key is range-checked at run time, so a
@@ -42,11 +45,11 @@
 /// filter predicate and bin dimension that reads a fact column directly,
 /// a per-64K-block test against the column's zone map
 /// (`storage::Column::zone_map()`) that proves "no row in this block can
-/// match".  Full-scan drivers use `RangeCanMatch` to skip whole blocks;
-/// the tests evaluate the *same* monotone floating-point expressions as
-/// the kernels at the block bounds, so a skipped block can never contain
-/// a matching row.  Shuffled-walk feeds cannot use them (their batches
-/// mix rows from every block).
+/// match".  `BinnedAggregator::ProcessRange` asks `BlockCanMatch` before
+/// scanning each block; the tests evaluate the *same* monotone
+/// floating-point expressions as the kernels at the block bounds, so a
+/// skipped block can never contain a matching row.  Shuffled-walk feeds
+/// cannot use them (their batches mix rows from every block).
 
 #include <array>
 #include <cstdint>
@@ -161,16 +164,11 @@ class VectorizedQuery {
 
   // --- Zone-map block pruning -------------------------------------------
 
-  /// True when at least one filter predicate or bin dimension reads a
-  /// fact column directly, i.e. `RangeCanMatch` can ever prune.
-  bool can_prune_blocks() const { return !prune_checks_.empty(); }
-
-  /// True unless the fact-column zone maps *prove* that no row in
-  /// [begin, end) can survive filtering and binning.  Sound, not
-  /// complete: `false` guarantees zero matches in the range; `true`
-  /// promises nothing.  The range may span several zone blocks; each
-  /// check prunes only when every overlapped block is excluded.
-  bool RangeCanMatch(int64_t begin, int64_t end) const;
+  /// True unless the fact-column zone maps *prove* that no row of zone
+  /// block `block` (`storage::kZoneMapBlockRows` rows) can survive
+  /// filtering and binning.  Sound, not complete: `false` guarantees zero
+  /// matches in the block; `true` promises nothing.
+  bool BlockCanMatch(int64_t block) const;
 
   /// Converts a dense key to the public packed key used in results.
   int64_t DenseKeyToPublic(int64_t dense) const {
@@ -200,7 +198,7 @@ class VectorizedQuery {
     const double* set_end = nullptr;
 
     /// True unless the block bounds prove no row can match this check.
-    bool BlockCanMatch(const storage::ZoneEntry& z) const;
+    bool CanMatch(const storage::ZoneEntry& z) const;
   };
 
   /// Compiles the prune checks (called after the kernels compiled).

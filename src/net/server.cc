@@ -425,7 +425,6 @@ void Server::HandleInteraction(Connection* conn, const JsonValue& msg) {
     queries.Append(std::move(q));
     if (sq.unsupported) continue;  // already terminal, never live
     ++live;
-    tracked_.insert(sq.query_id);
     streams_[sq.query_id] =
         QueryStream{decision.update_interval, /*last_partial=*/-1};
   }
@@ -569,8 +568,7 @@ void Server::OnUpdate(Connection* conn,
   if (update.final_update) {
     // The ratekeeper's live count tracks admitted queries to their
     // terminal update, whatever path delivered it.
-    if (tracked_.erase(update.query_id) > 0) ratekeeper_.OnFinalized(1);
-    streams_.erase(update.query_id);
+    if (streams_.erase(update.query_id) > 0) ratekeeper_.OnFinalized(1);
     if (conn->dead) {
       // The client is gone; its admitted queries still finalize.  This
       // is the one place a terminal update misses the wire, and it is

@@ -49,7 +49,6 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/clock.h"
@@ -241,8 +240,7 @@ class Server {
   std::atomic<bool> stop_{false};
   std::vector<std::unique_ptr<Connection>> connections_;
 
-  /// Queries the ratekeeper counts live (admitted, not yet terminal).
-  std::unordered_set<int64_t> tracked_;
+  /// Admitted, not yet terminal queries: the ratekeeper's live set.
   std::unordered_map<int64_t, QueryStream> streams_;
 
   ServerStats stats_;

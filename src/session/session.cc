@@ -509,23 +509,11 @@ Status SessionManager::FinalizeOverdue() {
 }
 
 Status SessionManager::AdvanceTo(Micros t) {
+  // Each step stops at a finalization or at `t`; one that finalizes
+  // nothing has landed on `t`.
   while (true) {
-    DrainIngest();  // due appends/publishes apply between engine calls
-    IDB_RETURN_NOT_OK(FinalizeOverdue());
-    if (virtual_now_ >= t) return Status::OK();
-    if (run_queue_.empty()) {
-      // Idle gap: virtual time is free, but land exactly on each queued
-      // ingest event so visibility changes at its scheduled instant.
-      virtual_now_ = std::min(t, NextIngestAt());
-      continue;
-    }
-    const Micros horizon = std::min({t, NextWakeup(), NextIngestAt()});
-    Micros slice_end = horizon;
-    if (options_.quantum > 0) {
-      slice_end = std::min(horizon, virtual_now_ + options_.quantum);
-    }
-    virtual_now_ = slice_end;
-    IDB_RETURN_NOT_OK(RunSliceTo(slice_end));
+    IDB_ASSIGN_OR_RETURN(int finalized, StepUntilEvent(t));
+    if (finalized == 0) return Status::OK();
   }
 }
 

@@ -316,6 +316,13 @@ class SessionManager {
   /// next advance.
   Status RunUntilIdle();
 
+  /// Classifies an engine error as retryable.  I/O errors, resource
+  /// exhaustion, spurious cancellations and unclassified failures are the
+  /// transient classes (the ones chaos injection produces); anything else
+  /// is a programming error and aborts.  The chaos harness applies the
+  /// same rule to its setup path (Prepare, CSV ingest).
+  static bool IsTransientEngineError(StatusCode code);
+
   // --- Ingest channel (streaming ingest) -----------------------------
   //
   // Appends and publishes are *scheduled on the virtual clock* and
@@ -417,12 +424,6 @@ class SessionManager {
   Micros NextIngestAt() const;
 
   enum class FinalizeReason { kCompleted, kDeadline, kClientCancel, kFailed };
-
-  /// Classifies an engine error as retryable.  I/O errors, resource
-  /// exhaustion, spurious cancellations and unclassified failures are the
-  /// transient classes (the ones chaos injection produces); anything else
-  /// is a programming error and aborts.
-  static bool IsTransientEngineError(StatusCode code);
 
   /// Reacts to a transient-or-worse engine fault on `q`: cancels the
   /// handle if any, schedules a backed-off retry, or — retries exhausted —

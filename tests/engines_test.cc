@@ -302,6 +302,130 @@ TEST(OnlineEngineTest, CompletedOnlineQueryIsExact) {
 }
 
 // --------------------------------------------------------------------
+// Join charging: every engine gathers through one index per dimension;
+// only the cost model decides who pays for building it.
+// --------------------------------------------------------------------
+
+/// The tiny fact table with `flag` normalized out into a two-row `flags`
+/// dimension (flag_key -> flag_label), representing 1 M nominal rows.
+std::shared_ptr<storage::Catalog> MakeNormalizedCatalog() {
+  storage::Schema dim_schema(
+      {{"flag_key", storage::DataType::kInt64,
+        storage::AttributeKind::kNominal},
+       {"flag_label", storage::DataType::kString,
+        storage::AttributeKind::kNominal}});
+  auto dim = std::make_shared<storage::Table>("flags", dim_schema);
+  dim->mutable_column(0).AppendInt(0);
+  dim->mutable_column(1).AppendString("off");
+  dim->mutable_column(0).AppendInt(1);
+  dim->mutable_column(1).AppendString("on");
+  auto catalog = testutil::MakeTinyCatalog();
+  IDB_CHECK(catalog->AddTable(dim).ok());
+  IDB_CHECK(catalog->AddForeignKey({"flag", "flags", "flag_key"}).ok());
+  catalog->set_nominal_rows(1'000'000);
+  return catalog;
+}
+
+/// `type` (over `value` unless COUNT) grouped by the dimension column
+/// `flag_label`.
+QuerySpec ByFlagLabel(const storage::Catalog& catalog, AggregateType type) {
+  QuerySpec spec;
+  spec.viz_name = "viz_flags";
+  query::BinDimension dim;
+  dim.column = "flag_label";
+  dim.mode = query::BinningMode::kNominal;
+  spec.bins.push_back(dim);
+  AggregateSpec agg;
+  agg.type = type;
+  if (type != AggregateType::kCount) agg.column = "value";
+  spec.aggregates.push_back(agg);
+  IDB_CHECK(spec.ResolveBins(catalog).ok());
+  return spec;
+}
+
+constexpr Micros kUnlimited = 1'000'000'000'000;
+
+/// Submits `spec`, runs it to completion in one slice and releases it;
+/// returns the virtual time it consumed.
+Micros RunToCompletion(Engine* engine, const QuerySpec& spec) {
+  auto handle = engine->Submit(spec);
+  IDB_CHECK(handle.ok());
+  const Micros consumed = engine->RunFor(*handle, kUnlimited);
+  IDB_CHECK(engine->IsDone(*handle));
+  engine->Cancel(*handle);
+  return consumed;
+}
+
+TEST(JoinChargeTest, BlockingEngineChargesEachDimensionOncePerEngine) {
+  BlockingEngineConfig config;
+  BlockingEngine engine(config);
+  auto catalog = MakeNormalizedCatalog();
+  ASSERT_TRUE(engine.Prepare(catalog).ok());
+  const QuerySpec spec = ByFlagLabel(*catalog, AggregateType::kCount);
+  const Micros build =
+      static_cast<Micros>(static_cast<double>(catalog->nominal_rows()) *
+                          config.join_build_ns_per_row / 1000.0);
+  ASSERT_GT(build, 0);
+
+  // The first query on `flags` pays the hash-join build before its first
+  // row: a slice covering exactly overhead + build buys no row yet.
+  auto first = engine.Submit(spec);
+  ASSERT_TRUE(first.ok());
+  const Micros overhead =
+      static_cast<Micros>(config.query_overhead_us) + build;
+  EXPECT_EQ(engine.RunFor(*first, overhead), overhead);
+  auto pending = engine.PollResult(*first);
+  ASSERT_TRUE(pending.ok());
+  EXPECT_DOUBLE_EQ(pending->progress, 0.0);
+  const Micros first_total = overhead + engine.RunFor(*first, kUnlimited);
+  ASSERT_TRUE(engine.IsDone(*first));
+  engine.Cancel(*first);
+
+  // A second query on the same dimension does not pay it again.
+  EXPECT_EQ(first_total - RunToCompletion(&engine, spec), build);
+}
+
+TEST(JoinChargeTest, OnlineFallbackChargedAfterWanderJoinBuiltTheIndex) {
+  OnlineEngineConfig config;
+  config.sample_us_per_row = 1.0;
+  OnlineEngine engine(config);
+  auto catalog = MakeNormalizedCatalog();
+  ASSERT_TRUE(engine.Prepare(catalog).ok());
+
+  // Wander-join sampling binds through `flags` first and is never
+  // charged for it.
+  const QuerySpec online = ByFlagLabel(*catalog, AggregateType::kCount);
+  ASSERT_TRUE(OnlineEngine::SupportsOnline(online));
+  EXPECT_EQ(RunToCompletion(&engine, online), RunToCompletion(&engine, online));
+
+  // The blocking fallback still pays its hash-join build, once.
+  const QuerySpec fallback = ByFlagLabel(*catalog, AggregateType::kAvg);
+  ASSERT_FALSE(OnlineEngine::SupportsOnline(fallback));
+  const Micros build = static_cast<Micros>(
+      static_cast<double>(catalog->nominal_rows()) *
+      (2.0 * config.fallback_scan_ns_per_row) / 1000.0);
+  ASSERT_GT(build, 0);
+  const Micros first = RunToCompletion(&engine, fallback);
+  EXPECT_EQ(first - RunToCompletion(&engine, fallback), build);
+}
+
+TEST(JoinChargeTest, JoinIndexCacheHandsOutOneIndexPerDimension) {
+  auto catalog = MakeNormalizedCatalog();
+  exec::JoinIndexCache cache(catalog.get());
+  auto count = cache.For(ByFlagLabel(*catalog, AggregateType::kCount));
+  auto avg = cache.For(ByFlagLabel(*catalog, AggregateType::kAvg));
+  ASSERT_TRUE(count.ok());
+  ASSERT_TRUE(avg.ok());
+  ASSERT_EQ(count->size(), 1u);
+  ASSERT_EQ(avg->size(), 1u);
+  EXPECT_EQ((*count)[0], (*avg)[0]);
+  EXPECT_EQ((*count)[0]->dimension_table(), "flags");
+  auto fact_only = cache.For(testutil::MakeCountByGroupSpec(*catalog));
+  ASSERT_TRUE(fact_only.ok());
+  EXPECT_TRUE(fact_only->empty());
+}
+
+// --------------------------------------------------------------------
 // Progressive engine (IDEA-like)
 // --------------------------------------------------------------------
 

@@ -116,7 +116,7 @@ void RunDifferential(const QuerySpec& spec,
   auto required = BoundQuery::RequiredJoins(spec, *catalog);
   ASSERT_TRUE(required.ok());
   if (!required->empty()) {
-    auto built = JoinIndex::BuildLazy(*catalog, catalog->foreign_keys()[0]);
+    auto built = JoinIndex::Build(*catalog, catalog->foreign_keys()[0]);
     ASSERT_TRUE(built.ok());
     join = std::make_unique<JoinIndex>(std::move(built).MoveValueUnsafe());
     joins.push_back(join.get());

@@ -194,7 +194,7 @@ Result<BoundQuery> BindWithJoins(
   IDB_RETURN_NOT_OK(required.status());
   if (!required->empty()) {
     IDB_ASSIGN_OR_RETURN(JoinIndex built,
-                         JoinIndex::BuildLazy(catalog, catalog.foreign_keys()[0]));
+                         JoinIndex::Build(catalog, catalog.foreign_keys()[0]));
     *join_out = std::make_unique<JoinIndex>(std::move(built));
     joins.push_back(join_out->get());
   }

@@ -52,10 +52,8 @@ std::shared_ptr<storage::Catalog> MakeStarCatalog() {
 
 TEST(JoinIndexTest, MaterializedMapsAllRows) {
   auto catalog = MakeStarCatalog();
-  auto index = JoinIndex::BuildMaterialized(*catalog,
-                                            catalog->foreign_keys()[0]);
+  auto index = JoinIndex::Build(*catalog, catalog->foreign_keys()[0]);
   ASSERT_TRUE(index.ok());
-  EXPECT_FALSE(index->is_lazy());
   EXPECT_EQ(index->DimRow(0), 0);
   EXPECT_EQ(index->DimRow(1), 1);
   EXPECT_EQ(index->DimRow(2), 2);
@@ -64,24 +62,10 @@ TEST(JoinIndexTest, MaterializedMapsAllRows) {
   EXPECT_EQ(index->miss_count(), 1);
 }
 
-TEST(JoinIndexTest, LazyMatchesMaterialized) {
-  auto catalog = MakeStarCatalog();
-  const auto& fk = catalog->foreign_keys()[0];
-  auto materialized = JoinIndex::BuildMaterialized(*catalog, fk);
-  auto lazy = JoinIndex::BuildLazy(*catalog, fk);
-  ASSERT_TRUE(materialized.ok());
-  ASSERT_TRUE(lazy.ok());
-  EXPECT_TRUE(lazy->is_lazy());
-  for (int64_t r = 0; r < 10; ++r) {
-    EXPECT_EQ(materialized->DimRow(r), lazy->DimRow(r)) << "row " << r;
-  }
-}
-
 TEST(JoinIndexTest, UnknownDimensionFails) {
   auto catalog = MakeStarCatalog();
   storage::ForeignKey bad{"dim_id", "missing", "dim_id"};
-  EXPECT_FALSE(JoinIndex::BuildMaterialized(*catalog, bad).ok());
-  EXPECT_FALSE(JoinIndex::BuildLazy(*catalog, bad).ok());
+  EXPECT_FALSE(JoinIndex::Build(*catalog, bad).ok());
 }
 
 TEST(BoundQueryTest, RequiredJoinsDetectsDimensionColumns) {
@@ -151,8 +135,7 @@ TEST(BoundQueryTest, JoinedGroupByCountsInnerJoinRows) {
   spec.aggregates = {agg};
   ASSERT_TRUE(spec.ResolveBins(*catalog).ok());
 
-  auto join = JoinIndex::BuildMaterialized(*catalog,
-                                           catalog->foreign_keys()[0]);
+  auto join = JoinIndex::Build(*catalog, catalog->foreign_keys()[0]);
   ASSERT_TRUE(join.ok());
   auto bound = BoundQuery::Bind(spec, *catalog, {&*join});
   ASSERT_TRUE(bound.ok());

@@ -150,7 +150,7 @@ void RunDifferential(const QuerySpec& spec,
   auto required = BoundQuery::RequiredJoins(spec, *catalog);
   ASSERT_TRUE(required.ok());
   if (!required->empty()) {
-    auto built = JoinIndex::BuildLazy(*catalog, catalog->foreign_keys()[0]);
+    auto built = JoinIndex::Build(*catalog, catalog->foreign_keys()[0]);
     ASSERT_TRUE(built.ok());
     join = std::make_unique<JoinIndex>(std::move(built).MoveValueUnsafe());
     joins.push_back(join.get());
@@ -683,17 +683,12 @@ TEST(VectorizedEngineDifferentialTest, StratifiedEngineMatchesScalarSample) {
 
 TEST(JoinIndexVectorizedTest, FlatMappingMatchesDimRow) {
   auto catalog = MakeWideCatalog();
-  auto lazy = JoinIndex::BuildLazy(*catalog, catalog->foreign_keys()[0]);
-  auto mat = JoinIndex::BuildMaterialized(*catalog, catalog->foreign_keys()[0]);
-  ASSERT_TRUE(lazy.ok());
-  ASSERT_TRUE(mat.ok());
-  EXPECT_EQ(lazy->mapping_size(), kRows);
-  EXPECT_EQ(mat->mapping_size(), kRows);
-  EXPECT_GT(lazy->miss_count(), 0);  // dangling keys exist
-  EXPECT_EQ(lazy->miss_count(), mat->miss_count());
+  auto index = JoinIndex::Build(*catalog, catalog->foreign_keys()[0]);
+  ASSERT_TRUE(index.ok());
+  EXPECT_EQ(index->mapping_size(), kRows);
+  EXPECT_GT(index->miss_count(), 0);  // dangling keys exist
   for (int64_t r = 0; r < kRows; ++r) {
-    EXPECT_EQ(lazy->DimRow(r), mat->DimRow(r));
-    EXPECT_EQ(lazy->mapping_data()[r], lazy->DimRow(r));
+    EXPECT_EQ(index->mapping_data()[r], index->DimRow(r));
   }
 }
 
@@ -715,7 +710,7 @@ TEST(JoinIndexVectorizedTest, FractionalDoubleKeysRejected) {
   ASSERT_TRUE(catalog->AddTable(dim).ok());
   ASSERT_TRUE(catalog->AddForeignKey({"fk", "dims", "pk"}).ok());
 
-  auto built = JoinIndex::BuildLazy(*catalog, catalog->foreign_keys()[0]);
+  auto built = JoinIndex::Build(*catalog, catalog->foreign_keys()[0]);
   EXPECT_FALSE(built.ok()) << "fractional double key must be rejected";
 
   // Integral double keys build fine and join exactly.
@@ -727,8 +722,7 @@ TEST(JoinIndexVectorizedTest, FractionalDoubleKeysRejected) {
   ASSERT_TRUE(catalog2->AddTable(fact2).ok());
   ASSERT_TRUE(catalog2->AddTable(dim).ok());
   ASSERT_TRUE(catalog2->AddForeignKey({"fk", "dims", "pk"}).ok());
-  auto ok = JoinIndex::BuildMaterialized(*catalog2,
-                                         catalog2->foreign_keys()[0]);
+  auto ok = JoinIndex::Build(*catalog2, catalog2->foreign_keys()[0]);
   ASSERT_TRUE(ok.ok());
   EXPECT_EQ(ok->DimRow(0), 0);
   EXPECT_EQ(ok->DimRow(1), -1);

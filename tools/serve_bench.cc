@@ -3,8 +3,7 @@
 /// processes (fork + execv of this binary with --worker) against an
 /// in-process wall-paced server, drives generated exploration workflows
 /// through each, and aggregates wall-clock update latencies plus the
-/// admission ladder's rejection/degradation counts into
-/// BENCH_net_serving.json.
+/// admission ladder's rejection/degradation counts into a JSON report.
 ///
 /// Usage (parent):
 ///   serve_bench [--clients N] [--interactions K] [--rows N] [--seed S]
@@ -16,7 +15,7 @@
 ///   --interactions K  interactions per client (default 6)
 ///   --tr US           per-interaction time requirement (default 500ms)
 ///   --soft/--hard     ratekeeper live limits (default 2/4)
-///   --out PATH        report path (default BENCH_net_serving.json)
+///   --out PATH        report path (default serve_bench.json)
 ///   --check           CI smoke mode: exit nonzero unless zero worker
 ///                     crashes, zero silent drops, every refusal
 ///                     explicit, and the report well-formed
@@ -72,7 +71,7 @@ struct Args {
   int soft = 2;
   int hard = 4;
   int think_ms = 0;
-  std::string out = "BENCH_net_serving.json";
+  std::string out = "serve_bench.json";
   bool check = false;
 
   // Worker-only knobs (hidden).
