@@ -12,8 +12,9 @@
 ///  * unsupported queries fall back to a blocking scan at row-store speed
 ///    (the configured Postgres-like rate), which is what drives XDB's
 ///    flat ~66 % time-requirement violations;
-///  * joins on the online path are wander joins: per-sampled-tuple hash
-///    probes into the dimensions (lazy join indexes), no fact scan;
+///  * joins on the online path are wander joins: per-sampled-tuple
+///    probes into the dimensions, never charged a fact scan (the fallback
+///    is charged a hash-join build once per dimension);
 ///  * intermediate results are published at a fixed report interval.
 
 #include <memory>

@@ -40,8 +40,8 @@
 ///
 /// Scope: streaming ingest requires a *denormalized* catalog (single
 /// fact table).  Appending to a normalized star schema would need
-/// foreign-key maintenance on the materialized/lazy join indexes, which
-/// the engines build per-dimension and treat as immutable; `Create`
+/// foreign-key maintenance on the join indexes, which are built once per
+/// dimension and treated as immutable; `Create`
 /// rejects such catalogs.
 
 #include <cstdint>
