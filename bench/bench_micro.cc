@@ -402,7 +402,7 @@ void BM_SessionConcurrency(benchmark::State& state) {
     for (int s = 0; s < sessions; ++s) {
       auto created = manager.CreateSession(&sink);
       IDB_CHECK(created.ok());
-      runs.push_back({*created, &(*workflows)[static_cast<size_t>(s)]});
+      runs.push_back({*created, {&(*workflows)[static_cast<size_t>(s)]}});
     }
     IDB_CHECK(idebench::session::ReplaySessionsToCompletion(&manager, runs,
                                                             /*think_time=*/0)
@@ -636,7 +636,7 @@ void BM_IngestWhileServing(benchmark::State& state) {
     int64_t cursor = kBase;
     for (int e = 0; e < kEpochs; ++e) {
       // The append + publish cost is identical in both modes (and paid by
-      // the ingest channel, not the query path): keep it out of the
+      // the ingest path, not the query path): keep it out of the
       // timing so the measurement isolates the re-render cost the two
       // maintenance policies differ on.
       state.PauseTiming();

@@ -77,14 +77,6 @@ void FaultInjector::Arm(FaultSite site, FaultSiteConfig config) {
   sites_[static_cast<size_t>(site)].config = config;
 }
 
-void FaultInjector::ArmAll(double probability, int64_t budget_per_site) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (Site& site : sites_) {
-    site.config.probability = probability;
-    site.config.budget = budget_per_site;
-  }
-}
-
 bool FaultInjector::ShouldFire(FaultSite site) {
   std::lock_guard<std::mutex> lock(mu_);
   Site& s = sites_[static_cast<size_t>(site)];

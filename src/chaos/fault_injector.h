@@ -154,9 +154,6 @@ class FaultInjector {
   /// Arms one site.
   void Arm(FaultSite site, FaultSiteConfig config);
 
-  /// Arms every site with the same probability and per-site budget.
-  void ArmAll(double probability, int64_t budget_per_site = -1);
-
   /// Deterministic draw: true when the site fires this time.  Disarmed
   /// sites return false without consuming randomness.
   bool ShouldFire(FaultSite site);

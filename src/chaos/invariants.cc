@@ -193,32 +193,4 @@ void InvariantChecker::CheckDrained(const session::SessionManager& manager) {
   }
 }
 
-void InvariantChecker::CompareCompletedAgainstReference(
-    const InvariantChecker& reference, double rel_eps) {
-  for (const auto& [id, final] : finals_) {
-    if (!final.completed) continue;
-    const std::string qid = std::to_string(id);
-    auto rit = reference.finals_.find(id);
-    if (rit == reference.finals_.end()) {
-      Violate("reference-identity",
-              "query " + qid + " completed under faults but is unknown to "
-              "the reference run");
-      continue;
-    }
-    // Faults only ever *remove* compute headroom, so a query that still
-    // completed under injection must complete in the fault-free run.
-    if (!rit->second.completed) {
-      Violate("reference-identity",
-              "query " + qid + " completed under faults but the reference "
-              "run finished it as " + OutcomeName(rit->second));
-      continue;
-    }
-    std::string why;
-    if (!ResultsMatch(final.result, rit->second.result, rel_eps, &why)) {
-      Violate("reference-identity",
-              "query " + qid + " result diverged from reference: " + why);
-    }
-  }
-}
-
 }  // namespace idebench::chaos

@@ -79,12 +79,6 @@ class InvariantChecker : public session::ResultSink {
   /// outcome counters consistent with the observed terminal updates.
   void CheckDrained(const session::SessionManager& manager);
 
-  /// Cross-checks this (injected) run against an uninjected reference:
-  /// every query completed here must exist, be completed, and match in
-  /// the reference.  `rel_eps == 0` demands bit identity.
-  void CompareCompletedAgainstReference(const InvariantChecker& reference,
-                                        double rel_eps);
-
   const std::vector<InvariantViolation>& violations() const {
     return violations_;
   }

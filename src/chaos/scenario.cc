@@ -448,7 +448,6 @@ ChaosReport RunScenario(const ScenarioSpec& spec,
                            : &checker;
 
   session::SessionManager manager(spec.scheduler, engine->get(), catalog);
-  if (ingestor != nullptr) manager.AttachIngest(ingestor.get());
 
   // Spin up the actor fleet: per-actor decision streams forked from the
   // scenario seed, per-actor workflows from independently seeded
@@ -558,21 +557,24 @@ ChaosReport RunScenario(const ScenarioSpec& spec,
     }
 
     // Ingest schedule: one append-and-publish mid-tick, racing whatever
-    // the actors just submitted.  The cursor advances by the *scheduled*
-    // batch regardless of fault outcomes (a faulted append loses those
-    // rows for good), keeping the schedule seed-pure.
+    // the actors just submitted, applied between scheduler calls as the
+    // server applies `append` frames.  The cursor advances by the
+    // *scheduled* batch regardless of fault outcomes (a faulted append
+    // loses those rows for good, a faulted publish leaves them staged for
+    // the next), keeping the schedule seed-pure.
     if (ingestor != nullptr && ingest_cursor < ingest_tail->num_rows()) {
       const int64_t end = std::min<int64_t>(
           ingest_cursor + spec.ingest_rows_per_tick, ingest_tail->num_rows());
-      const Status enqueued = manager.EnqueueAppend(
-          ingest::BatchFromTable(*ingest_tail, ingest_cursor, end),
-          now + spec.tick / 2, /*publish=*/true);
-      if (!enqueued.ok()) {
-        report.run_error = enqueued;
-        return report;
-      }
       log_line("t=" + std::to_string(now) +
                " ingest rows=" + std::to_string(end - ingest_cursor));
+      const Status mid_tick = manager.AdvanceTo(now + spec.tick / 2);
+      if (!mid_tick.ok()) {
+        report.run_error = mid_tick;
+        return report;
+      }
+      (void)ingestor->Append(
+          ingest::BatchFromTable(*ingest_tail, ingest_cursor, end));
+      (void)ingestor->Publish();
       ingest_cursor = end;
     }
 
@@ -625,12 +627,14 @@ ChaosReport RunScenario(const ScenarioSpec& spec,
     report.event_log.push_back(line.str());
   }
   if (ingestor != nullptr) {
-    const session::IngestChannelStats& is = manager.ingest_stats();
+    // Every append failure here is an injected fault: the tail rows parse
+    // and fit the reserved capacity by construction.
+    const ingest::IngestStats& is = ingestor->stats();
     std::ostringstream line;
-    line << "ingest applied=" << is.batches_applied
-         << " rows=" << is.rows_applied << " publishes=" << is.publishes
-         << " append_failures=" << is.append_failures
-         << " publish_failures=" << is.publish_failures
+    line << "ingest applied=" << is.batches << " rows=" << is.rows_staged
+         << " publishes=" << is.epochs_published
+         << " append_failures=" << is.append_faults
+         << " publish_failures=" << is.publish_faults
          << " visible=" << ingestor->visible_rows()
          << " staged=" << ingestor->staged_rows();
     report.event_log.push_back(line.str());

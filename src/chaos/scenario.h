@@ -109,10 +109,10 @@ struct ScenarioSpec {
 
   // Streaming ingest: > 0 builds a *fresh* per-run catalog (ingest
   // mutates the fact table, so the process-shared base catalog must
-  // never be used), attaches an `ingest::Ingestor` through the
-  // manager's ingest channel, and enqueues one append-and-publish event
-  // of this many rows per tick — epoch publishes racing the actor
-  // fleet's submits and cancels.  Faulted appends/publishes are
+  // never be used) fed by an `ingest::Ingestor`, and appends and
+  // publishes this many rows in the middle of every tick, between
+  // scheduler calls — epoch publishes racing the actor fleet's submits
+  // and cancels.  Faulted appends/publishes are
   // weather (the batch is lost / the publish waits), but with ingest
   // fault sites armed the *visible data itself* depends on the draws,
   // so such specs clear `compare_reference`.

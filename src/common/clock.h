@@ -2,14 +2,14 @@
 #define IDEBENCH_COMMON_CLOCK_H_
 
 /// \file clock.h
-/// Time source abstraction for the benchmark driver.
+/// Time units and time sources.
 ///
 /// The paper's experiments enforce wall-clock time requirements on
 /// terabyte-scale installations.  This reproduction replaces the authors'
-/// testbed with a deterministic *virtual clock*: engines are cooperative
-/// simulators that charge a calibrated per-tuple cost, and the driver
-/// advances a `VirtualClock` accordingly.  `WallClock` is provided for
-/// sanity runs against real elapsed time.
+/// testbed with deterministic *virtual time*: engines are cooperative
+/// simulators that charge a calibrated per-tuple cost, and the session
+/// scheduler (session/session.h) advances its virtual clock accordingly.
+/// `WallClock` paces the network server and client in real time.
 
 #include <cstdint>
 

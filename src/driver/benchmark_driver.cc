@@ -1,11 +1,11 @@
 #include "driver/benchmark_driver.h"
 
 #include <algorithm>
-#include <limits>
+#include <iterator>
 #include <unordered_map>
 
-#include "common/logging.h"
 #include "query/sql.h"
+#include "workflow/resolve.h"
 
 namespace idebench::driver {
 
@@ -28,9 +28,8 @@ class FinalsSink : public session::ResultSink {
     if (update.final_update) finals_[update.query_id] = update;
   }
 
-  const session::ProgressiveUpdate* Final(int64_t query_id) const {
-    auto it = finals_.find(query_id);
-    return it == finals_.end() ? nullptr : &it->second;
+  const session::ProgressiveUpdate& Final(int64_t query_id) const {
+    return finals_.at(query_id);
   }
 
  private:
@@ -85,10 +84,6 @@ Result<Micros> BenchmarkDriver::PrepareEngine() {
   return prep_time_;
 }
 
-Status BenchmarkDriver::ResolveQuery(query::QuerySpec* spec) const {
-  return workflow::ResolveQueryAgainst(*catalog_, spec);
-}
-
 Status BenchmarkDriver::WarmGroundTruth(
     const std::vector<Workflow>& workflows) {
   // Dry-run the dashboard graphs to enumerate every query the workflows
@@ -107,29 +102,29 @@ Status BenchmarkDriver::WarmGroundTruth(
 }
 
 Result<QueryRecord> BenchmarkDriver::MakeRecord(
-    const session::SubmittedQuery& sq, const session::ProgressiveUpdate& fin,
-    const Workflow& wf, int64_t interaction_id, int concurrency,
-    Micros start_time, Micros end_time, int session_id) {
+    const session::ReplayedBatch& batch, const session::SubmittedQuery& sq,
+    const session::ProgressiveUpdate& fin, Micros start_time,
+    Micros end_time, int session_id) {
   const query::QueryResult& result = fin.result;
   const bool tr_violated = !result.available;
   IDB_ASSIGN_OR_RETURN(const query::QueryResult* truth, oracle_->Get(sq.spec));
 
   QueryRecord record;
   record.id = next_query_id_++;
-  record.interaction_id = interaction_id;
+  record.interaction_id = batch.interaction;
   record.viz_name = sq.spec.viz_name;
   record.driver_name = engine_->name();
   record.data_size = settings_.data_size_label;
   record.think_time = settings_.think_time;
   record.time_requirement = settings_.time_requirement;
-  record.workflow = wf.name;
-  record.workflow_type = workflow::WorkflowTypeName(wf.type);
+  record.workflow = batch.workflow->name;
+  record.workflow_type = workflow::WorkflowTypeName(batch.workflow->type);
   record.start_time = start_time;
   record.end_time = end_time;
   record.bin_dims = static_cast<int>(sq.spec.bins.size());
   record.binning_type = BinningTypeLabel(sq.spec);
   record.agg_type = AggTypeLabel(sq.spec);
-  record.num_concurrent = concurrency;
+  record.num_concurrent = static_cast<int>(batch.queries.size());
   record.session = session_id;
   record.sql = query::GenerateSql(sq.spec, *catalog_);
   record.progress = result.progress;
@@ -137,230 +132,73 @@ Result<QueryRecord> BenchmarkDriver::MakeRecord(
   return record;
 }
 
-Status BenchmarkDriver::RunWorkflow(const Workflow& wf,
-                                    std::vector<QueryRecord>* records) {
-  // One exploration session per workflow on a single-session manager in
-  // seed-parity mode: quantum 0 (run-to-entitlement turns) keeps results
-  // and records bit-identical to the pre-session driver (see the
-  // seed-parity note in session.h).
+Result<std::vector<QueryRecord>> BenchmarkDriver::RunSessions(
+    std::vector<std::vector<const Workflow*>> queues, bool concurrent) {
   session::SessionManagerOptions mopts;
   mopts.time_requirement = settings_.time_requirement;
   mopts.contention_penalty = settings_.concurrency_penalty;
-  mopts.quantum = 0;
+  // Quantum 0 (run-to-entitlement turns) is the seed-parity mode.
+  mopts.quantum = concurrent ? kMultiSessionQuantum : 0;
   mopts.push_partials = false;  // the driver consumes final updates only
   mopts.confidence_level = settings_.confidence_level;
-  // The sink must outlive the manager: an error-path unwind destroys the
+  // The sinks must outlive the manager: an error-path unwind destroys the
   // manager, whose implicit close touches the registered sinks.
-  FinalsSink sink;
+  std::vector<FinalsSink> sinks(queues.size());
   session::SessionManager manager(mopts, engine_, catalog_);
-  IDB_ASSIGN_OR_RETURN(session::ExplorationSession * sess,
-                       manager.CreateSession(&sink));
-
-  // Default deterministic time source; SetClock can substitute a
-  // WallClock to pace the workflow in real time.
-  VirtualClock internal_clock;
-  Clock* clock = external_clock_ != nullptr
-                     ? external_clock_
-                     : static_cast<Clock*>(&internal_clock);
-  const Micros workflow_epoch = clock->Now();
-
-  for (size_t i = 0; i < wf.interactions.size(); ++i) {
-    IDB_ASSIGN_OR_RETURN(std::vector<session::SubmittedQuery> submitted,
-                         sess->SubmitInteraction(wf.interactions[i]));
-    // All queries of one interaction run concurrently under the
-    // scheduler; each completes or is cancelled at its deadline.
-    IDB_RETURN_NOT_OK(manager.RunUntilIdle());
-
-    const int concurrency = static_cast<int>(submitted.size());
-    const Micros now = clock->Now() - workflow_epoch;
-    for (const session::SubmittedQuery& sq : submitted) {
-      const session::ProgressiveUpdate* fin = sink.Final(sq.query_id);
-      if (fin == nullptr) {
-        return Status::Unknown("no final update for submitted query");
-      }
-      // Legacy timing: completed queries end after their consumed
-      // compute; overdue (and unsupported) ones occupy the full budget.
-      const Micros end =
-          now + (fin->completed ? std::min(fin->consumed, fin->budget)
-                                : fin->budget);
-      IDB_ASSIGN_OR_RETURN(
-          QueryRecord record,
-          MakeRecord(sq, *fin, wf, static_cast<int64_t>(i), concurrency, now,
-                     end, /*session_id=*/0));
-      records->push_back(std::move(record));
-    }
-
-    // Think time separates consecutive interactions; speculative engines
-    // may spend it.  A wall clock actually sleeps here.
-    sess->Think(settings_.think_time);
-    clock->Advance(settings_.think_time);
+  std::vector<session::SessionReplay> runs;
+  for (size_t s = 0; s < queues.size(); ++s) {
+    IDB_ASSIGN_OR_RETURN(session::ExplorationSession * sess,
+                         manager.CreateSession(&sinks[s]));
+    runs.push_back({sess, std::move(queues[s])});
   }
 
-  return manager.CloseSession(sess);
-}
-
-Result<std::vector<QueryRecord>> BenchmarkDriver::RunWorkflowsConcurrent(
-    const std::vector<Workflow>& workflows) {
-  const int sessions = std::max(
-      1, std::min<int>(settings_.sessions,
-                       static_cast<int>(workflows.size())));
-
-  session::SessionManagerOptions mopts;
-  mopts.time_requirement = settings_.time_requirement;
-  mopts.contention_penalty = settings_.concurrency_penalty;
-  mopts.quantum = kMultiSessionQuantum;
-  mopts.push_partials = false;  // the driver consumes final updates only
-  mopts.confidence_level = settings_.confidence_level;
-
-  /// One concurrent user: a session replaying its share of the workflow
-  /// suite, one interaction at a time, with think time between them.
-  struct SessionRun {
-    session::ExplorationSession* sess = nullptr;
-    FinalsSink sink;
-    std::vector<const Workflow*> queue;  // round-robin share of the suite
-    size_t wf = 0;                       // current workflow in `queue`
-    size_t inter = 0;                    // next interaction in it
-    Micros ready_at = 0;                 // next submission time (idle only)
-    bool busy = false;                   // a batch awaits final updates
-    std::vector<session::SubmittedQuery> batch;
-    const Workflow* batch_wf = nullptr;
-    int64_t batch_interaction = 0;
-    Micros batch_start = 0;
-    std::vector<QueryRecord> records;
-  };
-
-  // The runs (and their sinks) must outlive the manager: an error-path
-  // unwind destroys the manager, whose implicit close touches the
-  // registered sinks.
-  std::vector<SessionRun> runs(static_cast<size_t>(sessions));
-  session::SessionManager manager(mopts, engine_, catalog_);
-  for (size_t i = 0; i < workflows.size(); ++i) {
-    runs[i % runs.size()].queue.push_back(&workflows[i]);
-  }
-  for (SessionRun& r : runs) {
-    IDB_ASSIGN_OR_RETURN(r.sess, manager.CreateSession(&r.sink));
-  }
-
-  const Micros kNever = std::numeric_limits<Micros>::max();
-  auto has_more = [](const SessionRun& r) { return r.wf < r.queue.size(); };
-
-  // Resolves every busy session whose batch has all its final updates:
-  // builds records, grants think time, and computes the next ready time.
-  auto resolve_batches = [&]() -> Status {
-    for (SessionRun& r : runs) {
-      if (!r.busy) continue;
-      Micros last_final = r.batch_start;
-      bool complete = true;
-      for (const session::SubmittedQuery& sq : r.batch) {
-        const session::ProgressiveUpdate* fin = r.sink.Final(sq.query_id);
-        if (fin == nullptr) {
-          complete = false;
-          break;
+  std::vector<std::vector<QueryRecord>> per_session(runs.size());
+  IDB_RETURN_NOT_OK(session::ReplaySessionsToCompletion(
+      &manager, runs, settings_.think_time,
+      [&](const session::ReplayedBatch& batch) -> Status {
+        for (const session::SubmittedQuery& sq : batch.queries) {
+          const session::ProgressiveUpdate& fin =
+              sinks[batch.run].Final(sq.query_id);
+          // Concurrent sessions occupy real virtual time, so a query
+          // starts at admission and ends at finalization (exactly submit
+          // + TR for deadline cancellations).  A lone session keeps the
+          // legacy clock: interaction i starts after i think times, and
+          // a completed query ends after its consumed compute, an
+          // overdue (or unsupported) one after its full budget.
+          Micros start = batch.admitted;
+          Micros end = fin.virtual_time;
+          if (!concurrent) {
+            start = batch.interaction * settings_.think_time;
+            end = start + (fin.completed ? std::min(fin.consumed, fin.budget)
+                                         : fin.budget);
+          }
+          IDB_ASSIGN_OR_RETURN(
+              QueryRecord record,
+              MakeRecord(batch, sq, fin, start, end,
+                         static_cast<int>(runs[batch.run].session->id())));
+          per_session[batch.run].push_back(std::move(record));
         }
-        last_final = std::max(last_final, fin->virtual_time);
-      }
-      if (!complete) continue;
-      const int concurrency = static_cast<int>(r.batch.size());
-      const int session_id = static_cast<int>(r.sess->id());
-      for (const session::SubmittedQuery& sq : r.batch) {
-        const session::ProgressiveUpdate* fin = r.sink.Final(sq.query_id);
-        // Scheduler-timeline timing: interactions occupy real virtual
-        // time here (unlike the instant single-session clock), so start
-        // is the admission time and end the finalization time — exactly
-        // submit + TR for deadline cancellations.
-        IDB_ASSIGN_OR_RETURN(
-            QueryRecord record,
-            MakeRecord(sq, *fin, *r.batch_wf, r.batch_interaction,
-                       concurrency, r.batch_start, fin->virtual_time,
-                       session_id));
-        r.records.push_back(std::move(record));
-      }
-      r.batch.clear();
-      r.busy = false;
-      r.sess->Think(settings_.think_time);
-      r.ready_at =
-          std::max(last_final, manager.VirtualNow()) + settings_.think_time;
-    }
-    return Status::OK();
-  };
-
-  while (true) {
-    // Submit for every idle session whose ready time has arrived; loop
-    // until quiescent (instantly-resolved batches may re-ready sessions).
-    bool progressed = true;
-    while (progressed) {
-      progressed = false;
-      for (SessionRun& r : runs) {
-        if (r.busy || !has_more(r) || r.ready_at > manager.VirtualNow()) {
-          continue;
-        }
-        const Workflow& wf = *r.queue[r.wf];
-        if (r.inter >= wf.interactions.size()) {
-          // Workflow boundary: the user starts a fresh exploration on an
-          // empty dashboard (the per-workflow graph reset of the
-          // sequential driver, scoped to this session).
-          r.sess->ResetDashboard();
-          r.inter = 0;
-          ++r.wf;
-          progressed = true;
-          continue;
-        }
-        const int64_t interaction_id = static_cast<int64_t>(r.inter);
-        IDB_ASSIGN_OR_RETURN(
-            std::vector<session::SubmittedQuery> submitted,
-            r.sess->SubmitInteraction(wf.interactions[r.inter]));
-        ++r.inter;  // the boundary branch above handles workflow wrap
-        if (submitted.empty()) {
-          // No queries triggered (e.g. a discard): think and move on.
-          r.sess->Think(settings_.think_time);
-          r.ready_at = manager.VirtualNow() + settings_.think_time;
-          progressed = true;
-          continue;
-        }
-        r.batch = std::move(submitted);
-        r.batch_wf = &wf;
-        r.batch_interaction = interaction_id;
-        r.batch_start = manager.VirtualNow();
-        r.busy = true;
-        progressed = true;
-      }
-      IDB_RETURN_NOT_OK(resolve_batches());
-    }
-
-    bool any_work = false;
-    Micros next_ready = kNever;
-    for (const SessionRun& r : runs) {
-      if (r.busy) {
-        any_work = true;
-      } else if (has_more(r)) {
-        any_work = true;
-        next_ready = std::min(next_ready, r.ready_at);
-      }
-    }
-    if (!any_work) break;
-
-    if (manager.HasLive()) {
-      // Run until the next finalization (a session may become ready) or
-      // the next submission time, whichever comes first.
-      IDB_ASSIGN_OR_RETURN(int finalized, manager.StepUntilEvent(next_ready));
-      (void)finalized;
-      IDB_RETURN_NOT_OK(resolve_batches());
-    } else {
-      // Nothing executing: skip the idle gap to the next submission.
-      IDB_CHECK(next_ready != kNever);
-      IDB_RETURN_NOT_OK(manager.AdvanceTo(next_ready));
-    }
-  }
+        return Status::OK();
+      }));
 
   std::vector<QueryRecord> records;
-  for (SessionRun& r : runs) {
-    for (QueryRecord& record : r.records) records.push_back(std::move(record));
+  for (size_t s = 0; s < runs.size(); ++s) {
+    records.insert(records.end(),
+                   std::make_move_iterator(per_session[s].begin()),
+                   std::make_move_iterator(per_session[s].end()));
+    IDB_RETURN_NOT_OK(manager.CloseSession(runs[s].session));
   }
-  for (SessionRun& r : runs) {
-    IDB_RETURN_NOT_OK(manager.CloseSession(r.sess));
-  }
-  scheduler_stats_ = manager.stats();
+  if (concurrent) scheduler_stats_ = manager.stats();
   return records;
+}
+
+Status BenchmarkDriver::RunWorkflow(const Workflow& wf,
+                                    std::vector<QueryRecord>* records) {
+  IDB_ASSIGN_OR_RETURN(std::vector<QueryRecord> run,
+                       RunSessions({{&wf}}, /*concurrent=*/false));
+  records->insert(records->end(), std::make_move_iterator(run.begin()),
+                  std::make_move_iterator(run.end()));
+  return Status::OK();
 }
 
 Result<std::vector<QueryRecord>> BenchmarkDriver::RunWorkflows(
@@ -373,7 +211,14 @@ Result<std::vector<QueryRecord>> BenchmarkDriver::RunWorkflows(
     IDB_RETURN_NOT_OK(WarmGroundTruth(workflows));
   }
   if (settings_.sessions > 1) {
-    return RunWorkflowsConcurrent(workflows);
+    // Round-robin over at most one session per workflow.
+    std::vector<std::vector<const Workflow*>> queues(std::max(
+        1, std::min<int>(settings_.sessions,
+                         static_cast<int>(workflows.size()))));
+    for (size_t i = 0; i < workflows.size(); ++i) {
+      queues[i % queues.size()].push_back(&workflows[i]);
+    }
+    return RunSessions(std::move(queues), /*concurrent=*/true);
   }
   std::vector<QueryRecord> records;
   for (const Workflow& wf : workflows) {

@@ -7,14 +7,14 @@
 /// computes ground truth, and evaluates every query into a
 /// detailed-report row.
 ///
-/// Since the session-based serving redesign the driver is ONE CLIENT of
-/// the `session::SessionManager` API (session/session.h): it opens an
-/// `ExplorationSession` per workflow, submits interactions, and consumes
-/// pushed `ProgressiveUpdate`s instead of pulling the engine directly.
-/// Single-session scheduling (`quantum == 0`) keeps records bit-identical
-/// to the pre-session driver (see the seed-parity note in session.h for
-/// the one — result-invisible — call-order difference).  With
-/// `Settings::sessions > 1`, RunWorkflows
+/// The driver is one client of the `session::SessionManager` API
+/// (session/session.h).  Every run goes through
+/// `session::ReplaySessionsToCompletion`, and the driver only turns each
+/// finalized batch's pushed `ProgressiveUpdate`s into report rows.  By
+/// default each workflow runs in its own session on a fresh quantum-0
+/// manager, which keeps records bit-identical to the pre-session driver
+/// (see the seed-parity note in session.h for the one, result-invisible,
+/// call-order difference).  With `Settings::sessions > 1`, RunWorkflows
 /// multiplexes the workflows over that many concurrent sessions on the
 /// shared engine — the paper's Exp. 4 concurrent-user scenario — and the
 /// scheduler's fairness telemetry is exposed via `scheduler_stats()`.
@@ -31,8 +31,6 @@
 #include "metrics/metrics.h"
 #include "session/session.h"
 #include "storage/catalog.h"
-#include "workflow/resolve.h"
-#include "workflow/viz_graph.h"
 #include "workflow/workflow.h"
 
 namespace idebench::driver {
@@ -74,13 +72,6 @@ class BenchmarkDriver {
                   std::shared_ptr<const storage::Catalog> catalog,
                   std::shared_ptr<GroundTruthOracle> oracle);
 
-  /// Installs an alternative time source.  The default is an internal
-  /// `VirtualClock` (deterministic, instant).  Installing a `WallClock`
-  /// makes the driver pace interactions in real time — think time
-  /// actually elapses — which is useful for demos and sanity runs; the
-  /// engines' *compute* accounting stays virtual either way.
-  void SetClock(Clock* clock) { external_clock_ = clock; }
-
   /// Calls Engine::Prepare and records the data-preparation time.
   Result<Micros> PrepareEngine();
 
@@ -88,7 +79,9 @@ class BenchmarkDriver {
   Micros data_preparation_time() const { return prep_time_; }
 
   /// Simulates one workflow through a dedicated exploration session;
-  /// appends one record per executed query.
+  /// appends one record per executed query.  Interaction i starts after
+  /// i think times; a completed query ends after its consumed compute,
+  /// any other after its full budget.
   Status RunWorkflow(const workflow::Workflow& workflow,
                      std::vector<QueryRecord>* records);
 
@@ -108,12 +101,6 @@ class BenchmarkDriver {
     return scheduler_stats_;
   }
 
-  /// Resolves an executable query against the catalog: resolves bin
-  /// boundaries and rewrites nominal predicates expressed as string
-  /// labels into the owning column's dictionary codes.  Exposed for
-  /// tests and custom drivers.
-  Status ResolveQuery(query::QuerySpec* spec) const;
-
   /// Pre-computes ground truth for every query `workflows` will trigger
   /// by dry-running the visualization graphs (no engine involvement),
   /// then warming the oracle in parallel across queries
@@ -122,15 +109,19 @@ class BenchmarkDriver {
   Status WarmGroundTruth(const std::vector<workflow::Workflow>& workflows);
 
  private:
-  /// The multi-session concurrent run (Settings::sessions > 1).
-  Result<std::vector<QueryRecord>> RunWorkflowsConcurrent(
-      const std::vector<workflow::Workflow>& workflows);
+  /// Replays `queues[s]` on session s of a fresh manager and returns the
+  /// records grouped by session.  `concurrent` selects the 100 ms
+  /// round-robin quantum and scheduler-timeline timing (start at
+  /// admission, end at finalization); otherwise quantum 0 and the
+  /// RunWorkflow timing.
+  Result<std::vector<QueryRecord>> RunSessions(
+      std::vector<std::vector<const workflow::Workflow*>> queues,
+      bool concurrent);
 
   /// Builds one detailed-report row from a query's final pushed update.
-  Result<QueryRecord> MakeRecord(const session::SubmittedQuery& sq,
+  Result<QueryRecord> MakeRecord(const session::ReplayedBatch& batch,
+                                 const session::SubmittedQuery& sq,
                                  const session::ProgressiveUpdate& fin,
-                                 const workflow::Workflow& wf,
-                                 int64_t interaction_id, int concurrency,
                                  Micros start_time, Micros end_time,
                                  int session_id);
 
@@ -138,7 +129,6 @@ class BenchmarkDriver {
   engines::Engine* engine_;
   std::shared_ptr<const storage::Catalog> catalog_;
   std::shared_ptr<GroundTruthOracle> oracle_;
-  Clock* external_clock_ = nullptr;
   Micros prep_time_ = 0;
   int64_t next_query_id_ = 0;
   session::SchedulerStats scheduler_stats_;

@@ -3,7 +3,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include "engines/engine_base.h"
 #include "exec/parallel.h"
 
 namespace idebench::driver {
@@ -36,7 +35,7 @@ Result<query::QueryResult> GroundTruthOracle::Compute(
 
 Result<const query::QueryResult*> GroundTruthOracle::Get(
     const query::QuerySpec& spec) {
-  const std::string signature = engines::QuerySignature(spec);
+  const std::string signature = spec.Signature();
   auto it = cache_.find(signature);
   if (it != cache_.end()) {
     ++cache_hits_;
@@ -64,7 +63,7 @@ Status GroundTruthOracle::Warm(const std::vector<query::QuerySpec>& specs) {
   std::vector<Pending> pending;
   std::unordered_set<std::string> queued;
   for (const query::QuerySpec& spec : specs) {
-    std::string signature = engines::QuerySignature(spec);
+    std::string signature = spec.Signature();
     if (cache_.count(signature) != 0 || !queued.insert(signature).second) {
       continue;
     }

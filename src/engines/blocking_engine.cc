@@ -33,9 +33,7 @@ Result<QueryHandle> BlockingEngine::Submit(const query::QuerySpec& spec) {
   int joins_charged = 0;
   IDB_RETURN_NOT_OK(BindState(state.get(), spec, &joins_charged));
 
-  IDB_ASSIGN_OR_RETURN(std::vector<std::string> dims, RequiredJoins(spec));
-  const double mult = ComplexityMultiplier(
-      spec, static_cast<int>(dims.size()), config_.factors);
+  const double mult = ComplexityMultiplier(spec, state->joins, config_.factors);
   // Virtual cost per *actual* row so that scanning all actual rows costs
   // scan_ns * nominal rows.
   double scan_ns = config_.scan_ns_per_row;

@@ -1,8 +1,5 @@
 #include "engines/cost.h"
 
-#include <algorithm>
-#include <cmath>
-
 namespace idebench::engines {
 
 double ComplexityMultiplier(const query::QuerySpec& spec, int num_joins,
@@ -24,19 +21,6 @@ double ComplexityMultiplier(const query::QuerySpec& spec, int num_joins,
     mult *= 1.0 + factors.per_join * static_cast<double>(num_joins);
   }
   return mult;
-}
-
-Micros RowsToMicros(int64_t rows, double ns_per_row, double multiplier) {
-  const double us =
-      static_cast<double>(rows) * ns_per_row * multiplier / 1000.0;
-  return static_cast<Micros>(std::llround(us));
-}
-
-int64_t MicrosToRows(Micros budget_us, double ns_per_row, double multiplier) {
-  if (budget_us <= 0 || ns_per_row <= 0.0) return 0;
-  const double rows =
-      static_cast<double>(budget_us) * 1000.0 / (ns_per_row * multiplier);
-  return static_cast<int64_t>(rows);
 }
 
 }  // namespace idebench::engines

@@ -21,9 +21,6 @@
 /// multiplier derived from its shape (extra aggregates, second binning
 /// dimension, predicates, joins).
 
-#include <cstdint>
-
-#include "common/clock.h"
 #include "query/spec.h"
 
 namespace idebench::engines {
@@ -40,13 +37,6 @@ struct CostFactors {
 /// Multiplier >= 1 for the query's shape.
 double ComplexityMultiplier(const query::QuerySpec& spec, int num_joins,
                             const CostFactors& factors);
-
-/// Microseconds to process `rows` nominal rows at `ns_per_row` with the
-/// given multiplier.
-Micros RowsToMicros(int64_t rows, double ns_per_row, double multiplier);
-
-/// How many nominal rows `budget_us` microseconds buy at this rate.
-int64_t MicrosToRows(Micros budget_us, double ns_per_row, double multiplier);
 
 }  // namespace idebench::engines
 

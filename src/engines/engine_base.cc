@@ -41,15 +41,12 @@ Status EngineBase::Attach(std::shared_ptr<const storage::Catalog> catalog) {
   return Status::OK();
 }
 
-Result<std::vector<std::string>> EngineBase::RequiredJoins(
-    const query::QuerySpec& spec) const {
-  return exec::BoundQuery::RequiredJoins(spec, *catalog_);
-}
-
 Result<exec::BoundQuery> EngineBase::BindQuery(const query::QuerySpec& spec,
+                                               int* num_joins,
                                                int* joins_charged) {
   IDB_ASSIGN_OR_RETURN(std::vector<const exec::JoinIndex*> joins,
                        joins_.For(spec));
+  if (num_joins != nullptr) *num_joins = static_cast<int>(joins.size());
   if (joins_charged != nullptr) {
     *joins_charged = 0;
     for (const exec::JoinIndex* join : joins) {
@@ -133,7 +130,7 @@ Status EngineBase::BindState(QueryState* state, const query::QuerySpec& spec,
                              int* joins_charged) {
   state->spec = spec;
   IDB_ASSIGN_OR_RETURN(exec::BoundQuery bound,
-                       BindQuery(state->spec, joins_charged));
+                       BindQuery(state->spec, &state->joins, joins_charged));
   state->bound = std::make_unique<exec::BoundQuery>(std::move(bound));
   // Candidates are recorded only for the reuse cache to store at Cancel.
   exec::BinnedAggregatorOptions options;
@@ -265,10 +262,6 @@ int64_t EngineBase::WalkOffsetFor(const query::QuerySpec& spec) const {
   if (actual_rows_ <= 0) return 0;
   const uint64_t h = StableHash(spec.CoreSignature(), seed_);
   return static_cast<int64_t>(h % static_cast<uint64_t>(actual_rows_));
-}
-
-std::string QuerySignature(const query::QuerySpec& spec) {
-  return spec.Signature();
 }
 
 }  // namespace idebench::engines

@@ -103,6 +103,7 @@ class EngineBase : public Engine {
     std::unique_ptr<exec::BoundQuery> bound;
     std::unique_ptr<exec::BinnedAggregator> aggregator;
     exec::ReuseCache::Match reuse;  // cached prefix to serve positions from
+    int joins = 0;                  // dimensions the query reads through
     int64_t walk_offset = 0;        // start into the shuffled walk (walkers)
     int64_t cursor = 0;             // next feed position
     int64_t pinned_rows = 0;        // extent pinned at Submit
@@ -132,13 +133,14 @@ class EngineBase : public Engine {
     (void)rows_us;
   }
 
-  /// Binds `spec` into a fresh `state`, gives it an aggregator, and
-  /// acquires the reuse cache's best match for it.  Every engine binds
-  /// through the same join index per dimension; what differs is the cost
-  /// model.  An engine that pays a materialized build (a hash join) passes
-  /// `joins_charged`, which receives the number of `spec`'s dimensions
-  /// this engine has not charged before: each is charged once per engine.
-  /// Wander-join sampling passes nothing and is never charged.
+  /// Binds `spec` into a fresh `state`, counts its joins into
+  /// `state->joins`, gives it an aggregator, and acquires the reuse
+  /// cache's best match for it.  Every engine binds through the same join
+  /// index per dimension; what differs is the cost model.  An engine that
+  /// pays a materialized build (a hash join) passes `joins_charged`,
+  /// which receives the number of `spec`'s dimensions this engine has not
+  /// charged before: each is charged once per engine.  Wander-join
+  /// sampling passes nothing and is never charged.
   Status BindState(QueryState* state, const query::QuerySpec& spec,
                    int* joins_charged = nullptr);
 
@@ -168,10 +170,6 @@ class EngineBase : public Engine {
 
   const storage::Catalog& catalog() const { return *catalog_; }
 
-  /// Returns the dimension tables `spec` needs joins for.
-  Result<std::vector<std::string>> RequiredJoins(
-      const query::QuerySpec& spec) const;
-
   /// Shared shuffled row order over the fact table (built lazily); the
   /// basis of without-replacement online sampling.
   const aqp::ShuffledIndex& ShuffledRows();
@@ -198,8 +196,10 @@ class EngineBase : public Engine {
 
  private:
   /// Binds `spec` (which must outlive the result) through `joins_`;
-  /// counts into `joins_charged` as `BindState` documents.
+  /// counts into `num_joins` and `joins_charged` as `BindState`
+  /// documents.
   Result<exec::BoundQuery> BindQuery(const query::QuerySpec& spec,
+                                     int* num_joins = nullptr,
                                      int* joins_charged = nullptr);
 
   std::string name_;
@@ -218,11 +218,6 @@ class EngineBase : public Engine {
   std::unique_ptr<exec::ReuseCache> reuse_cache_;
   std::unordered_map<QueryHandle, RunningQuery> queries_;
 };
-
-/// Canonical signature of a query (bins + aggregates + canonicalized
-/// predicate set); used for result reuse and speculative-result matching.
-/// Delegates to `query::QuerySpec::Signature`.
-std::string QuerySignature(const query::QuerySpec& spec);
 
 }  // namespace idebench::engines
 

@@ -43,10 +43,7 @@ Result<QueryHandle> OnlineEngine::Submit(const query::QuerySpec& spec) {
   int joins_charged = 0;
   IDB_RETURN_NOT_OK(BindState(state.get(), spec,
                               state->online ? nullptr : &joins_charged));
-
-  IDB_ASSIGN_OR_RETURN(std::vector<std::string> dims, RequiredJoins(spec));
-  const double mult = ComplexityMultiplier(
-      spec, static_cast<int>(dims.size()), config_.factors);
+  const double mult = ComplexityMultiplier(spec, state->joins, config_.factors);
   Micros overhead = static_cast<Micros>(config_.query_overhead_us);
   if (state->online) {
     // Wander-join-style sampling: each sampled tuple costs sample_us

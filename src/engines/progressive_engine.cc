@@ -26,9 +26,7 @@ Result<std::shared_ptr<EngineBase::QueryState>> ProgressiveEngine::MakeState(
     const query::QuerySpec& spec) {
   auto state = std::make_shared<QueryState>();
   IDB_RETURN_NOT_OK(BindState(state.get(), spec));
-  IDB_ASSIGN_OR_RETURN(std::vector<std::string> dims, RequiredJoins(spec));
-  const double mult = ComplexityMultiplier(
-      spec, static_cast<int>(dims.size()), config_.factors);
+  const double mult = ComplexityMultiplier(spec, state->joins, config_.factors);
   state->row_cost_us = config_.sample_us_per_row * mult;
   // Stable per-core-signature offset: equal or refined queries re-walk
   // the same permutation positions, which is what lets the reuse cache
@@ -40,7 +38,7 @@ Result<std::shared_ptr<EngineBase::QueryState>> ProgressiveEngine::MakeState(
 
 Result<QueryHandle> ProgressiveEngine::Submit(const query::QuerySpec& spec) {
   if (!attached()) return Status::Invalid("engine not prepared");
-  const std::string signature = QuerySignature(spec);
+  const std::string signature = spec.Signature();
 
   std::shared_ptr<QueryState> state;
   // 1. Continue the cached sample state of an identical query.  Adopting
@@ -161,7 +159,7 @@ void ProgressiveEngine::RefreshSpeculations() {
     // Bin popularity from the source's cached sample, when present.
     std::unordered_map<int64_t, double> popularity;
     if (config_.enable_reuse) {
-      auto cached = cache_.find(QuerySignature(source));
+      auto cached = cache_.find(source.Signature());
       if (cached != cache_.end()) {
         const query::QueryResult sample =
             cached->second->aggregator->EstimateFromUniformSample(
@@ -196,7 +194,7 @@ void ProgressiveEngine::RefreshSpeculations() {
       for (const expr::Predicate& p : source.filter.predicates()) {
         candidate.filter.And(p);
       }
-      const std::string signature = QuerySignature(candidate);
+      const std::string signature = candidate.Signature();
       if (speculations_.count(signature) != 0) continue;
       auto state_result = MakeState(candidate);
       if (!state_result.ok()) continue;

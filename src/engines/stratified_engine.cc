@@ -80,17 +80,13 @@ void StratifiedEngine::ExtendSampleForPublishedEpochs() {
 
 Result<QueryHandle> StratifiedEngine::Submit(const query::QuerySpec& spec) {
   if (!attached()) return Status::Invalid("engine not prepared");
-  IDB_ASSIGN_OR_RETURN(std::vector<std::string> dims, RequiredJoins(spec));
-  if (!dims.empty()) {
-    return Status::NotImplemented("stratified engine does not support joins");
-  }
   // Cover any epochs published since the last submission before pinning
   // this query's sample extent.
   ExtendSampleForPublishedEpochs();
 
   auto state = std::make_shared<QueryState>();
   IDB_RETURN_NOT_OK(BindState(state.get(), spec));
-  const double mult = ComplexityMultiplier(spec, 0, config_.factors);
+  const double mult = ComplexityMultiplier(spec, state->joins, config_.factors);
   // Scanning the whole sample costs rate * nominal * ns; spread evenly
   // over the actual sample rows.
   const double total_us = static_cast<double>(nominal_rows()) *

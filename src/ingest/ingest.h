@@ -18,8 +18,9 @@
 ///    frozen there.
 ///
 /// Threading contract: appends and publishes happen on the serving
-/// scheduler thread, interleaved *between* engine calls (the session
-/// manager's ingest channel guarantees this).  Nothing here is
+/// scheduler thread, interleaved *between* scheduler calls — the caller
+/// guarantees this, as `net::Server` does on each loop pass and the
+/// chaos `ingest_storm` scenario does mid-tick.  Nothing here is
 /// thread-safe on its own — the protocol is what makes concurrent-looking
 /// ingest safe, not locks.
 ///

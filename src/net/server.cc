@@ -440,11 +440,6 @@ void Server::HandleInteraction(Connection* conn, const JsonValue& msg) {
   SendMessage(conn, reply);
 }
 
-void Server::AttachIngestor(ingest::Ingestor* ingestor) {
-  ingestor_ = ingestor;
-  manager_->AttachIngest(ingestor);
-}
-
 void Server::HandleAppend(Connection* conn, const JsonValue& msg) {
   const int64_t request = msg.GetInt("request", -1);
   ++stats_.appends_received;

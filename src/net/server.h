@@ -134,15 +134,16 @@ class Server {
   /// Thread-safe stop signal; the loop exits within one poll interval.
   void RequestStop() { stop_.store(true, std::memory_order_release); }
 
-  /// Attaches the streaming-ingest channel: `append` frames stage rows
-  /// into `ingestor`'s fact table (and optionally publish an epoch).
-  /// Must be called before Serve; the ingestor must feed the catalog
-  /// this server serves and outlive it.  Without an ingestor, `append`
-  /// frames are rejected with reason "no_ingestor".  Appends apply on
-  /// the loop thread between engine calls — the Ingestor's
-  /// single-writer protocol — and pass `Ratekeeper::AdmitIngest` first,
-  /// so ingest sheds strictly before query traffic degrades.
-  void AttachIngestor(ingest::Ingestor* ingestor);
+  /// Attaches the ingestor that `append` frames feed: they stage rows
+  /// into its fact table (and optionally publish an epoch).  Must be
+  /// called before Serve; the ingestor must feed the catalog this server
+  /// serves and outlive it.  Without an ingestor, `append` frames are
+  /// rejected with reason "no_ingestor".  The loop thread applies each
+  /// append between scheduler calls — the Ingestor's single-writer
+  /// protocol; the session manager never sees it — after
+  /// `Ratekeeper::AdmitIngest`, so ingest sheds strictly before query
+  /// traffic degrades.
+  void AttachIngestor(ingest::Ingestor* ingestor) { ingestor_ = ingestor; }
 
   /// Loop-thread-only accessors (or after Serve returned).
   const ServerStats& stats() const { return stats_; }

@@ -259,63 +259,6 @@ Micros SessionManager::NextWakeup() const {
   return t;
 }
 
-// --- Ingest channel --------------------------------------------------------
-
-void SessionManager::AttachIngest(ingest::Ingestor* ingestor) {
-  ingestor_ = ingestor;
-}
-
-Status SessionManager::EnqueueAppend(ingest::RowBatch batch, Micros at,
-                                     bool publish) {
-  if (ingestor_ == nullptr) {
-    return Status::Invalid("no ingestor attached to this manager");
-  }
-  if (batch.empty() && !publish) return Status::OK();  // nothing to do
-  IngestEvent event;
-  event.batch = std::move(batch);
-  event.publish = publish;
-  ingest_events_.emplace(std::max(at, virtual_now_), std::move(event));
-  ++ingest_stats_.events_enqueued;
-  return Status::OK();
-}
-
-Micros SessionManager::NextIngestAt() const {
-  return ingest_events_.empty() ? std::numeric_limits<Micros>::max()
-                                : ingest_events_.begin()->first;
-}
-
-void SessionManager::DrainIngest() {
-  // Runs on the scheduling thread strictly between engine calls — the
-  // Ingestor's single-writer protocol.  Zero virtual cost: visibility
-  // changes instantly at the event's scheduled time, and no query loses
-  // entitlement to it (deadline overshoot stays 0 by construction).
-  // Failures are weather (chaos faults, capacity, bad rows): counted,
-  // never propagated — staged rows simply wait for a later publish.
-  while (!ingest_events_.empty() &&
-         ingest_events_.begin()->first <= virtual_now_) {
-    IngestEvent event = std::move(ingest_events_.begin()->second);
-    ingest_events_.erase(ingest_events_.begin());
-    if (!event.batch.empty()) {
-      const Status st = ingestor_->Append(event.batch);
-      if (st.ok()) {
-        ++ingest_stats_.batches_applied;
-        ingest_stats_.rows_applied += event.batch.size();
-      } else {
-        ++ingest_stats_.append_failures;
-      }
-    }
-    if (event.publish) {
-      const int64_t before = ingestor_->visible_rows();
-      auto watermark = ingestor_->Publish();
-      if (watermark.ok()) {
-        if (*watermark > before) ++ingest_stats_.publishes;
-      } else {
-        ++ingest_stats_.publish_failures;
-      }
-    }
-  }
-}
-
 bool SessionManager::IsTransientEngineError(StatusCode code) {
   switch (code) {
     case StatusCode::kIoError:
@@ -520,17 +463,16 @@ Status SessionManager::AdvanceTo(Micros t) {
 Result<int> SessionManager::StepUntilEvent(Micros cap) {
   const int64_t before = finalized_events_;
   while (true) {
-    DrainIngest();  // due appends/publishes apply between engine calls
     IDB_RETURN_NOT_OK(FinalizeOverdue());
     if (finalized_events_ > before) {
       return static_cast<int>(finalized_events_ - before);
     }
     if (virtual_now_ >= cap) return 0;
     if (run_queue_.empty()) {
-      virtual_now_ = std::min(cap, NextIngestAt());
-      continue;
+      virtual_now_ = cap;  // idle: virtual time is free
+      return 0;
     }
-    const Micros horizon = std::min({cap, NextWakeup(), NextIngestAt()});
+    const Micros horizon = std::min(cap, NextWakeup());
     Micros slice_end = horizon;
     if (options_.quantum > 0) {
       slice_end = std::min(horizon, virtual_now_ + options_.quantum);
@@ -541,15 +483,7 @@ Result<int> SessionManager::StepUntilEvent(Micros cap) {
 }
 
 Status SessionManager::RunUntilIdle() {
-  while (HasLive() || !ingest_events_.empty()) {
-    if (!HasLive()) {
-      // No queries to schedule: jump straight to the next ingest instant
-      // and apply it — enqueued publishes must not be lost just because
-      // the fleet went quiet (queries submitted later depend on them).
-      virtual_now_ = std::max(virtual_now_, NextIngestAt());
-      DrainIngest();
-      continue;
-    }
+  while (HasLive()) {
     IDB_ASSIGN_OR_RETURN(int finalized, StepUntilEvent(MinDeadline()));
     (void)finalized;
   }
@@ -562,35 +496,78 @@ SchedulerStats SessionManager::stats() const {
   return s;
 }
 
-Status ReplaySessionsToCompletion(SessionManager* manager,
-                                  const std::vector<SessionReplay>& runs,
-                                  Micros think_time, Micros step_cap) {
-  std::vector<size_t> next(runs.size(), 0);
+Status ReplaySessionsToCompletion(
+    SessionManager* manager, const std::vector<SessionReplay>& runs,
+    Micros think_time,
+    const std::function<Status(const ReplayedBatch&)>& on_batch) {
+  constexpr Micros kNever = std::numeric_limits<Micros>::max();
+  /// Where one run stands.  It is busy while `batch` holds queries.
+  struct Cursor {
+    size_t workflow = 0;  // current workflow of the run
+    size_t next = 0;      // next interaction in it
+    Micros ready_at = 0;  // earliest next submission
+    ReplayedBatch batch;
+  };
+  std::vector<Cursor> cursors(runs.size());
+  const auto think = [&](size_t i) {
+    runs[i].session->Think(think_time);
+    cursors[i].ready_at = manager->VirtualNow() + think_time;
+  };
+
   while (true) {
-    bool pending = false;
-    for (size_t i = 0; i < runs.size(); ++i) {
-      const workflow::Workflow& wf = *runs[i].workflow;
-      if (next[i] < wf.interactions.size()) pending = true;
-      // A session submits its next interaction once its previous batch
-      // fully finalized (every update pushed).
-      if (runs[i].session->live_queries() > 0 ||
-          next[i] >= wf.interactions.size()) {
-        continue;
+    // Hand on every fully finalized batch and think after it, then submit
+    // for every idle session whose think time has passed.  Repeat until
+    // nothing moves: a batch of unsupported queries finalizes at
+    // submission, and a think time of 0 readies its session at once.
+    Micros next_ready = kNever;  // earliest submission still to come
+    bool progressed = true;
+    while (progressed) {
+      progressed = false;
+      next_ready = kNever;
+      for (size_t i = 0; i < runs.size(); ++i) {
+        ReplayedBatch& batch = cursors[i].batch;
+        if (batch.queries.empty() || runs[i].session->live_queries() > 0) {
+          continue;
+        }
+        if (on_batch) IDB_RETURN_NOT_OK(on_batch(batch));
+        batch.queries.clear();
+        think(i);
       }
-      runs[i].session->Think(think_time);
-      IDB_ASSIGN_OR_RETURN(std::vector<SubmittedQuery> submitted,
-                           runs[i].session->SubmitInteraction(
-                               wf.interactions[next[i]]));
-      (void)submitted;
-      ++next[i];
+      for (size_t i = 0; i < runs.size(); ++i) {
+        Cursor& c = cursors[i];
+        if (!c.batch.queries.empty() ||
+            c.workflow == runs[i].workflows.size()) {
+          continue;
+        }
+        if (c.ready_at > manager->VirtualNow()) {
+          next_ready = std::min(next_ready, c.ready_at);
+          continue;
+        }
+        progressed = true;
+        const workflow::Workflow& wf = *runs[i].workflows[c.workflow];
+        if (c.next == wf.interactions.size()) {
+          // The user starts the next workflow on an empty dashboard.
+          runs[i].session->ResetDashboard();
+          c.next = 0;
+          ++c.workflow;
+          continue;
+        }
+        c.batch.run = i;
+        c.batch.workflow = &wf;
+        c.batch.interaction = static_cast<int64_t>(c.next);
+        c.batch.admitted = manager->VirtualNow();
+        IDB_ASSIGN_OR_RETURN(
+            c.batch.queries,
+            runs[i].session->SubmitInteraction(wf.interactions[c.next++]));
+        if (c.batch.queries.empty()) think(i);  // nothing to wait for
+      }
     }
-    if (!pending && !manager->HasLive()) return Status::OK();
-    if (manager->HasLive()) {
-      IDB_ASSIGN_OR_RETURN(
-          int finalized,
-          manager->StepUntilEvent(manager->VirtualNow() + step_cap));
-      (void)finalized;
-    }
+
+    if (next_ready == kNever && !manager->HasLive()) return Status::OK();
+    // Run to the next finalization or submission time, whichever comes
+    // first; with nothing live this skips the idle gap.
+    IDB_ASSIGN_OR_RETURN(int finalized, manager->StepUntilEvent(next_ready));
+    (void)finalized;
   }
 }
 

@@ -56,19 +56,27 @@
 /// pull path — enforced differentially by tests/workflow_fuzz_test.cc.
 /// Physical side channels (reuse-cache hit/miss telemetry, wall-clock)
 /// may differ from the seed loop when the cache is enabled.
+///
+/// Workflow replay: `ReplaySessionsToCompletion` is the one loop that
+/// replays workflows on the virtual clock with think time between
+/// interactions (paper §4.4).  The benchmark driver, the differential
+/// tests and the micro-benchmarks all run through it.
+///
+/// Ingest: the manager knows nothing of it.  A caller that feeds an
+/// `ingest::Ingestor` appends and publishes between scheduler calls, as
+/// `net::Server` does on each loop pass; a query pins the watermark at
+/// admission, so ingest never costs a query virtual time.
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
-#include <map>
-
 #include "common/clock.h"
 #include "common/result.h"
 #include "engines/engine.h"
-#include "ingest/ingest.h"
 #include "query/result.h"
 #include "query/spec.h"
 #include "storage/catalog.h"
@@ -173,16 +181,6 @@ struct SchedulerStats {
   Micros max_deadline_overshoot = 0;
   /// Virtual time of the manager when the stats were read.
   Micros virtual_now = 0;
-};
-
-/// Telemetry for the manager's ingest channel.
-struct IngestChannelStats {
-  int64_t events_enqueued = 0;
-  int64_t batches_applied = 0;   // successful appends
-  int64_t rows_applied = 0;
-  int64_t publishes = 0;         // publishes that moved the watermark
-  int64_t append_failures = 0;   // chaos faults, capacity, parse errors
-  int64_t publish_failures = 0;  // chaos faults (watermark did not move)
 };
 
 class SessionManager;
@@ -311,9 +309,7 @@ class SessionManager {
   Result<int> StepUntilEvent(Micros cap);
 
   /// Runs until no live query remains (each completes or reaches its
-  /// deadline); virtual time ends at the last finalization.  Ingest
-  /// events scheduled past the last finalization stay queued for the
-  /// next advance.
+  /// deadline); virtual time ends at the last finalization.
   Status RunUntilIdle();
 
   /// Classifies an engine error as retryable.  I/O errors, resource
@@ -322,36 +318,6 @@ class SessionManager {
   /// is a programming error and aborts.  The chaos harness applies the
   /// same rule to its setup path (Prepare, CSV ingest).
   static bool IsTransientEngineError(StatusCode code);
-
-  // --- Ingest channel (streaming ingest) -----------------------------
-  //
-  // Appends and publishes are *scheduled on the virtual clock* and
-  // applied on the scheduling thread strictly between engine calls —
-  // the single-writer protocol `ingest::Ingestor` requires.  An ingest
-  // event costs zero virtual time and never displaces query compute, so
-  // attaching ingest cannot push any query past its deadline
-  // (`max_deadline_overshoot` stays 0 by construction); the scheduler
-  // merely lands its slices exactly on each event's instant so
-  // visibility changes at a deterministic point in every run.
-
-  /// Attaches the ingest channel.  `ingestor` must feed this manager's
-  /// catalog and outlive the manager.  At most one per manager.
-  void AttachIngest(ingest::Ingestor* ingestor);
-
-  /// Schedules `batch` to be appended at virtual time `at` (clamped to
-  /// now), followed — when `publish` is set — by an epoch publish.  An
-  /// empty batch with `publish` schedules a bare publish.  Events at
-  /// equal times apply in enqueue order.  Failures (chaos faults,
-  /// capacity, parse errors) are counted in `ingest_stats()`, not
-  /// propagated: ingest is weather, serving must not abort on it.
-  Status EnqueueAppend(ingest::RowBatch batch, Micros at, bool publish);
-
-  /// Ingest events not yet applied.
-  int64_t pending_ingest_events() const {
-    return static_cast<int64_t>(ingest_events_.size());
-  }
-
-  const IngestChannelStats& ingest_stats() const { return ingest_stats_; }
 
   SchedulerStats stats() const;
 
@@ -415,14 +381,6 @@ class SessionManager {
   /// run to without skipping a deadline or a scheduled retry.
   Micros NextWakeup() const;
 
-  /// Applies every ingest event due at or before the current virtual
-  /// time, in (time, enqueue) order.  Called between engine calls only.
-  void DrainIngest();
-
-  /// Virtual time of the earliest queued ingest event (max() when none):
-  /// slices and idle jumps never skip past it.
-  Micros NextIngestAt() const;
-
   enum class FinalizeReason { kCompleted, kDeadline, kClientCancel, kFailed };
 
   /// Reacts to a transient-or-worse engine fault on `q`: cancels the
@@ -462,39 +420,38 @@ class SessionManager {
   int64_t finalized_events_ = 0;
   bool in_destructor_ = false;
   SchedulerStats stats_;
-
-  /// One scheduled ingest event: an append batch (possibly empty) and an
-  /// optional epoch publish after it.
-  struct IngestEvent {
-    ingest::RowBatch batch;
-    bool publish = false;
-  };
-
-  ingest::Ingestor* ingestor_ = nullptr;
-  /// Queued events keyed by virtual apply time; equal keys preserve
-  /// enqueue order (multimap insertion-order guarantee), so replays with
-  /// the same enqueue sequence apply identically.
-  std::multimap<Micros, IngestEvent> ingest_events_;
-  IngestChannelStats ingest_stats_;
 };
 
-/// One (session, workflow) pair for `ReplaySessionsToCompletion`.
+/// One session's part of a replay: the workflows it runs, in order.
 struct SessionReplay {
   ExplorationSession* session = nullptr;
-  const workflow::Workflow* workflow = nullptr;
+  std::vector<const workflow::Workflow*> workflows;
 };
 
-/// Drives every session through its workflow until all interactions have
-/// been submitted and every query finalized: a session submits its next
-/// interaction (after `think_time` of engine think) as soon as its
-/// previous batch fully finalized, while the scheduler advances in
-/// bounded `step_cap` steps.  The canonical concurrent-replay loop shared
-/// by tests and benchmarks; the benchmark driver layers record-building
-/// and report timing on its own richer variant.
-Status ReplaySessionsToCompletion(SessionManager* manager,
-                                  const std::vector<SessionReplay>& runs,
-                                  Micros think_time,
-                                  Micros step_cap = 1 * kMicrosPerSecond);
+/// One interaction's batch of a replay.
+struct ReplayedBatch {
+  size_t run = 0;                                // index into the runs
+  const workflow::Workflow* workflow = nullptr;
+  int64_t interaction = 0;                       // index in `workflow`
+  Micros admitted = 0;                           // virtual submission time
+  std::vector<SubmittedQuery> queries;           // in submission order
+};
+
+/// Replays every run's workflows until each interaction has been
+/// submitted and every query finalized.  After each interaction a
+/// session waits `think_time` of virtual time, counted from the instant
+/// its batch fully finalized (or from submission when it submitted no
+/// query), and grants that time to the engine through `Think`.  Idle
+/// gaps are skipped, and each workflow after the first starts on a
+/// fresh dashboard (`ResetDashboard`).  `on_batch`, when set, receives every
+/// batch that submitted queries once all of them have their final
+/// update, in session order at each instant; an error it returns stops
+/// the replay.  One session at quantum 0 issues the seed driver's
+/// engine call sequence (the seed-parity note in the file comment).
+Status ReplaySessionsToCompletion(
+    SessionManager* manager, const std::vector<SessionReplay>& runs,
+    Micros think_time,
+    const std::function<Status(const ReplayedBatch&)>& on_batch = nullptr);
 
 }  // namespace idebench::session
 

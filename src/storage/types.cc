@@ -14,14 +14,4 @@ const char* DataTypeName(DataType type) {
   return "unknown";
 }
 
-const char* AttributeKindName(AttributeKind kind) {
-  switch (kind) {
-    case AttributeKind::kQuantitative:
-      return "quantitative";
-    case AttributeKind::kNominal:
-      return "nominal";
-  }
-  return "unknown";
-}
-
 }  // namespace idebench::storage

@@ -32,9 +32,6 @@ enum class AttributeKind : uint8_t {
   kNominal = 1,       // categorical; one bin per distinct value
 };
 
-/// Returns "quantitative" or "nominal".
-const char* AttributeKindName(AttributeKind kind);
-
 /// A named, typed column descriptor.
 struct Field {
   std::string name;

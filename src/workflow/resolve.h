@@ -4,9 +4,9 @@
 /// \file resolve.h
 /// Catalog-aware interaction replay: the single definition of "which
 /// executable queries does an interaction trigger".  Shared by the
-/// benchmark driver (driver/benchmark_driver.h keeps thin forwarding
-/// wrappers), the session serving layer (session/session.h), and the
-/// test harnesses, so their query enumeration can never drift apart.
+/// benchmark driver's ground-truth warm-up, the session serving layer
+/// (session/session.h), and the test harnesses, so their query
+/// enumeration can never drift apart.
 
 #include <functional>
 #include <vector>

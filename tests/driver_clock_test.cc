@@ -1,6 +1,6 @@
 /// \file driver_clock_test.cc
-/// Clock plumbing: the driver paces interactions on its (virtual or
-/// wall) clock, and online engines publish snapshots only at report
+/// Clock plumbing: the driver starts interaction i after i think times
+/// of virtual time, and online engines publish snapshots only at report
 /// intervals regardless of polling frequency.
 
 #include <gtest/gtest.h>
@@ -54,38 +54,12 @@ TEST(DriverClockTest, ExternalVirtualClockAdvancesByThinkTime) {
   BenchmarkDriver driver(settings, &engine, catalog);
   ASSERT_TRUE(driver.PrepareEngine().ok());
 
-  VirtualClock clock(500);  // nonzero epoch: records are epoch-relative
-  driver.SetClock(&clock);
   std::vector<QueryRecord> records;
   ASSERT_TRUE(driver.RunWorkflow(ThreeCreates(), &records).ok());
   ASSERT_EQ(records.size(), 3u);
   EXPECT_EQ(records[0].start_time, 0);
   EXPECT_EQ(records[1].start_time, SecondsToMicros(2.0));
   EXPECT_EQ(records[2].start_time, SecondsToMicros(4.0));
-  // The external clock ends at epoch + 3 think times.
-  EXPECT_EQ(clock.Now(), 500 + SecondsToMicros(6.0));
-}
-
-TEST(DriverClockTest, WallClockActuallyElapses) {
-  auto catalog = testutil::MakeTinyCatalog();
-  catalog->set_nominal_rows(1'000'000);
-  engines::BlockingEngineConfig config;
-  config.scan_ns_per_row = 10.0;
-  engines::BlockingEngine engine(config);
-
-  Settings settings;
-  settings.time_requirement = SecondsToMicros(1.0);
-  settings.think_time = 20'000;  // 20 ms real sleep per interaction
-  BenchmarkDriver driver(settings, &engine, catalog);
-  ASSERT_TRUE(driver.PrepareEngine().ok());
-
-  WallClock clock;
-  driver.SetClock(&clock);
-  const Micros before = clock.Now();
-  std::vector<QueryRecord> records;
-  ASSERT_TRUE(driver.RunWorkflow(ThreeCreates(), &records).ok());
-  // Three think sleeps of 20 ms must have really elapsed.
-  EXPECT_GE(clock.Now() - before, 50'000);
 }
 
 TEST(OnlineSnapshotTest, StaleBetweenReportIntervals) {

@@ -8,6 +8,7 @@
 #include "engines/online_engine.h"
 #include "engines/progressive_engine.h"
 #include "tests/test_util.h"
+#include "workflow/resolve.h"
 #include "workflow/workflow.h"
 
 namespace idebench::driver {
@@ -234,8 +235,6 @@ TEST_F(DriverTest, StartTimesAdvanceByThinkTime) {
 }
 
 TEST_F(DriverTest, ResolveQueryRewritesNominalLabels) {
-  BlockingEngine engine;
-  BenchmarkDriver driver(FastSettings(), &engine, catalog_);
   query::QuerySpec spec;
   spec.viz_name = "v";
   query::BinDimension d;
@@ -251,7 +250,7 @@ TEST_F(DriverTest, ResolveQueryRewritesNominalLabels) {
   p.string_values = {"b", "no_such_label"};
   spec.filter.And(p);
 
-  ASSERT_TRUE(driver.ResolveQuery(&spec).ok());
+  ASSERT_TRUE(workflow::ResolveQueryAgainst(*catalog_, &spec).ok());
   ASSERT_EQ(spec.filter.predicates()[0].set_values.size(), 2u);
   EXPECT_DOUBLE_EQ(spec.filter.predicates()[0].set_values[0], 1.0);   // "b"
   EXPECT_DOUBLE_EQ(spec.filter.predicates()[0].set_values[1], -1.0);  // absent

@@ -1,8 +1,8 @@
 /// \file ingest_test.cc
 /// Streaming-ingest subsystem tests: epoch visibility on tables and
 /// column stats, the segmented shuffled-walk prefix property, the
-/// Ingestor's all-or-nothing append contract, the session ingest
-/// channel (events land at exact virtual instants, deadlines never
+/// Ingestor's all-or-nothing append contract, ingest applied between
+/// scheduler calls (in-flight queries stay pinned, deadlines never
 /// overshoot), ingest admission control, and the headline acceptance
 /// property — a query pinned to watermark W is bit-identical, at every
 /// thread count, to the same query against a table frozen at W.
@@ -340,7 +340,7 @@ TEST(IngestorTest, ChaosFaultsSurfaceAsIoErrorsBeforeStaging) {
 }
 
 // ---------------------------------------------------------------------
-// Session ingest channel
+// Session serving with ingest applied between scheduler calls
 
 workflow::Interaction TinyCountInteraction(const std::string& name) {
   query::VizSpec v;
@@ -382,44 +382,27 @@ TEST(SessionIngestTest, EventsApplyAtTheirInstantAndQueriesStayPinned) {
   options.time_requirement = 2'000'000;
   options.quantum = 200'000;
   session::SessionManager manager(options, &engine, catalog);
-  manager.AttachIngest(ingestor.get());
 
   RecordingSink sink;
   auto sess = manager.CreateSession(&sink);
   ASSERT_TRUE(sess.ok());
 
-  // No-ingestor managers refuse the channel.
-  {
-    session::SessionManager bare(options, &engine, catalog);
-    RowBatch b;
-    b.rows = {{"90", "a", "0"}};
-    EXPECT_FALSE(bare.EnqueueAppend(std::move(b), 0, true).ok());
-  }
-
-  // Query submitted at watermark 8; an append-and-publish lands at
-  // t=300'000, well inside its flight.
+  // Query submitted at watermark 8; the caller appends and publishes at
+  // t=300'000, well inside its flight, between two scheduler calls.
   auto submitted =
       (*sess)->SubmitInteraction(TinyCountInteraction("v0"));
   ASSERT_TRUE(submitted.ok());
+  ASSERT_TRUE(manager.AdvanceTo(300'000).ok());
+  EXPECT_TRUE(manager.HasLive());
   RowBatch batch;
   batch.rows = {{"90", "a", "0"}, {"100", "b", "1"}};
-  ASSERT_TRUE(
-      manager.EnqueueAppend(std::move(batch), 300'000, /*publish=*/true)
-          .ok());
-  EXPECT_EQ(manager.pending_ingest_events(), 1);
+  ASSERT_TRUE(ingestor->Append(batch).ok());
+  ASSERT_TRUE(ingestor->Publish().ok());
+  EXPECT_EQ(ingestor->visible_rows(), 10);
   ASSERT_TRUE(manager.RunUntilIdle().ok());
 
-  // The publish happened mid-flight...
-  EXPECT_EQ(manager.pending_ingest_events(), 0);
-  EXPECT_EQ(ingestor->visible_rows(), 10);
-  const session::IngestChannelStats& stats = manager.ingest_stats();
-  EXPECT_EQ(stats.events_enqueued, 1);
-  EXPECT_EQ(stats.batches_applied, 1);
-  EXPECT_EQ(stats.rows_applied, 2);
-  EXPECT_EQ(stats.publishes, 1);
-  EXPECT_EQ(stats.append_failures, 0);
-
-  // ...but the in-flight query stayed pinned at its submit watermark.
+  // The publish happened mid-flight, but the in-flight query stayed
+  // pinned at its submit watermark.
   ASSERT_FALSE(sink.updates.empty());
   const session::ProgressiveUpdate& final_update = sink.updates.back();
   ASSERT_TRUE(final_update.final_update);
@@ -436,35 +419,6 @@ TEST(SessionIngestTest, EventsApplyAtTheirInstantAndQueriesStayPinned) {
 
   // Ingest cost the deadline scheduler nothing.
   EXPECT_EQ(manager.stats().max_deadline_overshoot, 0);
-}
-
-TEST(SessionIngestTest, FailedAppendsAreWeatherNotErrors) {
-  auto catalog = testutil::MakeTinyCatalog();
-  catalog->set_nominal_rows(1'000'000);
-  auto created = Ingestor::Create(catalog, 9);  // room for only one row
-  ASSERT_TRUE(created.ok());
-
-  engines::ProgressiveEngineConfig config;
-  config.query_overhead_us = 0;
-  config.restart_overhead_us = 0;
-  config.sample_us_per_row = 1'000.0;
-  engines::ProgressiveEngine engine(config);
-  ASSERT_TRUE(engine.Prepare(catalog).ok());
-
-  session::SessionManagerOptions options;
-  options.time_requirement = 2'000'000;
-  options.quantum = 200'000;
-  session::SessionManager manager(options, &engine, catalog);
-  manager.AttachIngest(created->get());
-
-  RowBatch too_big;
-  too_big.rows = {{"90", "a", "0"}, {"95", "b", "1"}};  // 8 + 2 > 9
-  ASSERT_TRUE(
-      manager.EnqueueAppend(std::move(too_big), 100'000, true).ok());
-  ASSERT_TRUE(manager.RunUntilIdle().ok());  // failure did not propagate
-  EXPECT_EQ(manager.ingest_stats().append_failures, 1);
-  EXPECT_EQ(manager.ingest_stats().batches_applied, 0);
-  EXPECT_EQ((*created)->visible_rows(), 8);
 }
 
 // ---------------------------------------------------------------------

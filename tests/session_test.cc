@@ -2,10 +2,11 @@
 /// Unit tests of the session serving API (session/session.h): push
 /// delivery, deadline-exact cancellation, round-robin fairness under a
 /// contention penalty, idempotent client cancellation, multi-session
-/// bookkeeping and scheduler telemetry.
+/// bookkeeping, scheduler telemetry and the workflow-replay loop.
 
 #include "session/session.h"
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -583,6 +584,98 @@ TEST(SessionTest, BudgetScaleShrinksEntitlementDeadlineUnchanged) {
       (*sess)
           ->SubmitInteraction(Interaction::CreateViz(MakeGroupViz("v0")), 1.5)
           .ok());
+}
+
+TEST(SessionTest, ReplayHandsOnEachFinalizedBatchOnce) {
+  // 10 ms scans on a 5 ms quantum: the filtered query of interaction 3
+  // (cost multiplier 1.08) finalizes one slice after its unfiltered
+  // sibling, so a batch can be half final when the scheduler stops.
+  BlockingEngineConfig config;
+  config.scan_ns_per_row = 10.0;
+  config.query_overhead_us = 0;
+  BlockingEngine engine(config);
+  auto catalog = Catalog(1'000'000);
+  ASSERT_TRUE(engine.Prepare(catalog).ok());
+
+  expr::FilterExpr filter;
+  expr::Predicate p;
+  p.column = "value";
+  p.op = expr::CompareOp::kGe;
+  p.value = 0;
+  filter.And(p);
+  workflow::Workflow wf;
+  wf.interactions = {Interaction::CreateViz(MakeGroupViz("a")),
+                     Interaction::CreateViz(MakeGroupViz("b")),
+                     Interaction::Link("a", "b"),
+                     Interaction::SetFilter("a", filter),  // two queries
+                     Interaction::Discard("b")};           // no query
+
+  SessionManagerOptions options;
+  options.time_requirement = 1'000'000;
+  options.quantum = 5'000;
+  options.push_partials = false;
+  SessionManager manager(options, &engine, catalog);
+  RecordingSink sinks[2];
+  std::vector<SessionReplay> runs;
+  for (RecordingSink& sink : sinks) {
+    auto created = manager.CreateSession(&sink);
+    ASSERT_TRUE(created.ok());
+    runs.push_back({*created, {&wf}});
+  }
+  runs[0].workflows.push_back(&wf);  // the same workflow again
+
+  struct Seen {
+    size_t run;
+    int64_t interaction;
+    Micros admitted;
+    Micros done;  // latest final update of the batch
+  };
+  std::vector<Seen> seen;
+  const auto on_batch = [&](const ReplayedBatch& batch) -> Status {
+    EXPECT_EQ(batch.workflow, &wf);
+    EXPECT_FALSE(batch.queries.empty());
+    Micros done = batch.admitted;
+    for (const SubmittedQuery& q : batch.queries) {
+      int finals = 0;
+      for (const ProgressiveUpdate& u : sinks[batch.run].finals()) {
+        if (u.query_id != q.query_id) continue;
+        ++finals;
+        done = std::max(done, u.virtual_time);
+      }
+      EXPECT_EQ(finals, 1) << "query " << q.query_id;
+    }
+    EXPECT_EQ(done, manager.VirtualNow());
+    seen.push_back({batch.run, batch.interaction, batch.admitted, done});
+    return Status::OK();
+  };
+  constexpr Micros kThink = 200'000;
+  ASSERT_TRUE(
+      ReplaySessionsToCompletion(&manager, runs, kThink, on_batch).ok());
+
+  // Once per batch that submitted queries, never for the discard; the
+  // second workflow replays on a fresh dashboard.
+  const std::vector<int64_t> once = {0, 1, 2, 3};
+  const std::vector<int64_t> twice = {0, 1, 2, 3, 0, 1, 2, 3};
+  for (size_t run = 0; run < 2; ++run) {
+    std::vector<int64_t> interactions;
+    const Seen* last = nullptr;
+    for (const Seen& s : seen) {
+      if (s.run != run) continue;
+      interactions.push_back(s.interaction);
+      if (last != nullptr) {
+        // Think time follows each finalized batch, and the discard.
+        const Micros thinks = s.interaction == 0 ? 2 : 1;
+        EXPECT_EQ(s.admitted, last->done + thinks * kThink)
+            << "run " << run << " interaction " << s.interaction;
+      }
+      last = &s;
+    }
+    EXPECT_EQ(interactions, run == 0 ? twice : once) << "run " << run;
+  }
+  const SchedulerStats stats = manager.stats();
+  EXPECT_EQ(stats.queries_submitted, 3 * 5);
+  EXPECT_EQ(stats.completed, 3 * 5);
+  EXPECT_FALSE(manager.HasLive());
 }
 
 }  // namespace

@@ -348,7 +348,7 @@ std::vector<UpdateTrace> ReplayMultiSession(const std::string& engine_name,
   for (int s = 0; s < sessions; ++s) {
     auto created = manager.CreateSession(&sink);
     IDB_CHECK(created.ok());
-    runs.push_back({*created, &FuzzWorkflow(s)});
+    runs.push_back({*created, {&FuzzWorkflow(s)}});
   }
   IDB_CHECK(session::ReplaySessionsToCompletion(&manager, runs,
                                                 /*think_time=*/100'000)

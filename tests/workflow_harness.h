@@ -172,11 +172,12 @@ inline Result<std::vector<QueryOutcome>> RunWorkflowOnEngineBatched(
 }
 
 /// Replays `wf` through the session serving API (session/session.h): one
-/// `ExplorationSession`, one `SubmitInteraction` + `RunUntilIdle` per
-/// interaction, outcomes taken from the pushed final updates in
-/// submission order.  With `quantum == 0` (default) the scheduler's
-/// engine call sequence must match `RunWorkflowOnEngineBatched` exactly;
-/// any `quantum` must still deliver exactly one final update per query.
+/// `ExplorationSession` driven by `session::ReplaySessionsToCompletion`,
+/// the loop the benchmark driver runs, with outcomes taken from the
+/// pushed final updates in submission order.  With `quantum == 0`
+/// (default) the scheduler's engine call sequence must match
+/// `RunWorkflowOnEngineBatched` exactly; any `quantum` must still deliver
+/// exactly one final update per query.
 struct SessionHarnessOptions {
   Micros budget = 3'000'000;  // the manager's time requirement
   Micros think_time = 1'000'000;
@@ -205,24 +206,23 @@ inline Result<std::vector<QueryOutcome>> RunWorkflowThroughSession(
                        manager.CreateSession(&sink));
 
   std::vector<QueryOutcome> outcomes;
-  for (size_t i = 0; i < wf.interactions.size(); ++i) {
-    IDB_ASSIGN_OR_RETURN(std::vector<session::SubmittedQuery> submitted,
-                         sess->SubmitInteraction(wf.interactions[i]));
-    IDB_RETURN_NOT_OK(manager.RunUntilIdle());
-    for (const session::SubmittedQuery& sq : submitted) {
-      auto it = sink.finals_.find(sq.query_id);
-      if (it == sink.finals_.end()) {
-        return Status::Unknown("no final update for submitted query");
-      }
-      QueryOutcome outcome;
-      outcome.interaction_id = static_cast<int64_t>(i);
-      outcome.viz = sq.spec.viz_name;
-      outcome.unsupported = it->second.unsupported;
-      outcome.result = it->second.result;
-      outcomes.push_back(std::move(outcome));
-    }
-    sess->Think(options.think_time);
-  }
+  IDB_RETURN_NOT_OK(session::ReplaySessionsToCompletion(
+      &manager, {{sess, {&wf}}}, options.think_time,
+      [&](const session::ReplayedBatch& batch) -> Status {
+        for (const session::SubmittedQuery& sq : batch.queries) {
+          auto it = sink.finals_.find(sq.query_id);
+          if (it == sink.finals_.end()) {
+            return Status::Unknown("no final update for submitted query");
+          }
+          QueryOutcome outcome;
+          outcome.interaction_id = batch.interaction;
+          outcome.viz = sq.spec.viz_name;
+          outcome.unsupported = it->second.unsupported;
+          outcome.result = it->second.result;
+          outcomes.push_back(std::move(outcome));
+        }
+        return Status::OK();
+      }));
   IDB_RETURN_NOT_OK(manager.CloseSession(sess));
   return outcomes;
 }
