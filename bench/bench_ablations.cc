@@ -30,7 +30,6 @@ report::SummaryRow RunWith(engines::Engine* engine,
   settings.time_requirement = SecondsToMicros(tr_s);
   settings.think_time = SecondsToMicros(1.0);
   settings.concurrency_penalty = concurrency_penalty;
-  settings.data_size_label = core::DataSizeLabel(catalog->nominal_rows());
   driver::BenchmarkDriver driver(settings, engine, catalog, oracle);
   bench::CheckOk(driver.PrepareEngine().status(), "prepare");
   auto records = bench::Unwrap(driver.RunWorkflows(workflows), "run");

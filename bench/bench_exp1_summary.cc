@@ -25,7 +25,7 @@ int main() {
                            {workflow::WorkflowType::kMixed},
                            bench::WorkflowsOverride(10));
   std::printf("dataset: %s nominal (%lld rows materialized), %zu workflows\n",
-              core::DataSizeLabel(catalog->nominal_rows()).c_str(),
+              DataSizeLabel(catalog->nominal_rows()).c_str(),
               static_cast<long long>(catalog->fact_table()->num_rows()),
               workflows.size());
 

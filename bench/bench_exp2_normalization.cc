@@ -57,7 +57,7 @@ int main() {
         rates[normalized] = ViolationRate(records);
       }
       std::printf("%-10s %-8s %14s %14s\n", engine.c_str(),
-                  core::DataSizeLabel(size).c_str(),
+                  DataSizeLabel(size).c_str(),
                   FormatPercent(rates[0]).c_str(),
                   FormatPercent(rates[1]).c_str());
     }

@@ -105,7 +105,6 @@ int main() {
       driver::Settings settings;
       settings.time_requirement = SecondsToMicros(3.0);
       settings.think_time = SecondsToMicros(static_cast<double>(think));
-      settings.data_size_label = core::DataSizeLabel(catalog->nominal_rows());
       driver::BenchmarkDriver driver(settings, &engine, catalog, oracle);
       bench::CheckOk(driver.PrepareEngine().status(), "prepare");
 

@@ -23,7 +23,6 @@ int main() {
   driver::Settings settings;
   settings.time_requirement = SecondsToMicros(0.5);
   settings.think_time = SecondsToMicros(3.0);
-  settings.data_size_label = core::DataSizeLabel(catalog->nominal_rows());
   driver::BenchmarkDriver driver(settings, engine.get(), catalog, oracle);
   bench::CheckOk(driver.PrepareEngine().status(), "prepare");
 

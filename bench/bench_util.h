@@ -82,17 +82,8 @@ inline std::vector<workflow::Workflow> MakeWorkflows(
     uint64_t seed = 7) {
   workflow::GeneratorConfig config;
   workflow::WorkflowGenerator generator(denorm_fact, config, seed);
-  std::vector<workflow::Workflow> out;
-  for (workflow::WorkflowType type : types) {
-    for (int i = 0; i < per_type; ++i) {
-      out.push_back(Unwrap(
-          generator.Generate(type, std::string(workflow::WorkflowTypeName(
-                                       type)) +
-                                       "_" + std::to_string(i)),
-          "workflow generation"));
-    }
-  }
-  return out;
+  return Unwrap(generator.GenerateSuite(types, per_type),
+                "workflow generation");
 }
 
 /// Runs `engine_name` over `workflows` for each time requirement; records
@@ -112,8 +103,6 @@ inline Micros RunEngineSweep(
     driver::Settings settings;
     settings.time_requirement = SecondsToMicros(tr);
     settings.think_time = SecondsToMicros(think_time_s);
-    settings.data_size_label = core::DataSizeLabel(catalog->nominal_rows());
-    settings.use_joins = catalog->is_normalized();
     driver::BenchmarkDriver driver(settings, engine.get(), catalog, oracle);
     prep = Unwrap(driver.PrepareEngine(), "prepare engine");
     auto batch = Unwrap(driver.RunWorkflows(workflows), "run workflows");

@@ -129,7 +129,6 @@ int main() {
   driver::Settings settings;
   settings.time_requirement = SecondsToMicros(0.5);
   settings.think_time = SecondsToMicros(1.0);
-  settings.data_size_label = "100m";
   driver::BenchmarkDriver driver(settings, &engine, *catalog);
   if (auto prep = driver.PrepareEngine(); !prep.ok()) {
     std::cerr << prep.status() << "\n";

@@ -119,7 +119,6 @@ int main() {
     driver::Settings settings;
     settings.time_requirement = SecondsToMicros(1.0);
     settings.think_time = SecondsToMicros(1.0);
-    settings.data_size_label = "200m";
     driver::BenchmarkDriver driver(settings, engine->get(), catalog, oracle);
     if (auto prep = driver.PrepareEngine(); !prep.ok()) {
       std::cerr << prep.status() << "\n";

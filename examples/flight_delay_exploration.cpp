@@ -78,7 +78,6 @@ int main() {
   driver::Settings settings;
   settings.time_requirement = SecondsToMicros(1.0);
   settings.think_time = SecondsToMicros(3.0);
-  settings.data_size_label = core::DataSizeLabel(dataset.nominal_rows);
   driver::BenchmarkDriver driver(settings, &engine, catalog);
   auto prep = driver.PrepareEngine();
   if (!prep.ok()) {

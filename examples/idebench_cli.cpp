@@ -121,26 +121,20 @@ int main(int argc, char** argv) {
     workflow::GeneratorConfig generator_config;
     workflow::WorkflowGenerator generator((*catalog)->fact_table(),
                                           generator_config, config.seed);
-    int written = 0;
-    for (workflow::WorkflowType type : config.workflow_types) {
-      for (int i = 0; i < config.workflows_per_type; ++i) {
-        const std::string name =
-            std::string(workflow::WorkflowTypeName(type)) + "_" +
-            std::to_string(i);
-        auto wf = generator.Generate(type, name);
-        if (!wf.ok()) {
-          std::cerr << wf.status() << "\n";
-          return 1;
-        }
-        const std::string path = workflow_dir + "/" + name + ".json";
-        if (auto st = wf->SaveToFile(path); !st.ok()) {
-          std::cerr << st << "\n";
-          return 1;
-        }
-        ++written;
+    auto suite = generator.GenerateSuite(config.workflow_types,
+                                         config.workflows_per_type);
+    if (!suite.ok()) {
+      std::cerr << suite.status() << "\n";
+      return 1;
+    }
+    for (const workflow::Workflow& wf : *suite) {
+      const std::string path = workflow_dir + "/" + wf.name + ".json";
+      if (auto st = wf.SaveToFile(path); !st.ok()) {
+        std::cerr << st << "\n";
+        return 1;
       }
     }
-    std::printf("wrote %d workflow files to %s\n", written,
+    std::printf("wrote %zu workflow files to %s\n", suite->size(),
                 workflow_dir.c_str());
     return 0;
   }
@@ -149,7 +143,7 @@ int main(int argc, char** argv) {
       "engine=%s size=%s rows=%lld think=%.1fs types=%zu x %d threads=%d "
       "sessions=%d\n",
       config.engine.c_str(),
-      core::DataSizeLabel(config.dataset.nominal_rows).c_str(),
+      DataSizeLabel(config.dataset.nominal_rows).c_str(),
       static_cast<long long>(config.dataset.EffectiveActualRows()),
       config.think_time_s, config.workflow_types.size(),
       config.workflows_per_type, config.threads, config.sessions);

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <iostream>
 
+#include "common/string_util.h"
 #include "core/idebench.h"
 
 int main(int argc, char** argv) {
@@ -32,7 +33,7 @@ int main(int argc, char** argv) {
 
   std::printf("IDEBench quickstart — engine '%s', dataset %s\n",
               config.engine.c_str(),
-              core::DataSizeLabel(config.dataset.nominal_rows).c_str());
+              DataSizeLabel(config.dataset.nominal_rows).c_str());
   std::printf("data preparation time: %.1f s (virtual)\n\n",
               MicrosToSeconds(outcome->data_preparation_time));
   std::cout << report::RenderSummaryTable(outcome->summary) << "\n";

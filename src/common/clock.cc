@@ -1,7 +1,6 @@
 #include "common/clock.h"
 
 #include <chrono>
-#include <thread>
 
 namespace idebench {
 namespace {
@@ -17,11 +16,5 @@ Micros SteadyNowMicros() {
 WallClock::WallClock() : epoch_(SteadyNowMicros()) {}
 
 Micros WallClock::Now() const { return SteadyNowMicros() - epoch_; }
-
-void WallClock::Advance(Micros duration) {
-  if (duration > 0) {
-    std::this_thread::sleep_for(std::chrono::microseconds(duration));
-  }
-}
 
 }  // namespace idebench

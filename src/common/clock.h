@@ -32,45 +32,12 @@ constexpr double MicrosToSeconds(Micros micros) {
   return static_cast<double>(micros) / static_cast<double>(kMicrosPerSecond);
 }
 
-/// Abstract monotonic time source.
-class Clock {
- public:
-  virtual ~Clock() = default;
-
-  /// Current time in microseconds since an arbitrary epoch.
-  virtual Micros Now() const = 0;
-
-  /// Advances time by `duration` microseconds.  For a wall clock this
-  /// sleeps; for a virtual clock it is a constant-time bookkeeping update.
-  virtual void Advance(Micros duration) = 0;
-};
-
-/// Deterministic clock: time moves only when `Advance` is called.
-class VirtualClock : public Clock {
- public:
-  explicit VirtualClock(Micros start = 0) : now_(start) {}
-
-  Micros Now() const override { return now_; }
-  void Advance(Micros duration) override {
-    if (duration > 0) now_ += duration;
-  }
-
-  /// Sets the absolute time; only moves forward.
-  void AdvanceTo(Micros t) {
-    if (t > now_) now_ = t;
-  }
-
- private:
-  Micros now_;
-};
-
 /// Real elapsed time backed by std::chrono::steady_clock.
-class WallClock : public Clock {
+class WallClock {
  public:
   WallClock();
-  Micros Now() const override;
-  /// Sleeps for `duration` microseconds.
-  void Advance(Micros duration) override;
+  /// Microseconds since construction.
+  Micros Now() const;
 
  private:
   Micros epoch_;

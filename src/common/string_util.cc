@@ -105,6 +105,10 @@ std::string HumanCount(int64_t n) {
   return StringPrintf("%.1f%s", v, suffix);
 }
 
+std::string DataSizeLabel(int64_t nominal_rows) {
+  return ToLower(HumanCount(nominal_rows));
+}
+
 namespace {
 
 /// std::from_chars does not accept a leading '+' (strtol/strtod do);

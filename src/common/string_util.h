@@ -44,6 +44,10 @@ std::string FormatPercent(double ratio, int decimals = 1);
 /// Renders row counts like 100000000 as "100M", 1500 as "1.5K".
 std::string HumanCount(int64_t n);
 
+/// Report label for a nominal dataset size: `HumanCount` in lower case
+/// ("100m", "500m", "1b").
+std::string DataSizeLabel(int64_t nominal_rows);
+
 /// Outcome of the strict scalar parsers below.  `kOutOfRange` flags text
 /// that *is* a well-formed number but does not fit the target type —
 /// exactly the case `strtod`/`strtoll` silently clamp to ±HUGE_VAL /

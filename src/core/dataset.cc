@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/string_util.h"
 #include "datagen/cholesky_scaler.h"
 #include "datagen/flights_seed.h"
 #include "datagen/normalizer.h"
@@ -30,11 +29,6 @@ DatasetConfig LargeDataset() {
   DatasetConfig c;
   c.nominal_rows = 1'000'000'000;
   return c;
-}
-
-std::string DataSizeLabel(int64_t nominal_rows) {
-  std::string label = HumanCount(nominal_rows);
-  return ToLower(label);
 }
 
 Result<std::shared_ptr<storage::Catalog>> BuildFlightsCatalog(

@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 
 #include "common/result.h"
 #include "storage/catalog.h"
@@ -46,9 +45,6 @@ DatasetConfig LargeDataset();   // 1 B nominal
 /// Builds a flights catalog per `config`.
 Result<std::shared_ptr<storage::Catalog>> BuildFlightsCatalog(
     const DatasetConfig& config);
-
-/// Human label for a nominal size ("100m", "500m", "1b").
-std::string DataSizeLabel(int64_t nominal_rows);
 
 }  // namespace idebench::core
 

@@ -21,16 +21,10 @@ Result<BenchmarkOutcome> RunBenchmark(const BenchmarkConfig& config) {
   workflow::GeneratorConfig generator_config;
   workflow::WorkflowGenerator generator(workflow_catalog->fact_table(),
                                         generator_config, config.seed);
-  std::vector<workflow::Workflow> workflows;
-  for (workflow::WorkflowType type : config.workflow_types) {
-    for (int i = 0; i < config.workflows_per_type; ++i) {
-      const std::string name = std::string(workflow::WorkflowTypeName(type)) +
-                               "_" + std::to_string(i);
-      IDB_ASSIGN_OR_RETURN(workflow::Workflow wf,
-                           generator.Generate(type, name));
-      workflows.push_back(std::move(wf));
-    }
-  }
+  IDB_ASSIGN_OR_RETURN(
+      std::vector<workflow::Workflow> workflows,
+      generator.GenerateSuite(config.workflow_types,
+                              config.workflows_per_type));
 
   BenchmarkOutcome outcome;
   // Exact answers depend only on the catalog; share the oracle's cache
@@ -49,11 +43,7 @@ Result<BenchmarkOutcome> RunBenchmark(const BenchmarkConfig& config) {
     driver::Settings settings;
     settings.time_requirement = SecondsToMicros(tr_s);
     settings.think_time = SecondsToMicros(config.think_time_s);
-    settings.confidence_level = config.confidence_level;
-    settings.data_size_label = DataSizeLabel(config.dataset.nominal_rows);
-    settings.use_joins = config.dataset.normalized;
     settings.threads = config.threads;
-    settings.reuse_cache = config.reuse_cache;
     settings.sessions = config.sessions;
     IDB_RETURN_NOT_OK(settings.Validate());
 

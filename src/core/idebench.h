@@ -26,7 +26,12 @@
 
 namespace idebench::core {
 
-/// End-to-end benchmark run configuration.
+/// End-to-end benchmark run configuration.  `RunBenchmark` hands each
+/// setting to the part that reads it: the dataset fields to the catalog,
+/// the time requirement, think time, threads and session count to the
+/// driver's `Settings`, and the seed, threads, reuse cache and session
+/// count to `engines::CreateEngine`.  Engines report margins at their own
+/// `engines::EngineOptions::confidence_level`.
 struct BenchmarkConfig {
   /// Engine under test (see engines::BuiltinEngineNames()).
   std::string engine = "progressive";
@@ -40,8 +45,6 @@ struct BenchmarkConfig {
   /// Think time between interactions (seconds).
   double think_time_s = 1.0;
 
-  double confidence_level = 0.95;
-
   /// Workflows per type in the generated suite; the paper's default
   /// configuration runs 10 per type.
   int workflows_per_type = 10;
@@ -51,14 +54,13 @@ struct BenchmarkConfig {
   std::vector<workflow::WorkflowType> workflow_types = {
       workflow::WorkflowType::kMixed};
 
-  /// Physical execution threads for the engine under test
-  /// (Settings::threads semantics: 1 = single-threaded path, 0 =
-  /// hardware concurrency).
+  /// Physical execution threads for the engine under test and the
+  /// ground-truth oracle (1 = single-threaded path, 0 = hardware
+  /// concurrency); results are identical for every value.
   int threads = 1;
 
   /// Cross-interaction result-reuse cache for the engine under test
-  /// (Settings::reuse_cache semantics: displaces physical work only;
-  /// results are unchanged; default off).
+  /// (displaces physical work only; results are unchanged; default off).
   bool reuse_cache = false;
 
   /// Concurrent exploration sessions served by one shared engine

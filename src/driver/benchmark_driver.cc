@@ -4,6 +4,7 @@
 #include <iterator>
 #include <unordered_map>
 
+#include "common/string_util.h"
 #include "query/sql.h"
 #include "workflow/resolve.h"
 
@@ -114,7 +115,7 @@ Result<QueryRecord> BenchmarkDriver::MakeRecord(
   record.interaction_id = batch.interaction;
   record.viz_name = sq.spec.viz_name;
   record.driver_name = engine_->name();
-  record.data_size = settings_.data_size_label;
+  record.data_size = DataSizeLabel(catalog_->nominal_rows());
   record.think_time = settings_.think_time;
   record.time_requirement = settings_.time_requirement;
   record.workflow = batch.workflow->name;
@@ -140,7 +141,6 @@ Result<std::vector<QueryRecord>> BenchmarkDriver::RunSessions(
   // Quantum 0 (run-to-entitlement turns) is the seed-parity mode.
   mopts.quantum = concurrent ? kMultiSessionQuantum : 0;
   mopts.push_partials = false;  // the driver consumes final updates only
-  mopts.confidence_level = settings_.confidence_level;
   // The sinks must outlive the manager: an error-path unwind destroys the
   // manager, whose implicit close touches the registered sinks.
   std::vector<FinalsSink> sinks(queues.size());

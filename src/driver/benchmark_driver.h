@@ -41,7 +41,7 @@ struct QueryRecord {
   int64_t interaction_id = 0;   // index of the triggering interaction
   std::string viz_name;
   std::string driver_name;      // engine under test
-  std::string data_size;
+  std::string data_size;        // DataSizeLabel of the nominal rows
   Micros think_time = 0;
   Micros time_requirement = 0;
   std::string workflow;
@@ -92,8 +92,6 @@ class BenchmarkDriver {
   /// scheduler.
   Result<std::vector<QueryRecord>> RunWorkflows(
       const std::vector<workflow::Workflow>& workflows);
-
-  const Settings& settings() const { return settings_; }
 
   /// Scheduler telemetry of the most recent multi-session RunWorkflows
   /// call (zeros for single-session runs).

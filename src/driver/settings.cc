@@ -2,44 +2,11 @@
 
 namespace idebench::driver {
 
-JsonValue Settings::ToJson() const {
-  JsonValue j = JsonValue::Object();
-  j.Set("time_requirement_s", MicrosToSeconds(time_requirement));
-  j.Set("think_time_s", MicrosToSeconds(think_time));
-  j.Set("confidence_level", confidence_level);
-  j.Set("data_size_label", data_size_label);
-  j.Set("use_joins", use_joins);
-  j.Set("concurrency_penalty", concurrency_penalty);
-  j.Set("threads", static_cast<double>(threads));
-  j.Set("reuse_cache", reuse_cache);
-  j.Set("sessions", static_cast<double>(sessions));
-  return j;
-}
-
-Result<Settings> Settings::FromJson(const JsonValue& j) {
-  if (!j.is_object()) return Status::Invalid("settings must be an object");
-  Settings s;
-  s.time_requirement = SecondsToMicros(j.GetDouble("time_requirement_s", 3.0));
-  s.think_time = SecondsToMicros(j.GetDouble("think_time_s", 1.0));
-  s.confidence_level = j.GetDouble("confidence_level", 0.95);
-  s.data_size_label = j.GetString("data_size_label", "500m");
-  s.use_joins = j.GetBool("use_joins", false);
-  s.concurrency_penalty = j.GetDouble("concurrency_penalty", 0.0);
-  s.threads = static_cast<int>(j.GetDouble("threads", 1.0));
-  s.reuse_cache = j.GetBool("reuse_cache", false);
-  s.sessions = static_cast<int>(j.GetDouble("sessions", 1.0));
-  IDB_RETURN_NOT_OK(s.Validate());
-  return s;
-}
-
 Status Settings::Validate() const {
   if (time_requirement <= 0) {
     return Status::Invalid("time_requirement must be positive");
   }
   if (think_time < 0) return Status::Invalid("think_time must be >= 0");
-  if (confidence_level <= 0.0 || confidence_level >= 1.0) {
-    return Status::Invalid("confidence_level must be in (0, 1)");
-  }
   if (concurrency_penalty < 0.0) {
     return Status::Invalid("concurrency_penalty must be >= 0");
   }

@@ -2,14 +2,15 @@
 #define IDEBENCH_DRIVER_SETTINGS_H_
 
 /// \file settings.h
-/// Benchmark settings (paper §4.6): time requirement, dataset size,
-/// think time, schema layout, confidence level.
-
-#include <cstdint>
-#include <string>
+/// What the benchmark driver reads of a run's settings (paper §4.6): the
+/// time requirement, think time, contention penalty, the oracle's thread
+/// count and the number of concurrent sessions.  The paper's other
+/// settings take effect elsewhere: dataset size and schema layout are the
+/// catalog's (`QueryRecord::data_size` is its nominal size), and the
+/// confidence level, engine threads and reuse cache are each engine's
+/// `engines::EngineOptions`.
 
 #include "common/clock.h"
-#include "common/json.h"
 #include "common/result.h"
 
 namespace idebench::driver {
@@ -24,34 +25,18 @@ struct Settings {
   /// 3–10 s; the stress experiments use 1 s).
   Micros think_time = 1 * kMicrosPerSecond;
 
-  /// Confidence level at which AQP engines report margins of error.
-  double confidence_level = 0.95;
-
-  /// Human-readable dataset size label for reports ("500m").
-  std::string data_size_label = "500m";
-
-  /// Whether the catalog is a star schema (reporting only; the catalog
-  /// itself determines execution).
-  bool use_joins = false;
-
   /// Per-extra-concurrent-query slowdown factor (0 = perfectly parallel,
   /// the default; the paper's Exp. 4 found no significant concurrency
   /// effect on a 20-core box).  An ablation bench sweeps this.
   double concurrency_penalty = 0.0;
 
-  /// Physical worker threads for the engines' batch execution pipeline
-  /// (exec/parallel.h): 1 (default) = the exact single-threaded code
-  /// path, 0 = hardware concurrency, n = n-way morsel-parallel
-  /// execution.  Affects wall-clock throughput only, never the virtual
-  /// cost model; results are identical for every value >= 2 (and 0).
+  /// Worker threads of the ground-truth oracle the driver builds (0 =
+  /// hardware concurrency).  Any value but 1 (the default) also warms
+  /// every exact answer up front, in parallel across queries
+  /// (`BenchmarkDriver::WarmGroundTruth`).  Answers are identical for
+  /// every value.  The engines' parallelism is their own
+  /// `engines::EngineOptions::execution_threads`.
   int threads = 1;
-
-  /// Cross-interaction result-reuse cache (exec/reuse_cache.h): engines
-  /// snapshot partial aggregations and resume when a later interaction's
-  /// query equals or refines an earlier one.  Displaces physical work
-  /// only — the virtual cost model and every result are unchanged — and
-  /// defaults off so baseline/oracle runs carry no cache state.
-  bool reuse_cache = false;
 
   /// Concurrent exploration sessions (simulated users/dashboards) served
   /// by one shared engine (session/session.h).  1 (default) = the exact
@@ -61,10 +46,6 @@ struct Settings {
   /// all live queries (shrunk by `concurrency_penalty`) — the paper's
   /// Exp. 4 concurrent-user scenario.
   int sessions = 1;
-
-  /// JSON round-trip for configuration files.
-  JsonValue ToJson() const;
-  static Result<Settings> FromJson(const JsonValue& j);
 
   /// Validates ranges.
   Status Validate() const;

@@ -5,15 +5,12 @@
 namespace idebench::engines {
 
 BlockingEngine::BlockingEngine(BlockingEngineConfig config)
-    : EngineBase("blocking", config.confidence_level, config.seed),
+    : EngineBase("blocking", config),
       config_(config) {}
 
 Result<Micros> BlockingEngine::Prepare(
     std::shared_ptr<const storage::Catalog> catalog) {
   IDB_RETURN_NOT_OK(Attach(std::move(catalog)));
-  if (config_.reuse_cache) {
-    EnableReuseCacheForSessions(config_.expected_sessions);
-  }
   // CSV ingest of every table; dimensions are negligible next to the fact
   // table but are charged for completeness.
   double rows = 0.0;
@@ -52,12 +49,12 @@ Result<QueryHandle> BlockingEngine::Submit(const query::QuerySpec& spec) {
   return Register(std::move(state), overhead);
 }
 
-void BlockingEngine::Feed(QueryState* state, int64_t begin, int64_t end) {
+void BlockingEngine::Feed(QueryState* state, int64_t begin, int64_t end,
+                          int threads) {
   // Fused kernels + zone-map block skipping: this is the full-scan path
   // the zone maps exist for (the virtual cost model still charges every
   // row; only wall-clock work shrinks).
-  exec::ProcessRangeParallel(state->aggregator.get(), begin, end,
-                             config_.execution_threads);
+  exec::ProcessRangeParallel(state->aggregator.get(), begin, end, threads);
 }
 
 query::QueryResult BlockingEngine::Answer(const RunningQuery& rq) const {

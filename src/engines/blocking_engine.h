@@ -17,10 +17,12 @@
 
 namespace idebench::engines {
 
-/// Cost/behavior knobs of the blocking engine.  Defaults are calibrated
-/// so a simple aggregation over 500 M nominal rows takes ~2.5 s and CSV
-/// ingest takes ~19 min (paper §5.2).
-struct BlockingEngineConfig {
+/// Cost/behavior knobs of the blocking engine, on top of the engine-wide
+/// options.  Defaults are calibrated so a simple aggregation over 500 M
+/// nominal rows takes ~2.5 s and CSV ingest takes ~19 min (paper §5.2).
+struct BlockingEngineConfig : EngineOptions {
+  BlockingEngineConfig() { seed = 1; }
+
   double scan_ns_per_row = 4.5;        // sequential scan+aggregate
   double load_ns_per_row = 2280.0;     // CSV ingest (19 min / 500 M)
   double join_build_ns_per_row = 3.0;  // per fact row, per dimension
@@ -38,21 +40,6 @@ struct BlockingEngineConfig {
   /// Joins themselves cost `factors.per_join` per probed dimension
   /// (a cached join-index probe is an array lookup, not a hash join).
   double normalized_scan_discount = 0.12;
-  double confidence_level = 0.95;
-  uint64_t seed = 1;
-  /// Physical worker threads for the scan pipeline: 1 = the exact
-  /// single-threaded code path, 0 = hardware concurrency, n = n-way
-  /// morsel-parallel execution (exec/parallel.h).  Virtual-time cost
-  /// accounting is unaffected; this controls wall-clock speed only.
-  int execution_threads = 1;
-  /// Cross-interaction reuse cache (exec/reuse_cache.h): repeated or
-  /// refined scans resume from cached snapshots.  Physical work only;
-  /// virtual costs and results are unchanged.
-  bool reuse_cache = false;
-  /// Concurrent exploration sessions this engine is expected to serve
-  /// (session/session.h); sizes the reuse cache's entry cap so one
-  /// dashboard's working set cannot evict every other session's.
-  int expected_sessions = 1;
 };
 
 /// Blocking exact engine.
@@ -68,7 +55,8 @@ class BlockingEngine : public EngineBase {
 
  private:
   /// Feed positions are fact rows in table order.
-  void Feed(QueryState* state, int64_t begin, int64_t end) override;
+  void Feed(QueryState* state, int64_t begin, int64_t end,
+            int threads) override;
   query::QueryResult Answer(const RunningQuery& rq) const override;
 
   BlockingEngineConfig config_;

@@ -8,13 +8,14 @@
 
 namespace idebench::engines {
 
-EngineBase::EngineBase(std::string name, double confidence_level,
-                       uint64_t seed)
+EngineBase::EngineBase(std::string name, const EngineOptions& options)
     : name_(std::move(name)),
-      confidence_level_(confidence_level),
-      z_(aqp::ZScoreForConfidence(confidence_level)),
-      seed_(seed),
-      rng_(seed) {}
+      z_(aqp::ZScoreForConfidence(options.confidence_level)),
+      seed_(options.seed),
+      threads_(options.execution_threads),
+      reuse_cache_on_(options.reuse_cache),
+      expected_sessions_(options.expected_sessions),
+      rng_(options.seed) {}
 
 Status EngineBase::Attach(std::shared_ptr<const storage::Catalog> catalog) {
   // Chaos site: data preparation fails I/O-style before any state is
@@ -38,6 +39,13 @@ Status EngineBase::Attach(std::shared_ptr<const storage::Catalog> catalog) {
                                   static_cast<double>(actual_rows_)
                             : 1.0;
   if (scale_ < 1.0) scale_ = 1.0;
+  if (reuse_cache_on_) {
+    // The global entry cap scales with the session count; the byte
+    // budget stays the fixed process-level bound.
+    exec::ReuseCacheOptions options;
+    options.max_entries_total *= std::max(1, expected_sessions_);
+    reuse_cache_ = std::make_unique<exec::ReuseCache>(options);
+  }
   return Status::OK();
 }
 
@@ -104,15 +112,6 @@ const aqp::ShuffledIndex& EngineBase::ShuffledRows() {
   return *shuffled_;
 }
 
-void EngineBase::EnableReuseCacheForSessions(int expected_sessions) {
-  if (reuse_cache_ != nullptr) return;
-  exec::ReuseCacheOptions options;
-  if (expected_sessions > 1) {
-    options.max_entries_total *= expected_sessions;
-  }
-  reuse_cache_ = std::make_unique<exec::ReuseCache>(options);
-}
-
 void EngineBase::WorkflowStart() {
   if (reuse_cache_ != nullptr) reuse_cache_->Clear();
 }
@@ -177,7 +176,7 @@ Micros EngineBase::Advance(QueryState* state, Micros budget) {
       reuse_cache_->AddRowsServed(served_to - state->cursor);
     }
   }
-  if (served_to < end) Feed(state, served_to, end);
+  if (served_to < end) Feed(state, served_to, end, threads_);
   state->cursor = end;
   const double spent = static_cast<double>(todo) * state->row_cost_us;
   state->credit_us -= spent;

@@ -2,11 +2,17 @@
 #define IDEBENCH_ENGINES_ENGINE_BASE_H_
 
 /// \file engine_base.h
-/// The one query lifecycle every concrete engine runs on, plus shared
-/// plumbing: catalog/handle bookkeeping, one join index per dimension
-/// with the once-per-engine charge for its build, query binding, the
-/// shuffled row order used by sampling engines, and the cross-interaction
-/// reuse cache.
+/// The one query lifecycle every concrete engine runs on, the engine-wide
+/// options every engine takes, plus shared plumbing: catalog/handle
+/// bookkeeping, one join index per dimension with the once-per-engine
+/// charge for its build, query binding, the shuffled row order used by
+/// sampling engines, and the cross-interaction reuse cache.
+///
+/// Each engine's config extends `EngineOptions` with its own cost knobs
+/// and default seed.  `EngineBase` applies the options itself: margins
+/// at `confidence_level`, randomness from `seed`, `execution_threads`
+/// handed to every `Feed`, and the reuse cache, sized for
+/// `expected_sessions`, turned on in `Attach` when `reuse_cache` is set.
 ///
 /// `EngineBase` implements the adapter protocol (§4.5) once.  `RunFor`
 /// fires the `kEngineRun` chaos site, pays the query's fixed overhead,
@@ -36,10 +42,33 @@
 
 namespace idebench::engines {
 
+/// Options every `EngineBase` engine takes, whatever its cost model.
+struct EngineOptions {
+  /// Confidence level of the margins of error the engine reports.
+  double confidence_level = 0.95;
+  /// Base of the engine's internal randomness; each engine's config
+  /// sets its own default.
+  uint64_t seed = 0;
+  /// Physical worker threads for the feed pipeline: 1 = the exact
+  /// single-threaded code path, 0 = hardware concurrency, n = n-way
+  /// morsel-parallel execution (exec/parallel.h).  Virtual-time cost
+  /// accounting is unaffected; this controls wall-clock speed only.
+  int execution_threads = 1;
+  /// Cross-interaction reuse cache (exec/reuse_cache.h): repeated or
+  /// refined queries resume from cached snapshots.  Physical work only;
+  /// virtual costs and results are unchanged.
+  bool reuse_cache = false;
+  /// Concurrent exploration sessions the engine is expected to serve
+  /// (session/session.h).  The reuse cache's global entry cap scales with
+  /// it, so one dashboard's working set cannot evict every other
+  /// session's snapshots.
+  int expected_sessions = 1;
+};
+
 /// Common engine state, the shared query lifecycle, and helpers.
 class EngineBase : public Engine {
  public:
-  EngineBase(std::string name, double confidence_level, uint64_t seed);
+  EngineBase(std::string name, const EngineOptions& options);
 
   const std::string& name() const override { return name_; }
 
@@ -85,7 +114,12 @@ class EngineBase : public Engine {
   void DiscardViz(const std::string& viz) override;
 
  protected:
-  /// Binds the engine to a catalog; called from Prepare implementations.
+  /// Binds the engine to a catalog and, when the options ask for it,
+  /// turns the reuse cache on; called from Prepare implementations.  With
+  /// the cache on, the lifecycle records candidates (`BindState`), serves
+  /// cached prefixes (`Advance`) and stores snapshots (`Cancel`) with no
+  /// engine code; with it off all of that is skipped, and results are
+  /// identical either way (the transparency contract in reuse_cache.h).
   Status Attach(std::shared_ptr<const storage::Catalog> catalog);
 
   /// True once Attach succeeded.
@@ -120,8 +154,10 @@ class EngineBase : public Engine {
   };
 
   /// Physical work for feed positions [begin, end) of `state` — the part
-  /// of a slice's purchase the reuse cache did not serve.
-  virtual void Feed(QueryState* state, int64_t begin, int64_t end) = 0;
+  /// of a slice's purchase the reuse cache did not serve — on `threads`
+  /// workers (`EngineOptions::execution_threads`).
+  virtual void Feed(QueryState* state, int64_t begin, int64_t end,
+                    int threads) = 0;
 
   /// What `PollResult` returns for a known, unfaulted handle.
   virtual query::QueryResult Answer(const RunningQuery& rq) const = 0;
@@ -174,19 +210,6 @@ class EngineBase : public Engine {
   /// basis of without-replacement online sampling.
   const aqp::ShuffledIndex& ShuffledRows();
 
-  /// Turns the cross-interaction reuse cache (exec/reuse_cache.h) on,
-  /// sized for `expected_sessions` concurrent dashboards
-  /// (session/session.h): the global entry cap scales with the session
-  /// count so one session's working set cannot evict every other
-  /// session's snapshots; the byte budget stays the fixed process-level
-  /// bound.  `expected_sessions <= 1` keeps the default options.  First
-  /// call wins.  Engines opt in from Prepare; the lifecycle then records
-  /// candidates (`BindState`), serves cached prefixes (`Advance`) and
-  /// stores snapshots (`Cancel`) with no further engine code.  With the
-  /// cache off all of that is skipped, and results are identical either
-  /// way (the transparency contract in reuse_cache.h).
-  void EnableReuseCacheForSessions(int expected_sessions);
-
   /// Deterministic start offset into the shuffled walk for `spec`:
   /// stable-hashed from the engine seed and the spec's *core* signature,
   /// so queries that differ only in their predicate sets share one walk —
@@ -203,9 +226,11 @@ class EngineBase : public Engine {
                                      int* joins_charged = nullptr);
 
   std::string name_;
-  double confidence_level_;
   double z_;
   uint64_t seed_;
+  int threads_;
+  bool reuse_cache_on_;    // turn the reuse cache on in Attach
+  int expected_sessions_;  // sizes its global entry cap
   Rng rng_;
   std::shared_ptr<const storage::Catalog> catalog_;
   int64_t nominal_rows_ = 0;

@@ -5,7 +5,7 @@
 namespace idebench::engines {
 
 OnlineEngine::OnlineEngine(OnlineEngineConfig config)
-    : EngineBase("online", config.confidence_level, config.seed),
+    : EngineBase("online", config),
       config_(config) {}
 
 bool OnlineEngine::SupportsOnline(const query::QuerySpec& spec) {
@@ -18,9 +18,6 @@ bool OnlineEngine::SupportsOnline(const query::QuerySpec& spec) {
 Result<Micros> OnlineEngine::Prepare(
     std::shared_ptr<const storage::Catalog> catalog) {
   IDB_RETURN_NOT_OK(Attach(std::move(catalog)));
-  if (config_.reuse_cache) {
-    EnableReuseCacheForSessions(config_.expected_sessions);
-  }
   double rows = 0.0;
   for (const auto& table : this->catalog().tables()) {
     rows += table.get() == this->catalog().fact_table()
@@ -73,15 +70,15 @@ Result<QueryHandle> OnlineEngine::Submit(const query::QuerySpec& spec) {
   return Register(std::move(state), overhead);
 }
 
-void OnlineEngine::Feed(QueryState* state, int64_t begin, int64_t end) {
+void OnlineEngine::Feed(QueryState* state, int64_t begin, int64_t end,
+                        int threads) {
   if (static_cast<const OnlineQuery*>(state)->online) {
     // Batched shuffled-walk sampling through the vectorized pipeline.
     exec::ProcessWalkParallel(state->aggregator.get(), ShuffledRows(),
                               state->walk_offset, begin, end - begin,
-                              config_.execution_threads);
+                              threads);
   } else {
-    exec::ProcessRangeParallel(state->aggregator.get(), begin, end,
-                               config_.execution_threads);
+    exec::ProcessRangeParallel(state->aggregator.get(), begin, end, threads);
   }
 }
 

@@ -24,8 +24,11 @@
 
 namespace idebench::engines {
 
-/// Cost/behavior knobs of the online engine.
-struct OnlineEngineConfig {
+/// Cost/behavior knobs of the online engine, on top of the engine-wide
+/// options.
+struct OnlineEngineConfig : EngineOptions {
+  OnlineEngineConfig() { seed = 2; }
+
   /// Per sampled tuple (random heap access + per-tuple estimator upkeep);
   /// deliberately several times the progressive engine's rate — the paper
   /// finds XDB's intermediate estimates far noisier than IDEA's at equal
@@ -40,17 +43,6 @@ struct OnlineEngineConfig {
   /// table (see BlockingEngineConfig::normalized_scan_discount).
   double normalized_scan_discount = 0.15;
   CostFactors factors;
-  double confidence_level = 0.95;
-  uint64_t seed = 2;
-  /// Physical worker threads for the sampling/scan pipeline (1 = exact
-  /// single-threaded path, 0 = hardware concurrency; see exec/parallel.h).
-  int execution_threads = 1;
-  /// Cross-interaction reuse cache (exec/reuse_cache.h); physical work
-  /// only, results unchanged.
-  bool reuse_cache = false;
-  /// Concurrent exploration sessions this engine is expected to serve
-  /// (session/session.h); sizes the reuse cache's entry cap.
-  int expected_sessions = 1;
 };
 
 /// Online-aggregation engine with blocking fallback.
@@ -77,7 +69,8 @@ class OnlineEngine : public EngineBase {
 
   /// Feed positions are shuffled-walk steps on the online path and fact
   /// rows in table order on the fallback.
-  void Feed(QueryState* state, int64_t begin, int64_t end) override;
+  void Feed(QueryState* state, int64_t begin, int64_t end,
+            int threads) override;
   /// Publishes a snapshot at every report-interval boundary.
   void AfterSlice(QueryState* state, Micros rows_us) override;
   query::QueryResult Answer(const RunningQuery& rq) const override;

@@ -7,15 +7,12 @@
 namespace idebench::engines {
 
 ProgressiveEngine::ProgressiveEngine(ProgressiveEngineConfig config)
-    : EngineBase("progressive", config.confidence_level, config.seed),
+    : EngineBase("progressive", config),
       config_(config) {}
 
 Result<Micros> ProgressiveEngine::Prepare(
     std::shared_ptr<const storage::Catalog> catalog) {
   IDB_RETURN_NOT_OK(Attach(std::move(catalog)));
-  if (config_.reuse_cache) {
-    EnableReuseCacheForSessions(config_.expected_sessions);
-  }
   first_query_after_prepare_ = true;
   // IDEA "expects data in a single CSV file and does not need any
   // pre-processing"; start-up loads a fixed amount into memory (§5.2).
@@ -92,12 +89,12 @@ Result<QueryHandle> ProgressiveEngine::Submit(const query::QuerySpec& spec) {
   return Register(std::move(state), overhead, done);
 }
 
-void ProgressiveEngine::Feed(QueryState* state, int64_t begin, int64_t end) {
+void ProgressiveEngine::Feed(QueryState* state, int64_t begin, int64_t end,
+                             int threads) {
   // Batched shuffled-walk sampling through the vectorized pipeline,
   // morsel-parallel when worker threads are configured.
   exec::ProcessWalkParallel(state->aggregator.get(), ShuffledRows(),
-                            state->walk_offset, begin, end - begin,
-                            config_.execution_threads);
+                            state->walk_offset, begin, end - begin, threads);
 }
 
 query::QueryResult ProgressiveEngine::Answer(const RunningQuery& rq) const {

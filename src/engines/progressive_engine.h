@@ -29,8 +29,11 @@
 
 namespace idebench::engines {
 
-/// Cost/behavior knobs of the progressive engine.
-struct ProgressiveEngineConfig {
+/// Cost/behavior knobs of the progressive engine, on top of the
+/// engine-wide options.
+struct ProgressiveEngineConfig : EngineOptions {
+  ProgressiveEngineConfig() { seed = 3; }
+
   /// Cost per sampled tuple.  Calibrated against the materialized data
   /// scale so the quality-vs-TR gradient spans the observable range (see
   /// EXPERIMENTS.md); what carries the paper's findings is the *ratio* to
@@ -41,25 +44,15 @@ struct ProgressiveEngineConfig {
   /// Extra overhead on the first query after preparation ("slightly
   /// higher overhead for the first query after a restart", §5.2).
   double restart_overhead_us = 600'000;
+  /// Semantic reuse, modelling IDEA: an identical query continues the
+  /// cached sample state and improves, which changes answers by design.
+  /// Orthogonal to `reuse_cache`, which displaces physical recomputation
+  /// only and never changes an answer.
   bool enable_reuse = true;
   bool enable_speculation = false;    // Exp. 3 extension; off by default
   /// Cap on enumerated single-bin selections per link.
   int max_speculations_per_link = 64;
   CostFactors factors;
-  double confidence_level = 0.95;
-  uint64_t seed = 3;
-  /// Physical worker threads for the shuffled-walk pipeline (1 = exact
-  /// single-threaded path, 0 = hardware concurrency; see exec/parallel.h).
-  int execution_threads = 1;
-  /// Cross-interaction reuse cache (exec/reuse_cache.h).  Orthogonal to
-  /// `enable_reuse`: that models IDEA's *semantic* reuse (an identical
-  /// query continues sampling and improves), which changes answers by
-  /// design; this cache displaces physical recomputation only and never
-  /// changes an answer.
-  bool reuse_cache = false;
-  /// Concurrent exploration sessions this engine is expected to serve
-  /// (session/session.h); sizes the reuse cache's entry cap.
-  int expected_sessions = 1;
 };
 
 /// Progressive AQP engine with reuse and optional speculation.
@@ -88,7 +81,8 @@ class ProgressiveEngine : public EngineBase {
   Result<std::shared_ptr<QueryState>> MakeState(const query::QuerySpec& spec);
 
   /// Feed positions are shuffled-walk steps.
-  void Feed(QueryState* state, int64_t begin, int64_t end) override;
+  void Feed(QueryState* state, int64_t begin, int64_t end,
+            int threads) override;
   query::QueryResult Answer(const RunningQuery& rq) const override;
 
   /// (Re)builds the speculative candidate list for one link.

@@ -23,48 +23,37 @@ Result<std::unique_ptr<Engine>> CreateEngine(const std::string& name,
   if (sessions < 1) {
     return Status::Invalid("sessions must be >= 1");
   }
-  if (name == "blocking") {
-    BlockingEngineConfig config;
+  // The engine-wide arguments, applied once; `seed` offsets each
+  // engine's own default seed.
+  const auto configured = [&](auto config) {
     config.seed += seed;
     config.execution_threads = threads;
     config.reuse_cache = reuse_cache;
     config.expected_sessions = sessions;
-    return std::unique_ptr<Engine>(new BlockingEngine(config));
+    return config;
+  };
+  if (name == "blocking") {
+    return std::unique_ptr<Engine>(
+        new BlockingEngine(configured(BlockingEngineConfig{})));
   }
   if (name == "online") {
-    OnlineEngineConfig config;
-    config.seed += seed;
-    config.execution_threads = threads;
-    config.reuse_cache = reuse_cache;
-    config.expected_sessions = sessions;
-    return std::unique_ptr<Engine>(new OnlineEngine(config));
+    return std::unique_ptr<Engine>(
+        new OnlineEngine(configured(OnlineEngineConfig{})));
   }
   if (name == "progressive") {
-    ProgressiveEngineConfig config;
-    config.seed += seed;
-    config.execution_threads = threads;
-    config.reuse_cache = reuse_cache;
-    config.expected_sessions = sessions;
-    return std::unique_ptr<Engine>(new ProgressiveEngine(config));
+    return std::unique_ptr<Engine>(
+        new ProgressiveEngine(configured(ProgressiveEngineConfig{})));
   }
   if (name == "stratified") {
-    StratifiedEngineConfig config;
-    config.seed += seed;
-    config.execution_threads = threads;
-    config.reuse_cache = reuse_cache;
-    config.expected_sessions = sessions;
-    return std::unique_ptr<Engine>(new StratifiedEngine(config));
+    return std::unique_ptr<Engine>(
+        new StratifiedEngine(configured(StratifiedEngineConfig{})));
   }
   if (name == "frontend") {
-    BlockingEngineConfig backend_config;
-    backend_config.seed += seed;
-    backend_config.execution_threads = threads;
-    backend_config.reuse_cache = reuse_cache;
-    backend_config.expected_sessions = sessions;
     FrontendEngineConfig config;
     config.seed += seed;
     return std::unique_ptr<Engine>(new FrontendEngine(
-        std::make_unique<BlockingEngine>(backend_config), config));
+        std::make_unique<BlockingEngine>(configured(BlockingEngineConfig{})),
+        config));
   }
   return Status::KeyError("unknown engine '" + name + "'");
 }

@@ -20,14 +20,12 @@ const std::vector<std::string>& BuiltinEngineNames();
 
 /// Creates an engine by name with default configuration.  "frontend"
 /// layers the rendering delay over a blocking backend (as in Exp. 5).
-/// `seed` perturbs the engine's internal randomness.  `threads` sets the
-/// engine's physical execution parallelism (Settings::threads semantics:
-/// 1 = single-threaded path, 0 = hardware concurrency).  `reuse_cache`
-/// enables the cross-interaction result-reuse cache (Settings::reuse_cache
-/// semantics: physical work only, results unchanged).  `sessions` is the
-/// number of concurrent exploration sessions the engine is expected to
-/// serve (Settings::sessions semantics; sizes per-engine caches, never
-/// changes results).
+/// The other arguments set the engine's `EngineOptions`
+/// (engines/engine_base.h): `seed` offsets its default seed, `threads`
+/// is its `execution_threads` (1 = single-threaded path, 0 = hardware
+/// concurrency), `reuse_cache` turns the cross-interaction reuse cache on
+/// (physical work only, results unchanged), and `sessions` is its
+/// `expected_sessions` (sizes the cache, never changes results).
 Result<std::unique_ptr<Engine>> CreateEngine(const std::string& name,
                                              uint64_t seed = 0,
                                              int threads = 1,

@@ -5,7 +5,7 @@
 namespace idebench::engines {
 
 StratifiedEngine::StratifiedEngine(StratifiedEngineConfig config)
-    : EngineBase("stratified", config.confidence_level, config.seed),
+    : EngineBase("stratified", config),
       config_(config) {}
 
 Result<Micros> StratifiedEngine::Prepare(
@@ -33,9 +33,6 @@ Result<Micros> StratifiedEngine::Prepare(
                                           config_.min_rows_per_stratum, rng(),
                                           /*row_begin=*/0,
                                           /*row_end=*/sampled_watermark_));
-  if (config_.reuse_cache) {
-    EnableReuseCacheForSessions(config_.expected_sessions);
-  }
   // Preparation = CSV ingest + offline sample construction + warm-up
   // query over the sample (paper §5.2: 27 min at 500 M).
   const double nominal = static_cast<double>(nominal_rows());
@@ -99,7 +96,8 @@ Result<QueryHandle> StratifiedEngine::Submit(const query::QuerySpec& spec) {
                   static_cast<Micros>(config_.query_overhead_us));
 }
 
-void StratifiedEngine::Feed(QueryState* state, int64_t begin, int64_t end) {
+void StratifiedEngine::Feed(QueryState* state, int64_t begin, int64_t end,
+                            int threads) {
   // The sample is laid out stratum by stratum, so per-row weights form
   // runs of equal values; feed each run as one weighted batch through the
   // vectorized pipeline.  (Positions served from the reuse cache replay
@@ -112,7 +110,7 @@ void StratifiedEngine::Feed(QueryState* state, int64_t begin, int64_t end) {
       ++j;
     }
     exec::ProcessBatchParallel(state->aggregator.get(), &sample_.rows[pos],
-                               j - i, w, config_.execution_threads);
+                               j - i, w, threads);
     i = j;
   }
 }

@@ -25,8 +25,11 @@
 
 namespace idebench::engines {
 
-/// Cost/behavior knobs of the stratified-sampling engine.
-struct StratifiedEngineConfig {
+/// Cost/behavior knobs of the stratified-sampling engine, on top of the
+/// engine-wide options.
+struct StratifiedEngineConfig : EngineOptions {
+  StratifiedEngineConfig() { seed = 4; }
+
   double sampling_rate = 0.01;          // 1 % offline sample (paper §5.2)
   std::string stratify_by = "carrier";  // stratification column
   int64_t min_rows_per_stratum = 50;
@@ -39,17 +42,6 @@ struct StratifiedEngineConfig {
   double sample_build_write_ns_per_sample = 36'000.0;
   double query_overhead_us = 20'000;
   CostFactors factors;
-  double confidence_level = 0.95;
-  uint64_t seed = 4;
-  /// Physical worker threads for the weighted sample scan (1 = exact
-  /// single-threaded path, 0 = hardware concurrency; see exec/parallel.h).
-  int execution_threads = 1;
-  /// Cross-interaction reuse cache (exec/reuse_cache.h); positions are
-  /// sample indices, replayed with their recorded stratum weights.
-  bool reuse_cache = false;
-  /// Concurrent exploration sessions this engine is expected to serve
-  /// (session/session.h); sizes the reuse cache's entry cap.
-  int expected_sessions = 1;
 };
 
 /// Offline stratified-sampling AQP engine.
@@ -71,7 +63,8 @@ class StratifiedEngine : public EngineBase {
   /// Submit: under streaming ingest the sample grows by one delta block
   /// per published epoch, and a query must only scan the rows its
   /// watermark covers.
-  void Feed(QueryState* state, int64_t begin, int64_t end) override;
+  void Feed(QueryState* state, int64_t begin, int64_t end,
+            int threads) override;
   query::QueryResult Answer(const RunningQuery& rq) const override;
 
   /// Appends one range-local stratified delta block per epoch published

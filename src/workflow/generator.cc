@@ -496,10 +496,10 @@ Result<Workflow> WorkflowGenerator::Generate(WorkflowType type,
   return out;
 }
 
-Result<std::vector<Workflow>> WorkflowGenerator::GenerateDefaultSuite(
-    int per_type) {
+Result<std::vector<Workflow>> WorkflowGenerator::GenerateSuite(
+    const std::vector<WorkflowType>& types, int per_type) {
   std::vector<Workflow> out;
-  for (WorkflowType type : AllWorkflowTypes()) {
+  for (WorkflowType type : types) {
     for (int i = 0; i < per_type; ++i) {
       const std::string name =
           std::string(WorkflowTypeName(type)) + "_" + std::to_string(i);

@@ -71,9 +71,10 @@ class WorkflowGenerator {
   /// Generates one workflow of `type` named `name`.
   Result<Workflow> Generate(WorkflowType type, const std::string& name);
 
-  /// Generates the paper's default suite: `per_type` workflows for each of
-  /// the four base types plus `per_type` mixed workflows.
-  Result<std::vector<Workflow>> GenerateDefaultSuite(int per_type);
+  /// Generates `per_type` workflows of each of `types`, in that order,
+  /// named `<type>_<i>` for i in [0, per_type).
+  Result<std::vector<Workflow>> GenerateSuite(
+      const std::vector<WorkflowType>& types, int per_type);
 
  private:
   struct ColumnStats {

@@ -5,46 +5,11 @@
 namespace idebench {
 namespace {
 
-TEST(VirtualClockTest, StartsAtConfiguredTime) {
-  VirtualClock c;
-  EXPECT_EQ(c.Now(), 0);
-  VirtualClock c2(500);
-  EXPECT_EQ(c2.Now(), 500);
-}
-
-TEST(VirtualClockTest, AdvanceAccumulates) {
-  VirtualClock c;
-  c.Advance(100);
-  c.Advance(250);
-  EXPECT_EQ(c.Now(), 350);
-}
-
-TEST(VirtualClockTest, NegativeAdvanceIgnored) {
-  VirtualClock c(10);
-  c.Advance(-5);
-  EXPECT_EQ(c.Now(), 10);
-}
-
-TEST(VirtualClockTest, AdvanceToOnlyMovesForward) {
-  VirtualClock c;
-  c.AdvanceTo(1000);
-  EXPECT_EQ(c.Now(), 1000);
-  c.AdvanceTo(500);
-  EXPECT_EQ(c.Now(), 1000);
-}
-
 TEST(WallClockTest, MonotonicNonDecreasing) {
   WallClock c;
   const Micros a = c.Now();
   const Micros b = c.Now();
   EXPECT_LE(a, b);
-}
-
-TEST(WallClockTest, AdvanceSleeps) {
-  WallClock c;
-  const Micros before = c.Now();
-  c.Advance(2'000);  // 2 ms
-  EXPECT_GE(c.Now() - before, 1'500);
 }
 
 TEST(ClockConversionTest, SecondsRoundTrip) {

@@ -781,5 +781,63 @@ TEST(RegistryTest, AllEnginesAnswerASimpleQuery) {
   }
 }
 
+/// Stores `n` distinct queries, one per viz: each is submitted, run to
+/// completion in one slice and cancelled, which snapshots it into the
+/// reuse cache when the cache is on.
+void StoreDistinctQueries(Engine* engine, const storage::Catalog& catalog,
+                          int n) {
+  for (int i = 0; i < n; ++i) {
+    QuerySpec spec = testutil::MakeCountByGroupSpec(catalog);
+    spec.viz_name = "viz_" + std::to_string(i);
+    expr::Predicate p;
+    p.column = "value";
+    p.op = expr::CompareOp::kLe;
+    p.value = 1000 + i;  // matches every row; distinct signature per i
+    spec.filter.And(p);
+    auto handle = engine->Submit(spec);
+    ASSERT_TRUE(handle.ok()) << i;
+    engine->RunFor(*handle, 10'000'000);
+    ASSERT_TRUE(engine->IsDone(*handle)) << i;
+    engine->Cancel(*handle);
+  }
+}
+
+/// CreateEngine's reuse-cache arguments take effect when the engine is
+/// prepared: the cache is on only when asked for, and its global entry
+/// cap (64 by default) scales with the expected session count.
+TEST(RegistryTest, ReuseCacheFollowsCreateEngineArguments) {
+  auto catalog = MakeNominalCatalog(100'000);
+  constexpr int kQueries = 65;  // one past the default global entry cap
+  for (const std::string name :
+       {"blocking", "online", "progressive", "stratified"}) {
+    for (const int sessions : {1, 2}) {
+      SCOPED_TRACE(name + " sessions=" + std::to_string(sessions));
+      auto engine = CreateEngine(name, 0, 1, /*reuse_cache=*/true, sessions);
+      ASSERT_TRUE(engine.ok());
+      ASSERT_TRUE((*engine)->Prepare(catalog).ok());
+      StoreDistinctQueries(engine->get(), *catalog, kQueries);
+      const metrics::ReuseCacheStats stats = (*engine)->reuse_cache_stats();
+      EXPECT_EQ(stats.stores, kQueries);
+      EXPECT_EQ(stats.evictions, sessions == 1 ? 1 : 0);
+      EXPECT_EQ(stats.entries, sessions == 1 ? kQueries - 1 : kQueries);
+    }
+
+    SCOPED_TRACE(name + " cache off");
+    auto engine = CreateEngine(name, 0, 1, /*reuse_cache=*/false, 2);
+    ASSERT_TRUE(engine.ok());
+    ASSERT_TRUE((*engine)->Prepare(catalog).ok());
+    StoreDistinctQueries(engine->get(), *catalog, kQueries);
+    const metrics::ReuseCacheStats stats = (*engine)->reuse_cache_stats();
+    EXPECT_EQ(stats.equal_hits, 0);
+    EXPECT_EQ(stats.refinement_hits, 0);
+    EXPECT_EQ(stats.misses, 0);
+    EXPECT_EQ(stats.stores, 0);
+    EXPECT_EQ(stats.evictions, 0);
+    EXPECT_EQ(stats.poisoned, 0);
+    EXPECT_EQ(stats.rows_served, 0);
+    EXPECT_EQ(stats.entries, 0);
+  }
+}
+
 }  // namespace
 }  // namespace idebench::engines

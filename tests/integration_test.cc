@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/string_util.h"
 #include "core/dataset.h"
 #include "core/idebench.h"
 #include "query/sql.h"
@@ -235,7 +236,6 @@ TEST(IntegrationTest, GoldenWorkflowReplayMatchesCommittedReport) {
   driver::Settings settings;
   settings.time_requirement = SecondsToMicros(1.0);
   settings.think_time = SecondsToMicros(1.0);
-  settings.data_size_label = "50m";
   driver::BenchmarkDriver bench_driver(settings, engine->get(), *catalog);
   ASSERT_TRUE(bench_driver.PrepareEngine().ok());
   std::vector<driver::QueryRecord> records;

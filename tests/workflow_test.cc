@@ -293,9 +293,26 @@ TEST_F(GeneratorTest, DefaultSuiteShape) {
   config.min_interactions = 6;
   config.max_interactions = 8;
   WorkflowGenerator generator(table_.get(), config, 8);
-  auto suite = generator.GenerateDefaultSuite(2);
+  auto suite = generator.GenerateSuite(AllWorkflowTypes(), 2);
   ASSERT_TRUE(suite.ok());
-  EXPECT_EQ(suite->size(), 10u);  // 5 types x 2
+  ASSERT_EQ(suite->size(), 10u);  // 5 types x 2
+  // Types in the order given, each named <type>_<i>.
+  for (size_t t = 0; t < AllWorkflowTypes().size(); ++t) {
+    const WorkflowType type = AllWorkflowTypes()[t];
+    for (int i = 0; i < 2; ++i) {
+      const Workflow& wf = (*suite)[2 * t + static_cast<size_t>(i)];
+      EXPECT_EQ(wf.type, type);
+      EXPECT_EQ(wf.name,
+                std::string(WorkflowTypeName(type)) + "_" + std::to_string(i));
+    }
+  }
+  // Order follows `types`, not the canonical type order.
+  auto reversed = generator.GenerateSuite(
+      {WorkflowType::kMixed, WorkflowType::kIndependent}, 1);
+  ASSERT_TRUE(reversed.ok());
+  ASSERT_EQ(reversed->size(), 2u);
+  EXPECT_EQ((*reversed)[0].name, "mixed_0");
+  EXPECT_EQ((*reversed)[1].name, "independent_0");
 }
 
 TEST_F(GeneratorTest, JsonRoundTripOfGeneratedWorkflow) {

@@ -530,7 +530,8 @@ std::string CellName(const CellReport& r) {
   return r.site + " / seed " + std::to_string(r.seed);
 }
 
-void PrintReport(const CellReport& r, bool verbose) {
+void PrintReport(const CellReport& r, const std::string& wal_sync,
+                 bool verbose) {
   if (r.ok() && !verbose) return;
   std::cout << CellName(r) << (r.ok() ? ": ok" : ": FAILED") << "\n";
   std::cout << "  " << (r.crashed ? "killed by SIGKILL" : "clean exit")
@@ -544,8 +545,8 @@ void PrintReport(const CellReport& r, bool verbose) {
     std::cout << "  violation: " << v << "\n";
   }
   if (!r.ok()) {
-    std::cout << "  replay: crash_runner --site " << r.site << " --replay "
-              << r.seed << "\n";
+    std::cout << "  replay: crash_runner --site " << r.site
+              << " --wal-sync " << wal_sync << " --replay " << r.seed << "\n";
   }
 }
 
@@ -592,7 +593,7 @@ int main(int argc, char** argv) {
     }
     const CellReport r =
         RunCell(*sites[0], args.replay_seed, wal, args.keep);
-    PrintReport(r, /*verbose=*/true);
+    PrintReport(r, args.wal_sync, /*verbose=*/true);
     return r.ok() ? 0 : 1;
   }
 
@@ -607,7 +608,7 @@ int main(int argc, char** argv) {
       ++cells;
       if (r.crashed) ++crashes;
       if (!r.ok()) ++failures;
-      PrintReport(r, args.verbose);
+      PrintReport(r, args.wal_sync, args.verbose);
     }
   }
   std::cout << "crash sweep: " << cells << " cells, " << crashes
