@@ -592,13 +592,8 @@ void BM_IngestWhileServing(benchmark::State& state) {
   int64_t rows_total = 0;
   for (auto _ : state) {
     state.PauseTiming();
-    auto fact =
-        std::make_shared<storage::Table>(source->name(), source->schema());
-    for (int64_t r = 0; r < kBase; ++r) {
-      IDB_CHECK(fact->AppendRowFrom(*source, r).ok());
-    }
     auto catalog = std::make_shared<storage::Catalog>();
-    IDB_CHECK(catalog->AddTable(fact).ok());
+    IDB_CHECK(catalog->AddTable(source->Prefix(kBase)).ok());
     auto ingestor = ingest::Ingestor::Create(catalog, source->num_rows());
     IDB_CHECK(ingestor.ok());
 

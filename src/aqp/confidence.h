@@ -21,6 +21,10 @@ double NormalQuantile(double p);
 /// Two-sided z-score for a confidence level in (0, 1); e.g. 0.95 -> 1.96.
 double ZScoreForConfidence(double confidence_level);
 
+/// The one confidence level: engines compute every margin of error at it,
+/// and every pushed update and wire `update` frame carries it.
+inline constexpr double kConfidenceLevel = 0.95;
+
 }  // namespace idebench::aqp
 
 #endif  // IDEBENCH_AQP_CONFIDENCE_H_

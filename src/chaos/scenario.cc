@@ -387,15 +387,7 @@ ChaosReport RunScenario(const ScenarioSpec& spec,
     }
     ingest_tail =
         std::make_shared<storage::Table>(std::move(full).MoveValueUnsafe());
-    auto fact = std::make_shared<storage::Table>(ingest_tail->name(),
-                                                 ingest_tail->schema());
-    for (int64_t r = 0; r < base_rows; ++r) {
-      const Status st = fact->AppendRowFrom(*ingest_tail, r);
-      if (!st.ok()) {
-        report.run_error = st;
-        return report;
-      }
-    }
+    auto fact = ingest_tail->Prefix(base_rows);
     auto mutable_catalog = std::make_shared<storage::Catalog>();
     const Status added = mutable_catalog->AddTable(fact);
     if (!added.ok()) {

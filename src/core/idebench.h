@@ -30,8 +30,8 @@ namespace idebench::core {
 /// setting to the part that reads it: the dataset fields to the catalog,
 /// the time requirement, think time, threads and session count to the
 /// driver's `Settings`, and the seed, threads, reuse cache and session
-/// count to `engines::CreateEngine`.  Engines report margins at their own
-/// `engines::EngineOptions::confidence_level`.
+/// count to `engines::CreateEngine`.  Engines report margins at
+/// `aqp::kConfidenceLevel`.
 struct BenchmarkConfig {
   /// Engine under test (see engines::BuiltinEngineNames()).
   std::string engine = "progressive";

@@ -10,7 +10,7 @@ namespace idebench::engines {
 
 EngineBase::EngineBase(std::string name, const EngineOptions& options)
     : name_(std::move(name)),
-      z_(aqp::ZScoreForConfidence(options.confidence_level)),
+      z_(aqp::ZScoreForConfidence(aqp::kConfidenceLevel)),
       seed_(options.seed),
       threads_(options.execution_threads),
       reuse_cache_on_(options.reuse_cache),

@@ -9,10 +9,10 @@
 /// sampling engines, and the cross-interaction reuse cache.
 ///
 /// Each engine's config extends `EngineOptions` with its own cost knobs
-/// and default seed.  `EngineBase` applies the options itself: margins
-/// at `confidence_level`, randomness from `seed`, `execution_threads`
-/// handed to every `Feed`, and the reuse cache, sized for
-/// `expected_sessions`, turned on in `Attach` when `reuse_cache` is set.
+/// and default seed.  `EngineBase` applies the options itself: randomness
+/// from `seed`, `execution_threads` handed to every `Feed`, and the reuse
+/// cache, sized for `expected_sessions`, turned on in `Attach` when
+/// `reuse_cache` is set.  Margins are at `aqp::kConfidenceLevel`.
 ///
 /// `EngineBase` implements the adapter protocol (§4.5) once.  `RunFor`
 /// fires the `kEngineRun` chaos site, pays the query's fixed overhead,
@@ -44,8 +44,6 @@ namespace idebench::engines {
 
 /// Options every `EngineBase` engine takes, whatever its cost model.
 struct EngineOptions {
-  /// Confidence level of the margins of error the engine reports.
-  double confidence_level = 0.95;
   /// Base of the engine's internal randomness; each engine's config
   /// sets its own default.
   uint64_t seed = 0;
@@ -194,7 +192,7 @@ class EngineBase : public Engine {
   /// Scale-up factor nominal/actual (>= 1 in normal configurations).
   double scale() const { return scale_; }
 
-  /// z-score matching the configured confidence level.
+  /// z-score of `aqp::kConfidenceLevel`.
   double z_score() const { return z_; }
 
   Rng* rng() { return &rng_; }

@@ -28,23 +28,6 @@ RowBatch BatchFromTable(const storage::Table& source, int64_t begin,
   return batch;
 }
 
-Result<RowBatch> BatchFromCsvLines(const std::vector<std::string>& lines,
-                                   int num_fields) {
-  RowBatch batch;
-  batch.rows.reserve(lines.size());
-  for (const std::string& line : lines) {
-    std::vector<std::string> fields = Split(line, ',');
-    for (std::string& f : fields) f = Trim(f);
-    if (static_cast<int>(fields.size()) != num_fields) {
-      return Status::Invalid(
-          "csv line has " + std::to_string(fields.size()) + " fields, want " +
-          std::to_string(num_fields) + ": '" + line + "'");
-    }
-    batch.rows.push_back(std::move(fields));
-  }
-  return batch;
-}
-
 namespace {
 
 /// Validates one field against its column type without appending: the

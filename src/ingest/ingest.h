@@ -39,6 +39,11 @@
 /// queries (stats, shuffled walks, reuse-cache watermarks) are
 /// bit-identical to a process that never crashed.
 ///
+/// Rows enter as text fields, through one path: a wire `append` frame
+/// carries arrays of fields, and `BatchFromTable` renders a staged
+/// table's rows the same way; `Append` parses both with the strict
+/// scalar parses of CSV load.
+///
 /// Scope: streaming ingest requires a *denormalized* catalog (single
 /// fact table).  Appending to a normalized star schema would need
 /// foreign-key maintenance on the join indexes, which are built once per
@@ -74,12 +79,6 @@ struct RowBatch {
 /// through the ingest path.  Out-of-range bounds are clamped.
 RowBatch BatchFromTable(const storage::Table& source, int64_t begin,
                         int64_t end);
-
-/// Parses comma-separated lines (no quoting — matches the repo's CSV
-/// dialect) into a batch.  Fails on a line whose field count differs from
-/// `num_fields`.
-Result<RowBatch> BatchFromCsvLines(const std::vector<std::string>& lines,
-                                   int num_fields);
 
 /// Cumulative ingest telemetry.
 struct IngestStats {

@@ -1,11 +1,9 @@
 #include "ingest/wal.h"
 
-#include <errno.h>
 #include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <utility>
@@ -26,25 +24,13 @@ constexpr uint64_t kFrameHeaderBytes = 4 + 1 + 8 + 4;  // magic,type,seq,len
 constexpr uint64_t kFrameTrailerBytes = 8;             // fnv1a
 constexpr uint64_t kMinFrameBytes = kFrameHeaderBytes + kFrameTrailerBytes;
 
-uint64_t Fnv1a(const uint8_t* data, uint64_t n) {
-  uint64_t h = 14695981039346656037ULL;
-  for (uint64_t i = 0; i < n; ++i) {
-    h ^= data[i];
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-void PutBytes(std::string* buf, const void* p, size_t n) {
-  buf->append(static_cast<const char*>(p), n);
-}
-void PutU8(std::string* buf, uint8_t v) { PutBytes(buf, &v, 1); }
-void PutU32(std::string* buf, uint32_t v) { PutBytes(buf, &v, 4); }
-void PutU64(std::string* buf, uint64_t v) { PutBytes(buf, &v, 8); }
-void PutString(std::string* buf, const std::string& s) {
-  PutU32(buf, static_cast<uint32_t>(s.size()));
-  PutBytes(buf, s.data(), s.size());
-}
+using storage::ByteReader;
+using storage::ErrnoStatus;
+using storage::Fnv1a;
+using storage::PutString;
+using storage::PutU32;
+using storage::PutU64;
+using storage::PutU8;
 
 /// Frames one record: header, payload, fnv1a over everything preceding.
 std::string FrameRecord(WalRecordType type, uint64_t sequence,
@@ -61,50 +47,6 @@ std::string FrameRecord(WalRecordType type, uint64_t sequence,
   return frame;
 }
 
-/// Bounds-checked sequential reader over a byte range; any out-of-bounds
-/// read trips `ok` and every later read no-ops (the caller checks once).
-struct Cursor {
-  const uint8_t* data;
-  uint64_t size;
-  uint64_t off = 0;
-  bool ok = true;
-
-  bool Take(void* dst, uint64_t n) {
-    if (!ok || size - off < n) {
-      ok = false;
-      return false;
-    }
-    std::memcpy(dst, data + off, n);
-    off += n;
-    return true;
-  }
-  uint8_t U8() {
-    uint8_t v = 0;
-    Take(&v, 1);
-    return v;
-  }
-  uint32_t U32() {
-    uint32_t v = 0;
-    Take(&v, 4);
-    return v;
-  }
-  uint64_t U64() {
-    uint64_t v = 0;
-    Take(&v, 8);
-    return v;
-  }
-  std::string Str() {
-    const uint32_t n = U32();
-    if (!ok || size - off < n) {
-      ok = false;
-      return std::string();
-    }
-    std::string s(reinterpret_cast<const char*>(data + off), n);
-    off += n;
-    return s;
-  }
-};
-
 /// Structural validation + decode of the frame at `off`.  Checks framing,
 /// bounds, checksum, and that the payload decodes cleanly and completely;
 /// does NOT check sequence continuity or record ordering (the scan loop
@@ -112,7 +54,7 @@ struct Cursor {
 bool ParseFrameAt(const uint8_t* data, uint64_t size, uint64_t off,
                   WalRecord* rec) {
   if (size - off < kMinFrameBytes) return false;
-  Cursor cur{data + off, size - off};
+  ByteReader cur(data + off, size - off);
   if (cur.U32() != kWalMagic) return false;
   const uint8_t type = cur.U8();
   if (type > static_cast<uint8_t>(WalRecordType::kCommit)) return false;
@@ -120,16 +62,16 @@ bool ParseFrameAt(const uint8_t* data, uint64_t size, uint64_t off,
   const uint64_t payload = cur.U32();
   if (payload > size - off - kMinFrameBytes) return false;
   const uint64_t body = kFrameHeaderBytes + payload;
-  uint64_t stored = 0;
-  std::memcpy(&stored, data + off + body, 8);
-  if (Fnv1a(data + off, body) != stored) return false;
+  if (Fnv1a(data + off, body) != ByteReader(data + off + body, 8).U64()) {
+    return false;
+  }
 
   WalRecord out;
   out.type = static_cast<WalRecordType>(type);
   out.sequence = sequence;
   out.offset = off;
   out.bytes = body + kFrameTrailerBytes;
-  Cursor pay{data + off + kFrameHeaderBytes, payload};
+  ByteReader pay(data + off + kFrameHeaderBytes, payload);
   switch (out.type) {
     case WalRecordType::kHeader:
       out.header.table_name = pay.Str();
@@ -140,11 +82,11 @@ bool ParseFrameAt(const uint8_t* data, uint64_t size, uint64_t off,
       const uint32_t rows = pay.U32();
       const uint32_t cols = pay.U32();
       // Cheap bound before reserving: every field costs >= 4 bytes.
-      if (!pay.ok || static_cast<uint64_t>(rows) * cols > payload / 4) {
+      if (!pay.ok() || static_cast<uint64_t>(rows) * cols > payload / 4) {
         return false;
       }
       out.rows.reserve(rows);
-      for (uint32_t r = 0; r < rows && pay.ok; ++r) {
+      for (uint32_t r = 0; r < rows && pay.ok(); ++r) {
         std::vector<std::string> fields;
         fields.reserve(cols);
         for (uint32_t c = 0; c < cols; ++c) fields.push_back(pay.Str());
@@ -159,7 +101,7 @@ bool ParseFrameAt(const uint8_t* data, uint64_t size, uint64_t off,
   }
   // A checksum-valid record whose payload over- or under-runs its length
   // field is malformed framing, not bit rot — reject it the same way.
-  if (!pay.ok || pay.off != payload) return false;
+  if (!pay.ok() || !pay.AtEnd()) return false;
   *rec = std::move(out);
   return true;
 }
@@ -171,16 +113,10 @@ bool AnyValidFrameAfter(const uint8_t* data, uint64_t size, uint64_t from) {
   if (size < kMinFrameBytes) return false;
   WalRecord scratch;
   for (uint64_t o = from; o + kMinFrameBytes <= size; ++o) {
-    uint32_t magic = 0;
-    std::memcpy(&magic, data + o, 4);
-    if (magic != kWalMagic) continue;
+    if (ByteReader(data + o, 4).U32() != kWalMagic) continue;
     if (ParseFrameAt(data, size, o, &scratch)) return true;
   }
   return false;
-}
-
-std::string Errno(const char* op, const std::string& path) {
-  return std::string(op) + " '" + path + "': " + std::strerror(errno);
 }
 
 }  // namespace
@@ -195,6 +131,17 @@ const char* WalSyncName(WalSync sync) {
       return "none";
   }
   return "unknown";
+}
+
+bool ParseWalSync(const std::string& name, WalSync* sync) {
+  for (const WalSync s :
+       {WalSync::kEveryCommit, WalSync::kGrouped, WalSync::kNone}) {
+    if (name == WalSyncName(s)) {
+      *sync = s;
+      return true;
+    }
+  }
+  return false;
 }
 
 Result<WalScan> ReadWal(const std::string& path) {
@@ -267,7 +214,7 @@ Result<std::unique_ptr<WalWriter>> WalWriter::Create(const std::string& path,
   }
   const int fd =
       ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (fd < 0) return Status::IOError(Errno("open wal", path));
+  if (fd < 0) return ErrnoStatus("open wal", path);
   std::unique_ptr<WalWriter> wal(new WalWriter(path, fd, options));
 
   std::string payload;
@@ -279,8 +226,8 @@ Result<std::unique_ptr<WalWriter>> WalWriter::Create(const std::string& path,
   // logged batch/commit (deterministic crash-point addressing).
   IDB_RETURN_NOT_OK(
       wal->WriteRecord(FrameRecord(WalRecordType::kHeader, 0, payload),
-                       /*chaos_site=*/-1, nullptr));
-  if (::fsync(fd) != 0) return Status::IOError(Errno("fsync wal", path));
+                       std::nullopt, nullptr));
+  if (::fsync(fd) != 0) return ErrnoStatus("fsync wal", path);
   wal->synced_bytes_ = wal->offset_;
   // The log's existence must survive a crash too.
   IDB_RETURN_NOT_OK(storage::FsyncDirectory(
@@ -299,7 +246,7 @@ Result<std::unique_ptr<WalWriter>> WalWriter::Resume(const std::string& path,
     return Status::Invalid("cannot resume wal '" + path + "': no header");
   }
   const int fd = ::open(path.c_str(), O_WRONLY | O_CLOEXEC);
-  if (fd < 0) return Status::IOError(Errno("open wal", path));
+  if (fd < 0) return ErrnoStatus("open wal", path);
   std::unique_ptr<WalWriter> wal(new WalWriter(path, fd, options));
   // Drop the uncommitted tail the replay also dropped: from here on the
   // log and the recovered table tell the same story, and new appends
@@ -309,9 +256,9 @@ Result<std::unique_ptr<WalWriter>> WalWriter::Resume(const std::string& path,
                             ? scan.committed_bytes
                             : scan.records.front().bytes;
   if (::ftruncate(fd, static_cast<off_t>(keep)) != 0) {
-    return Status::IOError(Errno("truncate wal", path));
+    return ErrnoStatus("truncate wal", path);
   }
-  if (::fsync(fd) != 0) return Status::IOError(Errno("fsync wal", path));
+  if (::fsync(fd) != 0) return ErrnoStatus("fsync wal", path);
   wal->offset_ = keep;
   wal->synced_bytes_ = keep;
   // Continue the sequence after the last *surviving* record (the scan's
@@ -324,53 +271,34 @@ Result<std::unique_ptr<WalWriter>> WalWriter::Resume(const std::string& path,
   return wal;
 }
 
-Status WalWriter::WriteRecord(const std::string& frame, int chaos_site,
+Status WalWriter::WriteRecord(const std::string& frame,
+                              std::optional<chaos::FaultSite> site,
                               int64_t* fault_counter) {
-  const uint64_t start = offset_;
-  const size_t n = frame.size();
-  const size_t half = n / 2;
+  // A kill at the chaos draw leaves a real torn half-record on disk for
+  // recovery to truncate.
   size_t written = 0;
-  Status st = Status::OK();
-  while (written < n) {
-    if (written == half && chaos_site >= 0 &&
-        chaos::FaultInjector::Fire(
-            static_cast<chaos::FaultSite>(chaos_site))) {
-      if (fault_counter != nullptr) ++*fault_counter;
-      st = Status::IOError("injected wal fault mid-record (" +
-                           std::string(chaos::FaultSiteName(
-                               static_cast<chaos::FaultSite>(chaos_site))) +
-                           ")");
-      break;
-    }
-    // Cap writes at the half boundary so the chaos draw above sits at a
-    // deterministic byte offset (and a kill there leaves a real torn
-    // half-record on disk for recovery to truncate).
-    const size_t want = written < half ? half - written : n - written;
-    const ssize_t rc = ::pwrite(fd_, frame.data() + written, want,
-                                static_cast<off_t>(start + written));
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      st = Status::IOError(Errno("write wal", path_));
-      break;
-    }
-    if (rc == 0) {
-      st = Status::IOError("short write to wal '" + path_ + "'");
-      break;
-    }
-    written += static_cast<size_t>(rc);
-  }
+  const Status st = storage::WriteHalves(
+      fd_, offset_, frame, path_, {"write wal", "short write to wal"}, site,
+      [&] {
+        ++*fault_counter;
+        return Status::IOError("injected wal fault mid-record (" +
+                               std::string(chaos::FaultSiteName(*site)) +
+                               ")");
+      },
+      &written);
   if (!st.ok()) {
     // Truncate-on-failure: the log must never hold a partial record
     // while the process lives — replay would otherwise disagree with
     // the in-memory epoch history after a failed-then-retried publish.
-    if (::ftruncate(fd_, static_cast<off_t>(start)) != 0) {
-      return Status::IOError(st.message() + "; and " +
-                             Errno("rollback truncate failed on", path_));
+    if (::ftruncate(fd_, static_cast<off_t>(offset_)) != 0) {
+      return Status::IOError(
+          st.message() + "; and " +
+          ErrnoStatus("rollback truncate failed on", path_).message());
     }
     stats_.rollback_bytes += static_cast<int64_t>(written);
     return st;
   }
-  offset_ = start + n;
+  offset_ += frame.size();
   ++next_sequence_;
   stats_.bytes_logged = static_cast<int64_t>(offset_);
   return Status::OK();
@@ -389,7 +317,7 @@ Status WalWriter::AppendBatch(
   }
   IDB_RETURN_NOT_OK(WriteRecord(
       FrameRecord(WalRecordType::kBatch, next_sequence_, payload),
-      static_cast<int>(chaos::FaultSite::kWalAppend), &stats_.append_faults));
+      chaos::FaultSite::kWalAppend, &stats_.append_faults));
   ++stats_.batches_logged;
   return Status::OK();
 }
@@ -401,7 +329,7 @@ Status WalWriter::AppendCommit(int64_t watermark, int64_t epoch) {
   PutU64(&payload, static_cast<uint64_t>(epoch));
   IDB_RETURN_NOT_OK(WriteRecord(
       FrameRecord(WalRecordType::kCommit, next_sequence_, payload),
-      static_cast<int>(chaos::FaultSite::kWalCommit), &stats_.commit_faults));
+      chaos::FaultSite::kWalCommit, &stats_.commit_faults));
   const bool sync_now =
       options_.sync == WalSync::kEveryCommit ||
       (options_.sync == WalSync::kGrouped &&
@@ -425,7 +353,7 @@ Status WalWriter::SyncInternal(uint64_t rollback_to, int64_t* fault_counter) {
     if (fault_counter != nullptr) ++*fault_counter;
     st = Status::IOError("injected wal fsync fault");
   } else if (::fsync(fd_) != 0) {
-    st = Status::IOError(Errno("fsync wal", path_));
+    st = ErrnoStatus("fsync wal", path_);
   }
   if (!st.ok()) {
     if (rollback_to < offset_) {
@@ -433,8 +361,9 @@ Status WalWriter::SyncInternal(uint64_t rollback_to, int64_t* fault_counter) {
       // about to report failure with the watermark unmoved, so replay
       // must never see this commit either.
       if (::ftruncate(fd_, static_cast<off_t>(rollback_to)) != 0) {
-        return Status::IOError(st.message() + "; and " +
-                               Errno("rollback truncate failed on", path_));
+        return Status::IOError(
+            st.message() + "; and " +
+            ErrnoStatus("rollback truncate failed on", path_).message());
       }
       stats_.rollback_bytes += static_cast<int64_t>(offset_ - rollback_to);
       offset_ = rollback_to;

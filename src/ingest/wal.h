@@ -19,7 +19,9 @@
 ///    that never crashed.
 ///
 /// Record framing (native-endian, like `storage/segment.cc` — the magic
-/// doubles as an endianness check):
+/// doubles as an endianness check), written and parsed through the codec
+/// the two formats share (`storage/durable_io.h`: FNV-1a, put helpers,
+/// `ByteReader`, and the `WriteHalves` loop that draws the chaos sites):
 ///
 ///     [u32 magic 'IWAL'] [u8 type] [u64 sequence] [u32 payload_bytes]
 ///     [payload ...] [u64 fnv1a over all preceding record bytes]
@@ -54,13 +56,17 @@
 /// explicit `Sync` (benchmark baseline).
 ///
 /// Chaos sites `wal.append`, `wal.commit`, `wal.fsync` fire mid-write /
-/// at the sync exactly as documented in `chaos/fault_injector.h`.
+/// at the sync exactly as documented in `chaos/fault_injector.h`.  The
+/// header record draws none, so draw indices count from the first batch
+/// and commit; wal.fsync draws once per sync the policy performs.
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "chaos/fault_injector.h"
 #include "common/result.h"
 #include "common/status.h"
 
@@ -85,7 +91,12 @@ struct WalOptions {
   int64_t group_commit_interval = 8;
 };
 
+/// "every_commit", "grouped" or "none".
 const char* WalSyncName(WalSync sync);
+
+/// The inverse of `WalSyncName`: sets `*sync` and returns true when
+/// `name` names a policy, false otherwise.
+bool ParseWalSync(const std::string& name, WalSync* sync);
 
 /// The creation-time identity record: recovery refuses to replay a log
 /// over a baseline it was not written against.
@@ -182,9 +193,11 @@ class WalWriter {
  private:
   WalWriter(std::string path, int fd, WalOptions options);
 
-  /// Frames and writes one record, drawing `site` mid-write; truncates
-  /// back to the pre-record offset on any failure.
-  Status WriteRecord(const std::string& frame, int chaos_site,
+  /// Writes one framed record, drawing `site` mid-write and counting its
+  /// fires in `*fault_counter`; truncates back to the pre-record offset
+  /// on any failure.
+  Status WriteRecord(const std::string& frame,
+                     std::optional<chaos::FaultSite> site,
                      int64_t* fault_counter);
   Status SyncInternal(uint64_t rollback_to, int64_t* fault_counter);
 

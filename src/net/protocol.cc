@@ -4,6 +4,8 @@
 #include <utility>
 #include <vector>
 
+#include "aqp/confidence.h"
+
 namespace idebench::net {
 
 JsonValue QueryResultToJson(const query::QueryResult& result) {
@@ -72,7 +74,7 @@ JsonValue UpdateToJson(const session::ProgressiveUpdate& update) {
   j.Set("query", update.query_id);
   j.Set("interaction", update.interaction_id);
   j.Set("viz", update.viz_name);
-  j.Set("confidence", update.confidence);
+  j.Set("confidence", aqp::kConfidenceLevel);
   j.Set("progress", update.progress);
   j.Set("virtual_time", update.virtual_time);
   j.Set("consumed", update.consumed);
@@ -95,7 +97,6 @@ Result<session::ProgressiveUpdate> UpdateFromJson(const JsonValue& j) {
   u.query_id = j.GetInt("query", 0);
   u.interaction_id = j.GetInt("interaction", 0);
   u.viz_name = j.GetString("viz", "");
-  u.confidence = j.GetDouble("confidence", 0.95);
   u.progress = j.GetDouble("progress", 0.0);
   u.virtual_time = j.GetInt("virtual_time", 0);
   u.consumed = j.GetInt("consumed", 0);

@@ -191,7 +191,6 @@ Result<std::vector<SubmittedQuery>> SessionManager::SubmitBatch(
           u.query_id = sq.query_id;
           u.interaction_id = interaction_id;
           u.viz_name = sq.spec.viz_name;
-          u.confidence = options_.confidence_level;
           u.virtual_time = virtual_now_;
           u.budget = budget;
           u.final_update = true;
@@ -300,7 +299,6 @@ ProgressiveUpdate SessionManager::MakeUpdate(const LiveQuery& q) const {
   u.query_id = q.query_id;
   u.interaction_id = q.interaction_id;
   u.viz_name = q.viz_name;
-  u.confidence = options_.confidence_level;
   u.virtual_time = virtual_now_;
   u.consumed = q.consumed;
   u.budget = q.budget;

@@ -99,7 +99,6 @@ struct ProgressiveUpdate {
   std::string viz_name;
 
   query::QueryResult result;   // current (possibly partial) answer
-  double confidence = 0.95;    // confidence level of the result's margins
   double progress = 0.0;       // == result.progress (convenience)
   Micros virtual_time = 0;     // scheduler virtual time of this event
 
@@ -146,9 +145,6 @@ struct SessionManagerOptions {
   /// Push non-final updates whenever a query's fetchable answer advanced
   /// since the last push.  Off, only final updates are delivered.
   bool push_partials = true;
-
-  /// Confidence level stamped on updates (matches the engine's).
-  double confidence_level = 0.95;
 
   /// Transient engine faults (I/O errors, resource exhaustion, spurious
   /// cancellations — the classes chaos injection exercises) are retried

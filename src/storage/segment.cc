@@ -5,7 +5,6 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <utility>
@@ -26,30 +25,6 @@ namespace {
 constexpr uint64_t kHeadMagic = 0x3130474553424449ULL;
 constexpr uint64_t kTailMagic = 0x3154474553424449ULL;
 constexpr uint64_t kTrailerBytes = 24;  // footer_size + checksum + tail magic
-
-uint64_t Fnv1a(const uint8_t* data, uint64_t n) {
-  uint64_t h = 14695981039346656037ULL;
-  for (uint64_t i = 0; i < n; ++i) {
-    h ^= data[i];
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-// --- Little write helpers over a growing byte buffer -------------------
-
-void PutBytes(std::string* buf, const void* p, size_t n) {
-  buf->append(static_cast<const char*>(p), n);
-}
-void PutU8(std::string* buf, uint8_t v) { PutBytes(buf, &v, 1); }
-void PutU32(std::string* buf, uint32_t v) { PutBytes(buf, &v, 4); }
-void PutU64(std::string* buf, uint64_t v) { PutBytes(buf, &v, 8); }
-void PutI64(std::string* buf, int64_t v) { PutBytes(buf, &v, 8); }
-void PutF64(std::string* buf, double v) { PutBytes(buf, &v, 8); }
-void PutString(std::string* buf, const std::string& s) {
-  PutU32(buf, static_cast<uint32_t>(s.size()));
-  PutBytes(buf, s.data(), s.size());
-}
 
 /// Bits needed to represent `range` (1 for a constant segment, so a
 /// packed blob never has zero-width values).
@@ -127,45 +102,26 @@ EncodedBlob EncodeInt64Segment(const int64_t* values, int64_t rows) {
   return blob;
 }
 
-// --- Bounds-checked footer cursor --------------------------------------
+// Longest footer string (table, column or dictionary value) a reader
+// accepts, and the most columns.
+constexpr uint32_t kMaxName = 1 << 20;
 
-class FooterCursor {
- public:
-  FooterCursor(const uint8_t* begin, const uint8_t* end)
-      : p_(begin), end_(end) {}
+Status FooterTruncated() {
+  return Status::Invalid("segment footer: truncated");
+}
 
-  Status ReadU8(uint8_t* out) { return ReadRaw(out, 1); }
-  Status ReadU32(uint32_t* out) { return ReadRaw(out, 4); }
-  Status ReadU64(uint64_t* out) { return ReadRaw(out, 8); }
-  Status ReadI64(int64_t* out) { return ReadRaw(out, 8); }
-  Status ReadF64(double* out) { return ReadRaw(out, 8); }
-
-  Status ReadString(std::string* out, uint32_t max_len) {
-    uint32_t len = 0;
-    IDB_RETURN_NOT_OK(ReadU32(&len));
-    if (len > max_len) return Status::Invalid("segment footer: string too long");
-    if (static_cast<uint64_t>(end_ - p_) < len) return Truncated();
-    out->assign(reinterpret_cast<const char*>(p_), len);
-    p_ += len;
-    return Status::OK();
+/// Reads one footer string, refusing a length over `kMaxName` before any
+/// of its bytes.
+Status ReadFooterString(ByteReader* cur, std::string* out) {
+  const uint32_t len = cur->U32();
+  if (cur->ok() && len > kMaxName) {
+    return Status::Invalid("segment footer: string too long");
   }
-
-  bool AtEnd() const { return p_ == end_; }
-
- private:
-  Status ReadRaw(void* out, uint64_t n) {
-    if (static_cast<uint64_t>(end_ - p_) < n) return Truncated();
-    std::memcpy(out, p_, n);  // footer fields are unaligned by design
-    p_ += n;
-    return Status::OK();
-  }
-  static Status Truncated() {
-    return Status::Invalid("segment footer: truncated");
-  }
-
-  const uint8_t* p_;
-  const uint8_t* end_;
-};
+  const uint8_t* p = cur->Skip(len);
+  if (!cur->ok()) return FooterTruncated();
+  out->assign(reinterpret_cast<const char*>(p), len);
+  return Status::OK();
+}
 
 Status SegmentError(const std::string& path, const std::string& what) {
   return Status::Invalid("segment file '" + path + "': " + what);
@@ -194,74 +150,10 @@ Status WriteSegmentFile(const Table& table, const std::string& path) {
   const int64_t num_rows = table.num_rows();
   const int64_t num_segments = (num_rows + kSegmentRows - 1) / kSegmentRows;
 
+  // One pass, column by column: each segment's payload blob goes to the
+  // file (8-byte aligned) as its record goes to the footer.
   std::string file;
   PutU64(&file, kHeadMagic);
-
-  // Per column, per segment: encode the payload blob (8-byte aligned in
-  // the file) and remember everything the footer needs.
-  struct SegRecord {
-    SegmentEncoding encoding;
-    uint64_t offset;
-    uint64_t bytes;
-    int64_t rows;
-    ZoneEntry zone;
-    int64_t base;
-    uint8_t bits;
-    int32_t num_runs;
-    std::vector<uint64_t> dict_bits;
-  };
-  std::vector<std::vector<SegRecord>> records(
-      static_cast<size_t>(table.num_columns()));
-
-  for (int c = 0; c < table.num_columns(); ++c) {
-    const Column& col = table.column(c);
-    const bool is_string = col.type() == DataType::kString;
-    const int64_t dict_words =
-        is_string ? (col.dictionary().size() + 63) / 64 : 0;
-    for (int64_t seg = 0; seg < num_segments; ++seg) {
-      const int64_t first = seg * kSegmentRows;
-      const int64_t rows = std::min(kSegmentRows, num_rows - first);
-      SegRecord rec;
-      rec.rows = rows;
-      // One segment == one zone block (kSegmentRows == kZoneMapBlockRows),
-      // so the persisted zone is the column's live entry, verbatim.
-      rec.zone = col.zone_map()[static_cast<size_t>(seg)];
-      rec.base = 0;
-      rec.bits = 0;
-      rec.num_runs = 0;
-
-      std::string blob;
-      if (col.type() == DataType::kDouble) {
-        rec.encoding = SegmentEncoding::kRawDouble;
-        PutBytes(&blob, col.DoubleData() + first,
-                 static_cast<size_t>(rows) * 8);
-      } else {
-        const int64_t* values = col.Int64Data() + first;
-        EncodedBlob enc = EncodeInt64Segment(values, rows);
-        rec.encoding = enc.encoding;
-        rec.base = enc.base;
-        rec.bits = enc.bits;
-        rec.num_runs = enc.num_runs;
-        blob = std::move(enc.bytes);
-        if (is_string) {
-          rec.dict_bits.assign(static_cast<size_t>(dict_words), 0);
-          for (int64_t i = 0; i < rows; ++i) {
-            const int64_t code = values[i];
-            rec.dict_bits[static_cast<size_t>(code >> 6)] |= 1ULL
-                                                             << (code & 63);
-          }
-        }
-      }
-
-      file.resize((file.size() + 7) & ~size_t{7});  // 8-align the blob
-      rec.offset = file.size();
-      rec.bytes = blob.size();
-      file += blob;
-      records[static_cast<size_t>(c)].push_back(std::move(rec));
-    }
-  }
-
-  // Footer.
   std::string footer;
   PutString(&footer, table.name());
   PutU64(&footer, static_cast<uint64_t>(num_rows));
@@ -269,30 +161,55 @@ Status WriteSegmentFile(const Table& table, const std::string& path) {
   PutU32(&footer, static_cast<uint32_t>(table.num_columns()));
   for (int c = 0; c < table.num_columns(); ++c) {
     const Column& col = table.column(c);
+    const bool is_string = col.type() == DataType::kString;
     PutString(&footer, col.name());
     PutU8(&footer, static_cast<uint8_t>(col.type()));
     PutU8(&footer, static_cast<uint8_t>(col.field().kind));
-    if (col.type() == DataType::kString) {
-      PutU32(&footer, static_cast<uint32_t>(col.dictionary().size()));
+    PutU32(&footer,
+           is_string ? static_cast<uint32_t>(col.dictionary().size()) : 0);
+    if (is_string) {
       for (const std::string& v : col.dictionary().values()) {
         PutString(&footer, v);
       }
-    } else {
-      PutU32(&footer, 0);
     }
-    for (const SegRecord& rec : records[static_cast<size_t>(c)]) {
-      PutU8(&footer, static_cast<uint8_t>(rec.encoding));
-      PutU64(&footer, rec.offset);
-      PutU64(&footer, rec.bytes);
-      PutU32(&footer, static_cast<uint32_t>(rec.rows));
-      PutF64(&footer, rec.zone.min);
-      PutF64(&footer, rec.zone.max);
-      PutU64(&footer, static_cast<uint64_t>(rec.zone.nan_count));
-      PutI64(&footer, rec.base);
-      PutU8(&footer, rec.bits);
-      PutU32(&footer, static_cast<uint32_t>(rec.num_runs));
-      PutU32(&footer, static_cast<uint32_t>(rec.dict_bits.size()));
-      for (uint64_t word : rec.dict_bits) PutU64(&footer, word);
+    for (int64_t seg = 0; seg < num_segments; ++seg) {
+      const int64_t first = seg * kSegmentRows;
+      const int64_t rows = std::min(kSegmentRows, num_rows - first);
+      EncodedBlob blob;
+      std::vector<uint64_t> dict_bits;
+      if (col.type() == DataType::kDouble) {
+        blob.encoding = SegmentEncoding::kRawDouble;
+        PutBytes(&blob.bytes, col.DoubleData() + first,
+                 static_cast<size_t>(rows) * 8);
+      } else {
+        const int64_t* values = col.Int64Data() + first;
+        blob = EncodeInt64Segment(values, rows);
+        if (is_string) {
+          dict_bits.assign(
+              static_cast<size_t>((col.dictionary().size() + 63) / 64), 0);
+          for (int64_t i = 0; i < rows; ++i) {
+            dict_bits[static_cast<size_t>(values[i] >> 6)] |=
+                1ULL << (values[i] & 63);
+          }
+        }
+      }
+      file.resize((file.size() + 7) & ~size_t{7});  // 8-align the blob
+      // One segment == one zone block (kSegmentRows == kZoneMapBlockRows),
+      // so the persisted zone is the column's live entry, verbatim.
+      const ZoneEntry& zone = col.zone_map()[static_cast<size_t>(seg)];
+      PutU8(&footer, static_cast<uint8_t>(blob.encoding));
+      PutU64(&footer, file.size());
+      PutU64(&footer, blob.bytes.size());
+      PutU32(&footer, static_cast<uint32_t>(rows));
+      PutF64(&footer, zone.min);
+      PutF64(&footer, zone.max);
+      PutU64(&footer, static_cast<uint64_t>(zone.nan_count));
+      PutI64(&footer, blob.base);
+      PutU8(&footer, blob.bits);
+      PutU32(&footer, static_cast<uint32_t>(blob.num_runs));
+      PutU32(&footer, static_cast<uint32_t>(dict_bits.size()));
+      for (uint64_t word : dict_bits) PutU64(&footer, word);
+      file += blob.bytes;
     }
   }
 
@@ -329,7 +246,6 @@ SegmentFile& SegmentFile::operator=(SegmentFile&& other) noexcept {
   num_rows_ = other.num_rows_;
   num_segments_ = other.num_segments_;
   columns_ = std::move(other.columns_);
-  bitset_storage_ = std::move(other.bitset_storage_);
   return *this;
 }
 
@@ -378,19 +294,17 @@ Result<SegmentFile> SegmentFile::Open(const std::string& path) {
 
 Status SegmentFile::Parse() {
   const uint8_t* base = map_;
-  uint64_t head = 0;
-  std::memcpy(&head, base, 8);
-  if (head != kHeadMagic) {
+  ByteReader trailer(base + size_ - kTrailerBytes, kTrailerBytes);
+  const uint64_t footer_size = trailer.U64();
+  const uint64_t stored_checksum = trailer.U64();
+  const uint64_t tail = trailer.U64();
+  if (ByteReader(base, 8).U64() != kHeadMagic) {
     return SegmentError(path_, "bad magic (not a segment file, a different "
                                "format version, or foreign endianness)");
   }
-  uint64_t tail = 0;
-  std::memcpy(&tail, base + size_ - 8, 8);
   if (tail != kTailMagic) {
     return SegmentError(path_, "bad tail magic (truncated or overwritten)");
   }
-  uint64_t stored_checksum = 0;
-  std::memcpy(&stored_checksum, base + size_ - 16, 8);
   const uint64_t actual_checksum = Fnv1a(base, size_ - 16);
   // Chaos site: the verification itself reports rot on intact bytes; the
   // file must be rejected exactly like a genuinely corrupt one.
@@ -399,25 +313,18 @@ Status SegmentFile::Parse() {
   if (forced || actual_checksum != stored_checksum) {
     return SegmentError(path_, "checksum mismatch (corrupt file)");
   }
-  uint64_t footer_size = 0;
-  std::memcpy(&footer_size, base + size_ - kTrailerBytes, 8);
   if (footer_size == 0 || footer_size > size_ - 8 - kTrailerBytes) {
     return SegmentError(path_, "footer size out of bounds");
   }
   const uint64_t footer_start = size_ - kTrailerBytes - footer_size;
   const uint64_t payload_end = footer_start;
 
-  FooterCursor cur(base + footer_start, base + footer_start + footer_size);
-  constexpr uint32_t kMaxName = 1 << 20;
-  IDB_RETURN_NOT_OK(cur.ReadString(&table_name_, kMaxName));
-  uint64_t num_rows = 0;
-  uint64_t num_segments = 0;
-  uint32_t num_columns = 0;
-  IDB_RETURN_NOT_OK(cur.ReadU64(&num_rows));
-  IDB_RETURN_NOT_OK(cur.ReadU64(&num_segments));
-  IDB_RETURN_NOT_OK(cur.ReadU32(&num_columns));
-  num_rows_ = static_cast<int64_t>(num_rows);
-  num_segments_ = static_cast<int64_t>(num_segments);
+  ByteReader cur(base + footer_start, footer_size);
+  IDB_RETURN_NOT_OK(ReadFooterString(&cur, &table_name_));
+  num_rows_ = static_cast<int64_t>(cur.U64());
+  num_segments_ = static_cast<int64_t>(cur.U64());
+  const uint32_t num_columns = cur.U32();
+  if (!cur.ok()) return FooterTruncated();
   if (num_rows_ < 0 ||
       num_segments_ != (num_rows_ + kSegmentRows - 1) / kSegmentRows) {
     return SegmentError(path_, "segment count does not match row count");
@@ -429,26 +336,25 @@ Status SegmentFile::Parse() {
   columns_.reserve(num_columns);
   for (uint32_t c = 0; c < num_columns; ++c) {
     SegmentColumnMeta meta;
-    IDB_RETURN_NOT_OK(cur.ReadString(&meta.field.name, kMaxName));
-    uint8_t type = 0;
-    uint8_t kind = 0;
-    IDB_RETURN_NOT_OK(cur.ReadU8(&type));
-    IDB_RETURN_NOT_OK(cur.ReadU8(&kind));
+    IDB_RETURN_NOT_OK(ReadFooterString(&cur, &meta.field.name));
+    const uint8_t type = cur.U8();
+    const uint8_t kind = cur.U8();
+    if (!cur.ok()) return FooterTruncated();
     if (type > static_cast<uint8_t>(DataType::kString) || kind > 1) {
       return SegmentError(path_, "invalid column type or kind");
     }
     meta.field.type = static_cast<DataType>(type);
     meta.field.kind = static_cast<AttributeKind>(kind);
     const bool is_string = meta.field.type == DataType::kString;
-    uint32_t dict_size = 0;
-    IDB_RETURN_NOT_OK(cur.ReadU32(&dict_size));
+    const uint32_t dict_size = cur.U32();
+    if (!cur.ok()) return FooterTruncated();
     if (!is_string && dict_size != 0) {
       return SegmentError(path_, "dictionary on a non-string column");
     }
     meta.dict_values.reserve(dict_size);
     for (uint32_t i = 0; i < dict_size; ++i) {
       std::string v;
-      IDB_RETURN_NOT_OK(cur.ReadString(&v, kMaxName));
+      IDB_RETURN_NOT_OK(ReadFooterString(&cur, &v));
       meta.dict_values.push_back(std::move(v));
     }
     const int64_t dict_words =
@@ -457,32 +363,23 @@ Status SegmentFile::Parse() {
     meta.segments.reserve(static_cast<size_t>(num_segments_));
     for (int64_t seg = 0; seg < num_segments_; ++seg) {
       SegmentView view;
-      uint8_t encoding = 0;
-      uint64_t offset = 0;
-      uint64_t bytes = 0;
-      uint32_t rows = 0;
-      uint64_t nan_count = 0;
-      uint32_t num_runs = 0;
-      uint32_t bit_words = 0;
-      IDB_RETURN_NOT_OK(cur.ReadU8(&encoding));
-      IDB_RETURN_NOT_OK(cur.ReadU64(&offset));
-      IDB_RETURN_NOT_OK(cur.ReadU64(&bytes));
-      IDB_RETURN_NOT_OK(cur.ReadU32(&rows));
-      IDB_RETURN_NOT_OK(cur.ReadF64(&view.zone.min));
-      IDB_RETURN_NOT_OK(cur.ReadF64(&view.zone.max));
-      IDB_RETURN_NOT_OK(cur.ReadU64(&nan_count));
-      IDB_RETURN_NOT_OK(cur.ReadI64(&view.base));
-      IDB_RETURN_NOT_OK(cur.ReadU8(&view.bits));
-      IDB_RETURN_NOT_OK(cur.ReadU32(&num_runs));
-      IDB_RETURN_NOT_OK(cur.ReadU32(&bit_words));
+      const uint8_t encoding = cur.U8();
+      const uint64_t offset = cur.U64();
+      const uint64_t bytes = cur.U64();
+      view.rows = cur.U32();
+      view.zone.min = cur.F64();
+      view.zone.max = cur.F64();
+      view.zone.nan_count = static_cast<int64_t>(cur.U64());
+      view.base = cur.I64();
+      view.bits = cur.U8();
+      view.num_runs = static_cast<int32_t>(cur.U32());
+      const uint32_t bit_words = cur.U32();
+      if (!cur.ok()) return FooterTruncated();
       if (encoding > static_cast<uint8_t>(SegmentEncoding::kBitPacked)) {
         return SegmentError(path_, "invalid segment encoding");
       }
       view.encoding = static_cast<SegmentEncoding>(encoding);
-      view.zone.nan_count = static_cast<int64_t>(nan_count);
-      view.rows = rows;
       view.bytes = bytes;
-      view.num_runs = static_cast<int32_t>(num_runs);
 
       const int64_t expect_rows =
           std::min(kSegmentRows, num_rows_ - seg * kSegmentRows);
@@ -556,15 +453,10 @@ Status SegmentFile::Parse() {
       if (bit_words != static_cast<uint32_t>(dict_words)) {
         return SegmentError(path_, "dictionary bitset size mismatch");
       }
-      if (dict_words > 0) {
-        auto bits = std::make_unique<uint64_t[]>(static_cast<size_t>(dict_words));
-        for (int64_t w = 0; w < dict_words; ++w) {
-          IDB_RETURN_NOT_OK(cur.ReadU64(&bits[w]));
-        }
-        view.dict_bits = bits.get();
-        view.dict_bit_words = static_cast<int32_t>(dict_words);
-        bitset_storage_.push_back(std::move(bits));
-      }
+      // No reader uses the presence bitset: its words are bounds-checked,
+      // then skipped.
+      cur.Skip(static_cast<uint64_t>(bit_words) * 8);
+      if (!cur.ok()) return FooterTruncated();
       meta.segments.push_back(view);
     }
     columns_.push_back(std::move(meta));

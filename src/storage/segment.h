@@ -28,10 +28,10 @@
 /// The smallest encoding wins; ties break RLE < bit-packed < raw.
 ///
 /// String columns persist their dictionary (in code order) in the footer
-/// and encode the code stream like any int64 column.  Each string-column
-/// segment also stores a *presence bitset* over dictionary codes
-/// (`SegmentView::MightContainCode`).  The bitsets are written and
-/// validated on `Open`, but no query reads them.
+/// and encode the code stream like any int64 column.  The writer also
+/// stores, per string-column segment, a *presence bitset* over dictionary
+/// codes.  No query reads the bitsets: `Open` checks each one's word count
+/// and bounds, then skips it.
 ///
 /// File layout (native-endian; a same-host cache format, not a portable
 /// interchange format — the header magic doubles as an endianness check):
@@ -47,9 +47,11 @@
 /// maps the file read-only, verifies the checksum, and bounds-checks every
 /// footer field before any typed pointer is formed; a corrupt or truncated
 /// file is rejected wholesale with a `Status`, never half-loaded.
+///
+/// The checksum, the field writes, the bounds-checked footer reads and
+/// the file write are the codec shared with the WAL (`storage/durable_io.h`).
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -93,11 +95,6 @@ struct SegmentView {
   // kRle only.
   int32_t num_runs = 0;
 
-  // String columns only: bit `c` set iff dictionary code `c` occurs in
-  // this segment.  Owned by the parsed footer, not the mapping.
-  const uint64_t* dict_bits = nullptr;
-  int32_t dict_bit_words = 0;
-
   // --- Typed payload accessors (encoding must match) ------------------
 
   const int64_t* raw_int64() const {
@@ -115,16 +112,6 @@ struct SegmentView {
   }
   const uint64_t* packed_words() const {
     return reinterpret_cast<const uint64_t*>(data);
-  }
-
-  /// String columns: false proves code `code` does not occur in this
-  /// segment (true means "maybe").  Out-of-range codes are absent.
-  bool MightContainCode(int64_t code) const {
-    if (dict_bits == nullptr) return true;  // not a string column
-    if (code < 0 || code >= static_cast<int64_t>(dict_bit_words) * 64) {
-      return false;
-    }
-    return (dict_bits[code >> 6] >> (code & 63)) & 1;
   }
 };
 
@@ -195,8 +182,6 @@ class SegmentFile {
   int64_t num_rows_ = 0;
   int64_t num_segments_ = 0;
   std::vector<SegmentColumnMeta> columns_;
-  // Backing store for every segment's dict_bits pointer.
-  std::vector<std::unique_ptr<uint64_t[]>> bitset_storage_;
 };
 
 /// Packs `table` into a segment file at `path` (overwrites).  Encoding is

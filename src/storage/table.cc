@@ -30,20 +30,15 @@ void Table::Reserve(int64_t n) {
   for (auto& col : columns_) col->Reserve(n);
 }
 
-Status Table::AppendRowFrom(const Table& other, int64_t row) {
-  if (other.num_columns() != num_columns()) {
-    return Status::Invalid("column count mismatch in AppendRowFrom");
-  }
-  if (row < 0 || row >= other.num_rows()) {
-    return Status::OutOfBounds("row index out of range in AppendRowFrom");
-  }
+std::shared_ptr<Table> Table::Prefix(int64_t rows) const {
+  IDB_CHECK(rows >= 0 && rows <= num_rows());
+  auto copy = std::make_shared<Table>(name_, schema_);
   for (int c = 0; c < num_columns(); ++c) {
-    if (columns_[static_cast<size_t>(c)]->type() != other.column(c).type()) {
-      return Status::Invalid("column type mismatch in AppendRowFrom");
+    for (int64_t r = 0; r < rows; ++r) {
+      copy->columns_[static_cast<size_t>(c)]->AppendFrom(column(c), r);
     }
-    columns_[static_cast<size_t>(c)]->AppendFrom(other.column(c), row);
   }
-  return Status::OK();
+  return copy;
 }
 
 Status Table::Validate() const {

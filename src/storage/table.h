@@ -14,8 +14,8 @@
 
 namespace idebench::storage {
 
-/// A named columnar table.  Rows are appended through typed column access
-/// or `AppendRowFrom`; all columns always have equal length.
+/// A named columnar table.  Rows are appended through typed column access;
+/// all columns always have equal length.
 class Table {
  public:
   /// Creates an empty table with the given schema.
@@ -46,9 +46,10 @@ class Table {
   /// Reserves capacity in every column.
   void Reserve(int64_t n);
 
-  /// Copies row `row` of `other` into this table.  Schemas must match by
-  /// position and type (names may differ).
-  Status AppendRowFrom(const Table& other, int64_t row);
+  /// A new table with this one's name and schema holding a copy of rows
+  /// [0, rows).  Each column copies on its own, in row order, so its
+  /// values, dictionary and stats equal those of a row-by-row copy.
+  std::shared_ptr<Table> Prefix(int64_t rows) const;
 
   /// Verifies that all columns have equal length.
   Status Validate() const;

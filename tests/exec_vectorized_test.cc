@@ -664,7 +664,7 @@ TEST(VectorizedEngineDifferentialTest, StratifiedEngineMatchesScalarSample) {
                               sample.weights[static_cast<size_t>(i)]);
   }
   query::QueryResult expected = scalar.EstimateFromWeightedSample(
-      aqp::ZScoreForConfidence(config.confidence_level));
+      aqp::ZScoreForConfidence(aqp::kConfidenceLevel));
   ASSERT_EQ(expected.bins.size(), result.bins.size());
   for (const auto& [key, bin] : expected.bins) {
     auto it = result.bins.find(key);

@@ -294,34 +294,6 @@ TEST(SegmentFileTest, FooterZonesMatchColumnZoneMap) {
   }
 }
 
-TEST(SegmentFileTest, DictBitsetTracksPerSegmentPresence) {
-  // MakeMixedTable confines tags 0..3 to the first half of the rows and
-  // tags 4..7 to the second half.
-  const Table original = MakeMixedTable(2 * kSegmentRows);
-  TempPath file("bitsets.seg");
-  ASSERT_TRUE(WriteSegmentFile(original, file.path()).ok());
-  auto opened = SegmentFile::Open(file.path());
-  ASSERT_TRUE(opened.ok()) << opened.status();
-  const int tag = opened->ColumnIndex("tag");
-  ASSERT_GE(tag, 0);
-  ASSERT_EQ(opened->column_meta(tag).dict_values.size(), 8u);
-  const SegmentView& first = opened->view(tag, 0);
-  const SegmentView& second = opened->view(tag, 1);
-  for (int64_t code = 0; code < 4; ++code) {
-    EXPECT_TRUE(first.MightContainCode(code)) << code;
-    EXPECT_FALSE(second.MightContainCode(code)) << code;
-  }
-  for (int64_t code = 4; code < 8; ++code) {
-    EXPECT_FALSE(first.MightContainCode(code)) << code;
-    EXPECT_TRUE(second.MightContainCode(code)) << code;
-  }
-  // Out-of-range codes are proven absent; non-string columns never prune.
-  EXPECT_FALSE(first.MightContainCode(-1));
-  EXPECT_FALSE(first.MightContainCode(1000));
-  EXPECT_TRUE(opened->view(opened->ColumnIndex("wide"), 0)
-                  .MightContainCode(12345));
-}
-
 // --- Corruption -------------------------------------------------------------
 
 TEST(SegmentFileTest, EveryByteFlipIsRejected) {

@@ -125,17 +125,17 @@ TEST(TableTest, TinyTableShape) {
   EXPECT_EQ(t.RowToString(0), "10.000000,a,0");
 }
 
-TEST(TableTest, AppendRowFrom) {
-  Table a = testutil::MakeTinyTable();
-  Table b("copy", a.schema());
-  EXPECT_TRUE(b.AppendRowFrom(a, 3).ok());
-  EXPECT_EQ(b.num_rows(), 1);
-  EXPECT_DOUBLE_EQ(b.column(0).ValueAsDouble(0), 40.0);
-  EXPECT_EQ(b.column(1).ValueAsString(0), "b");
-  EXPECT_FALSE(b.AppendRowFrom(a, 100).ok());
-  Table mismatched("m", Schema({{"x", DataType::kInt64,
-                                 AttributeKind::kQuantitative}}));
-  EXPECT_FALSE(mismatched.AppendRowFrom(a, 0).ok());
+TEST(TableTest, Prefix) {
+  const Table a = testutil::MakeTinyTable();
+  const auto b = a.Prefix(4);
+  EXPECT_EQ(b->name(), a.name());
+  EXPECT_EQ(b->num_rows(), 4);
+  EXPECT_TRUE(b->Validate().ok());
+  for (int64_t r = 0; r < 4; ++r) EXPECT_EQ(b->RowToString(r), a.RowToString(r));
+  EXPECT_DOUBLE_EQ(b->column(0).ValueAsDouble(3), 40.0);
+  EXPECT_EQ(b->column(1).ValueAsString(3), "b");
+  EXPECT_EQ(a.Prefix(0)->num_rows(), 0);
+  EXPECT_EQ(a.Prefix(a.num_rows())->RowToString(7), a.RowToString(7));
 }
 
 TEST(CatalogTest, FirstTableIsFact) {

@@ -428,13 +428,7 @@ std::shared_ptr<storage::Table> IngestSourceTable() {
 
 /// A fresh pre-ingest fact table (each replay mutates its own copy).
 std::shared_ptr<storage::Table> IngestBaseFact() {
-  auto source = IngestSourceTable();
-  auto fact =
-      std::make_shared<storage::Table>(source->name(), source->schema());
-  for (int64_t r = 0; r < kIngestBase; ++r) {
-    IDB_CHECK(fact->AppendRowFrom(*source, r).ok());
-  }
-  return fact;
+  return IngestSourceTable()->Prefix(kIngestBase);
 }
 
 /// Workflows for the ingest sweep, generated once from a pristine copy of

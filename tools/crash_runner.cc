@@ -17,7 +17,9 @@
 ///     acked publish);
 ///   * post-recovery query transcripts (every progressive partial + the
 ///     final) are bit-identical to an uncrashed reference process that
-///     published the same epochs, at threads 1 and 4.
+///     published the same epochs, at threads 1 and 4;
+///   * the child really died at the armed crash point: a child that runs
+///     its workload to the end is a failed cell, not a pass.
 ///
 /// Usage:
 ///   crash_runner [--seeds N] [--seed-base B] [--site NAME]
@@ -29,8 +31,10 @@
 ///   --site NAME     restrict to one crash site (default: all four)
 ///   --wal-sync MODE every_commit (default) | grouped | none; acks are
 ///                   only sent for durable publishes, so weaker policies
-///                   legitimately recover fewer (but never acked) epochs
-///   --list          print the crash-site catalog and exit
+///                   legitimately recover fewer (but never acked) epochs.
+///                   The mode sets how many wal.fsync crash points exist
+///   --list          print the crash-site catalog (draws per site under
+///                   --wal-sync) and exit
 ///   --replay SEED   run one (site, seed) cell verbosely (requires --site)
 ///   --verbose       per-cell lines even when everything passes
 ///   --keep          keep each cell's scratch directory for inspection
@@ -89,25 +93,44 @@ constexpr const char* kEngine = "progressive";
 struct CrashSite {
   FaultSite site;
   const char* name;
-  int64_t draws;  // draws this workload makes at the site
   const char* description;
 };
 
-/// The swept sites and how many times the workload draws each: the cell
-/// seed picks `fire_on_draw = seed % draws`, so a sweep of N >= draws
-/// seeds covers every crash point at least once.
+/// The swept sites.  The cell seed picks `fire_on_draw = seed % draws`
+/// (see `Draws`), so a sweep of N >= draws seeds covers every crash point
+/// at least once.
 const std::vector<CrashSite>& SiteCatalog() {
   static const std::vector<CrashSite> kSites = {
-      {FaultSite::kWalAppend, "wal.append", kEpochs,
+      {FaultSite::kWalAppend, "wal.append",
        "die mid-write of a WAL batch record (torn tail)"},
-      {FaultSite::kWalCommit, "wal.commit", kEpochs,
+      {FaultSite::kWalCommit, "wal.commit",
        "die mid-write of a WAL commit record (epoch must vanish)"},
-      {FaultSite::kWalFsync, "wal.fsync", kEpochs,
-       "die at the commit fsync (commit logged but never acked)"},
-      {FaultSite::kSegmentWrite, "segment.write", 2,
+      {FaultSite::kWalFsync, "wal.fsync",
+       "die at a WAL fsync (commit logged but never acked)"},
+      {FaultSite::kSegmentWrite, "segment.write",
        "die mid-write of a baseline segment/manifest file"},
   };
   return kSites;
+}
+
+/// How many times the workload draws `site` under `wal`.  Every epoch
+/// logs one batch and one commit, and the baseline is one segment file
+/// plus its manifest.  wal.fsync draws once per sync: at every commit
+/// (every_commit) or every `group_commit_interval`-th (grouped), plus the
+/// final `SyncWal` when commits are left unsynced (grouped, none).
+int64_t Draws(const CrashSite& site, const WalOptions& wal) {
+  switch (site.site) {
+    case FaultSite::kWalFsync: {
+      if (wal.sync == WalSync::kNone) return 1;
+      const int64_t group =
+          wal.sync == WalSync::kGrouped ? wal.group_commit_interval : 1;
+      return kEpochs / group + (kEpochs % group != 0 ? 1 : 0);
+    }
+    case FaultSite::kSegmentWrite:
+      return 2;
+    default:
+      return kEpochs;
+  }
 }
 
 const CrashSite* FindSite(const std::string& name) {
@@ -161,19 +184,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
   return true;
 }
 
-bool ParseWalSync(const std::string& mode, WalOptions* options) {
-  if (mode == "every_commit") {
-    options->sync = WalSync::kEveryCommit;
-  } else if (mode == "grouped") {
-    options->sync = WalSync::kGrouped;
-  } else if (mode == "none") {
-    options->sync = WalSync::kNone;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 // ---------------------------------------------------------------------
 // Shared workload pieces
 
@@ -192,13 +202,8 @@ std::shared_ptr<idebench::storage::Table> MakeSource(uint64_t seed) {
 
 std::shared_ptr<idebench::storage::Catalog> MakeBaselineCatalog(
     const std::shared_ptr<idebench::storage::Table>& source) {
-  auto fact = std::make_shared<idebench::storage::Table>(source->name(),
-                                                         source->schema());
-  for (int64_t r = 0; r < kBaseRows; ++r) {
-    if (!fact->AppendRowFrom(*source, r).ok()) return nullptr;
-  }
   auto catalog = std::make_shared<idebench::storage::Catalog>();
-  if (!catalog->AddTable(fact).ok()) return nullptr;
+  if (!catalog->AddTable(source->Prefix(kBaseRows)).ok()) return nullptr;
   catalog->set_nominal_rows(1'000'000);
   return catalog;
 }
@@ -261,11 +266,11 @@ void AckDurablePublish(int ack_fd, int64_t watermark) {
   (void)!::write(ack_fd, line.data(), line.size());
 }
 
-int RunChild(const CrashSite& site, uint64_t seed, const WalOptions& wal,
-             const std::string& dir, int ack_fd) {
+int RunChild(const CrashSite& site, uint64_t seed, int64_t fire_on_draw,
+             const WalOptions& wal, const std::string& dir, int ack_fd) {
   FaultInjector injector(seed);
   FaultSiteConfig config;
-  config.fire_on_draw = static_cast<int64_t>(seed) % site.draws;
+  config.fire_on_draw = fire_on_draw;
   injector.Arm(site.site, config);
   injector.set_kill_on_fire(true);
   ScopedFaultInjector scoped(&injector);
@@ -348,6 +353,8 @@ CellReport RunCell(const CrashSite& site, uint64_t seed,
   CellReport report;
   report.site = site.name;
   report.seed = seed;
+  const int64_t draws = Draws(site, wal);
+  const int64_t fire_on_draw = static_cast<int64_t>(seed) % draws;
 
   const std::string dir =
       (std::filesystem::temp_directory_path() /
@@ -374,7 +381,7 @@ CellReport RunCell(const CrashSite& site, uint64_t seed,
   }
   if (pid == 0) {
     ::close(pipe_fds[0]);
-    const int rc = RunChild(site, seed, wal, dir, pipe_fds[1]);
+    const int rc = RunChild(site, seed, fire_on_draw, wal, dir, pipe_fds[1]);
     ::close(pipe_fds[1]);
     ::_exit(rc);
   }
@@ -396,6 +403,13 @@ CellReport RunCell(const CrashSite& site, uint64_t seed,
   if (!report.crashed && report.child_exit != kChildOk) {
     Violate(&report, "child failed without crashing (exit " +
                          std::to_string(report.child_exit) + ")");
+  }
+  // The armed draw is always below the site's draw count, so a child
+  // that finishes its workload skipped the crash point the cell sweeps.
+  if (!report.crashed && report.child_exit == kChildOk) {
+    Violate(&report, "crash point never reached (draw " +
+                         std::to_string(fire_on_draw) + " of " +
+                         std::to_string(draws) + ")");
   }
 
   size_t pos = 0;
@@ -560,18 +574,19 @@ int main(int argc, char** argv) {
                  "[--replay SEED] [--verbose] [--keep]\n";
     return 100;
   }
-  if (args.list) {
-    std::cout << "crash sites (fire_on_draw = seed % draws):\n";
-    for (const CrashSite& s : SiteCatalog()) {
-      std::cout << "  " << s.name << "  draws=" << s.draws << "\n      "
-                << s.description << "\n";
-    }
-    return 0;
-  }
   WalOptions wal;
-  if (!ParseWalSync(args.wal_sync, &wal)) {
+  if (!idebench::ingest::ParseWalSync(args.wal_sync, &wal.sync)) {
     std::cerr << "unknown --wal-sync mode: " << args.wal_sync << "\n";
     return 100;
+  }
+  if (args.list) {
+    std::cout << "crash sites (fire_on_draw = seed % draws, wal-sync="
+              << args.wal_sync << "):\n";
+    for (const CrashSite& s : SiteCatalog()) {
+      std::cout << "  " << s.name << "  draws=" << Draws(s, wal)
+                << "\n      " << s.description << "\n";
+    }
+    return 0;
   }
 
   std::vector<const CrashSite*> sites;

@@ -22,8 +22,8 @@
 ///   --soft N / --hard N   ratekeeper live-query limits (default 32/64)
 ///   --virtual             virtual-clock pacing instead of wall pacing
 ///   --reuse-cache         enable the cross-interaction reuse cache
-///   --ingest-rate R       replay a CSV tail through `append` frames at R
-///                         rows/sec (default 0 = no ingest); each batch
+///   --ingest-rate R       replay the generated tail through `append` frames
+///                         at R rows/sec (default 0 = no ingest); each batch
 ///                         publishes its epoch, so serve_bench clients see
 ///                         the watermark advance while they query
 ///   --ingest-tail N       rows generated beyond --rows as the ingest
@@ -157,11 +157,11 @@ void HandleSignal(int) {
 }
 
 /// Replays the generated tail rows `[begin, source->num_rows())` through
-/// the wire `append` frame as a loopback client: each tick serializes a
-/// batch to CSV text (the append frame's field contract), parses it back
-/// through `BatchFromCsvLines`, sends it with publish=true, and honors
-/// explicit rejections by retrying the same rows next tick — so ingest
-/// backs off exactly when the ratekeeper sheds it.
+/// the wire `append` frame as a loopback client: each tick renders a
+/// batch's fields as text (`BatchFromTable`, the append frame's field
+/// contract), sends it with publish=true, and honors explicit rejections
+/// by retrying the same rows next tick — so ingest backs off exactly when
+/// the ratekeeper sheds it.
 void IngestFeed(const std::string& host, int port,
                 std::shared_ptr<const idebench::storage::Table> source,
                 int64_t begin, double rate) {
@@ -186,28 +186,13 @@ void IngestFeed(const std::string& host, int port,
     const auto tick_start = std::chrono::steady_clock::now();
     const int64_t end = std::min(cursor + per_tick, source->num_rows());
 
-    std::vector<std::string> lines;
-    lines.reserve(static_cast<size_t>(end - cursor));
-    for (int64_t r = cursor; r < end; ++r) {
-      std::string line;
-      for (int c = 0; c < source->num_columns(); ++c) {
-        if (c > 0) line += ',';
-        line += source->column(c).ValueAsString(r);
-      }
-      lines.push_back(std::move(line));
-    }
-    auto batch =
-        idebench::ingest::BatchFromCsvLines(lines, source->num_columns());
-    if (!batch.ok()) {
-      std::cerr << "ingest feeder: " << batch.status().ToString() << "\n";
-      return;
-    }
-
+    const idebench::ingest::RowBatch batch =
+        idebench::ingest::BatchFromTable(*source, cursor, end);
     JsonValue msg = JsonValue::Object();
     msg.Set("type", "append");
     msg.Set("request", ++request);
     JsonValue rows = JsonValue::Array();
-    for (const std::vector<std::string>& row : batch->rows) {
+    for (const std::vector<std::string>& row : batch.rows) {
       JsonValue wire_row = JsonValue::Array();
       for (const std::string& field : row) wire_row.Append(field);
       rows.Append(std::move(wire_row));
@@ -274,17 +259,7 @@ int main(int argc, char** argv) {
 
   // Under ingest the generated table splits in two: the first --rows rows
   // seed the served fact table, the tail replays through `append` frames.
-  auto fact = source;
-  if (ingest_on) {
-    fact = std::make_shared<idebench::storage::Table>(source->name(),
-                                                      source->schema());
-    for (int64_t r = 0; r < args.rows; ++r) {
-      if (const auto st = fact->AppendRowFrom(*source, r); !st.ok()) {
-        std::cerr << "seed copy failed: " << st.ToString() << "\n";
-        return 1;
-      }
-    }
-  }
+  const auto fact = ingest_on ? source->Prefix(args.rows) : source;
 
   auto catalog = std::make_shared<idebench::storage::Catalog>();
   if (const auto st = catalog->AddTable(fact); !st.ok()) {
@@ -298,13 +273,7 @@ int main(int argc, char** argv) {
   if (ingest_on) {
     if (!args.wal_dir.empty()) {
       idebench::ingest::WalOptions wal_options;
-      if (args.wal_sync == "every_commit") {
-        wal_options.sync = idebench::ingest::WalSync::kEveryCommit;
-      } else if (args.wal_sync == "grouped") {
-        wal_options.sync = idebench::ingest::WalSync::kGrouped;
-      } else if (args.wal_sync == "none") {
-        wal_options.sync = idebench::ingest::WalSync::kNone;
-      } else {
+      if (!idebench::ingest::ParseWalSync(args.wal_sync, &wal_options.sync)) {
         std::cerr << "unknown --wal-sync mode: " << args.wal_sync << "\n";
         return 2;
       }
