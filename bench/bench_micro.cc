@@ -156,7 +156,7 @@ void BM_HotLoopVectorized(benchmark::State& state) {
 BENCHMARK(BM_HotLoopVectorized);
 
 /// Morsel-parallel variant of the hot loop: the same shuffled walk, fed
-/// through exec::MorselProcessWalk at 1/2/4/8 worker threads.  Each
+/// through exec::MorselProcess at 1/2/4/8 worker threads.  Each
 /// iteration walks the table `kWalkRepeats` times so it feeds many
 /// 64K-row morsels (a single pass over the 100K-row table is barely two).
 /// Run
@@ -176,7 +176,8 @@ void BM_HotLoopParallel(benchmark::State& state) {
   for (auto _ : state) {
     exec::BinnedAggregator agg(&*bound);
     for (int64_t r = 0; r < kWalkRepeats; ++r) {
-      exec::MorselProcessWalk(&agg, *walk_order, /*key=*/0, 0, rows, threads);
+      exec::MorselProcess(&agg, exec::FeedOrder::Walk(walk_order, /*key=*/0),
+                          0, rows, threads);
     }
     benchmark::DoNotOptimize(agg.rows_matched());
   }
@@ -251,7 +252,7 @@ void BM_ZoneMapFullScan(benchmark::State& state) {
   int64_t blocks_skipped = 0;
   for (auto _ : state) {
     exec::BinnedAggregator agg(&*bound, options);
-    agg.ProcessRange(0, rows);
+    agg.Process(exec::FeedOrder::Scan(), 0, rows);
     rows_skipped = agg.zone_rows_skipped();
     blocks_skipped = agg.zone_blocks_skipped();
     benchmark::DoNotOptimize(agg.rows_matched());
@@ -429,7 +430,7 @@ void BM_ScanBinnedCount(benchmark::State& state) {
   IDB_CHECK(bound.ok());
   for (auto _ : state) {
     exec::BinnedAggregator agg(&*bound);
-    agg.ProcessRange(0, SharedTable().num_rows());
+    agg.Process(exec::FeedOrder::Scan(), 0, SharedTable().num_rows());
     benchmark::DoNotOptimize(agg.rows_matched());
   }
   state.SetItemsProcessed(state.iterations() * SharedTable().num_rows());
@@ -464,7 +465,7 @@ void BM_ScanFilteredAvg2D(benchmark::State& state) {
   IDB_CHECK(bound.ok());
   for (auto _ : state) {
     exec::BinnedAggregator agg_exec(&*bound);
-    agg_exec.ProcessRange(0, SharedTable().num_rows());
+    agg_exec.Process(exec::FeedOrder::Scan(), 0, SharedTable().num_rows());
     benchmark::DoNotOptimize(agg_exec.rows_matched());
   }
   state.SetItemsProcessed(state.iterations() * SharedTable().num_rows());

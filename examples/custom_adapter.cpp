@@ -46,7 +46,8 @@ class InstantEngine : public engines::Engine {
     IDB_ASSIGN_OR_RETURN(exec::BoundQuery bound,
                          exec::BoundQuery::Bind(rq.spec, *catalog_));
     exec::BinnedAggregator aggregator(&bound);
-    aggregator.ProcessRange(0, catalog_->fact_table()->num_rows());
+    aggregator.Process(exec::FeedOrder::Scan(), 0,
+                       catalog_->fact_table()->num_rows());
     rq.result = aggregator.ExactResult();
     rq.result.available = true;
     // Perturb estimates to emulate an approximate transport.

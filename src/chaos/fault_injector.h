@@ -20,7 +20,7 @@
 ///    stops making progress and `PollResult` reports the fault, which the
 ///    session scheduler turns into a cancel + resubmit with virtual-time
 ///    backoff;
-///  * `kMorselSlowdown` — `exec::MorselProcess*` degrades to one-batch
+///  * `kMorselSlowdown` — `exec::MorselProcess` degrades to one-batch
 ///    morsels (maximum merge overhead; results bit-identical by the
 ///    morsel determinism contract);
 ///  * `kWorkerPoolStall` — `WorkerPool::ParallelFor` refuses to dispatch

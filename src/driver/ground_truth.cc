@@ -26,8 +26,9 @@ Result<query::QueryResult> GroundTruthOracle::Compute(
   // ground-truth queries of a warm-up pass most blocks never get
   // scanned, and skipped rows are still accounted so the exact answers
   // are bit-identical to an unpruned scan.
-  exec::MorselProcessRange(&aggregator, 0, catalog_->fact_table()->num_rows(),
-                           exec::ResolveThreadCount(threads_));
+  exec::MorselProcess(&aggregator, exec::FeedOrder::Scan(), 0,
+                      catalog_->fact_table()->num_rows(),
+                      exec::ResolveThreadCount(threads_));
   query::QueryResult result = aggregator.ExactResult();
   result.available = true;
   return result;

@@ -1,7 +1,5 @@
 #include "engines/blocking_engine.h"
 
-#include "exec/parallel.h"
-
 namespace idebench::engines {
 
 BlockingEngine::BlockingEngine(BlockingEngineConfig config)
@@ -38,8 +36,10 @@ Result<QueryHandle> BlockingEngine::Submit(const query::QuerySpec& spec) {
     scan_ns *= 1.0 - config_.normalized_scan_discount;
   }
   state->row_cost_us = scan_ns * mult * scale() / 1000.0;
-  // Pin the published watermark: the scan stops at it, so rows staged or
-  // published after submission never leak into the answer.
+  // Feed positions are fact rows in table order (the default scan order,
+  // the full-scan path the zone maps exist for).  Pin the published
+  // watermark: the scan stops at it, so rows staged or published after
+  // submission never leak into the answer.
   state->pinned_rows = visible_rows();
   const Micros overhead =
       static_cast<Micros>(config_.query_overhead_us) +
@@ -47,14 +47,6 @@ Result<QueryHandle> BlockingEngine::Submit(const query::QuerySpec& spec) {
                           static_cast<double>(nominal_rows()) *
                           config_.join_build_ns_per_row / 1000.0);
   return Register(std::move(state), overhead);
-}
-
-void BlockingEngine::Feed(QueryState* state, int64_t begin, int64_t end,
-                          int threads) {
-  // Fused kernels + zone-map block skipping: this is the full-scan path
-  // the zone maps exist for (the virtual cost model still charges every
-  // row; only wall-clock work shrinks).
-  exec::ProcessRangeParallel(state->aggregator.get(), begin, end, threads);
 }
 
 query::QueryResult BlockingEngine::Answer(const RunningQuery& rq) const {

@@ -54,9 +54,6 @@ class BlockingEngine : public EngineBase {
   const BlockingEngineConfig& config() const { return config_; }
 
  private:
-  /// Feed positions are fact rows in table order.
-  void Feed(QueryState* state, int64_t begin, int64_t end,
-            int threads) override;
   query::QueryResult Answer(const RunningQuery& rq) const override;
 
   BlockingEngineConfig config_;

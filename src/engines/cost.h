@@ -8,7 +8,7 @@
 /// reproduction materializes a scaled-down table and charges engines a
 /// calibrated per-*nominal*-row cost, so time requirements behave as they
 /// would at paper scale while answers are computed over real data.
-/// Calibration targets (documented in EXPERIMENTS.md):
+/// Calibration targets:
 ///
 ///   engine        | path                | cost / nominal row
 ///   --------------|---------------------|-------------------

@@ -5,6 +5,7 @@
 
 #include "aqp/confidence.h"
 #include "chaos/fault_injector.h"
+#include "exec/parallel.h"
 
 namespace idebench::engines {
 
@@ -72,12 +73,32 @@ int64_t EngineBase::visible_rows() const {
 }
 
 namespace {
+
 /// Stream id base for per-epoch walk-segment shuffles, forked from a
 /// fresh Rng(seed): far away from any other fork stream in the codebase.
 constexpr uint64_t kWalkEpochStreamBase = 0x1DEB0000ULL;
+
+/// A stable, platform-independent 64-bit string hash (std::hash makes no
+/// such promise): an FNV-1a-style pass with FNV's 64-bit prime, finished
+/// with a SplitMix64 mix.  Its basis, xored with the seed, is not
+/// FNV-1a's standard offset basis (14695981039346656037) but that number
+/// with its last digit dropped.  Keep the constants: they fix every walk
+/// key, hence every sample the walking engines draw.
+uint64_t StableHash(const std::string& s, uint64_t seed) {
+  uint64_t h = 1469598103934665603ULL ^ seed;
+  for (const char c : s) {
+    h ^= static_cast<uint8_t>(c);
+    h *= 1099511628211ULL;
+  }
+  h += 0x9e3779b97f4a7c15ULL;
+  h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
+  return h ^ (h >> 31);
+}
+
 }  // namespace
 
-const aqp::ShuffledIndex& EngineBase::ShuffledRows() {
+exec::FeedOrder EngineBase::WalkOrder(const query::QuerySpec& spec) {
   if (shuffled_ == nullptr) {
     // Ingest-enabled tables: the base index covers only the first epoch
     // (the pre-ingest rows); epochs published *before* this engine
@@ -92,13 +113,14 @@ const aqp::ShuffledIndex& EngineBase::ShuffledRows() {
     shuffled_ = std::make_unique<aqp::ShuffledIndex>(base, &rng_);
   }
   // Streaming ingest: cover any epochs published since the last call,
-  // one segment per epoch.  Each segment's shuffle is keyed purely by
-  // (engine seed, epoch index) — never by the advancing member rng_ or
-  // by when this engine happened to observe the publish — so a live run
-  // and a pre-staged run that publish the same epochs build identical
-  // indexes no matter how publishes interleave with queries.  Earlier
-  // segments are never touched (ShuffledIndex prefix property), keeping
-  // in-flight walks and cached replay positions valid.
+  // one segment per epoch, before any of their positions is fed.  Each
+  // segment's shuffle is keyed purely by (engine seed, epoch index) —
+  // never by the advancing member rng_ or by when this engine happened
+  // to observe the publish — so a live run and a pre-staged run that
+  // publish the same epochs build identical indexes no matter how
+  // publishes interleave with queries.  Earlier segments are never
+  // touched (ShuffledIndex prefix property), keeping in-flight walks and
+  // cached replay positions valid.
   const storage::Table* fact = catalog_->fact_table();
   if (fact->ingest_enabled()) {
     const std::vector<int64_t>& epochs = fact->epoch_boundaries();
@@ -109,7 +131,12 @@ const aqp::ShuffledIndex& EngineBase::ShuffledRows() {
       }
     }
   }
-  return *shuffled_;
+  int64_t key = 0;
+  if (actual_rows_ > 0) {
+    const uint64_t h = StableHash(spec.CoreSignature(), seed_);
+    key = static_cast<int64_t>(h % static_cast<uint64_t>(actual_rows_));
+  }
+  return exec::FeedOrder::Walk(shuffled_.get(), key);
 }
 
 void EngineBase::WorkflowStart() {
@@ -176,7 +203,14 @@ Micros EngineBase::Advance(QueryState* state, Micros budget) {
       reuse_cache_->AddRowsServed(served_to - state->cursor);
     }
   }
-  if (served_to < end) Feed(state, served_to, end, threads_);
+  if (served_to < end) {
+    if (threads_ == 1) {
+      state->aggregator->Process(state->order, served_to, end);
+    } else {
+      exec::MorselProcess(state->aggregator.get(), state->order, served_to,
+                          end, exec::ResolveThreadCount(threads_));
+    }
+  }
   state->cursor = end;
   const double spent = static_cast<double>(todo) * state->row_cost_us;
   state->credit_us -= spent;
@@ -237,30 +271,6 @@ void EngineBase::Cancel(QueryHandle handle) {
         [this](const query::QuerySpec& s) { return BindQuery(s); });
   }
   queries_.erase(it);
-}
-
-namespace {
-
-/// FNV-1a over a string, finished with a SplitMix64 mix: a stable,
-/// platform-independent 64-bit hash (std::hash makes no such promise).
-uint64_t StableHash(const std::string& s, uint64_t seed) {
-  uint64_t h = 1469598103934665603ULL ^ seed;
-  for (const char c : s) {
-    h ^= static_cast<uint8_t>(c);
-    h *= 1099511628211ULL;
-  }
-  h += 0x9e3779b97f4a7c15ULL;
-  h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
-  return h ^ (h >> 31);
-}
-
-}  // namespace
-
-int64_t EngineBase::WalkOffsetFor(const query::QuerySpec& spec) const {
-  if (actual_rows_ <= 0) return 0;
-  const uint64_t h = StableHash(spec.CoreSignature(), seed_);
-  return static_cast<int64_t>(h % static_cast<uint64_t>(actual_rows_));
 }
 
 }  // namespace idebench::engines

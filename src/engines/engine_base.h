@@ -5,25 +5,26 @@
 /// The one query lifecycle every concrete engine runs on, the engine-wide
 /// options every engine takes, plus shared plumbing: catalog/handle
 /// bookkeeping, one join index per dimension with the once-per-engine
-/// charge for its build, query binding, the shuffled row order used by
-/// sampling engines, and the cross-interaction reuse cache.
+/// charge for its build, query binding, the walk order used by sampling
+/// engines, and the cross-interaction reuse cache.
 ///
 /// Each engine's config extends `EngineOptions` with its own cost knobs
 /// and default seed.  `EngineBase` applies the options itself: randomness
-/// from `seed`, `execution_threads` handed to every `Feed`, and the reuse
-/// cache, sized for `expected_sessions`, turned on in `Attach` when
+/// from `seed`, `execution_threads` in every feed, and the reuse cache,
+/// sized for `expected_sessions`, turned on in `Attach` when
 /// `reuse_cache` is set.  Margins are at `aqp::kConfidenceLevel`.
 ///
 /// `EngineBase` implements the adapter protocol (§4.5) once.  `RunFor`
 /// fires the `kEngineRun` chaos site, pays the query's fixed overhead,
 /// buys feed positions with the budget plus banked credit, serves the
-/// reuse cache's prefix and feeds the rest physically.  `IsDone`,
-/// `Cancel` and `PollResult`'s handle and fault checks are shared too.
-/// A concrete engine implements only what differs:
+/// reuse cache's prefix and feeds the rest through the query's
+/// `exec::FeedOrder`.  `IsDone`, `Cancel` and `PollResult`'s handle and
+/// fault checks are shared too.  A concrete engine implements only what
+/// differs:
 ///
 ///  * `Submit` — bind the query (`BindState`), set its per-position cost
-///    and fixed overhead, pin its extent, and `Register` it;
-///  * `Feed` — the physical work for feed positions [begin, end);
+///    and fixed overhead, pin its extent, pick its feed order, and
+///    `Register` it;
 ///  * `Answer` — what `PollResult` returns for a live, unfaulted handle.
 
 #include <memory>
@@ -88,10 +89,10 @@ class EngineBase : public Engine {
   int64_t nominal_rows() const { return nominal_rows_; }
 
   /// Physically materialized fact rows *at attach time* (drives the cost
-  /// model and walk offsets).  Deliberately frozen under streaming
-  /// ingest: per-query walk offsets hash modulo this value, and reuse
-  /// replay requires the same core signature to keep the same offset for
-  /// the lifetime of the engine.
+  /// model and walk keys).  Deliberately frozen under streaming ingest:
+  /// per-query walk keys hash modulo this value, and reuse replay
+  /// requires the same core signature to keep the same key for the
+  /// lifetime of the engine.
   int64_t actual_rows() const { return actual_rows_; }
 
   /// Fact rows visible under the current published watermark — equals
@@ -123,10 +124,11 @@ class EngineBase : public Engine {
   /// True once Attach succeeded.
   bool attached() const { return catalog_ != nullptr; }
 
-  /// A query's execution state: its binding, the feed positions it has
-  /// bought and the credit it has banked.  Feed positions are whatever
-  /// the engine's `Feed` walks — fact rows, shuffled-walk steps, sample
-  /// indices — and the query covers [0, pinned_rows).  Each handle owns
+  /// A query's execution state: its binding, its feed order, the feed
+  /// positions it has bought and the credit it has banked.  The order
+  /// says which row each position is — a fact row, a walk step, a sample
+  /// index (a scan unless `Submit` picks otherwise) — and the query
+  /// covers positions [0, pinned_rows).  Each handle owns
   /// one, except that the progressive engine's semantic cache lets equal
   /// handles share one (and its speculation advances some no handle
   /// holds yet).  An engine may derive from it to keep fields of its own.
@@ -136,7 +138,7 @@ class EngineBase : public Engine {
     std::unique_ptr<exec::BinnedAggregator> aggregator;
     exec::ReuseCache::Match reuse;  // cached prefix to serve positions from
     int joins = 0;                  // dimensions the query reads through
-    int64_t walk_offset = 0;        // start into the shuffled walk (walkers)
+    exec::FeedOrder order;          // which row each feed position is
     int64_t cursor = 0;             // next feed position
     int64_t pinned_rows = 0;        // extent pinned at Submit
     double row_cost_us = 0.0;       // virtual cost per feed position
@@ -150,12 +152,6 @@ class EngineBase : public Engine {
     bool done = false;
     bool faulted = false;           // injected run fault; surfaced via Poll
   };
-
-  /// Physical work for feed positions [begin, end) of `state` — the part
-  /// of a slice's purchase the reuse cache did not serve — on `threads`
-  /// workers (`EngineOptions::execution_threads`).
-  virtual void Feed(QueryState* state, int64_t begin, int64_t end,
-                    int threads) = 0;
 
   /// What `PollResult` returns for a known, unfaulted handle.
   virtual query::QueryResult Answer(const RunningQuery& rq) const = 0;
@@ -184,9 +180,11 @@ class EngineBase : public Engine {
                        bool done = false);
 
   /// Spends `budget` plus `state`'s banked credit on its next feed
-  /// positions: serves the reuse cache's prefix, then `Feed`s the rest.
-  /// Leftover sub-position budget stays banked.  Returns the virtual time
-  /// spent on positions.
+  /// positions: serves the reuse cache's prefix, then feeds the rest
+  /// through `state->order` — `BinnedAggregator::Process` when
+  /// `execution_threads` is 1, `exec::MorselProcess` otherwise.  Leftover
+  /// sub-position budget stays banked.  Returns the virtual time spent on
+  /// positions.
   Micros Advance(QueryState* state, Micros budget);
 
   /// Scale-up factor nominal/actual (>= 1 in normal configurations).
@@ -204,16 +202,16 @@ class EngineBase : public Engine {
 
   const storage::Catalog& catalog() const { return *catalog_; }
 
-  /// Shared shuffled row order over the fact table (built lazily); the
-  /// basis of without-replacement online sampling.
-  const aqp::ShuffledIndex& ShuffledRows();
-
-  /// Deterministic start offset into the shuffled walk for `spec`:
-  /// stable-hashed from the engine seed and the spec's *core* signature,
-  /// so queries that differ only in their predicate sets share one walk —
-  /// the precondition for replaying a cached prefix under a refined
-  /// filter — and repeated submissions re-walk identical rows.
-  int64_t WalkOffsetFor(const query::QuerySpec& spec) const;
+  /// The walk order of `spec`, the basis of without-replacement online
+  /// sampling.  It walks the engine's one shuffled row order over the
+  /// fact table, built on first use and extended here over every epoch
+  /// published since.  Its key is stable-hashed from the engine seed and
+  /// the spec's *core* signature, so queries that differ only in their
+  /// predicate sets share one walk — the precondition for replaying a
+  /// cached prefix under a refined filter — and repeated submissions
+  /// re-walk identical rows.  Call it wherever a query is pinned: the
+  /// order then covers every position below the pinned watermark.
+  exec::FeedOrder WalkOrder(const query::QuerySpec& spec);
 
  private:
   /// Binds `spec` (which must outlive the result) through `joins_`;

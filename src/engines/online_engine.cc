@@ -1,7 +1,5 @@
 #include "engines/online_engine.h"
 
-#include "exec/parallel.h"
-
 namespace idebench::engines {
 
 OnlineEngine::OnlineEngine(OnlineEngineConfig config)
@@ -45,14 +43,15 @@ Result<QueryHandle> OnlineEngine::Submit(const query::QuerySpec& spec) {
   if (state->online) {
     // Wander-join-style sampling: each sampled tuple costs sample_us
     // (times complexity), independent of data scale — absolute sample
-    // size is what determines estimate quality.  The walk offset is a
-    // stable function of the query's core signature, so equal or refined
+    // size is what determines estimate quality.  The walk is a stable
+    // function of the query's core signature, so equal or refined
     // queries re-walk the same rows — the precondition for reuse.
     state->row_cost_us = config_.sample_us_per_row * mult;
-    state->walk_offset = WalkOffsetFor(spec);
+    state->order = WalkOrder(spec);
   } else {
-    // Blocking fallback at row-store scan speed over the nominal data;
-    // the normalized fact table's narrower rows scan faster.
+    // Blocking fallback: a scan in table order at row-store speed over
+    // the nominal data; the normalized fact table's narrower rows scan
+    // faster.
     double scan_ns = config_.fallback_scan_ns_per_row;
     if (this->catalog().is_normalized()) {
       scan_ns *= 1.0 - config_.normalized_scan_discount;
@@ -68,18 +67,6 @@ Result<QueryHandle> OnlineEngine::Submit(const query::QuerySpec& spec) {
   // the answer is independent of rows staged or published afterwards.
   state->pinned_rows = visible_rows();
   return Register(std::move(state), overhead);
-}
-
-void OnlineEngine::Feed(QueryState* state, int64_t begin, int64_t end,
-                        int threads) {
-  if (static_cast<const OnlineQuery*>(state)->online) {
-    // Batched shuffled-walk sampling through the vectorized pipeline.
-    exec::ProcessWalkParallel(state->aggregator.get(), ShuffledRows(),
-                              state->walk_offset, begin, end - begin,
-                              threads);
-  } else {
-    exec::ProcessRangeParallel(state->aggregator.get(), begin, end, threads);
-  }
 }
 
 void OnlineEngine::AfterSlice(QueryState* state, Micros rows_us) {

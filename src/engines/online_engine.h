@@ -67,10 +67,6 @@ class OnlineEngine : public EngineBase {
     query::QueryResult snapshot;   // last published intermediate result
   };
 
-  /// Feed positions are shuffled-walk steps on the online path and fact
-  /// rows in table order on the fallback.
-  void Feed(QueryState* state, int64_t begin, int64_t end,
-            int threads) override;
   /// Publishes a snapshot at every report-interval boundary.
   void AfterSlice(QueryState* state, Micros rows_us) override;
   query::QueryResult Answer(const RunningQuery& rq) const override;

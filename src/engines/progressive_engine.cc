@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "exec/parallel.h"
-
 namespace idebench::engines {
 
 ProgressiveEngine::ProgressiveEngine(ProgressiveEngineConfig config)
@@ -25,10 +23,10 @@ Result<std::shared_ptr<EngineBase::QueryState>> ProgressiveEngine::MakeState(
   IDB_RETURN_NOT_OK(BindState(state.get(), spec));
   const double mult = ComplexityMultiplier(spec, state->joins, config_.factors);
   state->row_cost_us = config_.sample_us_per_row * mult;
-  // Stable per-core-signature offset: equal or refined queries re-walk
-  // the same permutation positions, which is what lets the reuse cache
+  // Stable per-core-signature walk: equal or refined queries re-walk the
+  // same permutation positions, which is what lets the reuse cache
   // replay one query's candidates under another's filter.
-  state->walk_offset = WalkOffsetFor(spec);
+  state->order = WalkOrder(spec);
   state->pinned_rows = visible_rows();
   return state;
 }
@@ -38,28 +36,35 @@ Result<QueryHandle> ProgressiveEngine::Submit(const query::QuerySpec& spec) {
   const std::string signature = spec.Signature();
 
   std::shared_ptr<QueryState> state;
-  // 1. Continue the cached sample state of an identical query.  Adopting
-  // re-pins it to the current watermark, so it must not be one that
-  // another live handle runs at an older watermark (use_count 1: only
-  // the cache holds it).  And its bins must still be the spec's: a
-  // publish can re-resolve them.  Otherwise start cold, and the new
-  // state replaces the entry.
+  // An identical query's earlier state is adopted, from either source
+  // below, under one rule.  Its bins must still be the spec's: a publish
+  // can re-resolve them (the signature does not cover resolved bins).
+  // And adopting re-pins it to the current watermark, so it must not be
+  // one that another live handle runs at an older watermark: it is
+  // pinned there already, or only the map it comes from holds it
+  // (use_count 1).
+  const auto adoptable = [&](const std::shared_ptr<QueryState>& candidate) {
+    return exec::SameBinTables(candidate->spec, spec) &&
+           (candidate->pinned_rows == visible_rows() ||
+            candidate.use_count() == 1);
+  };
+  // 1. Continue the cached sample state of an identical query.
+  // Otherwise the state this query starts replaces the entry.
   if (config_.enable_reuse) {
     auto cached = cache_.find(signature);
-    if (cached != cache_.end() &&
-        exec::SameBinTables(cached->second->spec, spec) &&
-        (cached->second->pinned_rows == visible_rows() ||
-         cached->second.use_count() == 1)) {
+    if (cached != cache_.end() && adoptable(cached->second)) {
       state = cached->second;
       ++reuse_hits_;
     }
   }
-  // 2. Adopt a speculative pre-execution.
+  // 2. Adopt a speculative pre-execution.  Adopted or not, it is spent.
   if (state == nullptr) {
     auto spec_it = speculations_.find(signature);
     if (spec_it != speculations_.end()) {
-      state = spec_it->second.state;
-      if (state->cursor > 0) ++speculation_hits_;
+      if (adoptable(spec_it->second.state)) {
+        state = spec_it->second.state;
+        if (state->cursor > 0) ++speculation_hits_;
+      }
       speculations_.erase(spec_it);
     }
   }
@@ -68,9 +73,10 @@ Result<QueryHandle> ProgressiveEngine::Submit(const query::QuerySpec& spec) {
     IDB_ASSIGN_OR_RETURN(state, MakeState(spec));
   }
   // (Re)pin to the watermark current at this submission: an adopted
-  // cached state keeps its sample and extends its walk over any epochs
-  // published since it last ran.
+  // state keeps its sample, and its walk order is extended over any
+  // epochs published since it last ran.
   state->pinned_rows = visible_rows();
+  state->order = WalkOrder(state->spec);
   if (config_.enable_reuse) cache_[signature] = state;
 
   Micros overhead = static_cast<Micros>(config_.query_overhead_us);
@@ -87,14 +93,6 @@ Result<QueryHandle> ProgressiveEngine::Submit(const query::QuerySpec& spec) {
     RefreshSpeculations();
   }
   return Register(std::move(state), overhead, done);
-}
-
-void ProgressiveEngine::Feed(QueryState* state, int64_t begin, int64_t end,
-                             int threads) {
-  // Batched shuffled-walk sampling through the vectorized pipeline,
-  // morsel-parallel when worker threads are configured.
-  exec::ProcessWalkParallel(state->aggregator.get(), ShuffledRows(),
-                            state->walk_offset, begin, end - begin, threads);
 }
 
 query::QueryResult ProgressiveEngine::Answer(const RunningQuery& rq) const {

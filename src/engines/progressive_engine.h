@@ -35,9 +35,10 @@ struct ProgressiveEngineConfig : EngineOptions {
   ProgressiveEngineConfig() { seed = 3; }
 
   /// Cost per sampled tuple.  Calibrated against the materialized data
-  /// scale so the quality-vs-TR gradient spans the observable range (see
-  /// EXPERIMENTS.md); what carries the paper's findings is the *ratio* to
-  /// the online engine's per-tuple cost (progressive is ~3x faster).
+  /// scale so the quality-vs-TR gradient spans the observable range (the
+  /// calibration targets are listed in engines/cost.h); what carries the
+  /// paper's findings is the *ratio* to the online engine's per-tuple
+  /// cost (progressive is ~3x faster).
   double sample_us_per_row = 8.0;
   Micros prepare_time_us = 180'000'000;  // fixed warm load (3 min, §5.2)
   double query_overhead_us = 10'000;  // dispatch
@@ -77,12 +78,10 @@ class ProgressiveEngine : public EngineBase {
   int64_t speculation_hits() const { return speculation_hits_; }
 
  private:
-  /// A cold sample state for `spec`, pinned at the current watermark.
+  /// A cold sample state for `spec` on its walk order, pinned at the
+  /// current watermark.
   Result<std::shared_ptr<QueryState>> MakeState(const query::QuerySpec& spec);
 
-  /// Feed positions are shuffled-walk steps.
-  void Feed(QueryState* state, int64_t begin, int64_t end,
-            int threads) override;
   query::QueryResult Answer(const RunningQuery& rq) const override;
 
   /// (Re)builds the speculative candidate list for one link.

@@ -1,7 +1,5 @@
 #include "engines/stratified_engine.h"
 
-#include "exec/parallel.h"
-
 namespace idebench::engines {
 
 StratifiedEngine::StratifiedEngine(StratifiedEngineConfig config)
@@ -91,28 +89,15 @@ Result<QueryHandle> StratifiedEngine::Submit(const query::QuerySpec& spec) {
                           config_.sample_scan_ns_per_row * mult / 1000.0;
   state->row_cost_us =
       sample_.size() > 0 ? total_us / static_cast<double>(sample_.size()) : 0.0;
+  // Feed positions are sample indices, fed run by run of equal stratum
+  // weight (positions served from the reuse cache replay with their
+  // recorded weights).  The query pins the sample size: under streaming
+  // ingest the sample grows by one delta block per published epoch, and
+  // a query must only scan the rows its watermark covers.
+  state->order = exec::FeedOrder::Sample(&sample_);
   state->pinned_rows = sample_.size();
   return Register(std::move(state),
                   static_cast<Micros>(config_.query_overhead_us));
-}
-
-void StratifiedEngine::Feed(QueryState* state, int64_t begin, int64_t end,
-                            int threads) {
-  // The sample is laid out stratum by stratum, so per-row weights form
-  // runs of equal values; feed each run as one weighted batch through the
-  // vectorized pipeline.  (Positions served from the reuse cache replay
-  // with their recorded stratum weights.)
-  for (int64_t i = begin; i < end;) {
-    const size_t pos = static_cast<size_t>(i);
-    const double w = sample_.weights[pos];
-    int64_t j = i + 1;
-    while (j < end && sample_.weights[static_cast<size_t>(j)] == w) {
-      ++j;
-    }
-    exec::ProcessBatchParallel(state->aggregator.get(), &sample_.rows[pos],
-                               j - i, w, threads);
-    i = j;
-  }
 }
 
 query::QueryResult StratifiedEngine::Answer(const RunningQuery& rq) const {

@@ -59,12 +59,6 @@ class StratifiedEngine : public EngineBase {
   const aqp::StratifiedSample& sample() const { return sample_; }
 
  private:
-  /// Feed positions are sample indices.  A query pins the sample size at
-  /// Submit: under streaming ingest the sample grows by one delta block
-  /// per published epoch, and a query must only scan the rows its
-  /// watermark covers.
-  void Feed(QueryState* state, int64_t begin, int64_t end,
-            int threads) override;
   query::QueryResult Answer(const RunningQuery& rq) const override;
 
   /// Appends one range-local stratified delta block per epoch published

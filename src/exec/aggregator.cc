@@ -304,48 +304,70 @@ void BinnedAggregator::ProcessBatch(const int64_t* rows, int64_t n,
   }
 }
 
-void BinnedAggregator::ProcessRange(int64_t begin, int64_t end) {
-  if (vec_ == nullptr) {
-    for (int64_t row = begin; row < end; ++row) ProcessRow(row);
-    return;
-  }
-  // Physical scans consult the fact columns' zone maps block by block:
-  // a 64K block whose bounds prove no row can pass the filter (or land
-  // in any bin) is skipped wholesale — rows still accounted, so results
-  // are bit-identical to the unpruned scan.  This is the only place a
-  // scan prunes: a morsel is one block, and each runs through here.
-  std::array<int64_t, kVectorBatchSize> rows;
-  for (int64_t seg = begin; seg < end;) {
-    // Zone-block-aligned segment [seg, seg_end).
-    const int64_t block_end =
-        (seg / storage::kZoneMapBlockRows + 1) * storage::kZoneMapBlockRows;
-    const int64_t seg_end = std::min(end, block_end);
-    if (options_.enable_zone_pruning &&
-        !vec_->BlockCanMatch(seg / storage::kZoneMapBlockRows)) {
-      rows_seen_ += seg_end - seg;
-      zone_rows_skipped_ += seg_end - seg;
-      ++zone_blocks_skipped_;
-      seg = seg_end;
-      continue;
-    }
-    for (int64_t b = seg; b < seg_end; b += kVectorBatchSize) {
-      const int64_t c = std::min(seg_end - b, kVectorBatchSize);
-      for (int64_t i = 0; i < c; ++i) rows[static_cast<size_t>(i)] = b + i;
-      ProcessBatch(rows.data(), c);
-    }
-    seg = seg_end;
-  }
+int64_t FeedOrder::RunEnd(int64_t begin, int64_t end) const {
+  if (kind != Kind::kSample) return end;
+  const double* w = sample->weights.data();
+  int64_t j = begin + 1;
+  while (j < end && w[j] == w[begin]) ++j;
+  return j;
 }
 
-void BinnedAggregator::ProcessWalk(const aqp::ShuffledIndex& order,
-                                   int64_t key, int64_t start_pos,
-                                   int64_t count) {
+void BinnedAggregator::Process(const FeedOrder& order, int64_t begin,
+                               int64_t end) {
   std::array<int64_t, kVectorBatchSize> rows;
-  for (int64_t done = 0; done < count;) {
-    const int64_t c = std::min(count - done, kVectorBatchSize);
-    order.GatherWalk(key, start_pos + done, c, rows.data());
-    ProcessBatch(rows.data(), c);
-    done += c;
+  switch (order.kind) {
+    case FeedOrder::Kind::kScan:
+      if (vec_ == nullptr) {
+        for (int64_t row = begin; row < end; ++row) ProcessRow(row);
+        return;
+      }
+      // Physical scans consult the fact columns' zone maps block by
+      // block: a 64K block whose bounds prove no row can pass the filter
+      // (or land in any bin) is skipped wholesale — rows still accounted,
+      // so results are bit-identical to the unpruned scan.  This is the
+      // only place a scan prunes: a morsel is one block, and each runs
+      // through here.
+      for (int64_t seg = begin; seg < end;) {
+        // Zone-block-aligned segment [seg, seg_end).
+        const int64_t block_end = (seg / storage::kZoneMapBlockRows + 1) *
+                                  storage::kZoneMapBlockRows;
+        const int64_t seg_end = std::min(end, block_end);
+        if (options_.enable_zone_pruning &&
+            !vec_->BlockCanMatch(seg / storage::kZoneMapBlockRows)) {
+          rows_seen_ += seg_end - seg;
+          zone_rows_skipped_ += seg_end - seg;
+          ++zone_blocks_skipped_;
+          seg = seg_end;
+          continue;
+        }
+        for (int64_t b = seg; b < seg_end; b += kVectorBatchSize) {
+          const int64_t c = std::min(seg_end - b, kVectorBatchSize);
+          for (int64_t i = 0; i < c; ++i) {
+            rows[static_cast<size_t>(i)] = b + i;
+          }
+          ProcessBatch(rows.data(), c);
+        }
+        seg = seg_end;
+      }
+      return;
+    case FeedOrder::Kind::kWalk:
+      // The shared hot loop of the sampling engines: gather each batch
+      // of walk steps, then feed it.
+      for (int64_t pos = begin; pos < end; pos += kVectorBatchSize) {
+        const int64_t c = std::min(end - pos, kVectorBatchSize);
+        order.index->GatherWalk(order.key, pos, c, rows.data());
+        ProcessBatch(rows.data(), c);
+      }
+      return;
+    case FeedOrder::Kind::kSample:
+      for (int64_t pos = begin; pos < end;) {
+        const int64_t run_end = order.RunEnd(pos, end);
+        const size_t i = static_cast<size_t>(pos);
+        ProcessBatch(&order.sample->rows[i], run_end - pos,
+                     order.sample->weights[i]);
+        pos = run_end;
+      }
+      return;
   }
 }
 

@@ -5,8 +5,8 @@
 /// Incremental binned aggregation with exact and approximate snapshots.
 ///
 /// All engines funnel rows through a `BinnedAggregator`; what differs is
-/// *which* rows they feed (full scan, growing uniform sample, weighted
-/// stratified sample) and which snapshot they take:
+/// *which* rows they feed (a `FeedOrder`: full scan, growing uniform
+/// sample, weighted stratified sample) and which snapshot they take:
 ///
 ///  * `ExactResult()` — the blocking engine after a complete scan.
 ///  * `EstimateFromUniformSample()` — progressive/online engines that have
@@ -24,8 +24,8 @@
 ///    implementation for differential testing, which
 ///    `BinnedAggregatorOptions::enable_vectorized = false` forces for the
 ///    batch entry points too;
-///  * the fused path behind `ProcessBatch` / `ProcessRange` /
-///    `ProcessWalk`: one compiled plan per query (exec/vectorized.h) walks
+///  * the fused path behind `ProcessBatch` / `Process`: one compiled
+///    plan per query (exec/vectorized.h) walks
 ///    each ~1024-row batch once — every distinct column gathered exactly
 ///    once, vertical mask predicates, branchless SIMD bin keys — and
 ///    accumulates straight into a *dense flat bin table* whenever the
@@ -35,12 +35,13 @@
 /// Both paths write the same accumulator streams in the same per-bin
 /// order, so results are bit-identical.
 ///
-/// `ProcessRange` feeds additionally consult the fact columns' zone maps
+/// Scan feeds additionally consult the fact columns' zone maps
 /// (storage/column.h) through the compiled prune checks: 64K blocks that
 /// provably cannot contain a match are skipped wholesale (rows still
-/// advance `rows_seen()`, so results stay bit-identical).  This is the
-/// only place a scan prunes; the morsel path reaches it once per morsel.
-/// Shuffled walks cannot prune — their batches mix rows from every block.
+/// advance `rows_seen()`, so results stay bit-identical).  This, the scan
+/// branch of `Process`, is the only place a scan prunes; the morsel path
+/// reaches it once per morsel.  Walks and samples cannot prune — their
+/// batches mix rows from every block.
 ///
 /// For multi-core execution (exec/parallel.h) an aggregator is
 /// *mergeable*: morsel workers accumulate into partial aggregators
@@ -85,10 +86,10 @@ struct BinnedAggregatorOptions {
   /// Disable to force the scalar reference path everywhere.
   bool enable_vectorized = true;
 
-  /// Skip zone-map-excluded 64K blocks on `ProcessRange` feeds (skipped
-  /// rows still advance `rows_seen()` via SkipRows, so results — rows
-  /// seen, matches, every accumulator — are bit-identical with pruning
-  /// on or off).  Shuffled and explicit-row feeds never prune.
+  /// Skip zone-map-excluded 64K blocks on scan feeds (skipped rows still
+  /// advance `rows_seen()`, so results — rows seen, matches, every
+  /// accumulator — are bit-identical with pruning on or off).  Walk,
+  /// sample and explicit-row feeds never prune.
   bool enable_zone_pruning = true;
 
   /// Use the dense flat-array bin table when the key space is small.
@@ -113,6 +114,52 @@ struct BinnedAggregatorOptions {
   /// `matches_overflowed`) instead of growing without bound.  1 M
   /// matches = 24 MB, already far past where replaying beats rescanning.
   int64_t record_matches_limit = 1 << 20;
+};
+
+/// Which fact row, at which weight, each feed position of a query is.
+/// An engine picks a query's order once, at Submit, and every feed maps
+/// positions through it — `BinnedAggregator::Process` on one thread,
+/// `exec::MorselProcess` on several — so the position -> row mapping has
+/// this one owner.  Three forms:
+///
+///  * `Scan()` — position p is fact row p, at weight 1 (the blocking
+///    engine, the online engine's fallback, the ground-truth oracle).
+///    The one form that prunes by zone map: its positions are blocks.
+///  * `Walk(index, key)` — position p is step p of the keyed
+///    per-epoch-segment walk `index->GatherWalk(key, ...)`, at weight 1
+///    (the progressive engine, the online engine's sampling path).
+///  * `Sample(sample)` — position p is `sample->rows[p]` at weight
+///    `sample->weights[p]` (the stratified engine).  The sample is laid
+///    out stratum by stratum, so its weights form runs of equal values,
+///    and each run feeds as one weighted batch.
+///
+/// Every form is prefix-invariant under epoch publishes.  Each only ever
+/// appends: a scan grows with the table, a walk by one shuffled segment
+/// per published epoch (`aqp::ShuffledIndex::ExtendTo`), a stratified
+/// sample by one delta block per epoch.  So positions below a watermark
+/// name the same rows at every later epoch, which queries pinned to an
+/// older watermark and reuse snapshots (exec/reuse_cache.h) rely on.
+/// The index and the sample are borrowed: their owner extends them over
+/// a position before the position is fed.
+struct FeedOrder {
+  enum class Kind : uint8_t { kScan, kWalk, kSample };
+
+  static FeedOrder Scan() { return {}; }
+  static FeedOrder Walk(const aqp::ShuffledIndex* index, int64_t key) {
+    return {Kind::kWalk, index, key, nullptr};
+  }
+  static FeedOrder Sample(const aqp::StratifiedSample* sample) {
+    return {Kind::kSample, nullptr, 0, sample};
+  }
+
+  /// End of the equal-weight run that starts at position `begin`, capped
+  /// at `end`; `end` itself for the unit-weight forms.
+  int64_t RunEnd(int64_t begin, int64_t end) const;
+
+  Kind kind = Kind::kScan;
+  const aqp::ShuffledIndex* index = nullptr;      // kWalk
+  int64_t key = 0;                                // kWalk: ring rotation
+  const aqp::StratifiedSample* sample = nullptr;  // kSample
 };
 
 /// One recorded match: the position of the row in this aggregator's feed
@@ -142,7 +189,7 @@ class BinnedAggregator {
   /// Pops a pooled (reset) partial or creates one via `NewPartial` — the
   /// morsel dispatcher's allocation-churn guard: dense bin tables and
   /// batch scratch survive across waves and across successive
-  /// `MorselProcess*` calls on the same aggregator instead of being
+  /// `MorselProcess` calls on the same aggregator instead of being
   /// reallocated every morsel.  Caller-thread only (not for workers).
   std::unique_ptr<BinnedAggregator> AcquirePartial();
 
@@ -178,14 +225,10 @@ class BinnedAggregator {
   /// scalar path when the query could not be compiled.
   void ProcessBatch(const int64_t* rows, int64_t n, double weight = 1.0);
 
-  /// Feeds the half-open fact-row range [begin, end) with weight 1.
-  void ProcessRange(int64_t begin, int64_t end);
-
-  /// Feeds `count` positions starting at `start_pos` of the keyed
-  /// per-epoch-segment walk `order.GatherWalk(key, ...)`, gathering into
-  /// batches internally — the shared hot loop of the sampling engines.
-  void ProcessWalk(const aqp::ShuffledIndex& order, int64_t key,
-                   int64_t start_pos, int64_t count);
+  /// Feeds positions [begin, end) of `order`, the one single-threaded
+  /// feed: a scan range with zone-map pruning, a walk gathered batch by
+  /// batch, or a sample's equal-weight runs as weighted batches.
+  void Process(const FeedOrder& order, int64_t begin, int64_t end);
 
   /// Advances `rows_seen()` by `n` without feeding rows — the accounting
   /// for feed positions whose rows are known (from a recorded match list)

@@ -178,7 +178,7 @@ void RunMorsels(BinnedAggregator* target, int64_t morsels, int parallelism,
       static_cast<int>(std::min<int64_t>(std::max(parallelism, 1), morsels));
   // Wave partials come from (and return to) the target's pool, so dense
   // bin tables and batch scratch are reused across waves *and* across
-  // successive MorselProcess* calls on the same aggregator — the engines
+  // successive MorselProcess calls on the same aggregator — the engines
   // advance queries in many small budget slices, and reallocating the
   // dense table per slice shows up at high session counts.
   std::vector<std::unique_ptr<BinnedAggregator>> partials;
@@ -206,12 +206,13 @@ int64_t ClampMorselRows(int64_t morsel_rows) {
 }
 
 /// Chaos site: a slowdown shrinks morsels to a single vector batch —
-/// maximal dispatch/merge overhead for the same work.  Drawn once per
-/// MorselProcess* call on the dispatching thread.  The merge tree changes
-/// with the morsel size, so this site is only *bit*-transparent for
-/// aggregates whose partial sums are exact (integer-valued columns below
-/// 2^53, which the bundled generators produce); the chaos suite's
-/// bit-identity invariant runs on such data.
+/// maximal dispatch/merge overhead for the same work.  Drawn on the
+/// dispatching thread once per MorselProcess call, or once per
+/// equal-weight run of a sample order.  The merge tree changes with the
+/// morsel size, so this site is only *bit*-transparent for aggregates
+/// whose partial sums are exact (integer-valued columns below 2^53,
+/// which the bundled generators produce); the chaos suite's bit-identity
+/// invariant runs on such data.
 int64_t MaybeSlowMorsels(int64_t morsel_rows) {
   if (chaos::FaultInjector::Fire(chaos::FaultSite::kMorselSlowdown)) {
     return kVectorBatchSize;
@@ -221,73 +222,21 @@ int64_t MaybeSlowMorsels(int64_t morsel_rows) {
 
 }  // namespace
 
-void MorselProcessRange(BinnedAggregator* agg, int64_t begin, int64_t end,
-                        int parallelism, int64_t morsel_rows) {
-  const int64_t total = end - begin;
-  if (total <= 0) return;
-  morsel_rows = MaybeSlowMorsels(ClampMorselRows(morsel_rows));
-  const int64_t morsels = (total + morsel_rows - 1) / morsel_rows;
-  RunMorsels(agg, morsels, parallelism,
-             [&](BinnedAggregator* partial, int64_t m) {
-               const int64_t b = begin + m * morsel_rows;
-               partial->ProcessRange(b, std::min(end, b + morsel_rows));
-             });
-}
-
-void MorselProcessWalk(BinnedAggregator* agg, const aqp::ShuffledIndex& order,
-                       int64_t key, int64_t start_pos, int64_t count,
-                       int parallelism, int64_t morsel_rows) {
-  if (count <= 0) return;
-  morsel_rows = MaybeSlowMorsels(ClampMorselRows(morsel_rows));
-  const int64_t morsels = (count + morsel_rows - 1) / morsel_rows;
-  RunMorsels(agg, morsels, parallelism,
-             [&](BinnedAggregator* partial, int64_t m) {
-               const int64_t off = m * morsel_rows;
-               partial->ProcessWalk(order, key, start_pos + off,
-                                    std::min(morsel_rows, count - off));
-             });
-}
-
-void MorselProcessBatch(BinnedAggregator* agg, const int64_t* rows, int64_t n,
-                        double weight, int parallelism, int64_t morsel_rows) {
-  if (n <= 0) return;
-  morsel_rows = MaybeSlowMorsels(ClampMorselRows(morsel_rows));
-  const int64_t morsels = (n + morsel_rows - 1) / morsel_rows;
-  RunMorsels(agg, morsels, parallelism,
-             [&](BinnedAggregator* partial, int64_t m) {
-               const int64_t off = m * morsel_rows;
-               partial->ProcessBatch(rows + off, std::min(morsel_rows, n - off),
-                                     weight);
-             });
-}
-
-void ProcessRangeParallel(BinnedAggregator* agg, int64_t begin, int64_t end,
-                          int threads) {
-  if (threads == 1) {
-    agg->ProcessRange(begin, end);
-    return;
+void MorselProcess(BinnedAggregator* agg, const FeedOrder& order,
+                   int64_t begin, int64_t end, int parallelism,
+                   int64_t morsel_rows) {
+  morsel_rows = ClampMorselRows(morsel_rows);
+  for (int64_t run = begin; run < end;) {
+    const int64_t run_end = order.RunEnd(run, end);
+    const int64_t rows = MaybeSlowMorsels(morsel_rows);
+    const int64_t morsels = (run_end - run + rows - 1) / rows;
+    RunMorsels(agg, morsels, parallelism,
+               [&](BinnedAggregator* partial, int64_t m) {
+                 const int64_t b = run + m * rows;
+                 partial->Process(order, b, std::min(run_end, b + rows));
+               });
+    run = run_end;
   }
-  MorselProcessRange(agg, begin, end, ResolveThreadCount(threads));
-}
-
-void ProcessWalkParallel(BinnedAggregator* agg,
-                         const aqp::ShuffledIndex& order, int64_t key,
-                         int64_t start_pos, int64_t count, int threads) {
-  if (threads == 1) {
-    agg->ProcessWalk(order, key, start_pos, count);
-    return;
-  }
-  MorselProcessWalk(agg, order, key, start_pos, count,
-                    ResolveThreadCount(threads));
-}
-
-void ProcessBatchParallel(BinnedAggregator* agg, const int64_t* rows,
-                          int64_t n, double weight, int threads) {
-  if (threads == 1) {
-    agg->ProcessBatch(rows, n, weight);
-    return;
-  }
-  MorselProcessBatch(agg, rows, n, weight, ResolveThreadCount(threads));
 }
 
 }  // namespace idebench::exec

@@ -5,9 +5,10 @@
 /// Morsel-driven parallel execution for the batch aggregation pipeline.
 ///
 /// The vectorized kernels (exec/vectorized.h) are shared-nothing per
-/// batch, so a scan or shuffled walk parallelizes by splitting the input
-/// into *morsels* of `kMorselRows` rows (64 batches of `kVectorBatchSize`)
-/// and fanning them out over a lazily-started, process-wide worker pool:
+/// batch, so any feed order (exec/aggregator.h's `FeedOrder`) parallelizes
+/// by splitting its positions into *morsels* of `kMorselRows` (64
+/// batches of `kVectorBatchSize`) and fanning them out over a
+/// lazily-started, process-wide worker pool:
 ///
 ///     rows ──split──> morsel 0 ─> worker A ─> partial aggregator ─┐
 ///                     morsel 1 ─> worker B ─> partial aggregator ─┼─merge─> result
@@ -21,27 +22,27 @@
 /// (`AcquirePartial`/`ReleasePartial`), so dense tables survive across
 /// waves and across the many small budget slices engines advance in.
 ///
-/// Range scans prune with the fact columns' zone maps (storage/column.h)
-/// inside each morsel's `BinnedAggregator::ProcessRange`, the one place
-/// blocks are skipped: a morsel is one zone block's worth of rows, so
-/// a dispatcher-level check would test the same blocks again.  Shuffled
-/// walks mix rows from every block and never prune.
+/// Scans prune with the fact columns' zone maps (storage/column.h)
+/// inside each morsel's `BinnedAggregator::Process`, the one place blocks
+/// are skipped: a morsel is one zone block's worth of rows, so a
+/// dispatcher-level check would test the same blocks again.  Walks and
+/// samples mix rows from every block and never prune.
 ///
 /// Determinism contract: the morsel decomposition and the merge order
 /// depend only on the input range and the morsel size — never on the
 /// number of workers or on scheduling.  The floating-point reduction tree
-/// is therefore fixed, and `MorselProcess*` produces **bit-identical**
+/// is therefore fixed, and `MorselProcess` produces **bit-identical**
 /// results (bins, estimates, margins, row counters) for every
 /// `parallelism >= 1`.  Integer-valued accumulator fields (row counters,
 /// COUNT, MIN/MAX, unit weights) are additionally bit-identical to the
 /// sequential reference path; real-valued sums differ from the flat
 /// sequential sum only by last-ulp regrouping effects.
 ///
-/// The engine-facing `Process*Parallel` wrappers honor the Settings
-/// contract: `threads == 1` runs the exact single-threaded code path
-/// (`BinnedAggregator::Process*`, no pool, no partials), `threads == 0`
-/// resolves to the hardware concurrency, and any other value runs the
-/// morsel path with that parallelism.
+/// Engines choose between the two paths in `EngineBase::Advance`, next
+/// to the option that declares the rule: `execution_threads == 1` runs
+/// the exact single-threaded code path (`BinnedAggregator::Process`, no
+/// pool, no partials), `0` resolves to the hardware concurrency, and any
+/// other value runs the morsel path with that parallelism.
 
 #include <condition_variable>
 #include <cstdint>
@@ -52,7 +53,6 @@
 #include <thread>
 #include <vector>
 
-#include "aqp/sampler.h"
 #include "exec/aggregator.h"
 #include "exec/vectorized.h"
 
@@ -119,31 +119,19 @@ class WorkerPool {
   bool shutdown_ = false;
 };
 
-/// Morsel-driven drivers.  All three split the input into morsels of
-/// `morsel_rows` (clamped to a multiple of `kVectorBatchSize`), aggregate
-/// each morsel into a partial, and merge partials into `agg` in morsel
+/// The morsel-driven feed.  Splits positions [begin, end) of `order`
+/// into morsels of `morsel_rows` (clamped to a multiple of
+/// `kVectorBatchSize`), aggregates each morsel into a partial with
+/// `BinnedAggregator::Process`, and merges partials into `agg` in morsel
 /// order — bit-identical results for every `parallelism >= 1`; see the
-/// file comment.  `agg` may already hold state (incremental execution).
-/// Inputs spanning a single morsel aggregate straight into `agg` (a
-/// decision made from the input size only, so still schedule-independent).
-void MorselProcessRange(BinnedAggregator* agg, int64_t begin, int64_t end,
-                        int parallelism, int64_t morsel_rows = kMorselRows);
-void MorselProcessWalk(BinnedAggregator* agg, const aqp::ShuffledIndex& order,
-                       int64_t key, int64_t start_pos, int64_t count,
-                       int parallelism, int64_t morsel_rows = kMorselRows);
-void MorselProcessBatch(BinnedAggregator* agg, const int64_t* rows, int64_t n,
-                        double weight, int parallelism,
-                        int64_t morsel_rows = kMorselRows);
-
-/// Engine-facing wrappers: `threads == 1` -> the exact sequential code
-/// path; otherwise the morsel path with `ResolveThreadCount(threads)`.
-void ProcessRangeParallel(BinnedAggregator* agg, int64_t begin, int64_t end,
-                          int threads);
-void ProcessWalkParallel(BinnedAggregator* agg,
-                         const aqp::ShuffledIndex& order, int64_t key,
-                         int64_t start_pos, int64_t count, int threads);
-void ProcessBatchParallel(BinnedAggregator* agg, const int64_t* rows,
-                          int64_t n, double weight, int threads);
+/// file comment.  A sample's equal-weight runs are split one by one, so
+/// no morsel spans two weights.  `agg` may already hold state
+/// (incremental execution).  A run spanning a single morsel aggregates
+/// straight into `agg` (a decision made from the input size only, so
+/// still schedule-independent).
+void MorselProcess(BinnedAggregator* agg, const FeedOrder& order,
+                   int64_t begin, int64_t end, int parallelism,
+                   int64_t morsel_rows = kMorselRows);
 
 }  // namespace idebench::exec
 

@@ -41,11 +41,11 @@
 /// via `MergeFrom` (which also carries the recorded candidate list) and
 /// the remainder of a feed may run through `exec/parallel.h` as usual.
 ///
-/// Entries survive ingest epochs: every engine feed is *prefix-invariant*
-/// under epoch publishes (walk segments, scans and stratified samples are
-/// all append-only), so a snapshot's first `watermark` positions mean
-/// exactly the same rows at any later epoch, and a new epoch folds into a
-/// matching snapshot by feeding only the positions past its watermark.
+/// Entries survive ingest epochs: every feed order is prefix-invariant
+/// under epoch publishes (see `FeedOrder`), so a snapshot's first
+/// `watermark` positions mean the same rows at any later epoch, and a new
+/// epoch folds into a matching snapshot by feeding only the positions
+/// past its watermark.
 ///
 /// Eviction is per-visualization LRU: dashboards hold few live vizs, and
 /// a viz's next query overwhelmingly resembles its previous one, so each

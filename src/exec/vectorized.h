@@ -45,11 +45,12 @@
 /// filter predicate and bin dimension that reads a fact column directly,
 /// a per-64K-block test against the column's zone map
 /// (`storage::Column::zone_map()`) that proves "no row in this block can
-/// match".  `BinnedAggregator::ProcessRange` asks `BlockCanMatch` before
-/// scanning each block; the tests evaluate the *same* monotone
-/// floating-point expressions as the kernels at the block bounds, so a
-/// skipped block can never contain a matching row.  Shuffled-walk feeds
-/// cannot use them (their batches mix rows from every block).
+/// match".  The scan branch of `BinnedAggregator::Process` asks
+/// `BlockCanMatch` before scanning each block; the tests evaluate the
+/// *same* monotone floating-point expressions as the kernels at the
+/// block bounds, so a skipped block can never contain a matching row.
+/// Walk and sample feeds cannot use them (their batches mix rows from
+/// every block).
 
 #include <array>
 #include <cstdint>

@@ -81,10 +81,9 @@ bool ParseFrameAt(const uint8_t* data, uint64_t size, uint64_t off,
     case WalRecordType::kBatch: {
       const uint32_t rows = pay.U32();
       const uint32_t cols = pay.U32();
-      // Cheap bound before reserving: every field costs >= 4 bytes.
-      if (!pay.ok() || static_cast<uint64_t>(rows) * cols > payload / 4) {
-        return false;
-      }
+      // A batch has columns, and each field costs at least its 4-byte
+      // length: bound both counts by the payload before reserving.
+      if (cols == 0 || !pay.Fits(rows, uint64_t{4} * cols)) return false;
       out.rows.reserve(rows);
       for (uint32_t r = 0; r < rows && pay.ok(); ++r) {
         std::vector<std::string> fields;

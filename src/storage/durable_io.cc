@@ -37,6 +37,12 @@ const uint8_t* ByteReader::Skip(uint64_t n) {
   return p;
 }
 
+bool ByteReader::Fits(uint64_t count, uint64_t min_bytes) {
+  if (ok_ && count <= (size_ - off_) / min_bytes) return true;
+  ok_ = false;
+  return false;
+}
+
 std::string ByteReader::Str() {
   const uint32_t n = U32();
   const uint8_t* p = Skip(n);

@@ -69,6 +69,11 @@ class ByteReader {
   /// Steps over `n` bytes and returns where they start (nullptr past the
   /// end).
   const uint8_t* Skip(uint64_t n);
+  /// Accepts a decoded count of `count` items, each encoded in at least
+  /// `min_bytes` (> 0), only if they fit in the bytes left; otherwise
+  /// clears `ok()` and returns false.  A parser asks before it reserves
+  /// room for the items, so no field sizes an allocation past the input.
+  bool Fits(uint64_t count, uint64_t min_bytes);
 
   bool ok() const { return ok_; }
   bool AtEnd() const { return off_ == size_; }

@@ -106,6 +106,15 @@ EncodedBlob EncodeInt64Segment(const int64_t* values, int64_t rows) {
 // accepts, and the most columns.
 constexpr uint32_t kMaxName = 1 << 20;
 
+// The fewest footer bytes that encode one column (name length, type,
+// kind, dictionary size) and one segment of a column (encoding, offset,
+// bytes, rows, min, max, NaN count, base, bits, runs, bitset words):
+// what a count read from the footer is checked against before anything
+// is reserved for it.
+constexpr uint64_t kMinColumnBytes = 4 + 1 + 1 + 4;
+constexpr uint64_t kSegmentMetaBytes =
+    1 + 8 + 8 + 4 + 8 + 8 + 8 + 8 + 1 + 4 + 4;
+
 Status FooterTruncated() {
   return Status::Invalid("segment footer: truncated");
 }
@@ -326,10 +335,12 @@ Status SegmentFile::Parse() {
   const uint32_t num_columns = cur.U32();
   if (!cur.ok()) return FooterTruncated();
   if (num_rows_ < 0 ||
-      num_segments_ != (num_rows_ + kSegmentRows - 1) / kSegmentRows) {
+      num_segments_ != num_rows_ / kSegmentRows +
+                           (num_rows_ % kSegmentRows != 0 ? 1 : 0)) {
     return SegmentError(path_, "segment count does not match row count");
   }
-  if (num_columns == 0 || num_columns > kMaxName) {
+  if (num_columns == 0 || num_columns > kMaxName ||
+      !cur.Fits(num_columns, kMinColumnBytes)) {
     return SegmentError(path_, "implausible column count");
   }
 
@@ -351,6 +362,9 @@ Status SegmentFile::Parse() {
     if (!is_string && dict_size != 0) {
       return SegmentError(path_, "dictionary on a non-string column");
     }
+    if (!cur.Fits(dict_size, 4)) {
+      return SegmentError(path_, "dictionary size larger than the footer");
+    }
     meta.dict_values.reserve(dict_size);
     for (uint32_t i = 0; i < dict_size; ++i) {
       std::string v;
@@ -360,6 +374,9 @@ Status SegmentFile::Parse() {
     const int64_t dict_words =
         is_string ? (static_cast<int64_t>(dict_size) + 63) / 64 : 0;
 
+    if (!cur.Fits(static_cast<uint64_t>(num_segments_), kSegmentMetaBytes)) {
+      return SegmentError(path_, "segment count larger than the footer");
+    }
     meta.segments.reserve(static_cast<size_t>(num_segments_));
     for (int64_t seg = 0; seg < num_segments_; ++seg) {
       SegmentView view;

@@ -174,20 +174,18 @@ TEST(ChaosExecTest, WorkerPoolStallIsBitTransparent) {
   const query::QuerySpec spec = ExecSpec(*catalog);
   auto bound = exec::BoundQuery::Bind(spec, *catalog, {});
   ASSERT_TRUE(bound.ok());
-  std::vector<int64_t> rows(4000);
-  for (int64_t i = 0; i < 4000; ++i) rows[static_cast<size_t>(i)] = i;
   const int64_t morsel = 2 * exec::kVectorBatchSize;
 
   exec::BinnedAggregator reference(&*bound);
-  exec::MorselProcessBatch(&reference, rows.data(), 4000, 1.0,
-                           /*parallelism=*/4, morsel);
+  exec::MorselProcess(&reference, exec::FeedOrder::Scan(), 0, 4000,
+                      /*parallelism=*/4, morsel);
 
   FaultInjector injector(5);
   injector.Arm(FaultSite::kWorkerPoolStall, {1.0, -1});
   ScopedFaultInjector scope(&injector);
   exec::BinnedAggregator stalled(&*bound);
-  exec::MorselProcessBatch(&stalled, rows.data(), 4000, 1.0,
-                           /*parallelism=*/4, morsel);
+  exec::MorselProcess(&stalled, exec::FeedOrder::Scan(), 0, 4000,
+                      /*parallelism=*/4, morsel);
   EXPECT_GT(injector.site_stats(FaultSite::kWorkerPoolStall).fires, 0);
 
   // Same morsel boundaries, inline drain: bit-identical, even for
@@ -204,13 +202,11 @@ TEST(ChaosExecTest, MorselSlowdownEqualsExplicitOneBatchMorsels) {
   const query::QuerySpec spec = ExecSpec(*catalog);
   auto bound = exec::BoundQuery::Bind(spec, *catalog, {});
   ASSERT_TRUE(bound.ok());
-  std::vector<int64_t> rows(4000);
-  for (int64_t i = 0; i < 4000; ++i) rows[static_cast<size_t>(i)] = i;
 
   // Reference: explicit one-vector-batch morsels, no injection.
   exec::BinnedAggregator reference(&*bound);
-  exec::MorselProcessBatch(&reference, rows.data(), 4000, 1.0,
-                           /*parallelism=*/4, exec::kVectorBatchSize);
+  exec::MorselProcess(&reference, exec::FeedOrder::Scan(), 0, 4000,
+                      /*parallelism=*/4, exec::kVectorBatchSize);
 
   // Injected: default morsel size, but the slowdown site degrades every
   // call to one-batch morsels.
@@ -218,8 +214,8 @@ TEST(ChaosExecTest, MorselSlowdownEqualsExplicitOneBatchMorsels) {
   injector.Arm(FaultSite::kMorselSlowdown, {1.0, -1});
   ScopedFaultInjector scope(&injector);
   exec::BinnedAggregator slowed(&*bound);
-  exec::MorselProcessBatch(&slowed, rows.data(), 4000, 1.0,
-                           /*parallelism=*/4);
+  exec::MorselProcess(&slowed, exec::FeedOrder::Scan(), 0, 4000,
+                      /*parallelism=*/4);
   EXPECT_GT(injector.site_stats(FaultSite::kMorselSlowdown).fires, 0);
 
   EXPECT_EQ(reference.rows_seen(), slowed.rows_seen());

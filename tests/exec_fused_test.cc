@@ -534,8 +534,8 @@ TEST(ZonePruneTest, PrunedScanIsBitIdenticalAndSkipsBlocks) {
   no_prune.enable_zone_pruning = false;
   BinnedAggregator pruned(&*bound);
   BinnedAggregator unpruned(&*bound, no_prune);
-  pruned.ProcessRange(0, rows);
-  unpruned.ProcessRange(0, rows);
+  pruned.Process(FeedOrder::Scan(), 0, rows);
+  unpruned.Process(FeedOrder::Scan(), 0, rows);
 
   EXPECT_GT(pruned.zone_rows_skipped(), 0);
   EXPECT_GT(pruned.zone_blocks_skipped(), 0);
@@ -556,11 +556,11 @@ TEST(ZonePruneTest, MorselDispatchSkipsAndStaysThreadInvariant) {
   BinnedAggregatorOptions no_prune;
   no_prune.enable_zone_pruning = false;
   BinnedAggregator reference(&*bound, no_prune);
-  reference.ProcessRange(0, rows);
+  reference.Process(FeedOrder::Scan(), 0, rows);
 
   for (int threads : {1, 4}) {
     BinnedAggregator agg(&*bound);
-    MorselProcessRange(&agg, 0, rows, threads);
+    MorselProcess(&agg, FeedOrder::Scan(), 0, rows, threads);
     SCOPED_TRACE(threads);
     EXPECT_GT(agg.zone_rows_skipped(), 0);
     EXPECT_EQ(agg.rows_seen(), reference.rows_seen());
@@ -605,8 +605,8 @@ TEST(ZonePruneTest, BoundaryValuesNeverPruneMatchingBlocks) {
         no_prune.enable_zone_pruning = false;
         BinnedAggregator pruned(&*bound);
         BinnedAggregator unpruned(&*bound, no_prune);
-        pruned.ProcessRange(0, rows);
-        unpruned.ProcessRange(0, rows);
+        pruned.Process(FeedOrder::Scan(), 0, rows);
+        unpruned.Process(FeedOrder::Scan(), 0, rows);
         EXPECT_EQ(pruned.rows_matched(), unpruned.rows_matched())
             << "probe " << probe;
         ExpectBitIdentical(pruned.ExactResult(), unpruned.ExactResult(),
@@ -631,8 +631,8 @@ TEST(ZonePruneTest, RecordingAggregatorKeepsWalkPositions) {
   for (int threads : {1, 4}) {
     BinnedAggregator pruned(&*bound, record);
     BinnedAggregator unpruned(&*bound, record_no_prune);
-    MorselProcessRange(&pruned, 0, rows, threads);
-    MorselProcessRange(&unpruned, 0, rows, threads);
+    MorselProcess(&pruned, FeedOrder::Scan(), 0, rows, threads);
+    MorselProcess(&unpruned, FeedOrder::Scan(), 0, rows, threads);
     ASSERT_EQ(pruned.matched_rows().size(), unpruned.matched_rows().size());
     for (size_t i = 0; i < pruned.matched_rows().size(); ++i) {
       EXPECT_EQ(pruned.matched_rows()[i].pos, unpruned.matched_rows()[i].pos);
@@ -650,7 +650,7 @@ TEST(ZonePruneTest, ShuffledFeedsNeverPrune) {
   Rng rng(3);
   aqp::ShuffledIndex order(rows, &rng);
   BinnedAggregator agg(&*bound);
-  agg.ProcessWalk(order, /*key=*/0, 0, rows);
+  agg.Process(FeedOrder::Walk(&order, /*key=*/0), 0, rows);
   EXPECT_EQ(agg.zone_rows_skipped(), 0);
   EXPECT_EQ(agg.rows_seen(), rows);
 }
@@ -666,18 +666,18 @@ TEST(PartialPoolTest, MorselRunsReusePartials) {
 
   BinnedAggregator agg(&*bound);
   EXPECT_EQ(agg.partial_pool_size(), 0u);
-  MorselProcessRange(&agg, 0, rows, /*parallelism=*/2);
+  MorselProcess(&agg, FeedOrder::Scan(), 0, rows, /*parallelism=*/2);
   const size_t pooled = agg.partial_pool_size();
   EXPECT_GT(pooled, 0u);
   // A second dispatch reuses the pooled partials instead of growing.
-  MorselProcessRange(&agg, 0, rows, /*parallelism=*/2);
+  MorselProcess(&agg, FeedOrder::Scan(), 0, rows, /*parallelism=*/2);
   EXPECT_EQ(agg.partial_pool_size(), pooled);
 
   BinnedAggregator fresh(&*bound);
-  MorselProcessRange(&fresh, 0, rows, /*parallelism=*/2);
+  MorselProcess(&fresh, FeedOrder::Scan(), 0, rows, /*parallelism=*/2);
   BinnedAggregator twice(&*bound);
-  MorselProcessRange(&twice, 0, rows / 2, /*parallelism=*/2);
-  MorselProcessRange(&twice, rows / 2, rows, /*parallelism=*/2);
+  MorselProcess(&twice, FeedOrder::Scan(), 0, rows / 2, /*parallelism=*/2);
+  MorselProcess(&twice, FeedOrder::Scan(), rows / 2, rows, /*parallelism=*/2);
   ExpectBitIdentical(fresh.ExactResult(), twice.ExactResult(),
                      "pooled continuation");
 

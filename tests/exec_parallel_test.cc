@@ -221,11 +221,15 @@ void RunThreadInvariance(const QuerySpec& spec,
   BinnedAggregator scalar(&*bound, scalar_options);
   for (int64_t row : rows) scalar.ProcessRowWeighted(row, weight);
 
+  // The rows as a one-run sample: every position at `weight`.
+  aqp::StratifiedSample sample;
+  sample.rows = rows;
+  sample.weights.assign(rows.size(), weight);
+  const FeedOrder order = FeedOrder::Sample(&sample);
   BinnedAggregator reference(&*bound, options);
   ASSERT_TRUE(reference.uses_vectorized());
-  MorselProcessBatch(&reference, rows.data(),
-                     static_cast<int64_t>(rows.size()), weight,
-                     /*parallelism=*/1, kSmallMorsel);
+  MorselProcess(&reference, order, 0, sample.size(), /*parallelism=*/1,
+                kSmallMorsel);
 
   // Counters are integral: exact against the scalar reference always.
   EXPECT_EQ(scalar.rows_seen(), reference.rows_seen());
@@ -234,9 +238,7 @@ void RunThreadInvariance(const QuerySpec& spec,
 
   for (int threads : kThreadCounts) {
     BinnedAggregator parallel(&*bound, options);
-    MorselProcessBatch(&parallel, rows.data(),
-                       static_cast<int64_t>(rows.size()), weight, threads,
-                       kSmallMorsel);
+    MorselProcess(&parallel, order, 0, sample.size(), threads, kSmallMorsel);
     // Bit-identical across every thread count: the reduction tree is
     // fixed by the morsel decomposition, not by the schedule.
     ExpectAggregatorsMatch(reference, parallel, /*tol=*/0.0);
@@ -410,21 +412,22 @@ TEST(ThreadInvarianceTest, RangeAndShuffledDriversAtDefaultMorselSize) {
   ASSERT_TRUE(bound.ok());
 
   BinnedAggregator sequential(&*bound);
-  sequential.ProcessRange(0, kBig);
+  sequential.Process(FeedOrder::Scan(), 0, kBig);
 
   for (int threads : kThreadCounts) {
     BinnedAggregator ranged(&*bound);
-    MorselProcessRange(&ranged, 0, kBig, threads);
+    MorselProcess(&ranged, FeedOrder::Scan(), 0, kBig, threads);
     ExpectAggregatorsMatch(sequential, ranged, /*tol=*/0.0);
   }
 
   Rng rng(31);
   aqp::ShuffledIndex order(kBig, &rng);
   BinnedAggregator walk_seq(&*bound);
-  walk_seq.ProcessWalk(order, /*key=*/500, 0, kBig);
+  walk_seq.Process(FeedOrder::Walk(&order, /*key=*/500), 0, kBig);
   for (int threads : {2, 7}) {
     BinnedAggregator walk_par(&*bound);
-    MorselProcessWalk(&walk_par, order, /*key=*/500, 0, kBig, threads);
+    MorselProcess(&walk_par, FeedOrder::Walk(&order, /*key=*/500), 0, kBig,
+                  threads);
     ExpectAggregatorsMatch(walk_seq, walk_par, /*tol=*/0.0);
   }
 }
@@ -445,10 +448,10 @@ TEST(ThreadInvarianceTest, IncrementalFeedsAccumulateAcrossCalls) {
   // Two increments through the morsel path == one sequential feed
   // (COUNT: exact), mirroring how engines advance queries in slices.
   BinnedAggregator whole(&*bound);
-  whole.ProcessRange(0, kRows);
+  whole.Process(FeedOrder::Scan(), 0, kRows);
   BinnedAggregator sliced(&*bound);
-  MorselProcessRange(&sliced, 0, kRows / 3, 4, kSmallMorsel);
-  MorselProcessRange(&sliced, kRows / 3, kRows, 4, kSmallMorsel);
+  MorselProcess(&sliced, FeedOrder::Scan(), 0, kRows / 3, 4, kSmallMorsel);
+  MorselProcess(&sliced, FeedOrder::Scan(), kRows / 3, kRows, 4, kSmallMorsel);
   ExpectAggregatorsMatch(whole, sliced, /*tol=*/0.0);
 }
 
@@ -474,11 +477,11 @@ TEST(MergeFromTest, DisjointKeySets) {
 
   // Rows [0, 1000) bin to g 0..9, rows [1000, 2000) to g 10..19.
   BinnedAggregator left(&*bound);
-  left.ProcessRange(0, 1000);
+  left.Process(FeedOrder::Scan(), 0, 1000);
   BinnedAggregator right(&*bound);
-  right.ProcessRange(1000, 2000);
+  right.Process(FeedOrder::Scan(), 1000, 2000);
   BinnedAggregator reference(&*bound);
-  reference.ProcessRange(0, 2000);
+  reference.Process(FeedOrder::Scan(), 0, 2000);
 
   left.MergeFrom(right);
   ExpectAggregatorsMatch(reference, left, /*tol=*/0.0);
@@ -491,12 +494,12 @@ TEST(MergeFromTest, OverlappingKeySets) {
   ASSERT_TRUE(bound.ok());
 
   BinnedAggregator left(&*bound);
-  left.ProcessRange(0, 1500);
+  left.Process(FeedOrder::Scan(), 0, 1500);
   BinnedAggregator right(&*bound);
-  right.ProcessRange(500, 2000);  // bins 5..14 overlap with left
+  right.Process(FeedOrder::Scan(), 500, 2000);  // bins 5..14 overlap left
   BinnedAggregator reference(&*bound);
-  reference.ProcessRange(0, 1500);
-  reference.ProcessRange(500, 2000);
+  reference.Process(FeedOrder::Scan(), 0, 1500);
+  reference.Process(FeedOrder::Scan(), 500, 2000);
 
   left.MergeFrom(right);
   ExpectAggregatorsMatch(reference, left, /*tol=*/0.0);
@@ -529,7 +532,7 @@ TEST(MergeFromTest, DenseHashBoundaryReconciliation) {
   hash_options.enable_dense_bins = false;
 
   BinnedAggregator reference(&*bound);
-  reference.ProcessRange(0, 2000);
+  reference.Process(FeedOrder::Scan(), 0, 2000);
 
   // dense target <- hash source.
   {
@@ -537,8 +540,8 @@ TEST(MergeFromTest, DenseHashBoundaryReconciliation) {
     ASSERT_TRUE(dense_target.uses_dense_bins());
     BinnedAggregator hash_source(&*bound, hash_options);
     ASSERT_FALSE(hash_source.uses_dense_bins());
-    dense_target.ProcessRange(0, 800);
-    hash_source.ProcessRange(800, 2000);
+    dense_target.Process(FeedOrder::Scan(), 0, 800);
+    hash_source.Process(FeedOrder::Scan(), 800, 2000);
     dense_target.MergeFrom(hash_source);
     ExpectAggregatorsMatch(reference, dense_target, /*tol=*/0.0);
   }
@@ -546,8 +549,8 @@ TEST(MergeFromTest, DenseHashBoundaryReconciliation) {
   {
     BinnedAggregator hash_target(&*bound, hash_options);
     BinnedAggregator dense_source(&*bound);
-    hash_target.ProcessRange(0, 800);
-    dense_source.ProcessRange(800, 2000);
+    hash_target.Process(FeedOrder::Scan(), 0, 800);
+    dense_source.Process(FeedOrder::Scan(), 800, 2000);
     hash_target.MergeFrom(dense_source);
     ExpectAggregatorsMatch(reference, hash_target, /*tol=*/0.0);
   }
@@ -560,10 +563,10 @@ TEST(MergeFromTest, EmptySidesAreNoOps) {
   ASSERT_TRUE(bound.ok());
 
   BinnedAggregator reference(&*bound);
-  reference.ProcessRange(0, 500);
+  reference.Process(FeedOrder::Scan(), 0, 500);
 
   BinnedAggregator fed(&*bound);
-  fed.ProcessRange(0, 500);
+  fed.Process(FeedOrder::Scan(), 0, 500);
   BinnedAggregator empty(&*bound);
   fed.MergeFrom(empty);  // merging empty changes nothing
   ExpectAggregatorsMatch(reference, fed, /*tol=*/0.0);
@@ -583,10 +586,10 @@ TEST(MergeFromTest, PartialsShareCompiledKernels) {
   EXPECT_TRUE(partial->uses_vectorized());
   EXPECT_EQ(partial->uses_dense_bins(), agg.uses_dense_bins());
   EXPECT_EQ(partial->rows_seen(), 0);
-  partial->ProcessRange(0, 500);
+  partial->Process(FeedOrder::Scan(), 0, 500);
   agg.MergeFrom(*partial);
   BinnedAggregator reference(&*bound);
-  reference.ProcessRange(0, 500);
+  reference.Process(FeedOrder::Scan(), 0, 500);
   ExpectAggregatorsMatch(reference, agg, /*tol=*/0.0);
 }
 

@@ -1,8 +1,12 @@
 #include <cmath>
+#include <map>
+#include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "datagen/flights_seed.h"
 #include "exec/aggregator.h"
 #include "exec/bound_query.h"
 #include "exec/join_index.h"
@@ -141,7 +145,7 @@ TEST(BoundQueryTest, JoinedGroupByCountsInnerJoinRows) {
   ASSERT_TRUE(bound.ok());
 
   BinnedAggregator aggregator(&*bound);
-  aggregator.ProcessRange(0, 10);
+  aggregator.Process(FeedOrder::Scan(), 0, 10);
   query::QueryResult result = aggregator.ExactResult();
   // 9 matched rows over 3 labels; the dangling row is dropped.
   ASSERT_EQ(result.bins.size(), 3u);
@@ -156,7 +160,7 @@ TEST(AggregatorTest, ExactCountByGroup) {
   auto bound = BoundQuery::Bind(spec, *catalog);
   ASSERT_TRUE(bound.ok());
   BinnedAggregator agg(&*bound);
-  agg.ProcessRange(0, 8);
+  agg.Process(FeedOrder::Scan(), 0, 8);
   EXPECT_EQ(agg.rows_seen(), 8);
   EXPECT_EQ(agg.rows_matched(), 8);
 
@@ -187,7 +191,7 @@ TEST(AggregatorTest, ExactAllAggregateTypes) {
   auto bound = BoundQuery::Bind(spec, *catalog);
   ASSERT_TRUE(bound.ok());
   BinnedAggregator agg(&*bound);
-  agg.ProcessRange(0, 8);
+  agg.Process(FeedOrder::Scan(), 0, 8);
   query::QueryResult r = agg.ExactResult();
   // Group "a" rows: 10, 30, 50, 70.
   const auto& a_bin = r.bins.at(0);
@@ -209,7 +213,7 @@ TEST(AggregatorTest, FilterIsApplied) {
   auto bound = BoundQuery::Bind(spec, *catalog);
   ASSERT_TRUE(bound.ok());
   BinnedAggregator agg(&*bound);
-  agg.ProcessRange(0, 8);
+  agg.Process(FeedOrder::Scan(), 0, 8);
   EXPECT_EQ(agg.rows_matched(), 4);
   query::QueryResult r = agg.ExactResult();
   EXPECT_DOUBLE_EQ(r.bins.at(0).values[0].estimate, 2.0);
@@ -223,7 +227,7 @@ TEST(AggregatorTest, UniformSampleScalesCounts) {
   ASSERT_TRUE(bound.ok());
   BinnedAggregator agg(&*bound);
   // Feed the first 4 rows as a "sample" of the 8-row population.
-  agg.ProcessRange(0, 4);
+  agg.Process(FeedOrder::Scan(), 0, 4);
   query::QueryResult r = agg.EstimateFromUniformSample(8, 1.96);
   EXPECT_FALSE(r.exact);
   EXPECT_DOUBLE_EQ(r.progress, 0.5);
@@ -238,7 +242,7 @@ TEST(AggregatorTest, UniformSampleCompleteIsExact) {
   auto bound = BoundQuery::Bind(spec, *catalog);
   ASSERT_TRUE(bound.ok());
   BinnedAggregator agg(&*bound);
-  agg.ProcessRange(0, 8);
+  agg.Process(FeedOrder::Scan(), 0, 8);
   query::QueryResult r = agg.EstimateFromUniformSample(8, 1.96);
   EXPECT_TRUE(r.exact);
   EXPECT_DOUBLE_EQ(r.progress, 1.0);
@@ -253,9 +257,9 @@ TEST(AggregatorTest, MarginShrinksWithSampleSize) {
   ASSERT_TRUE(bound.ok());
 
   BinnedAggregator small(&*bound);
-  small.ProcessRange(0, 2);
+  small.Process(FeedOrder::Scan(), 0, 2);
   BinnedAggregator large(&*bound);
-  large.ProcessRange(0, 6);
+  large.Process(FeedOrder::Scan(), 0, 6);
   const double margin_small =
       small.EstimateFromUniformSample(8, 1.96).bins.at(0).values[0].margin;
   const double margin_large =
@@ -298,7 +302,7 @@ TEST(AggregatorTest, ResetClearsState) {
   auto bound = BoundQuery::Bind(spec, *catalog);
   ASSERT_TRUE(bound.ok());
   BinnedAggregator agg(&*bound);
-  agg.ProcessRange(0, 8);
+  agg.Process(FeedOrder::Scan(), 0, 8);
   agg.Reset();
   EXPECT_EQ(agg.rows_seen(), 0);
   EXPECT_TRUE(agg.ExactResult().bins.empty());
@@ -334,6 +338,92 @@ TEST_P(UniformEstimatorProperty, CountEstimateNearTruthOnAverage) {
 
 INSTANTIATE_TEST_SUITE_P(SampleSizes, UniformEstimatorProperty,
                          ::testing::Values(2, 4, 6));
+
+/// The key-enumeration oracle for the walk.  Over all L keys of a walk
+/// through L rows, every row lies in exactly k of the L windows of k
+/// positions, so the mean over keys of the uniform-sample COUNT and SUM
+/// estimates equals the exact answer — exactly, with no tolerance, when
+/// the scale L/k is an integer.  The parameter is the number of
+/// published epochs of 200 rows the walk spans after its base segment.
+/// With epochs the oracle holds only once the walk apportions positions
+/// across its segments (ROADMAP item "Sample every epoch"), so only 0 is
+/// instantiated here.
+class WalkKeyOracleTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(WalkKeyOracleTest, MeanOverEveryKeyIsExact) {
+  constexpr int64_t kRows = 1000;
+  constexpr int64_t kEpochRows = 200;
+  datagen::FlightsSeedConfig config;
+  config.rows = kRows;
+  config.seed = 17;
+  auto flights = datagen::GenerateFlightsSeed(config);
+  ASSERT_TRUE(flights.ok());
+  storage::Catalog catalog;
+  ASSERT_TRUE(catalog
+                  .AddTable(std::make_shared<storage::Table>(
+                      std::move(flights).MoveValueUnsafe()))
+                  .ok());
+  const int epochs = GetParam();
+  Rng rng(17);
+  aqp::ShuffledIndex index(kRows - epochs * kEpochRows, &rng);
+  while (index.size() < kRows) index.ExtendTo(index.size() + kEpochRows, &rng);
+
+  for (const size_t dims : {1, 2}) {
+    QuerySpec spec;
+    spec.viz_name = "oracle";
+    for (const char* column : {"carrier", "day_of_week"}) {
+      if (spec.bins.size() == dims) break;
+      BinDimension d;
+      d.column = column;
+      d.mode = BinningMode::kNominal;
+      spec.bins.push_back(d);
+    }
+    AggregateSpec count;
+    count.type = AggregateType::kCount;
+    AggregateSpec sum;
+    sum.type = AggregateType::kSum;
+    sum.column = "day_of_week";
+    spec.aggregates = {count, sum};
+    ASSERT_TRUE(spec.ResolveBins(catalog).ok());
+    auto bound = BoundQuery::Bind(spec, catalog);
+    ASSERT_TRUE(bound.ok());
+    BinnedAggregator agg(&*bound);
+    agg.Process(FeedOrder::Scan(), 0, kRows);
+    const query::QueryResult truth = agg.ExactResult();
+
+    for (const int64_t k : {100, 250, 1000}) {
+      std::map<int64_t, std::vector<double>> sums;  // bin -> per aggregate
+      for (int64_t key = 0; key < kRows; ++key) {
+        agg.Reset();
+        agg.Process(FeedOrder::Walk(&index, key), 0, k);
+        for (const auto& [bin, value] :
+             agg.EstimateFromUniformSample(kRows, 1.96).bins) {
+          std::vector<double>& into = sums[bin];
+          into.resize(value.values.size());
+          for (size_t a = 0; a < into.size(); ++a) {
+            into[a] += value.values[a].estimate;
+          }
+        }
+      }
+      EXPECT_EQ(sums.size(), truth.bins.size()) << dims << "-D, k " << k;
+      int mismatched = 0;
+      for (const auto& [bin, value] : truth.bins) {
+        const std::vector<double>& total = sums[bin];
+        for (size_t a = 0; a < value.values.size(); ++a) {
+          if (total.size() != value.values.size() ||
+              total[a] / static_cast<double>(kRows) !=
+                  value.values[a].estimate) {
+            ++mismatched;
+            break;
+          }
+        }
+      }
+      EXPECT_EQ(mismatched, 0) << dims << "-D, k " << k;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Epochs, WalkKeyOracleTest, ::testing::Values(0));
 
 }  // namespace
 }  // namespace idebench::exec

@@ -513,12 +513,12 @@ TEST(VectorizedDifferentialTest, ResetClearsDenseTable) {
   ASSERT_TRUE(bound.ok());
   BinnedAggregator agg(&*bound);
   ASSERT_TRUE(agg.uses_dense_bins());
-  agg.ProcessRange(0, kRows);
+  agg.Process(FeedOrder::Scan(), 0, kRows);
   EXPECT_GT(agg.rows_matched(), 0);
   agg.Reset();
   EXPECT_EQ(agg.rows_seen(), 0);
   EXPECT_TRUE(agg.ExactResult().bins.empty());
-  agg.ProcessRange(0, 10);
+  agg.Process(FeedOrder::Scan(), 0, 10);
   EXPECT_EQ(agg.rows_seen(), 10);
 }
 
@@ -565,7 +565,7 @@ TEST(VectorizedEngineDifferentialTest, BlockingEngineMatchesScalarScan) {
   BinnedAggregatorOptions scalar_options;
   scalar_options.enable_vectorized = false;
   BinnedAggregator scalar(&*bound, scalar_options);
-  scalar.ProcessRange(0, kRows);
+  scalar.Process(FeedOrder::Scan(), 0, kRows);
   query::QueryResult expected = scalar.ExactResult();
   expected.available = true;
   // Identical feed order -> bit-identical accumulators.
@@ -590,7 +590,7 @@ TEST(VectorizedEngineDifferentialTest, ProgressiveEngineCompleteWalkIsExact) {
   BinnedAggregatorOptions scalar_options;
   scalar_options.enable_vectorized = false;
   BinnedAggregator scalar(&*bound, scalar_options);
-  scalar.ProcessRange(0, kRows);
+  scalar.Process(FeedOrder::Scan(), 0, kRows);
   query::QueryResult expected =
       scalar.EstimateFromUniformSample(kRows, aqp::ZScoreForConfidence(0.95));
   ASSERT_EQ(expected.bins.size(), result.bins.size());
@@ -619,7 +619,7 @@ TEST(VectorizedEngineDifferentialTest, OnlineEngineCompleteWalkIsExact) {
   BinnedAggregatorOptions scalar_options;
   scalar_options.enable_vectorized = false;
   BinnedAggregator scalar(&*bound, scalar_options);
-  scalar.ProcessRange(0, kRows);
+  scalar.Process(FeedOrder::Scan(), 0, kRows);
   query::QueryResult expected = scalar.ExactResult();
   expected.available = true;
   // COUNT accumulators are integers: exact equality even across orders.

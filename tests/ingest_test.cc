@@ -654,6 +654,77 @@ TEST(IngestPinningTest, SemanticCacheHitAfterDictionaryGrowthStaysInRange) {
   EXPECT_EQ(Canon(cold), Canon(*expected));
 }
 
+TEST(IngestPinningTest, SpeculationAfterBinsRegrowStartsCold) {
+  // A speculative state is adopted under the semantic cache's rule.  A
+  // publish that re-resolves the target's bins (a new carrier) leaves
+  // the speculation on the old bin table, and the signature does not
+  // see resolved bins, so the submitted query must start cold and answer
+  // as a fresh engine does, with the new carrier's bin.
+  IngestFixture f = MakeIngestFlights(1000, 1200);
+  engines::ProgressiveEngineConfig config;
+  config.enable_speculation = true;
+  config.enable_reuse = false;
+  engines::ProgressiveEngine engine(config);
+  ASSERT_TRUE(engine.Prepare(f.catalog).ok());
+
+  query::QuerySpec src = CountByCarrier(*f.catalog);
+  src.viz_name = "src";
+  src.bins[0].column = "day_of_week";
+  ASSERT_TRUE(src.ResolveBins(*f.catalog).ok());
+  query::QuerySpec tgt = CountByCarrier(*f.catalog);
+  tgt.viz_name = "tgt";
+  // Submitting both makes them the link's endpoints.
+  for (const query::QuerySpec& spec : {src, tgt}) {
+    auto h = engine.Submit(spec);
+    ASSERT_TRUE(h.ok());
+    engine.Cancel(*h);
+  }
+  engine.LinkVizs("src", "tgt");
+  engine.OnThink(2'000'000);
+
+  RowBatch batch = BatchFromTable(*f.source, 1000, 1200);
+  const size_t carrier =
+      static_cast<size_t>(f.source->ColumnIndex("carrier"));
+  for (std::vector<std::string>& row : batch.rows) row[carrier] = "NEWCARRIER";
+  ASSERT_TRUE(f.ingestor->Append(batch).ok());
+  ASSERT_TRUE(f.ingestor->Publish().ok());
+
+  // "tgt with day_of_week in bin 0", resolved after the publish, built
+  // as the engine builds its speculative candidates.
+  query::QuerySpec candidate = CountByCarrier(*f.catalog);
+  candidate.viz_name = "tgt";
+  ASSERT_EQ(candidate.bins[0].bin_count, tgt.bins[0].bin_count + 1);
+  const query::BinDimension& dim = src.bins[0];
+  expr::Predicate selection;
+  selection.column = dim.column;
+  selection.op = expr::CompareOp::kIn;
+  selection.set_values = {dim.lo};
+  selection.string_values = {dim.BinLabel(0, f.catalog->fact_table())};
+  candidate.filter.And(selection);
+
+  const auto run_to_completion = [&](engines::ProgressiveEngine* e,
+                                     query::QueryResult* out) {
+    auto h = e->Submit(candidate);
+    ASSERT_TRUE(h.ok());
+    for (int i = 0; i < 64 && !e->IsDone(*h); ++i) {
+      e->RunFor(*h, 10'000'000'000LL);
+    }
+    ASSERT_TRUE(e->IsDone(*h));
+    auto r = e->PollResult(*h);
+    ASSERT_TRUE(r.ok());
+    *out = *r;
+  };
+  query::QueryResult answer;
+  ASSERT_NO_FATAL_FAILURE(run_to_completion(&engine, &answer));
+  EXPECT_EQ(engine.speculation_hits(), 0);
+  engines::ProgressiveEngine fresh(config);
+  ASSERT_TRUE(fresh.Prepare(f.catalog).ok());
+  query::QueryResult expected;
+  ASSERT_NO_FATAL_FAILURE(run_to_completion(&fresh, &expected));
+  EXPECT_EQ(answer.rows_processed, 1200);
+  EXPECT_EQ(Canon(answer), Canon(expected));
+}
+
 TEST(IngestPinningTest, SemanticCacheKeepsLiveQueryPinned) {
   // An equal query submitted after a publish must not re-pin the sample
   // state a live handle is still walking: that handle stays pinned at

@@ -99,7 +99,7 @@ TEST(ReuseCacheTest, EqualAndRefinementMatching) {
   auto bound = BoundQuery::Bind(base, *catalog);
   ASSERT_TRUE(bound.ok());
   BinnedAggregator agg(&*bound, Recording());
-  agg.ProcessRange(0, 1000);
+  agg.Process(FeedOrder::Scan(), 0, 1000);
   cache.Store(base, agg, BinderFor(catalog));
   ASSERT_EQ(cache.size(), 1u);
 
@@ -137,7 +137,7 @@ TEST(ReuseCacheTest, EpochGrowthDeltaVsInvalidateModes) {
   auto bound = BoundQuery::Bind(spec, *catalog);
   ASSERT_TRUE(bound.ok());
   BinnedAggregator agg(&*bound, Recording());
-  agg.ProcessRange(0, 1000);
+  agg.Process(FeedOrder::Scan(), 0, 1000);
 
   // The cache keeps no epoch state: after an epoch publish the same
   // lookup is still an equal hit, and serving the grown feed caps at the
@@ -159,7 +159,7 @@ TEST(ReuseCacheTest, ReshapedBinTablesDowngradeToReplay) {
   auto bound = BoundQuery::Bind(stored, *catalog);
   ASSERT_TRUE(bound.ok());
   BinnedAggregator agg(&*bound, Recording());
-  agg.ProcessRange(0, 1500);
+  agg.Process(FeedOrder::Scan(), 0, 1500);
   cache.Store(stored, agg, BinderFor(catalog));
 
   // An epoch publish re-resolves the spec's bins (here: the nominal
@@ -179,7 +179,7 @@ TEST(ReuseCacheTest, ReshapedBinTablesDowngradeToReplay) {
   auto grown_bound = BoundQuery::Bind(grown, *catalog);
   ASSERT_TRUE(grown_bound.ok());
   BinnedAggregator shallow(&*grown_bound, Recording());
-  shallow.ProcessRange(0, 1000);
+  shallow.Process(FeedOrder::Scan(), 0, 1000);
   cache.Store(grown, shallow, BinderFor(catalog));
   EXPECT_EQ(cache.size(), 1u);
   const auto after = cache.Lookup(grown);
@@ -195,26 +195,26 @@ TEST(ReuseCacheTest, StoreKeepsDeepestWatermark) {
   ASSERT_TRUE(bound.ok());
 
   BinnedAggregator deep(&*bound, Recording());
-  deep.ProcessRange(0, 2000);
+  deep.Process(FeedOrder::Scan(), 0, 2000);
   cache.Store(spec, deep, BinderFor(catalog));
   EXPECT_EQ(cache.Lookup(spec).watermark(), 2000);
 
   // A shallower snapshot of the same signature must not replace it.
   BinnedAggregator shallow(&*bound, Recording());
-  shallow.ProcessRange(0, 500);
+  shallow.Process(FeedOrder::Scan(), 0, 500);
   cache.Store(spec, shallow, BinderFor(catalog));
   EXPECT_EQ(cache.Lookup(spec).watermark(), 2000);
 
   // A deeper one does.
   BinnedAggregator deeper(&*bound, Recording());
-  deeper.ProcessRange(0, 2500);
+  deeper.Process(FeedOrder::Scan(), 0, 2500);
   cache.Store(spec, deeper, BinderFor(catalog));
   EXPECT_EQ(cache.Lookup(spec).watermark(), 2500);
 
   // Aggregators without a recorder are not cacheable.
   ReuseCache fresh;
   BinnedAggregator unrecorded(&*bound);
-  unrecorded.ProcessRange(0, 100);
+  unrecorded.Process(FeedOrder::Scan(), 0, 100);
   fresh.Store(spec, unrecorded, BinderFor(catalog));
   EXPECT_EQ(fresh.size(), 0u);
 }
@@ -230,7 +230,7 @@ TEST(ReuseCacheTest, ServeIsBitIdenticalToDirectProcessing) {
   ASSERT_TRUE(bound.ok());
 
   BinnedAggregator source(&*bound, Recording());
-  source.ProcessRange(0, 2000);
+  source.Process(FeedOrder::Scan(), 0, 2000);
   cache.Store(base, source, BinderFor(catalog));
   auto match = cache.Lookup(base);
   ASSERT_EQ(match.kind, ReuseCache::MatchKind::kEqual);
@@ -239,9 +239,9 @@ TEST(ReuseCacheTest, ServeIsBitIdenticalToDirectProcessing) {
   {
     BinnedAggregator served(&*bound, Recording());
     EXPECT_EQ(ReuseCache::Serve(match, &served, 0, 2600), 2000);
-    served.ProcessRange(2000, 2600);
+    served.Process(FeedOrder::Scan(), 2000, 2600);
     BinnedAggregator direct(&*bound, Recording());
-    direct.ProcessRange(0, 2600);
+    direct.Process(FeedOrder::Scan(), 0, 2600);
     EXPECT_EQ(served.rows_seen(), direct.rows_seen());
     EXPECT_EQ(served.rows_matched(), direct.rows_matched());
     testharness::ExpectResultsBitIdentical(
@@ -259,7 +259,7 @@ TEST(ReuseCacheTest, ServeIsBitIdenticalToDirectProcessing) {
     BinnedAggregator served(&*bound, Recording());
     EXPECT_EQ(ReuseCache::Serve(match, &served, 0, 700), 700);
     BinnedAggregator direct(&*bound, Recording());
-    direct.ProcessRange(0, 700);
+    direct.Process(FeedOrder::Scan(), 0, 700);
     EXPECT_EQ(served.rows_seen(), direct.rows_seen());
     EXPECT_EQ(served.rows_matched(), direct.rows_matched());
     testharness::ExpectResultsBitIdentical(
@@ -278,7 +278,7 @@ TEST(ReuseCacheTest, ServeIsBitIdenticalToDirectProcessing) {
     BinnedAggregator served(&*refined_bound, Recording());
     EXPECT_EQ(ReuseCache::Serve(refined_match, &served, 0, 2000), 2000);
     BinnedAggregator direct(&*refined_bound, Recording());
-    direct.ProcessRange(0, 2000);
+    direct.Process(FeedOrder::Scan(), 0, 2000);
     EXPECT_EQ(served.rows_seen(), direct.rows_seen());
     EXPECT_EQ(served.rows_matched(), direct.rows_matched());
     testharness::ExpectResultsBitIdentical(
@@ -300,7 +300,7 @@ TEST(ReuseCacheTest, ServeIsBitIdenticalToDirectProcessing) {
 }
 
 /// Snapshots compose with morsel-parallel continuation: adopting a
-/// snapshot then feeding the rest through MorselProcessRange equals the
+/// snapshot then feeding the rest through MorselProcess equals the
 /// same call sequence without the cache, at any parallelism.
 TEST(ReuseCacheTest, ServeComposesWithMorselPathMergeFrom) {
   auto catalog = MakeCatalog();
@@ -311,8 +311,8 @@ TEST(ReuseCacheTest, ServeComposesWithMorselPathMergeFrom) {
   ASSERT_TRUE(bound.ok());
 
   BinnedAggregator source(&*bound, Recording());
-  MorselProcessRange(&source, 0, 1500, /*parallelism=*/4,
-                     /*morsel_rows=*/512);
+  MorselProcess(&source, FeedOrder::Scan(), 0, 1500, /*parallelism=*/4,
+                /*morsel_rows=*/512);
   cache.Store(spec, source, BinderFor(catalog));
   auto match = cache.Lookup(spec);
   ASSERT_EQ(match.kind, ReuseCache::MatchKind::kEqual);
@@ -320,12 +320,14 @@ TEST(ReuseCacheTest, ServeComposesWithMorselPathMergeFrom) {
   for (int parallelism : {1, 2, 4}) {
     BinnedAggregator served(&*bound, Recording());
     ASSERT_EQ(ReuseCache::Serve(match, &served, 0, kRows), 1500);
-    MorselProcessRange(&served, 1500, kRows, parallelism, /*morsel_rows=*/512);
+    MorselProcess(&served, FeedOrder::Scan(), 1500, kRows, parallelism,
+                  /*morsel_rows=*/512);
 
     BinnedAggregator direct(&*bound, Recording());
-    MorselProcessRange(&direct, 0, 1500, /*parallelism=*/2,
-                       /*morsel_rows=*/512);
-    MorselProcessRange(&direct, 1500, kRows, parallelism, /*morsel_rows=*/512);
+    MorselProcess(&direct, FeedOrder::Scan(), 0, 1500, /*parallelism=*/2,
+                  /*morsel_rows=*/512);
+    MorselProcess(&direct, FeedOrder::Scan(), 1500, kRows, parallelism,
+                  /*morsel_rows=*/512);
 
     EXPECT_EQ(served.rows_seen(), direct.rows_seen());
     EXPECT_EQ(served.rows_matched(), direct.rows_matched());
@@ -383,7 +385,7 @@ TEST(ReuseCacheTest, RecorderOverflowDisablesCaching) {
   BinnedAggregatorOptions options = Recording();
   options.record_matches_limit = 100;
   BinnedAggregator agg(&*bound, options);
-  agg.ProcessRange(0, 500);
+  agg.Process(FeedOrder::Scan(), 0, 500);
   EXPECT_TRUE(agg.matches_overflowed());
   EXPECT_TRUE(agg.matched_rows().empty());
   // Results are unaffected by the recorder overflowing.
@@ -401,7 +403,7 @@ TEST(ReuseCacheTest, RecorderOverflowDisablesCaching) {
   // Merging matched rows from a non-recording side poisons the
   // recorder too: the candidate list would otherwise silently miss them.
   BinnedAggregator plain(&*bound);
-  plain.ProcessRange(0, 50);
+  plain.Process(FeedOrder::Scan(), 0, 50);
   BinnedAggregator recording(&*bound, Recording());
   recording.MergeFrom(plain);
   EXPECT_TRUE(recording.matches_overflowed());
@@ -423,7 +425,7 @@ TEST(ReuseCacheTest, ByteBudgetEviction) {
     auto bound = BoundQuery::Bind(spec, *catalog);
     ASSERT_TRUE(bound.ok());
     BinnedAggregator agg(&*bound, Recording());
-    agg.ProcessRange(0, 2000);
+    agg.Process(FeedOrder::Scan(), 0, 2000);
     cache.Store(spec, agg, BinderFor(catalog));
     EXPECT_LE(cache.total_bytes(), options.max_total_bytes);
   }
@@ -448,7 +450,7 @@ TEST(ReuseCacheTest, PerVizLruEviction) {
     auto bound = BoundQuery::Bind(spec, *catalog);
     ASSERT_TRUE(bound.ok());
     BinnedAggregator agg(&*bound, Recording());
-    agg.ProcessRange(0, 200);
+    agg.Process(FeedOrder::Scan(), 0, 200);
     cache.Store(spec, agg, BinderFor(catalog));
   };
 
@@ -481,7 +483,7 @@ TEST(ReuseCacheTest, ClearAndDropViz) {
     auto bound = BoundQuery::Bind(spec, *catalog);
     ASSERT_TRUE(bound.ok());
     BinnedAggregator agg(&*bound, Recording());
-    agg.ProcessRange(0, 100);
+    agg.Process(FeedOrder::Scan(), 0, 100);
     cache.Store(spec, agg, BinderFor(catalog));
   };
   store_for("viz_a");
@@ -491,7 +493,7 @@ TEST(ReuseCacheTest, ClearAndDropViz) {
     auto bound = BoundQuery::Bind(other, *catalog);
     ASSERT_TRUE(bound.ok());
     BinnedAggregator agg(&*bound, Recording());
-    agg.ProcessRange(0, 100);
+    agg.Process(FeedOrder::Scan(), 0, 100);
     cache.Store(other, agg, BinderFor(catalog));
   }
   ASSERT_EQ(cache.size(), 2u);
@@ -515,7 +517,7 @@ TEST(ReuseCacheTest, StatsCountHitsAndMisses) {
   auto bound = BoundQuery::Bind(spec, *catalog);
   ASSERT_TRUE(bound.ok());
   BinnedAggregator agg(&*bound, Recording());
-  agg.ProcessRange(0, 100);
+  agg.Process(FeedOrder::Scan(), 0, 100);
   cache.Store(spec, agg, BinderFor(catalog));
   cache.Lookup(spec);
 

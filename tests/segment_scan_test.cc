@@ -2,10 +2,10 @@
 /// Scans over a catalog loaded from packed segment files
 /// (`LoadCatalogSegments`) against the in-memory catalog it was packed
 /// from, for a double column whose middle segment is entirely NaN — as an
-/// aggregate input and as the bin column.  Both go through the engine's
-/// one scan path, `ProcessRangeParallel`, at 1 thread (sequential
-/// contract) and 4 threads (morsel contract); results must be
-/// bit-identical.
+/// aggregate input and as the bin column.  Both go through the engines'
+/// two scan paths: `BinnedAggregator::Process` at 1 thread (sequential
+/// contract) and `MorselProcess` at 4 threads (morsel contract); results
+/// must be bit-identical.
 
 #include <limits>
 #include <memory>
@@ -130,7 +130,11 @@ ScanRun Scan(const storage::Catalog& catalog, const QuerySpec& spec,
       std::make_unique<BoundQuery>(std::move(bound).MoveValueUnsafe());
   run.agg = std::make_unique<BinnedAggregator>(run.bound.get(),
                                                BinnedAggregatorOptions{});
-  ProcessRangeParallel(run.agg.get(), 0, kRows, threads);
+  if (threads == 1) {
+    run.agg->Process(FeedOrder::Scan(), 0, kRows);
+  } else {
+    MorselProcess(run.agg.get(), FeedOrder::Scan(), 0, kRows, threads);
+  }
   return run;
 }
 

@@ -18,7 +18,9 @@
 #include <gtest/gtest.h>
 
 #include "chaos/fault_injector.h"
+#include "common/logging.h"
 #include "common/random.h"
+#include "storage/durable_io.h"
 #include "storage/segment.h"
 
 namespace idebench::storage {
@@ -345,6 +347,65 @@ TEST(SegmentFileTest, EveryTruncationIsRejected) {
                                       static_cast<std::ptrdiff_t>(len)));
     auto opened = SegmentFile::Open(file.path());
     EXPECT_FALSE(opened.ok()) << "truncation to " << len << " was accepted";
+  }
+}
+
+/// A checksum-valid file with no rows and one column, whose footer
+/// claims `dict_size` dictionary entries and `num_rows` rows; the magics
+/// come from a real file, the checksum is recomputed.
+std::vector<uint8_t> CraftedSegmentFile(DataType type, uint32_t dict_size,
+                                        int64_t num_rows) {
+  const Table real = MakeMixedTable(16);
+  TempPath file("crafted_source.seg");
+  IDB_CHECK(WriteSegmentFile(real, file.path()).ok());
+  const std::vector<uint8_t> bytes = ReadAll(file.path());
+  const std::string head(bytes.begin(), bytes.begin() + 8);
+  const std::string tail(bytes.end() - 8, bytes.end());
+
+  std::string footer;
+  PutString(&footer, "t");
+  PutU64(&footer, static_cast<uint64_t>(num_rows));
+  PutU64(&footer, static_cast<uint64_t>(num_rows / kSegmentRows +
+                                        (num_rows % kSegmentRows != 0)));
+  PutU32(&footer, 1);  // columns
+  PutString(&footer, "c");
+  PutU8(&footer, static_cast<uint8_t>(type));
+  PutU8(&footer, 0);  // kind
+  PutU32(&footer, dict_size);
+  std::string file_bytes = head + footer;
+  PutU64(&file_bytes, footer.size());
+  PutU64(&file_bytes,
+         Fnv1a(reinterpret_cast<const uint8_t*>(file_bytes.data()),
+               file_bytes.size()));
+  file_bytes += tail;
+  return std::vector<uint8_t>(file_bytes.begin(), file_bytes.end());
+}
+
+TEST(SegmentFileTest, HostileFooterCountsAreRejectedBeforeAllocating) {
+  // The counts pass the checksum, so only the footer parser can refuse
+  // them: 2^32 - 1 dictionary entries in a 68-byte file, and 2^46 or
+  // 2^48 segments per column (the latter from the largest row count,
+  // which must not overflow the segment-count check).  Each must fail
+  // on its field, not reserve.
+  TempPath file("hostile.seg");
+  const std::vector<uint8_t> dict =
+      CraftedSegmentFile(DataType::kString, 0xFFFFFFFFu, 0);
+  ASSERT_EQ(dict.size(), 68u);
+  WriteAll(file.path(), dict);
+  auto opened = SegmentFile::Open(file.path());
+  ASSERT_FALSE(opened.ok());
+  EXPECT_NE(opened.status().message().find("dictionary size"),
+            std::string::npos)
+      << opened.status().ToString();
+
+  for (const int64_t rows :
+       {int64_t{1} << 62, std::numeric_limits<int64_t>::max()}) {
+    WriteAll(file.path(), CraftedSegmentFile(DataType::kInt64, 0, rows));
+    opened = SegmentFile::Open(file.path());
+    ASSERT_FALSE(opened.ok());
+    EXPECT_NE(opened.status().message().find("segment count larger"),
+              std::string::npos)
+        << opened.status().ToString();
   }
 }
 

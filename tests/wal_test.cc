@@ -26,6 +26,7 @@
 #include "ingest/ingest.h"
 #include "net/protocol.h"
 #include "storage/catalog.h"
+#include "storage/durable_io.h"
 #include "storage/segment.h"
 #include "storage/table.h"
 
@@ -204,6 +205,57 @@ TEST(WalCorruptionTest, EveryByteFlipNeverSilentlyDropsACommittedEpoch) {
       EXPECT_FALSE(scan.ok()) << "flip at " << pos << " was accepted";
     }
   }
+}
+
+TEST(WalCorruptionTest, HostileBatchCountsAreRefusedBeforeAllocating) {
+  // A checksum-valid batch record claiming 2^32 - 1 rows of no columns
+  // (75 bytes with the header): only the payload parser can refuse it,
+  // and it must do so before reserving room for the rows.
+  TempDir dir("wal_hostile");
+  const std::string path = dir.path() + "/hostile.wal";
+  WalHeader header;
+  header.table_name = "t";
+  header.baseline_rows = 100;
+  header.num_columns = 3;
+  ASSERT_TRUE(WalWriter::Create(path, header, WalOptions()).ok());
+  std::vector<uint8_t> bytes = ReadAll(path);
+  ASSERT_EQ(bytes.size(), 42u);
+
+  std::string frame(bytes.begin(), bytes.begin() + 4);  // the magic
+  storage::PutU8(&frame, static_cast<uint8_t>(WalRecordType::kBatch));
+  storage::PutU64(&frame, 1);  // sequence
+  storage::PutU32(&frame, 8);  // payload bytes
+  storage::PutU32(&frame, 0xFFFFFFFFu);  // rows
+  storage::PutU32(&frame, 0);            // cols
+  storage::PutU64(&frame,
+                  storage::Fnv1a(reinterpret_cast<const uint8_t*>(frame.data()),
+                                 frame.size()));
+  bytes.insert(bytes.end(), frame.begin(), frame.end());
+  ASSERT_EQ(bytes.size(), 75u);
+  WriteAll(path, bytes);
+
+  // Last in the log, it is a torn tail.
+  auto scan = ReadWal(path);
+  ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+  EXPECT_EQ(scan->records.size(), 1u);
+  EXPECT_EQ(scan->valid_bytes, 42u);
+  EXPECT_EQ(scan->torn_bytes, 33u);
+
+  // Followed by a valid record, it is mid-log corruption.
+  std::string commit(bytes.begin(), bytes.begin() + 4);
+  storage::PutU8(&commit, static_cast<uint8_t>(WalRecordType::kCommit));
+  storage::PutU64(&commit, 1);
+  storage::PutU32(&commit, 16);
+  storage::PutU64(&commit, 100);  // watermark
+  storage::PutU64(&commit, 0);    // epoch
+  storage::PutU64(&commit,
+                  storage::Fnv1a(reinterpret_cast<const uint8_t*>(commit.data()),
+                                 commit.size()));
+  bytes.insert(bytes.end(), commit.begin(), commit.end());
+  WriteAll(path, bytes);
+  scan = ReadWal(path);
+  ASSERT_FALSE(scan.ok());
+  EXPECT_EQ(scan.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(WalCorruptionTest, FlipInFinalCommitRecordFallsBackToPreviousCommit) {
