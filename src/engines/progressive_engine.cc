@@ -68,15 +68,16 @@ Result<QueryHandle> ProgressiveEngine::Submit(const query::QuerySpec& spec) {
       speculations_.erase(spec_it);
     }
   }
-  // 3. Cold start.
-  if (state == nullptr) {
+  if (state != nullptr) {
+    // Re-pin the adopted state to the watermark current at this
+    // submission: it keeps its sample, and its walk order is extended
+    // over any epochs published since it last ran.
+    state->pinned_rows = visible_rows();
+    state->order = WalkOrder(state->spec);
+  } else {
+    // 3. Cold start.
     IDB_ASSIGN_OR_RETURN(state, MakeState(spec));
   }
-  // (Re)pin to the watermark current at this submission: an adopted
-  // state keeps its sample, and its walk order is extended over any
-  // epochs published since it last ran.
-  state->pinned_rows = visible_rows();
-  state->order = WalkOrder(state->spec);
   if (config_.enable_reuse) cache_[signature] = state;
 
   Micros overhead = static_cast<Micros>(config_.query_overhead_us);
