@@ -128,10 +128,10 @@ class EngineBase : public Engine {
   /// positions it has bought and the credit it has banked.  The order
   /// says which row each position is — a fact row, a walk step, a sample
   /// index (a scan unless `Submit` picks otherwise) — and the query
-  /// covers positions [0, pinned_rows).  Each handle owns
-  /// one, except that the progressive engine's semantic cache lets equal
-  /// handles share one (and its speculation advances some no handle
-  /// holds yet).  An engine may derive from it to keep fields of its own.
+  /// covers positions [0, pinned_rows).  Each handle owns one, except
+  /// that the progressive engine's semantic cache lets equal handles
+  /// share one (and its speculation advances some no handle holds yet).
+  /// An engine may derive from it to keep fields of its own.
   struct QueryState {
     query::QuerySpec spec;
     std::unique_ptr<exec::BoundQuery> bound;

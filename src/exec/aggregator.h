@@ -24,13 +24,13 @@
 ///    implementation for differential testing, which
 ///    `BinnedAggregatorOptions::enable_vectorized = false` forces for the
 ///    batch entry points too;
-///  * the fused path behind `ProcessBatch` / `Process`: one compiled
-///    plan per query (exec/vectorized.h) walks
-///    each ~1024-row batch once — every distinct column gathered exactly
-///    once, vertical mask predicates, branchless SIMD bin keys — and
-///    accumulates straight into a *dense flat bin table* whenever the
-///    resolved bin-key space is small (the common IDEBench case),
-///    falling back to the hash map transparently otherwise.
+///  * the fused path behind `ProcessBatch` / `Process`: one compiled plan
+///    per query (exec/vectorized.h) walks each ~1024-row batch once —
+///    every distinct column gathered exactly once, vertical mask
+///    predicates, branchless SIMD bin keys — and accumulates straight
+///    into a *dense flat bin table* whenever the resolved bin-key space
+///    is small (the common IDEBench case), falling back to the hash map
+///    transparently otherwise.
 ///
 /// Both paths write the same accumulator streams in the same per-bin
 /// order, so results are bit-identical.

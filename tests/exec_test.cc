@@ -345,9 +345,11 @@ INSTANTIATE_TEST_SUITE_P(SampleSizes, UniformEstimatorProperty,
 /// estimates equals the exact answer — exactly, with no tolerance, when
 /// the scale L/k is an integer.  The parameter is the number of
 /// published epochs of 200 rows the walk spans after its base segment.
-/// With epochs the oracle holds only once the walk apportions positions
-/// across its segments (ROADMAP item "Sample every epoch"), so only 0 is
-/// instantiated here.
+/// With epochs the oracle fails below k = L: the walk takes every base
+/// position before any epoch's, so no window of k positions samples an
+/// ingested row while the estimate scales as if it did.  It holds once
+/// positions are apportioned across segments (ROADMAP item "Sample every
+/// epoch"); until then only 0 is instantiated.
 class WalkKeyOracleTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(WalkKeyOracleTest, MeanOverEveryKeyIsExact) {

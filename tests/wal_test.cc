@@ -221,16 +221,24 @@ TEST(WalCorruptionTest, HostileBatchCountsAreRefusedBeforeAllocating) {
   std::vector<uint8_t> bytes = ReadAll(path);
   ASSERT_EQ(bytes.size(), 42u);
 
-  std::string frame(bytes.begin(), bytes.begin() + 4);  // the magic
-  storage::PutU8(&frame, static_cast<uint8_t>(WalRecordType::kBatch));
-  storage::PutU64(&frame, 1);  // sequence
-  storage::PutU32(&frame, 8);  // payload bytes
-  storage::PutU32(&frame, 0xFFFFFFFFu);  // rows
-  storage::PutU32(&frame, 0);            // cols
-  storage::PutU64(&frame,
-                  storage::Fnv1a(reinterpret_cast<const uint8_t*>(frame.data()),
-                                 frame.size()));
-  bytes.insert(bytes.end(), frame.begin(), frame.end());
+  // Frames a record as the writer does, checksum included.
+  const std::string magic(bytes.begin(), bytes.begin() + 4);
+  const auto frame = [&](WalRecordType type, const std::string& payload) {
+    std::string f = magic;
+    storage::PutU8(&f, static_cast<uint8_t>(type));
+    storage::PutU64(&f, 1);  // sequence
+    storage::PutU32(&f, static_cast<uint32_t>(payload.size()));
+    f += payload;
+    storage::PutU64(
+        &f, storage::Fnv1a(reinterpret_cast<const uint8_t*>(f.data()),
+                           f.size()));
+    return f;
+  };
+  std::string batch;
+  storage::PutU32(&batch, 0xFFFFFFFFu);  // rows
+  storage::PutU32(&batch, 0);            // cols
+  const std::string hostile = frame(WalRecordType::kBatch, batch);
+  bytes.insert(bytes.end(), hostile.begin(), hostile.end());
   ASSERT_EQ(bytes.size(), 75u);
   WriteAll(path, bytes);
 
@@ -242,16 +250,11 @@ TEST(WalCorruptionTest, HostileBatchCountsAreRefusedBeforeAllocating) {
   EXPECT_EQ(scan->torn_bytes, 33u);
 
   // Followed by a valid record, it is mid-log corruption.
-  std::string commit(bytes.begin(), bytes.begin() + 4);
-  storage::PutU8(&commit, static_cast<uint8_t>(WalRecordType::kCommit));
-  storage::PutU64(&commit, 1);
-  storage::PutU32(&commit, 16);
+  std::string commit;
   storage::PutU64(&commit, 100);  // watermark
   storage::PutU64(&commit, 0);    // epoch
-  storage::PutU64(&commit,
-                  storage::Fnv1a(reinterpret_cast<const uint8_t*>(commit.data()),
-                                 commit.size()));
-  bytes.insert(bytes.end(), commit.begin(), commit.end());
+  const std::string valid = frame(WalRecordType::kCommit, commit);
+  bytes.insert(bytes.end(), valid.begin(), valid.end());
   WriteAll(path, bytes);
   scan = ReadWal(path);
   ASSERT_FALSE(scan.ok());
