@@ -61,7 +61,7 @@ query::QuerySpec CountByCarrierSpec() {
   return spec;
 }
 
-/// The sampled-aggregation hot loop: a shuffled walk over the fact table
+/// The sampled-aggregation hot loop: a sampling walk over the fact table
 /// feeding a filtered, binned COUNT + AVG — the per-row work every
 /// sampling engine performs.  Three variants trace the perf trajectory:
 /// scalar reference, vectorized kernels + hash bin table, and vectorized
@@ -91,13 +91,15 @@ query::QuerySpec HotLoopSpec() {
   return spec;
 }
 
-/// Shuffled row order shared by the hot-loop variants (sampling engines
-/// walk a random permutation, not the physical order).
+/// Row order shared by the hot-loop variants: a whole walk as the
+/// sampling engines take it, the table's own rows as a ring rotated to
+/// start mid-table.
 const std::vector<int64_t>& SharedWalk() {
   static const std::vector<int64_t> walk = [] {
-    Rng rng(17);
-    aqp::ShuffledIndex index(SharedTable().num_rows(), &rng);
-    return index.permutation();
+    const int64_t rows = SharedTable().num_rows();
+    std::vector<int64_t> out(static_cast<size_t>(rows));
+    aqp::ShuffledIndex(rows).GatherWalk(/*key=*/rows / 2, 0, rows, out.data());
+    return out;
   }();
   return walk;
 }
@@ -155,7 +157,7 @@ void BM_HotLoopVectorized(benchmark::State& state) {
 }
 BENCHMARK(BM_HotLoopVectorized);
 
-/// Morsel-parallel variant of the hot loop: the same shuffled walk, fed
+/// Morsel-parallel variant of the hot loop: the same sampling walk, fed
 /// through exec::MorselProcess at 1/2/4/8 worker threads.  Each
 /// iteration walks the table `kWalkRepeats` times so it feeds many
 /// 64K-row morsels (a single pass over the 100K-row table is barely two).
@@ -168,15 +170,13 @@ void BM_HotLoopParallel(benchmark::State& state) {
   query::QuerySpec spec = HotLoopSpec();
   auto bound = exec::BoundQuery::Bind(spec, *catalog);
   IDB_CHECK(bound.ok());
-  static const aqp::ShuffledIndex* walk_order = [] {
-    Rng rng(17);
-    return new aqp::ShuffledIndex(SharedTable().num_rows(), &rng);
-  }();
-  const int64_t rows = walk_order->size();
+  const int64_t rows = SharedTable().num_rows();
+  const aqp::ShuffledIndex walk_order(rows);
   for (auto _ : state) {
     exec::BinnedAggregator agg(&*bound);
     for (int64_t r = 0; r < kWalkRepeats; ++r) {
-      exec::MorselProcess(&agg, exec::FeedOrder::Walk(walk_order, /*key=*/0),
+      exec::MorselProcess(&agg,
+                          exec::FeedOrder::Walk(&walk_order, /*key=*/rows / 2),
                           0, rows, threads);
     }
     benchmark::DoNotOptimize(agg.rows_matched());
@@ -483,16 +483,6 @@ void BM_StratifiedSampleBuild(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * SharedTable().num_rows());
 }
 BENCHMARK(BM_StratifiedSampleBuild);
-
-void BM_ShuffledIndexBuild(benchmark::State& state) {
-  Rng rng(2);
-  for (auto _ : state) {
-    aqp::ShuffledIndex index(SharedTable().num_rows(), &rng);
-    benchmark::DoNotOptimize(index.size());
-  }
-  state.SetItemsProcessed(state.iterations() * SharedTable().num_rows());
-}
-BENCHMARK(BM_ShuffledIndexBuild);
 
 void BM_FlightsSeedGeneration(benchmark::State& state) {
   datagen::FlightsSeedConfig config;

@@ -2,25 +2,23 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <unordered_map>
 
 #include "common/logging.h"
 
 namespace idebench::aqp {
 
-ShuffledIndex::ShuffledIndex(int64_t n, Rng* rng) {
-  permutation_.resize(static_cast<size_t>(std::max<int64_t>(n, 0)));
-  for (int64_t i = 0; i < n; ++i) permutation_[static_cast<size_t>(i)] = i;
-  rng->Shuffle(&permutation_);
-  bounds_ = {size()};
-}
+ShuffledIndex::ShuffledIndex(int64_t base_rows)
+    : bounds_{std::max<int64_t>(base_rows, 0)} {}
 
 void ShuffledIndex::GatherWalk(int64_t key, int64_t start_pos, int64_t count,
                                int64_t* out) const {
   if (size() <= 0 || count <= 0) return;
   IDB_CHECK(key >= 0 && start_pos >= 0);
   // Locate the segment containing start_pos, then stream runs segment by
-  // segment; within a segment the walk is a ring rotated by key % len.
+  // segment; within a segment the walk is a ring rotated by key % len,
+  // so each segment yields at most two runs.
   size_t seg = static_cast<size_t>(
       std::upper_bound(bounds_.begin(), bounds_.end(), start_pos) -
       bounds_.begin());
@@ -36,8 +34,13 @@ void ShuffledIndex::GatherWalk(int64_t key, int64_t start_pos, int64_t count,
     int64_t left = take;
     while (left > 0) {
       const int64_t run = std::min(left, len - local);
-      std::copy_n(permutation_.begin() + static_cast<ptrdiff_t>(s0 + local),
-                  static_cast<size_t>(run), out);
+      if (seg == 0) {
+        std::iota(out, out + run, local);  // the base: the table's order
+      } else {
+        std::copy_n(epoch_rows_.begin() +
+                        static_cast<ptrdiff_t>(s0 - bounds_[0] + local),
+                    static_cast<size_t>(run), out);
+      }
       out += run;
       left -= run;
       local = 0;
@@ -52,11 +55,9 @@ void ShuffledIndex::ExtendTo(int64_t new_n, Rng* rng) {
   const int64_t old_n = size();
   if (new_n <= old_n) return;
   std::vector<int64_t> tail(static_cast<size_t>(new_n - old_n));
-  for (int64_t i = old_n; i < new_n; ++i) {
-    tail[static_cast<size_t>(i - old_n)] = i;
-  }
+  std::iota(tail.begin(), tail.end(), old_n);
   rng->Shuffle(&tail);
-  permutation_.insert(permutation_.end(), tail.begin(), tail.end());
+  epoch_rows_.insert(epoch_rows_.end(), tail.begin(), tail.end());
   bounds_.push_back(new_n);
 }
 

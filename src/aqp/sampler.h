@@ -4,9 +4,14 @@
 /// \file sampler.h
 /// Sampling primitives used by the approximate engines.
 ///
-///  * `ShuffledIndex` — a random permutation of row ids.  A progressive
-///    engine that walks the permutation front-to-back sees a uniform
-///    sample that grows without replacement (online sampling, IDEA-style).
+///  * `ShuffledIndex` — the walk order of a fact table: its base rows in
+///    the table's own order, then one shuffled segment per ingest epoch.
+///    A progressive engine that walks it front to back sees a uniform
+///    sample that grows without replacement (online sampling,
+///    IDEA-style), because the base rows were drawn independently of
+///    one another: a window of them is a simple random sample, as a
+///    window of a shuffled index would be (VerdictDB's scramble, Park et
+///    al., SIGMOD'18).  `exec::FeedOrder::Walk` states the precondition.
 ///  * `BuildStratifiedSample` — offline stratified sample table with
 ///    per-row Horvitz–Thompson weights (System X-style).
 
@@ -20,45 +25,43 @@
 
 namespace idebench::aqp {
 
-/// A random permutation of [0, n), optionally extended with further
-/// *epoch segments* under streaming ingest.
+/// The walk order of rows [0, size()), in segments: the base segment
+/// [0, base_rows) in the table's own order, then one independently
+/// shuffled segment per `ExtendTo` (an ingest epoch).
 ///
-/// The index is a concatenation of independently shuffled segments: the
-/// constructor builds one segment over [0, n); each `ExtendTo(m, rng)`
-/// appends a shuffled permutation of the new rows [n, m) as its own
-/// segment.  Because earlier segments are never reshuffled, the mapping
-/// of every position below a watermark W is invariant under later
-/// extensions — the *prefix property* that keeps in-flight walks and
-/// cached replay positions valid while new epochs arrive.
+/// Each segment is walked as its own ring, rotated by the per-query key:
+/// position `pos` inside the segment spanning rows [s0, s1) of length L
+/// is step (key % L + (pos - s0)) % L of that segment.  In the base
+/// segment step i is row s0 + i, so a walk reads the base as one or two
+/// contiguous row ranges; in an epoch segment it is the i-th entry of
+/// the epoch's shuffle.  Earlier segments are never touched, so the
+/// mapping of every position below a watermark W is invariant under
+/// later extensions — the *prefix property* that keeps in-flight walks
+/// and cached replay positions valid while new epochs arrive.
 class ShuffledIndex {
  public:
-  /// Builds a permutation of `n` row ids with `rng`.
-  ShuffledIndex(int64_t n, Rng* rng);
+  /// A walk over base rows [0, base_rows) with no epoch segment yet.
+  explicit ShuffledIndex(int64_t base_rows);
 
-  /// Segment-aware keyed walk: copies `count` row ids starting at walk
-  /// position `start_pos` into `out`.  Position `pos` inside the segment
-  /// spanning rows [s0, s1) of length L maps to `permutation[s0 + (key %
-  /// L + (pos - s0)) % L]` — each segment is walked as its own ring,
-  /// rotated by the per-query `key`.  Positions must stay below the
-  /// current total size.
+  /// Copies the `count` row ids of the walk keyed `key` from walk
+  /// position `start_pos` on into `out` (the ring mapping above).
+  /// Positions must stay below the current total size.
   void GatherWalk(int64_t key, int64_t start_pos, int64_t count,
                   int64_t* out) const;
 
-  /// Appends rows [size(), new_n) as one new shuffled segment.  No-op
-  /// when `new_n <= size()`.
+  /// Appends rows [size(), new_n) as one new segment, shuffled with
+  /// `rng`.  No-op when `new_n <= size()`.
   void ExtendTo(int64_t new_n, Rng* rng);
 
-  int64_t size() const { return static_cast<int64_t>(permutation_.size()); }
+  int64_t size() const { return bounds_.back(); }
 
-  const std::vector<int64_t>& permutation() const { return permutation_; }
-
-  /// Cumulative segment end positions: {n} after construction, one more
-  /// entry per `ExtendTo`.
+  /// Cumulative segment end positions: {base_rows} after construction,
+  /// one more entry per `ExtendTo`.
   const std::vector<int64_t>& segment_bounds() const { return bounds_; }
 
  private:
-  std::vector<int64_t> permutation_;
-  std::vector<int64_t> bounds_;  // cumulative segment ends
+  std::vector<int64_t> epoch_rows_;  // shuffled rows [bounds_[0], size())
+  std::vector<int64_t> bounds_;      // cumulative segment ends
 };
 
 /// An offline stratified sample: base-table row ids plus per-row weights

@@ -100,17 +100,18 @@ uint64_t StableHash(const std::string& s, uint64_t seed) {
 
 exec::FeedOrder EngineBase::WalkOrder(const query::QuerySpec& spec) {
   if (shuffled_ == nullptr) {
-    // Ingest-enabled tables: the base index covers only the first epoch
-    // (the pre-ingest rows); epochs published *before* this engine
-    // attached are appended below through the same per-epoch streams a
-    // live engine would have used, so the walk is a pure function of the
+    // The base segment is the table's own row order, so it needs no
+    // index.  Ingest-enabled tables: it covers only the first epoch (the
+    // pre-ingest rows); epochs published *before* this engine attached
+    // are appended below through the same per-epoch streams a live
+    // engine would have used, so the walk is a pure function of the
     // table's epoch history, not of when the engine showed up.
     int64_t base = actual_rows_;
     const storage::Table* t = catalog_->fact_table();
     if (t->ingest_enabled() && !t->epoch_boundaries().empty()) {
       base = std::min(base, t->epoch_boundaries().front());
     }
-    shuffled_ = std::make_unique<aqp::ShuffledIndex>(base, &rng_);
+    shuffled_ = std::make_unique<aqp::ShuffledIndex>(base);
   }
   // Streaming ingest: cover any epochs published since the last call,
   // one segment per epoch, before any of their positions is fed.  Each

@@ -90,9 +90,9 @@ class EngineBase : public Engine {
 
   /// Physically materialized fact rows *at attach time* (drives the cost
   /// model and walk keys).  Deliberately frozen under streaming ingest:
-  /// per-query walk keys hash modulo this value, and reuse replay
-  /// requires the same core signature to keep the same key for the
-  /// lifetime of the engine.
+  /// a query's walk key, which picks the base row its walk starts at,
+  /// hashes modulo this value, and reuse replay requires the same core
+  /// signature to keep the same key for the lifetime of the engine.
   int64_t actual_rows() const { return actual_rows_; }
 
   /// Fact rows visible under the current published watermark — equals
@@ -203,14 +203,17 @@ class EngineBase : public Engine {
   const storage::Catalog& catalog() const { return *catalog_; }
 
   /// The walk order of `spec`, the basis of without-replacement online
-  /// sampling.  It walks the engine's one shuffled row order over the
-  /// fact table, built on first use and extended here over every epoch
-  /// published since.  Its key is stable-hashed from the engine seed and
-  /// the spec's *core* signature, so queries that differ only in their
-  /// predicate sets share one walk — the precondition for replaying a
-  /// cached prefix under a refined filter — and repeated submissions
-  /// re-walk identical rows.  Call it wherever a query is pinned: the
-  /// order then covers every position below the pinned watermark.
+  /// sampling: the fact table's base rows in their own order, as a ring
+  /// rotated by the query's key, then one shuffled ring per epoch
+  /// published since (`exec::FeedOrder::Walk` states the precondition on
+  /// the base's order).  The engine keeps one such index, created on
+  /// first use and extended here.  The key is stable-hashed from the
+  /// engine seed and the spec's *core* signature, so queries that differ
+  /// only in their predicate sets share one walk — the precondition for
+  /// replaying a cached prefix under a refined filter — and repeated
+  /// submissions re-walk identical rows.  Call it wherever a query is
+  /// pinned: the order then covers every position below the pinned
+  /// watermark.
   exec::FeedOrder WalkOrder(const query::QuerySpec& spec);
 
  private:

@@ -61,7 +61,7 @@ class OnlineEngine : public EngineBase {
 
  private:
   struct OnlineQuery : QueryState {
-    bool online = false;           // shuffled walk; else blocking fallback
+    bool online = false;           // sampling walk; else blocking fallback
     Micros work_done_us = 0;       // virtual work spent on rows so far
     Micros last_report_us = 0;     // work mark of the published snapshot
     query::QueryResult snapshot;   // last published intermediate result

@@ -24,7 +24,7 @@ Result<std::shared_ptr<EngineBase::QueryState>> ProgressiveEngine::MakeState(
   const double mult = ComplexityMultiplier(spec, state->joins, config_.factors);
   state->row_cost_us = config_.sample_us_per_row * mult;
   // Stable per-core-signature walk: equal or refined queries re-walk the
-  // same permutation positions, which is what lets the reuse cache
+  // same walk positions, which is what lets the reuse cache
   // replay one query's candidates under another's filter.
   state->order = WalkOrder(spec);
   state->pinned_rows = visible_rows();

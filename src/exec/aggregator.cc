@@ -352,7 +352,8 @@ void BinnedAggregator::Process(const FeedOrder& order, int64_t begin,
       return;
     case FeedOrder::Kind::kWalk:
       // The shared hot loop of the sampling engines: gather each batch
-      // of walk steps, then feed it.
+      // of walk steps (over the base, one contiguous row range, or two
+      // where the batch wraps the ring), then feed it.
       for (int64_t pos = begin; pos < end; pos += kVectorBatchSize) {
         const int64_t c = std::min(end - pos, kVectorBatchSize);
         order.index->GatherWalk(order.key, pos, c, rows.data());

@@ -40,8 +40,11 @@
 /// provably cannot contain a match are skipped wholesale (rows still
 /// advance `rows_seen()`, so results stay bit-identical).  This, the scan
 /// branch of `Process`, is the only place a scan prunes; the morsel path
-/// reaches it once per morsel.  Walks and samples cannot prune — their
-/// batches mix rows from every block.
+/// reaches it once per morsel.  Walks and samples do not prune: a
+/// sample's batches mix rows from every block, and a walk's base window
+/// runs over an unordered table (`FeedOrder::Walk`'s precondition), where
+/// every block's bounds span nearly the whole value range and would
+/// almost never exclude it.
 ///
 /// For multi-core execution (exec/parallel.h) an aggregator is
 /// *mergeable*: morsel workers accumulate into partial aggregators
@@ -125,9 +128,20 @@ struct BinnedAggregatorOptions {
 ///  * `Scan()` — position p is fact row p, at weight 1 (the blocking
 ///    engine, the online engine's fallback, the ground-truth oracle).
 ///    The one form that prunes by zone map: its positions are blocks.
-///  * `Walk(index, key)` — position p is step p of the keyed
-///    per-epoch-segment walk `index->GatherWalk(key, ...)`, at weight 1
-///    (the progressive engine, the online engine's sampling path).
+///  * `Walk(index, key)` — position p is step p of the keyed walk
+///    `index->GatherWalk(key, ...)`, at weight 1 (the progressive engine,
+///    the online engine's sampling path).  Over a base of B rows,
+///    position p is fact row (key % B + p) % B: a window over the table's
+///    own order, rotated by the key, with no per-row index; each
+///    published epoch is a ring over its own shuffle.  Precondition: the
+///    base rows were drawn independently of one another, so every window
+///    of them is a simple random sample.  Outside hand-built test
+///    fixtures every fact table the engines read comes from
+///    `datagen::ScaleDataset` — directly, normalized, packed to segments,
+///    round-tripped through CSV, or scaled from a CSV seed — which draws
+///    each row independently; `WalkPreconditionTest` (core_test.cc)
+///    fails if its output is ever sorted or clustered.  A table ordered
+///    by a column would bias every walk that stops short of the whole.
 ///  * `Sample(sample)` — position p is `sample->rows[p]` at weight
 ///    `sample->weights[p]` (the stratified engine).  The sample is laid
 ///    out stratum by stratum, so its weights form runs of equal values,

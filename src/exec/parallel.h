@@ -26,7 +26,7 @@
 /// inside each morsel's `BinnedAggregator::Process`, the one place blocks
 /// are skipped: a morsel is one zone block's worth of rows, so a
 /// dispatcher-level check would test the same blocks again.  Walks and
-/// samples mix rows from every block and never prune.
+/// samples never prune (exec/aggregator.h's file comment says why).
 ///
 /// Determinism contract: the morsel decomposition and the merge order
 /// depend only on the input range and the morsel size — never on the

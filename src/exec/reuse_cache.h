@@ -14,7 +14,7 @@
 ///    by the normalized query signature (`query::QuerySpec::Signature`:
 ///    bin spec + aggregates + canonicalized predicate set; the table and
 ///    join chain are implied by the catalog) together with the
-///    sampled-row *watermark* — how far along its feed (shuffled walk,
+///    sampled-row *watermark* — how far along its feed (sampling walk,
 ///    scan, or weighted sample) the snapshot got.
 ///  * A subsumption matcher recognizes when a new interaction's predicate
 ///    set is *equal to* a cached entry (serve the snapshot and continue

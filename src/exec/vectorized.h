@@ -49,8 +49,8 @@
 /// `BlockCanMatch` before scanning each block; the tests evaluate the
 /// *same* monotone floating-point expressions as the kernels at the
 /// block bounds, so a skipped block can never contain a matching row.
-/// Walk and sample feeds cannot use them (their batches mix rows from
-/// every block).
+/// Walk and sample feeds do not use them (see exec/aggregator.h's file
+/// comment).
 
 #include <array>
 #include <cstdint>
@@ -66,7 +66,7 @@ namespace idebench::exec {
 inline constexpr int64_t kVectorBatchSize = 1024;
 
 /// One batch of fact rows threaded through the kernels.  `rows` is the
-/// caller-owned gather list (e.g. a slice of a shuffled walk); `sel`
+/// caller-owned gather list (e.g. a slice of a sampling walk); `sel`
 /// holds the indices into `rows` that survived filtering; `keys` holds
 /// the dense bin key per selected row after `FilterAndBin`;
 /// `bin_vals`/`bin_vals2` stash the binned dimension values (compacted

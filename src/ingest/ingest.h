@@ -36,7 +36,7 @@
 /// every publish before the watermark moves, fsynced per `WalOptions`.
 /// After a crash, `Recover` replays the committed prefix over the same
 /// baseline and reconstructs the identical epoch history — post-recovery
-/// queries (stats, shuffled walks, reuse-cache watermarks) are
+/// queries (stats, sampling walks, reuse-cache watermarks) are
 /// bit-identical to a process that never crashed.
 ///
 /// Rows enter as text fields, through one path: a wire `append` frame
@@ -123,10 +123,11 @@ class Ingestor {
   /// against — same fact table name, columns, and row count).  Only
   /// fully committed epochs are replayed, in original batch/publish
   /// order, so the recovered watermark equals the last durable publish
-  /// and the epoch history — hence every epoch-seeded shuffled walk —
-  /// is bit-identical to the uncrashed process's.  The log itself is
-  /// truncated to the committed prefix and appending resumes.  On
-  /// failure the catalog may be partially mutated: discard it.
+  /// and the epoch history — hence every sampling walk, whose epoch
+  /// rings are seeded by epoch — is bit-identical to the uncrashed
+  /// process's.  The log itself is truncated to the committed prefix and
+  /// appending resumes.  On failure the catalog may be partially
+  /// mutated: discard it.
   static Result<std::unique_ptr<Ingestor>> Recover(
       const std::shared_ptr<storage::Catalog>& catalog, int64_t capacity,
       const std::string& wal_dir, WalOptions options = WalOptions(),

@@ -14,7 +14,7 @@
 ///  * only fully committed epochs become visible — a batch without a
 ///    following commit record is dropped wholesale;
 ///  * the recovered watermark equals the last durable publish;
-///  * because a shuffled walk is a pure function of (seed, epoch
+///  * because a sampling walk is a pure function of (seed, epoch
 ///    history), post-recovery queries are bit-identical to a process
 ///    that never crashed.
 ///

@@ -37,12 +37,16 @@ TEST(ConfidenceTest, ZScores) {
   EXPECT_EQ(ZScoreForConfidence(0.0), 0.0);
 }
 
-TEST(ShuffledIndexTest, IsPermutation) {
-  Rng rng(1);
-  ShuffledIndex index(100, &rng);
-  std::vector<int64_t> sorted = index.permutation();
-  std::sort(sorted.begin(), sorted.end());
-  for (int64_t i = 0; i < 100; ++i) EXPECT_EQ(sorted[static_cast<size_t>(i)], i);
+constexpr int64_t kBaseRows = 800;
+constexpr int64_t kEpochRows = 200;
+
+/// Appends `epochs` segments of 200 rows to `index`, each shuffled by its
+/// own stream, as `EngineBase::WalkOrder` extends a walk per epoch.
+void AddEpochs(ShuffledIndex* index, int epochs) {
+  for (int e = 0; e < epochs; ++e) {
+    Rng rng = Rng(5).Fork(static_cast<uint64_t>(e));
+    index->ExtendTo(index->size() + kEpochRows, &rng);
+  }
 }
 
 /// Row id at walk position `pos` of the walk keyed `key`.
@@ -52,24 +56,78 @@ int64_t WalkAt(const ShuffledIndex& index, int64_t key, int64_t pos) {
   return row;
 }
 
+/// Checks that the walk keyed `key` over every position of `index` visits
+/// each row exactly once, and each segment's positions only its own rows.
+void ExpectWalkVisitsEachRowOnce(const ShuffledIndex& index, int64_t key) {
+  const int64_t n = index.size();
+  std::vector<int64_t> rows(static_cast<size_t>(n));
+  index.GatherWalk(key, 0, n, rows.data());
+  std::vector<int> visits(static_cast<size_t>(n));
+  int64_t s0 = 0;
+  for (const int64_t s1 : index.segment_bounds()) {
+    for (int64_t pos = s0; pos < s1; ++pos) {
+      const int64_t row = rows[static_cast<size_t>(pos)];
+      ASSERT_GE(row, s0) << "key " << key << " pos " << pos;
+      ASSERT_LT(row, s1) << "key " << key << " pos " << pos;
+      ++visits[static_cast<size_t>(row)];
+    }
+    s0 = s1;
+  }
+  EXPECT_EQ(std::count(visits.begin(), visits.end(), 1), n) << "key " << key;
+}
+
+TEST(ShuffledIndexTest, IsPermutation) {
+  for (const int epochs : {0, 1, 3}) {
+    ShuffledIndex index(kBaseRows);
+    AddEpochs(&index, epochs);
+    ASSERT_EQ(index.size(), kBaseRows + epochs * kEpochRows);
+    for (int64_t key = 0; key < index.size(); ++key) {
+      ExpectWalkVisitsEachRowOnce(index, key);
+    }
+  }
+}
+
 TEST(ShuffledIndexTest, PositionsWrap) {
-  Rng rng(2);
-  ShuffledIndex index(10, &rng);
-  // A walk is a ring: keys wrap modulo n, and a walk keyed k reads the
-  // permutation from position k on, wrapping past the end.
-  EXPECT_EQ(WalkAt(index, 3, 0), WalkAt(index, 13, 0));
-  EXPECT_EQ(WalkAt(index, 0, 0), WalkAt(index, 10, 0));
-  EXPECT_EQ(WalkAt(index, 3, 7), index.permutation()[0]);
-  EXPECT_EQ(WalkAt(index, 3, 2), index.permutation()[5]);
+  for (const int epochs : {0, 1, 3}) {
+    ShuffledIndex index(kBaseRows);
+    AddEpochs(&index, epochs);
+    // The base is a ring over the table's own order: position p of the
+    // walk keyed k is row (k % B + p) % B, so keys wrap modulo B.
+    for (const int64_t key : {0, 3, 799, 800, 803, 1999}) {
+      for (const int64_t pos : {0, 1, 2, 796, 797, 799}) {
+        EXPECT_EQ(WalkAt(index, key, pos), (key % kBaseRows + pos) % kBaseRows)
+            << "key " << key << " pos " << pos;
+      }
+    }
+    // Each epoch is a ring over its own shuffle, read from step k % L on.
+    for (int e = 0; e < epochs; ++e) {
+      const int64_t s0 = kBaseRows + e * kEpochRows;
+      EXPECT_EQ(WalkAt(index, 3, s0), WalkAt(index, 3 + kEpochRows, s0));
+      EXPECT_EQ(WalkAt(index, 3, s0 + 2), WalkAt(index, 5, s0));
+      EXPECT_EQ(WalkAt(index, 3, s0 + kEpochRows - 3), WalkAt(index, 0, s0));
+    }
+  }
 }
 
 TEST(ShuffledIndexTest, EmptyAndSingle) {
-  Rng rng(3);
-  ShuffledIndex empty(0, &rng);
-  EXPECT_EQ(empty.size(), 0);
-  ShuffledIndex one(1, &rng);
-  EXPECT_EQ(WalkAt(one, 0, 0), 0);
-  EXPECT_EQ(WalkAt(one, 5, 0), 0);
+  for (const int epochs : {0, 1, 3}) {
+    ShuffledIndex empty(0);
+    AddEpochs(&empty, epochs);
+    EXPECT_EQ(empty.size(), epochs * kEpochRows);
+    for (int64_t key = 0; key < 2 * kEpochRows; key += 7) {
+      ExpectWalkVisitsEachRowOnce(empty, key);
+    }
+    ShuffledIndex one(1);
+    AddEpochs(&one, epochs);
+    EXPECT_EQ(WalkAt(one, 0, 0), 0);
+    EXPECT_EQ(WalkAt(one, 5, 0), 0);
+    for (int64_t key = 0; key < 2 * kEpochRows; key += 7) {
+      ExpectWalkVisitsEachRowOnce(one, key);
+    }
+  }
+  int64_t untouched = -1;
+  ShuffledIndex(0).GatherWalk(5, 0, 0, &untouched);
+  EXPECT_EQ(untouched, -1);
 }
 
 TEST(StratifiedSampleTest, RespectsRateAndMinimum) {

@@ -3,8 +3,14 @@
 /// configuration surface, report round-trips on live data, and failure
 /// injection at the driver boundary.
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <numeric>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -184,6 +190,112 @@ TEST(CoreTest, StratifiedSampleRateImprovesQuality) {
   const double coarse = run_with_rate(0.01);
   const double fine = run_with_rate(0.10);
   EXPECT_LE(fine, coarse + 1e-9);
+}
+
+// --- The sampling walk's precondition ---------------------------------------
+
+/// A fact table's non-constant columns in their numeric view, each read in
+/// row order `order`.
+std::vector<std::pair<std::string, std::vector<double>>> FactColumns(
+    const storage::Table& fact, const std::vector<int64_t>& order) {
+  std::vector<std::pair<std::string, std::vector<double>>> columns;
+  for (int c = 0; c < fact.num_columns(); ++c) {
+    const storage::Column& column = fact.column(c);
+    std::vector<double> values;
+    values.reserve(order.size());
+    for (const int64_t row : order) values.push_back(column.ValueAsDouble(row));
+    columns.emplace_back(fact.schema().field(c).name, std::move(values));
+  }
+  return columns;
+}
+
+/// Names each non-constant column whose lag-1 autocorrelation (over the
+/// neighbouring pairs where neither value is NaN) lies farther than
+/// 5/sqrt(n) from 0, with the value found.  Over n independently drawn
+/// rows the autocorrelation is about N(0, 1/n), so an unordered table
+/// passes with room to spare and an ordered one fails.
+std::vector<std::string> OrderedColumns(
+    const std::vector<std::pair<std::string, std::vector<double>>>& columns) {
+  std::vector<std::string> ordered;
+  for (const auto& [name, x] : columns) {
+    double sum = 0.0;
+    int64_t n = 0;
+    for (const double v : x) {
+      if (std::isnan(v)) continue;
+      sum += v;
+      ++n;
+    }
+    if (n < 2) continue;
+    const double mean = sum / static_cast<double>(n);
+    double var = 0.0;
+    for (const double v : x) {
+      if (!std::isnan(v)) var += (v - mean) * (v - mean);
+    }
+    if (var == 0.0) continue;  // constant: nothing to order
+    double cov = 0.0;
+    for (size_t i = 0; i + 1 < x.size(); ++i) {
+      if (std::isnan(x[i]) || std::isnan(x[i + 1])) continue;
+      cov += (x[i] - mean) * (x[i + 1] - mean);
+    }
+    const double r = cov / var;
+    if (std::fabs(r) > 5.0 / std::sqrt(static_cast<double>(n))) {
+      ordered.push_back(name + " (" + std::to_string(r) + ")");
+    }
+  }
+  return ordered;
+}
+
+DatasetConfig PreconditionConfig(bool normalized) {
+  DatasetConfig config;
+  config.actual_rows = 100'000;
+  config.normalized = normalized;
+  return config;
+}
+
+std::vector<int64_t> RowOrder(const storage::Table& fact) {
+  std::vector<int64_t> order(static_cast<size_t>(fact.num_rows()));
+  std::iota(order.begin(), order.end(), 0);
+  return order;
+}
+
+/// `exec::FeedOrder::Walk` reads the base table in its own order, so a
+/// window of it is a simple random sample only if the generator drew its
+/// rows independently.  This fails if the generator ever sorts or
+/// clusters its output, which would bias every walk that stops short.
+TEST(WalkPreconditionTest, GeneratedFactColumnsAreUnordered) {
+  for (const bool normalized : {false, true}) {
+    auto catalog = BuildFlightsCatalog(PreconditionConfig(normalized));
+    ASSERT_TRUE(catalog.ok());
+    const storage::Table& fact = *(*catalog)->fact_table();
+    ASSERT_EQ(fact.num_rows(), 100'000);
+    const auto columns = FactColumns(fact, RowOrder(fact));
+    EXPECT_GE(columns.size(), 10u);
+    const std::vector<std::string> ordered = OrderedColumns(columns);
+    EXPECT_TRUE(ordered.empty())
+        << (normalized ? "normalized" : "denormalized") << ": "
+        << testing::PrintToString(ordered);
+  }
+}
+
+/// The negative control: the same check on a copy sorted by flight_date
+/// fails for that column.
+TEST(WalkPreconditionTest, CopySortedByDateFailsTheCheck) {
+  auto catalog = BuildFlightsCatalog(PreconditionConfig(false));
+  ASSERT_TRUE(catalog.ok());
+  const storage::Table& fact = *(*catalog)->fact_table();
+  const storage::Column* date = fact.ColumnByName("flight_date");
+  ASSERT_NE(date, nullptr);
+  std::vector<int64_t> order = RowOrder(fact);
+  std::stable_sort(order.begin(), order.end(), [&](int64_t a, int64_t b) {
+    return date->ValueAsDouble(a) < date->ValueAsDouble(b);
+  });
+  const std::vector<std::string> ordered =
+      OrderedColumns(FactColumns(fact, order));
+  EXPECT_TRUE(std::any_of(ordered.begin(), ordered.end(),
+                          [](const std::string& name) {
+                            return name.rfind("flight_date ", 0) == 0;
+                          }))
+      << testing::PrintToString(ordered);
 }
 
 }  // namespace

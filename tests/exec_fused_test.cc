@@ -647,8 +647,9 @@ TEST(ZonePruneTest, ShuffledFeedsNeverPrune) {
   QuerySpec spec = DayWindowSpec(catalog, 5.0, 6.0);
   auto bound = BoundQuery::Bind(spec, *catalog);
   ASSERT_TRUE(bound.ok());
-  Rng rng(3);
-  aqp::ShuffledIndex order(rows, &rng);
+  // Key 0 walks the clustered table in its own order, yet the walk
+  // branch never consults the zone maps.
+  aqp::ShuffledIndex order(rows);
   BinnedAggregator agg(&*bound);
   agg.Process(FeedOrder::Walk(&order, /*key=*/0), 0, rows);
   EXPECT_EQ(agg.zone_rows_skipped(), 0);

@@ -212,6 +212,7 @@ void RunThreadInvariance(const QuerySpec& spec,
                          const std::vector<int64_t>& rows, double weight,
                          double scalar_tol,
                          BinnedAggregatorOptions options = {}) {
+  ASSERT_FALSE(rows.empty()) << "an empty feed agrees with any other";
   std::unique_ptr<JoinIndex> join;
   auto bound = BindWithJoins(spec, *catalog, &join);
   ASSERT_TRUE(bound.ok());
@@ -252,9 +253,10 @@ std::vector<int64_t> SequentialRows(int64_t n = kRows) {
 }
 
 std::vector<int64_t> ShuffledRowIds(uint64_t seed, int64_t n = kRows) {
+  std::vector<int64_t> rows = SequentialRows(n);
   Rng rng(seed);
-  aqp::ShuffledIndex index(n, &rng);
-  return index.permutation();
+  rng.Shuffle(&rows);
+  return rows;
 }
 
 // --- Thread-count invariance ------------------------------------------------
@@ -394,7 +396,7 @@ TEST(ThreadInvarianceTest, HashBinTableFallback) {
 
 TEST(ThreadInvarianceTest, RangeAndShuffledDriversAtDefaultMorselSize) {
   // Large integral-valued input spanning several *default-size* morsels:
-  // every accumulator stream is exact, so range/shuffled morsel drivers
+  // every accumulator stream is exact, so scan and walk morsel feeds
   // must be bit-identical to the flat sequential path at any parallelism.
   constexpr int64_t kBig = 3 * kMorselRows + 12345;
   auto catalog = MakeIntegralCatalog(kBig);
@@ -420,8 +422,7 @@ TEST(ThreadInvarianceTest, RangeAndShuffledDriversAtDefaultMorselSize) {
     ExpectAggregatorsMatch(sequential, ranged, /*tol=*/0.0);
   }
 
-  Rng rng(31);
-  aqp::ShuffledIndex order(kBig, &rng);
+  aqp::ShuffledIndex order(kBig);
   BinnedAggregator walk_seq(&*bound);
   walk_seq.Process(FeedOrder::Walk(&order, /*key=*/500), 0, kBig);
   for (int threads : {2, 7}) {
@@ -429,6 +430,60 @@ TEST(ThreadInvarianceTest, RangeAndShuffledDriversAtDefaultMorselSize) {
     MorselProcess(&walk_par, FeedOrder::Walk(&order, /*key=*/500), 0, kBig,
                   threads);
     ExpectAggregatorsMatch(walk_seq, walk_par, /*tol=*/0.0);
+  }
+}
+
+/// Walk windows that wrap the base ring or cross into epoch segments
+/// feed bit-identically through `Process` and through `MorselProcess` at
+/// 4 threads.  A morsel is at least one vector batch of 1,024 positions,
+/// so the fixture is four times the walk tests' (aqp_test.cc): 3,200
+/// base rows and epochs of 800, with windows of several morsels.
+TEST(ThreadInvarianceTest, WalkWindowsThatWrapOrCrossEpochsFeedIdentically) {
+  constexpr int64_t kBase = 3200;
+  constexpr int64_t kEpoch = 800;
+  auto catalog = MakeIntegralCatalog(kBase + 3 * kEpoch);
+  QuerySpec spec;
+  spec.viz_name = "p";
+  BinDimension d;
+  d.column = "g";
+  d.mode = BinningMode::kNominal;
+  spec.bins = {d};
+  spec.aggregates = AllAggs("v");
+  ASSERT_TRUE(spec.ResolveBins(*catalog).ok());
+  auto bound = BoundQuery::Bind(spec, *catalog);
+  ASSERT_TRUE(bound.ok());
+
+  struct Window {
+    int64_t key, begin, end;
+  };
+  for (const int epochs : {0, 1, 3}) {
+    aqp::ShuffledIndex index(kBase);
+    for (int e = 0; e < epochs; ++e) {
+      Rng rng = Rng(41).Fork(static_cast<uint64_t>(e));
+      index.ExtendTo(index.size() + kEpoch, &rng);
+    }
+    const int64_t n = index.size();
+    // Base windows that wrap the ring in their first, second and third
+    // morsel, then windows from deep in the base across every epoch.
+    std::vector<Window> windows = {
+        {kBase - 500, 0, 2500}, {kBase - 1500, 0, 2500}, {1000, 300, 2800}};
+    if (epochs > 0) {
+      windows.push_back({1000, kBase - 1800, n});
+      windows.push_back({kBase - 100, kBase - 1200, n});
+    }
+    for (const Window& w : windows) {
+      SCOPED_TRACE(::testing::Message() << epochs << " epochs, key " << w.key
+                                        << ", [" << w.begin << ", " << w.end
+                                        << ")");
+      const FeedOrder order = FeedOrder::Walk(&index, w.key);
+      BinnedAggregator flat(&*bound);
+      flat.Process(order, w.begin, w.end);
+      BinnedAggregator morsels(&*bound);
+      MorselProcess(&morsels, order, w.begin, w.end, /*parallelism=*/4,
+                    /*morsel_rows=*/kVectorBatchSize);
+      EXPECT_EQ(flat.rows_seen(), w.end - w.begin);
+      ExpectAggregatorsMatch(flat, morsels, /*tol=*/0.0);
+    }
   }
 }
 

@@ -367,7 +367,7 @@ TEST_P(WalkKeyOracleTest, MeanOverEveryKeyIsExact) {
                   .ok());
   const int epochs = GetParam();
   Rng rng(17);
-  aqp::ShuffledIndex index(kRows - epochs * kEpochRows, &rng);
+  aqp::ShuffledIndex index(kRows - epochs * kEpochRows);
   while (index.size() < kRows) index.ExtendTo(index.size() + kEpochRows, &rng);
 
   for (const size_t dims : {1, 2}) {

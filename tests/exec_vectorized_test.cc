@@ -145,6 +145,7 @@ void RunDifferential(const QuerySpec& spec,
                      const std::vector<int64_t>& rows, double weight,
                      BinnedAggregatorOptions vec_options = {},
                      bool expect_dense = true) {
+  ASSERT_FALSE(rows.empty()) << "an empty feed agrees with any other";
   std::vector<const JoinIndex*> joins;
   std::unique_ptr<JoinIndex> join;
   auto required = BoundQuery::RequiredJoins(spec, *catalog);
@@ -188,9 +189,10 @@ std::vector<int64_t> SequentialRows() {
 }
 
 std::vector<int64_t> ShuffledRows(uint64_t seed) {
+  std::vector<int64_t> rows = SequentialRows();
   Rng rng(seed);
-  aqp::ShuffledIndex index(kRows, &rng);
-  return index.permutation();
+  rng.Shuffle(&rows);
+  return rows;
 }
 
 // --- Aggregator-level differentials ----------------------------------------

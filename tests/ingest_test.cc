@@ -180,34 +180,42 @@ TEST(EpochVisibilityTest, BinResolutionUsesVisibleStatsOnly) {
 // Sampler: segmented walks
 
 TEST(SegmentedWalkTest, ExtendToPreservesThePrefix) {
-  Rng rng_a(9);
-  aqp::ShuffledIndex grown(200, &rng_a);
-  const std::vector<int64_t> before = grown.permutation();
-  Rng epoch_rng(123);
-  grown.ExtendTo(300, &epoch_rng);
-  ASSERT_EQ(grown.size(), 300);
-  ASSERT_EQ(grown.segment_bounds(), (std::vector<int64_t>{200, 300}));
+  constexpr int64_t kBaseRows = 800;
+  constexpr int64_t kEpochRows = 200;
+  for (const int epochs : {0, 1, 3}) {
+    aqp::ShuffledIndex grown(kBaseRows);
+    aqp::ShuffledIndex frozen(kBaseRows);
+    for (int e = 0; e < epochs; ++e) {
+      Rng rng_a = Rng(9).Fork(static_cast<uint64_t>(e));
+      Rng rng_b = Rng(9).Fork(static_cast<uint64_t>(e));
+      grown.ExtendTo(grown.size() + kEpochRows, &rng_a);
+      frozen.ExtendTo(frozen.size() + kEpochRows, &rng_b);
+    }
+    const int64_t old_n = grown.size();
+    Rng epoch_rng(123);
+    grown.ExtendTo(old_n + kEpochRows, &epoch_rng);
+    ASSERT_EQ(grown.size(), old_n + kEpochRows);
+    std::vector<int64_t> bounds = frozen.segment_bounds();
+    bounds.push_back(old_n + kEpochRows);
+    ASSERT_EQ(grown.segment_bounds(), bounds);
 
-  // Positions below the old watermark are untouched...
-  for (int64_t i = 0; i < 200; ++i) {
-    EXPECT_EQ(grown.permutation()[static_cast<size_t>(i)],
-              before[static_cast<size_t>(i)]);
-  }
-  // ...so an in-flight walk over [0, 200) reads the same rows as it
-  // would have against the unextended index.
-  Rng rng_b(9);
-  aqp::ShuffledIndex frozen(200, &rng_b);
-  std::vector<int64_t> from_grown(200), from_frozen(200);
-  grown.GatherWalk(55, 0, 200, from_grown.data());
-  frozen.GatherWalk(55, 0, 200, from_frozen.data());
-  EXPECT_EQ(from_grown, from_frozen);
+    // An in-flight walk over [0, old_n) reads the same rows as it would
+    // have against the unextended index, whatever its key.
+    for (const int64_t key : {0, 55, 799, 1000}) {
+      std::vector<int64_t> from_grown(static_cast<size_t>(old_n));
+      std::vector<int64_t> from_frozen(static_cast<size_t>(old_n));
+      grown.GatherWalk(key, 0, old_n, from_grown.data());
+      frozen.GatherWalk(key, 0, old_n, from_frozen.data());
+      EXPECT_EQ(from_grown, from_frozen) << epochs << " epochs, key " << key;
+    }
 
-  // The new segment is a permutation of exactly the new rows.
-  std::vector<int64_t> tail(grown.permutation().begin() + 200,
-                            grown.permutation().end());
-  std::sort(tail.begin(), tail.end());
-  for (int64_t i = 0; i < 100; ++i) {
-    EXPECT_EQ(tail[static_cast<size_t>(i)], 200 + i);
+    // The new segment is a permutation of exactly the new rows.
+    std::vector<int64_t> tail(static_cast<size_t>(kEpochRows));
+    grown.GatherWalk(0, old_n, kEpochRows, tail.data());
+    std::sort(tail.begin(), tail.end());
+    for (int64_t i = 0; i < kEpochRows; ++i) {
+      EXPECT_EQ(tail[static_cast<size_t>(i)], old_n + i);
+    }
   }
 }
 

@@ -226,7 +226,7 @@ idebench::query::QuerySpec CountByCarrier(
 /// Runs the fixture query to completion in fixed virtual-time slices and
 /// returns the canonical JSON of every distinct poll plus the final — the
 /// full progressive transcript, which recovery must reproduce bit for
-/// bit (the shuffled walk is a pure function of seed + epoch history).
+/// bit (the sampling walk is a pure function of seed + epoch history).
 std::vector<std::string> QueryTranscript(
     const std::shared_ptr<idebench::storage::Catalog>& catalog,
     int threads) {
