@@ -87,31 +87,6 @@ struct Actor {
   bool closed = false;
 };
 
-/// Serving-layer stand-in for a slow client: when the kNetWrite site
-/// fires, a partial update is dropped (the real server coalesces it into
-/// the connection's next write instead of buffering without bound).
-/// Terminal updates always pass through — whatever the write-side
-/// weather, every admitted query delivers exactly one terminal update.
-class SlowClientSink : public session::ResultSink {
- public:
-  explicit SlowClientSink(session::ResultSink* inner) : inner_(inner) {}
-
-  void OnUpdate(const session::ProgressiveUpdate& update) override {
-    if (!update.final_update &&
-        FaultInjector::Fire(FaultSite::kNetWrite)) {
-      ++dropped_;
-      return;
-    }
-    inner_->OnUpdate(update);
-  }
-
-  int64_t dropped() const { return dropped_; }
-
- private:
-  session::ResultSink* inner_;
-  int64_t dropped_ = 0;
-};
-
 }  // namespace
 
 const std::vector<ScenarioSpec>& ScenarioCatalog() {
@@ -283,39 +258,6 @@ const std::vector<ScenarioSpec>& ScenarioCatalog() {
       s.scheduler = scheduler(400'000, 50'000, 0.25);
       out->push_back(std::move(s));
     }
-    {
-      ScenarioSpec s;
-      s.name = "slow_client";
-      s.description = "clients stop reading: partial pushes coalesce/drop "
-                      "at the write queue, terminals always arrive";
-      s.sessions = 3;
-      s.ticks = 25;
-      s.faults = {{FaultSite::kNetWrite, {0.5, -1}}};
-      s.net_slow_client = true;
-      // Drops are drawn at the injector, so the uninjected run pushes a
-      // different partial stream; finals are what the invariants pin.
-      s.compare_reference = false;
-      s.scheduler = scheduler(400'000, 50'000, 0.25);
-      out->push_back(std::move(s));
-    }
-    {
-      ScenarioSpec s;
-      s.name = "disconnect_mid_query";
-      s.description = "connections tear mid-query: sessions close with "
-                      "live queries, which must drain with exactly one "
-                      "terminal update each";
-      s.sessions = 4;
-      s.ticks = 25;
-      s.submit_prob = 0.9;
-      s.faults = {{FaultSite::kNetRead, {0.06, -1}},
-                  {FaultSite::kNetWrite, {0.2, -1}}};
-      s.net_disconnect = true;
-      s.net_slow_client = true;
-      // Disconnects reshape the actor schedule itself.
-      s.compare_reference = false;
-      s.scheduler = scheduler(400'000, 50'000, 0.25);
-      out->push_back(std::move(s));
-    }
     return out;
   }();
   return *catalog;
@@ -432,13 +374,6 @@ ChaosReport RunScenario(const ScenarioSpec& spec,
   InvariantChecker checker(check_options);
   checker.set_event_log(&report.event_log);
 
-  // Slow-client mode interposes a dropping sink per session (declared
-  // before the manager so it outlives teardown pushes).
-  SlowClientSink slow_sink(&checker);
-  session::ResultSink* sink =
-      spec.net_slow_client ? static_cast<session::ResultSink*>(&slow_sink)
-                           : &checker;
-
   session::SessionManager manager(spec.scheduler, engine->get(), catalog);
 
   // Spin up the actor fleet: per-actor decision streams forked from the
@@ -449,7 +384,7 @@ ChaosReport RunScenario(const ScenarioSpec& spec,
   Rng master(seed);
   for (int i = 0; i < spec.sessions; ++i) {
     Actor& actor = actors[static_cast<size_t>(i)];
-    auto created = manager.CreateSession(sink);
+    auto created = manager.CreateSession(&checker);
     if (!created.ok()) {
       report.run_error = created.status();
       return report;
@@ -488,20 +423,6 @@ ChaosReport RunScenario(const ScenarioSpec& spec,
       if (actor.closed) continue;
       const std::string tag =
           "t=" + std::to_string(now) + " a" + std::to_string(a);
-
-      // A torn connection closes the session right here, live queries
-      // and all — the drain invariants still demand one terminal each.
-      if (spec.net_disconnect &&
-          FaultInjector::Fire(FaultSite::kNetRead)) {
-        const Status closed = manager.CloseSession(actor.session);
-        if (!closed.ok()) {
-          report.run_error = closed;
-          return report;
-        }
-        actor.closed = true;
-        log_line(tag + " disconnect s" + std::to_string(actor.session->id()));
-        continue;
-      }
 
       if (spec.kill_prob > 0.0 && actor.rng.Bernoulli(spec.kill_prob)) {
         const Status closed = manager.CloseSession(actor.session);
@@ -601,10 +522,6 @@ ChaosReport RunScenario(const ScenarioSpec& spec,
   if (report.injected) {
     report.fault_summary = injector.Summary();
     report.total_fires = injector.total_fires();
-    if (spec.net_slow_client) {
-      report.event_log.push_back(
-          "slow-client dropped partials=" + std::to_string(slow_sink.dropped()));
-    }
   }
   {
     const session::SchedulerStats& s = report.stats;

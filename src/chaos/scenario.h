@@ -92,21 +92,6 @@ struct ScenarioSpec {
   // runs (completed answers are full-data and path-independent).
   bool completion_monotone = true;
 
-  // Serving-layer behaviors driven by the net fault sites.  These make
-  // the run itself depend on fault draws (a dropped partial, a torn
-  // connection), so the uninjected reference run's schedule diverges by
-  // construction — specs using them clear `compare_reference`.
-  //
-  // kNetWrite: each non-terminal push to a client sink may be dropped
-  // (the real server coalesces it into the next write); terminal updates
-  // always pass — the exactly-one-terminal contract must survive any
-  // write-side weather.
-  bool net_slow_client = false;
-  // kNetRead: a connection tears mid-query; the actor's session closes
-  // immediately (like a kill, but drawn at the injector).  Every live
-  // query must still drain with exactly one terminal update.
-  bool net_disconnect = false;
-
   // Streaming ingest: > 0 builds a *fresh* per-run catalog (ingest
   // mutates the fact table, so the process-shared base catalog must
   // never be used) fed by an `ingest::Ingestor`, and appends and
@@ -118,8 +103,9 @@ struct ScenarioSpec {
   // so such specs clear `compare_reference`.
   int ingest_rows_per_tick = 0;
 
-  // Cross-run reference identity only holds when the actor schedule is
-  // independent of fault draws; net scenarios above opt out.
+  // Cross-run reference identity only holds when fault draws can delay
+  // queries but not change the data they read; specs arming the ingest
+  // sites opt out.
   bool compare_reference = true;
 
   bool has_faults() const { return !faults.empty(); }

@@ -9,8 +9,9 @@
 /// request replies — so the core surface is just `Send` plus a blocking
 /// `Next` with a timeout; `WaitFor` drains to a specific reply type
 /// while buffering everything else for later `Next` calls (arrival
-/// order is preserved).  Used by tools/serve_bench workers and the
-/// loopback tests; single-threaded, one instance per connection.
+/// order is preserved).  Used by idebench_serve's ingest feeder,
+/// perfbench's serving workload and the loopback tests;
+/// single-threaded, one instance per connection.
 
 #include <cstdint>
 #include <deque>

@@ -36,20 +36,24 @@ Status SetNonBlocking(int fd) {
 }  // namespace
 
 Server::Server(ServerOptions options, engines::Engine* engine,
-               std::shared_ptr<const storage::Catalog> catalog)
+               std::shared_ptr<const storage::Catalog> catalog,
+               std::function<Micros()> wall_clock)
     : options_(std::move(options)),
       engine_(engine),
       catalog_(std::move(catalog)),
-      ratekeeper_(options_.ratekeeper) {
+      ratekeeper_(options_.ratekeeper),
+      wall_clock_(std::move(wall_clock)) {
   manager_ = std::make_unique<session::SessionManager>(options_.scheduler,
                                                        engine_, catalog_);
+  if (!wall_clock_) wall_clock_ = [wall = WallClock()] { return wall.Now(); };
 }
 
 Result<std::unique_ptr<Server>> Server::Create(
     ServerOptions options, engines::Engine* engine,
-    std::shared_ptr<const storage::Catalog> catalog) {
-  auto server = std::unique_ptr<Server>(
-      new Server(std::move(options), engine, std::move(catalog)));
+    std::shared_ptr<const storage::Catalog> catalog,
+    std::function<Micros()> wall_clock) {
+  auto server = std::unique_ptr<Server>(new Server(
+      std::move(options), engine, std::move(catalog), std::move(wall_clock)));
   IDB_RETURN_NOT_OK(server->Bind());
   return server;
 }
@@ -96,8 +100,6 @@ Micros Server::Backlog() const {
 
 Status Server::Serve(const std::function<bool()>& until) {
   while (!stop_.load(std::memory_order_acquire) && (!until || until())) {
-    wall_now_ = wall_.Now();
-
     // poll over the listener + every live connection.
     std::vector<pollfd> fds;
     fds.reserve(connections_.size() + 1);
@@ -112,7 +114,10 @@ Status Server::Serve(const std::function<bool()>& until) {
     const int ready = ::poll(fds.data(), fds.size(), timeout_ms);
     if (ready < 0 && errno != EINTR) return Errno("poll");
 
-    wall_now_ = wall_.Now();
+    // The pass's one clock reading.  Every admission of the pass sees
+    // this backlog, so its peak is taken before the scheduler catches up.
+    wall_now_ = wall_clock_();
+    stats_.max_backlog = std::max(stats_.max_backlog, Backlog());
     if (ready > 0) {
       // AcceptPending() grows connections_, but fds was built before the
       // accept — connections beyond the polled count have no pollfd.
@@ -548,7 +553,6 @@ Status Server::AdvanceScheduler() {
     const Micros target =
         std::min(wall_now_, now + std::max<Micros>(1, options_.max_catchup));
     if (target > now) IDB_RETURN_NOT_OK(manager_->AdvanceTo(target));
-    stats_.max_backlog = std::max(stats_.max_backlog, Backlog());
     return Status::OK();
   }
   if (manager_->HasLive()) {

@@ -13,9 +13,11 @@
 ///    chases real elapsed time, advancing at most `max_catchup` per loop
 ///    pass so one pass can never stall the socket loop for long.  The
 ///    resulting lag (wall - virtual) is the backlog signal the
-///    ratekeeper degrades and eventually rejects on.  Virtual mode
-///    (wall_pacing = false) keeps the deterministic clock for tests and
-///    chaos runs.
+///    ratekeeper degrades and eventually rejects on.  The loop reads the
+///    wall clock once per pass, so a clock scripted by pass (the test
+///    seam of `Create`) replays a wall-paced run exactly.  Virtual mode
+///    (wall_pacing = false) instead advances `virtual_step` per pass
+///    while queries are live.
 ///
 ///  * *Admission control.*  Every `interaction` request passes through
 ///    the `Ratekeeper` before touching the scheduler; refusals are
@@ -102,7 +104,8 @@ struct ServerStats {
                                         // already gone — counted, never silent
   int64_t slow_client_disconnects = 0;  // hard write-queue breaches
   int64_t protocol_errors = 0;
-  Micros max_backlog = 0;  // peak wall-minus-virtual lag (wall mode)
+  Micros max_backlog = 0;  // peak wall-minus-virtual lag, as a pass's
+                           // admissions see it (wall mode)
   int64_t appends_received = 0;   // append frames seen
   int64_t append_rows = 0;        // rows staged through append frames
   int64_t appends_rejected = 0;   // shed / failed / no-ingestor refusals
@@ -113,10 +116,13 @@ struct ServerStats {
 class Server {
  public:
   /// `engine` must be prepared against `catalog`; both must outlive the
-  /// server.
+  /// server.  `wall_clock` is the wall time wall mode paces against, in
+  /// non-decreasing micros, read on the loop thread once per pass; null
+  /// reads a `WallClock` started here.  Tests pass a scripted clock.
   static Result<std::unique_ptr<Server>> Create(
       ServerOptions options, engines::Engine* engine,
-      std::shared_ptr<const storage::Catalog> catalog);
+      std::shared_ptr<const storage::Catalog> catalog,
+      std::function<Micros()> wall_clock = nullptr);
 
   ~Server();
 
@@ -202,7 +208,8 @@ class Server {
   };
 
   Server(ServerOptions options, engines::Engine* engine,
-         std::shared_ptr<const storage::Catalog> catalog);
+         std::shared_ptr<const storage::Catalog> catalog,
+         std::function<Micros()> wall_clock);
 
   Status Bind();
   void AcceptPending();
@@ -233,7 +240,7 @@ class Server {
   std::unique_ptr<session::SessionManager> manager_;
   Ratekeeper ratekeeper_;
   ingest::Ingestor* ingestor_ = nullptr;
-  WallClock wall_;
+  std::function<Micros()> wall_clock_;
   Micros wall_now_ = 0;  // wall elapsed, sampled once per pass
 
   int listen_fd_ = -1;

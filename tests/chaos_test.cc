@@ -497,8 +497,7 @@ TEST(ChaosScenarioTest, CatalogHasTheDocumentedScenarios) {
   for (const char* name :
        {"baseline", "cancel_storm", "session_kill", "submit_flood",
         "deadline_epsilon", "link_churn", "engine_faults", "reuse_churn",
-        "io_faults", "thrash", "slow_client", "disconnect_mid_query",
-        "ingest_storm"}) {
+        "io_faults", "thrash", "ingest_storm"}) {
     EXPECT_NE(FindScenario(name), nullptr) << name;
   }
   EXPECT_EQ(FindScenario("no_such_scenario"), nullptr);
@@ -531,56 +530,6 @@ TEST(ChaosScenarioTest, AllEnginesSurviveTheThrashScenario) {
     ExpectReportClean(RunScenarioWithReference(*spec, engine, 7));
     if (::testing::Test::HasFailure()) return;
   }
-}
-
-TEST(ChaosScenarioTest, SlowClientDropsPartialsNeverTerminals) {
-  const ScenarioSpec* spec = FindScenario("slow_client");
-  ASSERT_NE(spec, nullptr);
-  int64_t dropped = 0;
-  for (uint64_t seed : {1u, 2u, 3u}) {
-    const ChaosReport report = RunScenario(*spec, "progressive", seed);
-    ExpectReportClean(report);
-    // Whatever the write-side weather, every admitted query delivered
-    // exactly one terminal update (the checker would flag otherwise; the
-    // count makes the drain explicit).
-    EXPECT_EQ(static_cast<int64_t>(report.finals.size()),
-              report.stats.queries_submitted);
-    for (const std::string& line : report.event_log) {
-      const auto pos = line.find("dropped partials=");
-      if (pos != std::string::npos) {
-        dropped += std::stoll(line.substr(pos + 17));
-      }
-    }
-  }
-  // The armed kNetWrite site must actually have shed partials somewhere,
-  // or the scenario proves nothing about backpressure.
-  EXPECT_GT(dropped, 0);
-
-  // Drops are injector draws, so the partial stream is seed-deterministic
-  // like everything else in the harness.
-  const ChaosReport a = RunScenario(*spec, "progressive", 11);
-  const ChaosReport b = RunScenario(*spec, "progressive", 11);
-  EXPECT_EQ(a.event_log, b.event_log);
-}
-
-TEST(ChaosScenarioTest, DisconnectMidQueryDrainsSessionsCleanly) {
-  const ScenarioSpec* spec = FindScenario("disconnect_mid_query");
-  ASSERT_NE(spec, nullptr);
-  bool disconnected = false;
-  for (uint64_t seed : {1u, 2u, 3u, 4u}) {
-    const ChaosReport report = RunScenario(*spec, "progressive", seed);
-    ExpectReportClean(report);
-    // Torn connections close their sessions mid-query; the drain still
-    // hands every submitted query its single terminal update.
-    EXPECT_EQ(static_cast<int64_t>(report.finals.size()),
-              report.stats.queries_submitted);
-    for (const std::string& line : report.event_log) {
-      disconnected = disconnected || line.find("disconnect") != std::string::npos;
-    }
-  }
-  // Across four seeds the kNetRead site must have torn at least one
-  // connection.
-  EXPECT_TRUE(disconnected);
 }
 
 TEST(ChaosScenarioTest, IoFaultsScenarioRetriesSetup) {

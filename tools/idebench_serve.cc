@@ -24,8 +24,8 @@
 ///   --reuse-cache         enable the cross-interaction reuse cache
 ///   --ingest-rate R       replay the generated tail through `append` frames
 ///                         at R rows/sec (default 0 = no ingest); each batch
-///                         publishes its epoch, so serve_bench clients see
-///                         the watermark advance while they query
+///                         publishes its epoch, so clients see the
+///                         watermark advance while they query
 ///   --ingest-tail N       rows generated beyond --rows as the ingest
 ///                         tail (default 5000; exhausted tail ends the
 ///                         feed, serving continues)
