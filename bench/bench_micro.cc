@@ -266,63 +266,60 @@ void BM_ZoneMapFullScan(benchmark::State& state) {
 BENCHMARK(BM_ZoneMapFullScan)->Arg(0)->Arg(1);
 
 /// Repeated-refinement workflow through the blocking engine: a base
-/// filtered aggregation followed by five drill-down steps that each AND
-/// one more (or a narrower) predicate — the canonical IDEBench
-/// interaction sequence.  With the cross-interaction reuse cache on,
-/// step k+1 replays only step k's candidate rows instead of rescanning
-/// the full table, so physical work tracks the shrinking selectivity.
-/// Results are bit-identical either way (the transparency contract of
-/// exec/reuse_cache.h); only wall-clock changes.  Run with
-/// `bench_micro --benchmark_filter=RefinementWorkflow`.
+/// aggregation followed by drill-down steps that each AND one more (or a
+/// narrower) predicate — the canonical IDEBench interaction sequence.
+/// With the cross-interaction reuse cache on, step k+1 replays only step
+/// k's candidate positions instead of rescanning the full table, so
+/// physical work tracks the shrinking selectivity.  Results are
+/// bit-identical either way (the transparency contract of
+/// exec/reuse_cache.h); only wall-clock changes.  The first argument
+/// turns the cache off (0) or on (1); the second picks the chain:
+///
+///  * 0, selective: a filtered base keeping ~25 % of rows, refinements
+///    narrowing toward a few percent — replay picks candidates out of
+///    mostly-rejected windows;
+///  * 1, dense: an unfiltered base, refinements keeping 85 % down to
+///    72 % — replay feeds mostly-candidate windows whole.
+///
+/// Run with `bench_micro --benchmark_filter=RefinementWorkflow`.
+std::vector<query::QuerySpec> RefinementChain(bool dense) {
+  const auto range = [](const char* column, double lo, double hi) {
+    expr::Predicate p;
+    p.column = column;
+    p.op = expr::CompareOp::kRange;
+    p.lo = lo;
+    p.hi = hi;
+    return p;
+  };
+  // Selective selectivities follow the workflow generator's brush/filter
+  // ranges: base ~25 %, s1 ~13 %, then a few percent.  Dense: base 100 %,
+  // s1 ~85 %, s2 ~83 %, s3 ~78 %, s5 ~72 %.
+  query::QuerySpec base = HotLoopSpec();
+  base.filter = dense ? expr::FilterExpr()
+                      : expr::FilterExpr({range("air_time", 50, 90)});
+  query::QuerySpec s1 = base;
+  s1.filter = expr::FilterExpr({dense ? range("air_time", 30, 300)
+                                      : range("air_time", 50, 70)});
+  query::QuerySpec s2 = s1;
+  s2.filter.And(dense ? range("distance", 0, 2000)
+                      : range("distance", 200, 500));
+  query::QuerySpec s3 = s2;
+  s3.filter.And(dense ? range("dep_delay", -25, 60)
+                      : range("dep_delay", 0, 20));
+  query::QuerySpec s5 = s3;
+  s5.filter.ReplaceOn(dense ? range("distance", 0, 1500)
+                            : range("distance", 250, 450));
+  // s3 twice: a linked-viz update re-triggers the same query.  Then the
+  // user toggles between the two drill-down views (A/B comparison):
+  // every toggle resubmits a previously seen query.
+  return {base, s1, s2, s3, s3, s5, s5, s3, s5};
+}
+
 void BM_RefinementWorkflow(benchmark::State& state) {
   const bool reuse = state.range(0) != 0;
+  const bool dense = state.range(1) != 0;
   auto catalog = SharedCatalog();
-
-  // The drill-down chain: each step's filter refines the previous one.
-  // Selectivities follow the workflow generator's brush/filter ranges
-  // (base ~25 %, refinements narrowing toward a few percent).
-  std::vector<query::QuerySpec> steps;
-  {
-    query::QuerySpec base = HotLoopSpec();
-    expr::Predicate air = base.filter.predicates()[0];  // air_time range
-    air.lo = 50;
-    air.hi = 90;  // ~25 % of rows
-    base.filter = expr::FilterExpr({air});
-    steps.push_back(base);
-    expr::Predicate narrow = air;
-    narrow.hi = 70;  // ~13 %
-    query::QuerySpec s1 = base;
-    s1.filter = expr::FilterExpr({narrow});
-    steps.push_back(s1);
-    expr::Predicate dist;
-    dist.column = "distance";
-    dist.op = expr::CompareOp::kRange;
-    dist.lo = 200;
-    dist.hi = 500;
-    query::QuerySpec s2 = s1;
-    s2.filter.And(dist);
-    steps.push_back(s2);
-    expr::Predicate delay;
-    delay.column = "dep_delay";
-    delay.op = expr::CompareOp::kRange;
-    delay.lo = 0;
-    delay.hi = 20;
-    query::QuerySpec s3 = s2;
-    s3.filter.And(delay);
-    steps.push_back(s3);
-    steps.push_back(s3);  // linked-viz update re-triggers the same query
-    expr::Predicate tight = dist;
-    tight.lo = 250;
-    tight.hi = 450;
-    query::QuerySpec s5 = s3;
-    s5.filter.ReplaceOn(tight);
-    steps.push_back(s5);
-    // The user toggles between the two drill-down views (A/B
-    // comparison): every toggle resubmits a previously seen query.
-    steps.push_back(s5);
-    steps.push_back(s3);
-    steps.push_back(s5);
-  }
+  const std::vector<query::QuerySpec> steps = RefinementChain(dense);
 
   int64_t rows_total = 0;
   for (auto _ : state) {
@@ -345,9 +342,11 @@ void BM_RefinementWorkflow(benchmark::State& state) {
     }
   }
   state.SetItemsProcessed(rows_total);
-  state.SetLabel(reuse ? "reuse_cache=on" : "reuse_cache=off");
+  state.SetLabel(std::string(dense ? "dense" : "selective") +
+                 (reuse ? " reuse_cache=on" : " reuse_cache=off"));
 }
-BENCHMARK(BM_RefinementWorkflow)->Arg(0)->Arg(1);
+BENCHMARK(BM_RefinementWorkflow)
+    ->Args({0, 0})->Args({1, 0})->Args({0, 1})->Args({1, 1});
 
 /// Multi-session serving sweep (1/4/16/64 concurrent dashboards): each
 /// session replays its own generated mixed workflow against ONE shared

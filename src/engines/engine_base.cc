@@ -192,13 +192,15 @@ Micros EngineBase::Advance(QueryState* state, Micros budget) {
     if (remaining == 0) state->credit_us = 0.0;
     return 0;
   }
-  // Positions covered by a cached snapshot are served from it; the
-  // remainder runs through the engine's physical pipeline.  The virtual
-  // cost model charges every position either way.
+  // Positions covered by a cached snapshot are served from it, through
+  // the query's own order; the remainder runs through the engine's
+  // physical pipeline.  The virtual cost model charges every position
+  // either way.
   const int64_t end = state->cursor + todo;
   int64_t served_to = state->cursor;
   if (reuse_cache_ != nullptr) {
-    served_to = exec::ReuseCache::Serve(state->reuse, state->aggregator.get(),
+    served_to = exec::ReuseCache::Serve(state->reuse, state->order,
+                                        state->aggregator.get(),
                                         state->cursor, end);
     if (served_to > state->cursor) {
       reuse_cache_->AddRowsServed(served_to - state->cursor);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <numeric>
 
 #include "common/logging.h"
 
@@ -99,31 +100,24 @@ void BinnedAggregator::MergeFrom(const BinnedAggregator& other) {
   // entry-owned spec copies).
   IDB_CHECK(query_ == other.query_ ||
             SameQueryShape(query_->spec(), other.query_->spec()));
+  IDB_CHECK(!options_.record_matches || other.options_.record_matches);
   if (other.rows_seen_ == 0) return;
+  const int64_t offset = rows_seen_;
+  AdvanceRows(other.rows_seen_);
   if (options_.record_matches) {
-    // A side whose matched rows were not (fully) recorded poisons the
-    // candidate list: mark this recorder overflowed rather than leave an
-    // incomplete list that looks replay-safe.
-    const bool other_replayable =
-        other.options_.record_matches && !other.matches_overflowed_;
-    if (!other_replayable) {
-      if (other.rows_matched_ > 0) {
-        matches_overflowed_ = true;
-        matches_ = {};
-      }
-    } else if (!other.matches_.empty() &&
-               RecorderAccepts(static_cast<int64_t>(other.matches_.size()))) {
-      // Shift the other side's feed positions past ours: partials fold
-      // in morsel order, so positions stay the walk positions of the
-      // whole feed; snapshots adopt into empty aggregators with a zero
-      // shift.
-      matches_.reserve(matches_.size() + other.matches_.size());
-      for (const MatchedRow& m : other.matches_) {
-        matches_.push_back({m.pos + rows_seen_, m.row, m.weight});
-      }
+    // OR the other side's bits in past ours: partials fold in morsel
+    // order, so bit p stays feed position p of the whole feed; snapshots
+    // adopt into empty aggregators at offset 0.  Bits past each side's
+    // rows seen are zero, so a word straddling the seam ORs cleanly.
+    const std::vector<uint64_t>& from = other.match_bits_;
+    uint64_t* into = match_bits_.data() + (offset >> 6);
+    const int shift = static_cast<int>(offset & 63);
+    const size_t room = match_bits_.size() - static_cast<size_t>(offset >> 6);
+    for (size_t i = 0; i < from.size(); ++i) {
+      into[i] |= from[i] << shift;
+      if (shift > 0 && i + 1 < room) into[i + 1] |= from[i] >> (64 - shift);
     }
   }
-  rows_seen_ += other.rows_seen_;
   rows_matched_ += other.rows_matched_;
   zone_rows_skipped_ += other.zone_rows_skipped_;
   zone_blocks_skipped_ += other.zone_blocks_skipped_;
@@ -177,16 +171,17 @@ AggAccum* BinnedAggregator::AccumsForPublicKey(int64_t key) {
 }
 
 void BinnedAggregator::ProcessRowWeighted(int64_t row, double weight) {
-  ProcessRowAt(row, weight, rows_seen_);
+  const int64_t pos = rows_seen_;
+  AdvanceRows(1);
+  ProcessRowAt(row, weight, pos);
 }
 
 void BinnedAggregator::ProcessRowAt(int64_t row, double weight, int64_t pos) {
-  ++rows_seen_;
   if (!query_->MatchesFilter(row)) return;
   const int64_t key = query_->BinKey(row);
   if (key < 0) return;
   ++rows_matched_;
-  if (RecorderAccepts(1)) matches_.push_back({pos, row, weight});
+  if (options_.record_matches) SetMatchBit(pos);
 
   AggAccum* accums = AccumsForPublicKey(key);
   const size_t naggs = query_->spec().aggregates.size();
@@ -199,106 +194,99 @@ void BinnedAggregator::ProcessRowAt(int64_t row, double weight, int64_t pos) {
 
 void BinnedAggregator::ProcessBatch(const int64_t* rows, int64_t n,
                                     double weight) {
+  for (int64_t off = 0; off < n; off += kVectorBatchSize) {
+    const int64_t c = std::min(n - off, kVectorBatchSize);
+    const int64_t first = rows_seen_;  // feed position of rows[off]
+    AdvanceRows(c);
+    FeedChunk(rows + off, c, weight, first, nullptr);
+  }
+}
+
+void BinnedAggregator::FeedChunk(const int64_t* rows, int64_t n,
+                                 double weight, int64_t first,
+                                 const int64_t* positions) {
   if (vec_ == nullptr) {
     for (int64_t i = 0; i < n; ++i) {
       ProcessRowAt(rows[i], weight,
-                   replay_positions_ != nullptr ? replay_positions_[i]
-                                                : rows_seen_);
+                   positions != nullptr ? positions[i] : first + i);
     }
     return;
   }
   RowBatch batch;
-  std::array<AggAccum*, kVectorBatchSize> bases;
-  const size_t naggs = query_->spec().aggregates.size();
+  batch.rows = rows;
+  batch.n = n;
+  const int64_t m = vec_->FilterAndBin(&batch);
+  rows_matched_ += m;
+  if (m == 0) return;
 
-  for (int64_t off = 0; off < n; off += kVectorBatchSize) {
-    batch.rows = rows + off;
-    batch.n = std::min(n - off, kVectorBatchSize);
-    const int64_t pos_base = rows_seen_;  // feed position of batch.rows[0]
-    rows_seen_ += batch.n;
-
-    const int64_t m = vec_->FilterAndBin(&batch);
-    rows_matched_ += m;
-    if (m == 0) continue;
-
-    if (RecorderAccepts(m)) {
-      // Bulk-append with one resize: per-element push_back capacity
-      // checks cost more than the whole recording otherwise.
-      const size_t old_size = matches_.size();
-      matches_.resize(old_size + static_cast<size_t>(m));
-      MatchedRow* out = matches_.data() + old_size;
-      if (replay_positions_ != nullptr) {
-        for (int64_t i = 0; i < m; ++i) {
-          const int64_t idx = batch.sel[i];
-          out[i] = {replay_positions_[off + idx], batch.rows[idx], weight};
-        }
-      } else {
-        for (int64_t i = 0; i < m; ++i) {
-          const int64_t idx = batch.sel[i];
-          out[i] = {pos_base + idx, batch.rows[idx], weight};
-        }
-      }
+  if (options_.record_matches) {
+    if (positions != nullptr) {
+      for (int64_t i = 0; i < m; ++i) SetMatchBit(positions[batch.sel[i]]);
+    } else {
+      for (int64_t i = 0; i < m; ++i) SetMatchBit(first + batch.sel[i]);
     }
+  }
 
-    // Fused agg-set kernel for the canonical dashboard shape — COUNT
-    // plus one value aggregate, unit weight, dense table: one pass over
-    // the selection, accumulator row resolved once per row, no bases
-    // scratch.  Per-cell accumulation order (agg 0 then agg 1 within a
-    // row, rows in feed order) matches the agg-major loops below
-    // bit-exactly because the two aggregates never share a cell.
-    if (use_dense_ && weight == 1.0 && naggs == 2 &&
-        vec_->agg_is_count(0) && !vec_->agg_is_count(1)) {
-      EnsureDenseAllocated();
-      const double* values = vec_->GatherAggValues(1, &batch);
-      for (int64_t i = 0; i < m; ++i) {
-        const size_t d = static_cast<size_t>(batch.keys[i]);
-        dense_touched_[d] = 1;
-        AggAccum* base = dense_.data() + d * 2;
-        AccumulateUnit(&base[0], 1.0);
-        const double v = values[i];
-        if (v == v) AccumulateUnit(&base[1], v);
+  // Fused agg-set kernel for the canonical dashboard shape — COUNT plus
+  // one value aggregate, unit weight, dense table: one pass over the
+  // selection, accumulator row resolved once per row, no bases scratch.
+  // Per-cell accumulation order (agg 0 then agg 1 within a row, rows in
+  // feed order) matches the agg-major loops below bit-exactly because
+  // the two aggregates never share a cell.
+  const size_t naggs = query_->spec().aggregates.size();
+  if (use_dense_ && weight == 1.0 && naggs == 2 && vec_->agg_is_count(0) &&
+      !vec_->agg_is_count(1)) {
+    EnsureDenseAllocated();
+    const double* values = vec_->GatherAggValues(1, &batch);
+    for (int64_t i = 0; i < m; ++i) {
+      const size_t d = static_cast<size_t>(batch.keys[i]);
+      dense_touched_[d] = 1;
+      AggAccum* base = dense_.data() + d * 2;
+      AccumulateUnit(&base[0], 1.0);
+      const double v = values[i];
+      if (v == v) AccumulateUnit(&base[1], v);
+    }
+    return;
+  }
+
+  // Resolve each selected row's accumulator base once.
+  std::array<AggAccum*, kVectorBatchSize> bases;
+  if (use_dense_) {
+    EnsureDenseAllocated();
+    for (int64_t i = 0; i < m; ++i) {
+      const size_t d = static_cast<size_t>(batch.keys[i]);
+      dense_touched_[d] = 1;
+      bases[i] = dense_.data() + d * naggs;
+    }
+  } else {
+    for (int64_t i = 0; i < m; ++i) {
+      const int64_t key = vec_->DenseKeyToPublic(batch.keys[i]);
+      auto it = bins_.find(key);
+      if (it == bins_.end()) {
+        it = bins_.emplace(key, std::vector<AggAccum>(naggs)).first;
+      }
+      bases[i] = it->second.data();
+    }
+  }
+
+  const bool unit_weight = weight == 1.0;
+  for (size_t a = 0; a < naggs; ++a) {
+    if (vec_->agg_is_count(a)) {
+      if (unit_weight) {
+        for (int64_t i = 0; i < m; ++i) AccumulateUnit(&bases[i][a], 1.0);
+      } else {
+        for (int64_t i = 0; i < m; ++i) Accumulate(&bases[i][a], 1.0, weight);
       }
       continue;
     }
-
-    // Resolve each selected row's accumulator base once.
-    if (use_dense_) {
-      EnsureDenseAllocated();
-      for (int64_t i = 0; i < m; ++i) {
-        const size_t d = static_cast<size_t>(batch.keys[i]);
-        dense_touched_[d] = 1;
-        bases[i] = dense_.data() + d * naggs;
-      }
-    } else {
-      for (int64_t i = 0; i < m; ++i) {
-        const int64_t key = vec_->DenseKeyToPublic(batch.keys[i]);
-        auto it = bins_.find(key);
-        if (it == bins_.end()) {
-          it = bins_.emplace(key, std::vector<AggAccum>(naggs)).first;
-        }
-        bases[i] = it->second.data();
-      }
-    }
-
-    const bool unit_weight = weight == 1.0;
-    for (size_t a = 0; a < naggs; ++a) {
-      if (vec_->agg_is_count(a)) {
-        if (unit_weight) {
-          for (int64_t i = 0; i < m; ++i) AccumulateUnit(&bases[i][a], 1.0);
-        } else {
-          for (int64_t i = 0; i < m; ++i) Accumulate(&bases[i][a], 1.0, weight);
-        }
-        continue;
-      }
-      const double* values = vec_->GatherAggValues(a, &batch);
-      for (int64_t i = 0; i < m; ++i) {
-        const double v = values[i];
-        if (!(v == v)) continue;  // NaN input: scalar parity
-        if (unit_weight) {
-          AccumulateUnit(&bases[i][a], v);
-        } else {
-          Accumulate(&bases[i][a], v, weight);
-        }
+    const double* values = vec_->GatherAggValues(a, &batch);
+    for (int64_t i = 0; i < m; ++i) {
+      const double v = values[i];
+      if (!(v == v)) continue;  // NaN input: scalar parity
+      if (unit_weight) {
+        AccumulateUnit(&bases[i][a], v);
+      } else {
+        Accumulate(&bases[i][a], v, weight);
       }
     }
   }
@@ -334,7 +322,7 @@ void BinnedAggregator::Process(const FeedOrder& order, int64_t begin,
         const int64_t seg_end = std::min(end, block_end);
         if (options_.enable_zone_pruning &&
             !vec_->BlockCanMatch(seg / storage::kZoneMapBlockRows)) {
-          rows_seen_ += seg_end - seg;
+          AdvanceRows(seg_end - seg);
           zone_rows_skipped_ += seg_end - seg;
           ++zone_blocks_skipped_;
           seg = seg_end;
@@ -372,50 +360,97 @@ void BinnedAggregator::Process(const FeedOrder& order, int64_t begin,
   }
 }
 
-void BinnedAggregator::ReplayMatches(const std::vector<MatchedRow>& matches,
-                                     int64_t pos_begin, int64_t pos_end) {
-  const int64_t span = pos_end - pos_begin;
-  if (span <= 0) return;
-  auto it = std::lower_bound(
-      matches.begin(), matches.end(), pos_begin,
-      [](const MatchedRow& m, int64_t p) { return m.pos < p; });
+namespace {
 
-  // Feed the recorded rows in batches sharing one weight, carrying their
-  // original positions for the recorder; gaps (rows that did not match
-  // the recording filter, so cannot match this one either) are accounted
-  // at the end in one SkipRows.  Accumulator update order equals the
-  // original feed order, so the state is bit-compatible with a direct
-  // walk of the underlying rows.
+/// Bits [begin, end) of `bits`, visited one word-sized slice at a time:
+/// `fn(first, v)` gets the slice's first position and its bits shifted
+/// down to bit 0, masked to the slice.
+template <typename Fn>
+void ForEachBitSlice(const std::vector<uint64_t>& bits, int64_t begin,
+                     int64_t end, Fn&& fn) {
+  for (int64_t p = begin; p < end;) {
+    const int shift = static_cast<int>(p & 63);
+    const int64_t take = std::min<int64_t>(64 - shift, end - p);
+    uint64_t v = bits[static_cast<size_t>(p >> 6)] >> shift;
+    if (take < 64) v &= (uint64_t{1} << take) - 1;
+    fn(p, v);
+    p += take;
+  }
+}
+
+}  // namespace
+
+void BinnedAggregator::ReplayMatches(const std::vector<uint64_t>& candidates,
+                                     const FeedOrder& order, int64_t begin,
+                                     int64_t end) {
+  IDB_CHECK(rows_seen_ == begin);
+  IDB_CHECK(end <= static_cast<int64_t>(candidates.size()) * 64);
+  // Window by window of kVectorBatchSize positions: a window with no
+  // candidate is only accounted; one that is mostly candidates is fed
+  // whole (its other rows fail this filter as they failed the
+  // recorder's); otherwise its candidates are picked out and fed at their
+  // own positions and weights, gathered across windows into full
+  // batches.  Either way rows reach the accumulators in feed order, so
+  // the state is bit-identical to feeding [begin, end) directly.
+  std::array<int64_t, kVectorBatchSize> window;
   std::array<int64_t, kVectorBatchSize> rows;
   std::array<int64_t, kVectorBatchSize> positions;
-  int64_t fed = 0;
   int64_t n = 0;
-  double w = 1.0;
+  double weight = 1.0;
   const auto flush = [&] {
-    if (n == 0) return;
-    replay_positions_ = positions.data();
-    ProcessBatch(rows.data(), n, w);
-    replay_positions_ = nullptr;
-    fed += n;
+    if (n > 0) FeedChunk(rows.data(), n, weight, 0, positions.data());
     n = 0;
   };
-  for (; it != matches.end() && it->pos < pos_end; ++it) {
-    if (n == kVectorBatchSize || (n > 0 && it->weight != w)) flush();
-    if (n == 0) w = it->weight;
-    rows[static_cast<size_t>(n)] = it->row;
-    positions[static_cast<size_t>(n)] = it->pos;
-    ++n;
+  for (int64_t w = begin, w_end; w < end; w = w_end) {
+    w_end = std::min(end, (w / kVectorBatchSize + 1) * kVectorBatchSize);
+    int64_t count = 0;
+    ForEachBitSlice(candidates, w, w_end, [&](int64_t, uint64_t v) {
+      count += __builtin_popcountll(v);
+    });
+    if (2 * count > w_end - w) {
+      flush();
+      Process(order, w, w_end);
+      continue;
+    }
+    AdvanceRows(w_end - w);
+    if (count == 0) continue;
+    if (n + count > kVectorBatchSize) flush();
+    // Rows (and weights) of the window's positions under `order`.
+    const int64_t* window_rows = window.data();
+    const double* weights = nullptr;
+    switch (order.kind) {
+      case FeedOrder::Kind::kScan:
+        std::iota(window.begin(), window.begin() + (w_end - w), w);
+        break;
+      case FeedOrder::Kind::kWalk:
+        order.index->GatherWalk(order.key, w, w_end - w, window.data());
+        break;
+      case FeedOrder::Kind::kSample:
+        window_rows = order.sample->rows.data() + w;
+        weights = order.sample->weights.data() + w;
+        break;
+    }
+    ForEachBitSlice(candidates, w, w_end, [&](int64_t first, uint64_t v) {
+      for (; v != 0; v &= v - 1) {
+        const int64_t p = first + __builtin_ctzll(v);
+        const size_t i = static_cast<size_t>(p - w);
+        const double wp = weights != nullptr ? weights[i] : 1.0;
+        if (n > 0 && wp != weight) flush();  // split at weight changes
+        weight = wp;
+        rows[static_cast<size_t>(n)] = window_rows[i];
+        positions[static_cast<size_t>(n)] = p;
+        ++n;
+      }
+    });
   }
   flush();
-  SkipRows(span - fed);
 }
 
 void BinnedAggregator::Reset() {
   bins_.clear();
   dense_.clear();  // keeps capacity: pooled partials reuse the buffer
   dense_touched_.clear();
-  matches_.clear();
-  matches_overflowed_ = false;
+  match_bits_.clear();
   rows_seen_ = 0;
   rows_matched_ = 0;
   zone_rows_skipped_ = 0;

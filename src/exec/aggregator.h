@@ -105,18 +105,13 @@ struct BinnedAggregatorOptions {
   /// ...and keys x aggregates is at most this many accumulators.
   int64_t dense_accum_limit = 128 * 1024;
 
-  /// Record every matched row as (feed position, row id, weight) so the
-  /// accumulated state can later be replayed into another aggregator over
-  /// an equivalent (or refined) query — the substrate of the
-  /// cross-interaction reuse cache (exec/reuse_cache.h).  Off by default:
-  /// recording costs memory proportional to the matched row count.
+  /// Record one bit per feed position, set when the position matched (a
+  /// *candidate bitmap*), so the accumulated state can later be replayed
+  /// into another aggregator over an equal or refined query through the
+  /// same feed order — the substrate of the cross-interaction reuse cache
+  /// (exec/reuse_cache.h).  Off by default; costs one bit per position
+  /// fed (125 KB per million), whatever the filter's selectivity.
   bool record_matches = false;
-
-  /// Hard cap on recorded matches: beyond it the recorder overflows
-  /// (releases its memory and marks the state non-replayable — see
-  /// `matches_overflowed`) instead of growing without bound.  1 M
-  /// matches = 24 MB, already far past where replaying beats rescanning.
-  int64_t record_matches_limit = 1 << 20;
 };
 
 /// Which fact row, at which weight, each feed position of a query is.
@@ -176,17 +171,6 @@ struct FeedOrder {
   const aqp::StratifiedSample* sample = nullptr;  // kSample
 };
 
-/// One recorded match: the position of the row in this aggregator's feed
-/// (0-based; skipped/unmatched rows still advance positions), the fact
-/// row id, and the weight it was fed with.  Deliberately trivial (no
-/// default member initializers) so bulk vector growth in the recording
-/// hot path memsets instead of constructing element-wise.
-struct MatchedRow {
-  int64_t pos;
-  int64_t row;
-  double weight;
-};
-
 /// Streaming group-by aggregation for one bound query.
 class BinnedAggregator {
  public:
@@ -221,10 +205,12 @@ class BinnedAggregator {
   /// table boundary.  `other` must aggregate the same bound query, or an
   /// equivalent binding of the same spec (identical bins and aggregates —
   /// how the reuse cache revives snapshots bound to an entry-owned spec
-  /// copy).  Recorded matches are appended with positions shifted past
-  /// this aggregator's rows seen so far, which is exactly right both for
-  /// morsel partials folded in morsel order and for adopting a snapshot
-  /// into an empty aggregator.
+  /// copy).  `other`'s candidate bits are ORed in at bit offset
+  /// `rows_seen()` (any offset, not only whole words), which is exactly
+  /// right both for morsel partials folded in morsel order and for
+  /// adopting a snapshot into an empty aggregator.  A recording
+  /// aggregator merges only recording sides: a side without bits would
+  /// leave matched positions unmarked.
   void MergeFrom(const BinnedAggregator& other);
 
   /// Feeds fact row `row` with weight 1 (scalar reference path).
@@ -244,44 +230,41 @@ class BinnedAggregator {
   /// batch, or a sample's equal-weight runs as weighted batches.
   void Process(const FeedOrder& order, int64_t begin, int64_t end);
 
-  /// Advances `rows_seen()` by `n` without feeding rows — the accounting
-  /// for feed positions whose rows are known (from a recorded match list)
-  /// not to pass the filter.
-  void SkipRows(int64_t n) { rows_seen_ += n; }
-
   /// Rows / block-sized ranges skipped by zone-map pruning so far
   /// (telemetry; folded by MergeFrom like the row counters).
   int64_t zone_rows_skipped() const { return zone_rows_skipped_; }
   int64_t zone_blocks_skipped() const { return zone_blocks_skipped_; }
 
-  /// Replays the slice of `matches` with positions in [pos_begin,
-  /// pos_end) through the normal processing pipeline (each row re-runs
-  /// filter + bin + aggregate, at its original feed position and weight)
-  /// and accounts the gaps with `SkipRows` — on return `rows_seen()` has
-  /// advanced by exactly `pos_end - pos_begin`.  When `matches` was
-  /// recorded by an aggregator whose filter this query's filter equals or
-  /// refines, and both fed the same underlying row sequence, the
-  /// resulting state is identical to having fed that sequence directly.
-  /// `matches` must be position-sorted (recorders only ever append in
-  /// feed order).
-  void ReplayMatches(const std::vector<MatchedRow>& matches,
-                     int64_t pos_begin, int64_t pos_end);
+  /// Feeds the positions of [begin, end) whose bits are set in
+  /// `candidates` (another aggregator's `match_bits()`) through `order`,
+  /// each re-running filter + bin + aggregate at its own position and
+  /// weight, and accounts the others without feeding them: on return
+  /// `rows_seen()` has advanced by exactly `end - begin`.  This
+  /// aggregator must have been fed positions [0, begin) already
+  /// (`rows_seen() == begin`), and `candidates` must cover `end`.
+  ///
+  /// When `candidates` was recorded under `order` by an aggregator whose
+  /// filter this query's filter equals or refines, the resulting state —
+  /// bins, counters and recorded bits — is identical to feeding
+  /// [begin, end) of `order` directly: a position the recorder rejected
+  /// cannot pass an equal or stricter filter.  The same argument lets a
+  /// mostly-candidate window of `kVectorBatchSize` positions be fed
+  /// whole, which costs less than picking its candidates out.
+  void ReplayMatches(const std::vector<uint64_t>& candidates,
+                     const FeedOrder& order, int64_t begin, int64_t end);
 
-  /// Matched rows recorded so far (empty unless
-  /// `options().record_matches`).
-  const std::vector<MatchedRow>& matched_rows() const { return matches_; }
-
-  /// True when recording hit `record_matches_limit` (directly or via a
-  /// merge): the candidate list is incomplete, so this state must not be
-  /// replayed or cached.
-  bool matches_overflowed() const { return matches_overflowed_; }
+  /// The candidate bitmap recorded so far: bit p % 64 of word p / 64 is
+  /// set when feed position p matched.  Exactly ceil(rows_seen() / 64)
+  /// words with no bit set at or past `rows_seen()`; empty unless
+  /// `options().record_matches`.
+  const std::vector<uint64_t>& match_bits() const { return match_bits_; }
 
   /// Estimated resident bytes of the accumulated state (bin tables +
-  /// recorded matches) — what a cache entry holding this state costs.
+  /// candidate bitmap) — what a cache entry holding this state costs.
   int64_t ApproxMemoryBytes() const {
     const size_t naggs = query_->spec().aggregates.size();
     return static_cast<int64_t>(
-        matches_.size() * sizeof(MatchedRow) +
+        match_bits_.size() * sizeof(uint64_t) +
         dense_.size() * sizeof(AggAccum) + dense_touched_.size() +
         bins_.size() * (naggs * sizeof(AggAccum) + 64));
   }
@@ -412,9 +395,30 @@ class BinnedAggregator {
   std::vector<AggAccum> dense_;         // dense_keys_ x naggs, lazy
   std::vector<uint8_t> dense_touched_;  // per dense key
 
-  /// Applies one row through filter + bin + aggregates, recording the
-  /// match at feed position `pos`; the scalar reference path.
+  /// Applies one row through filter + bin + aggregates, setting the
+  /// candidate bit of feed position `pos` on a match; the scalar
+  /// reference path.  The caller has accounted `pos` in `rows_seen_`.
   void ProcessRowAt(int64_t row, double weight, int64_t pos);
+
+  /// Feeds `n` <= kVectorBatchSize rows at `weight` through the fused
+  /// kernels (the scalar path when uncompiled).  Row i sits at feed
+  /// position `positions[i]`, or `first + i` when `positions` is null;
+  /// the caller has accounted every one of them in `rows_seen_`.
+  void FeedChunk(const int64_t* rows, int64_t n, double weight,
+                 int64_t first, const int64_t* positions);
+
+  /// Advances `rows_seen_` by `n`, growing the candidate bitmap (when
+  /// recording) to cover it with zero bits.
+  void AdvanceRows(int64_t n) {
+    rows_seen_ += n;
+    if (options_.record_matches) {
+      match_bits_.resize(static_cast<size_t>((rows_seen_ + 63) >> 6));
+    }
+  }
+
+  void SetMatchBit(int64_t pos) {
+    match_bits_[static_cast<size_t>(pos >> 6)] |= uint64_t{1} << (pos & 63);
+  }
 
   int64_t rows_seen_ = 0;
   int64_t rows_matched_ = 0;
@@ -424,26 +428,8 @@ class BinnedAggregator {
   // Reset partials awaiting reuse (AcquirePartial/ReleasePartial).
   std::vector<std::unique_ptr<BinnedAggregator>> partial_pool_;
 
-  // Matched-row recorder (options_.record_matches).
-  std::vector<MatchedRow> matches_;
-  bool matches_overflowed_ = false;
-
-  /// True when the recorder should take `count` more matches; flips to
-  /// overflowed (and releases the list) when that would exceed the cap.
-  bool RecorderAccepts(int64_t count) {
-    if (!options_.record_matches || matches_overflowed_) return false;
-    if (static_cast<int64_t>(matches_.size()) + count >
-        options_.record_matches_limit) {
-      matches_overflowed_ = true;
-      matches_ = {};
-      return false;
-    }
-    return true;
-  }
-  // During ReplayMatches: original feed positions of the current batch
-  // (parallel to the batch's rows); null in normal processing, where the
-  // position is the running rows_seen index.
-  const int64_t* replay_positions_ = nullptr;
+  // Candidate bitmap (options_.record_matches); see `match_bits()`.
+  std::vector<uint64_t> match_bits_;
 };
 
 }  // namespace idebench::exec

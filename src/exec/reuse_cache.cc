@@ -21,8 +21,8 @@ bool PoisonHit() {
 
 // Delta maintenance folds new epochs into *matching bin-table* snapshots
 // only: a snapshot's dense arrays are keyed by the bin layout it was
-// resolved under.  (The recorded candidate list stays valid either way:
-// replay re-bins by value through the new binding.)
+// resolved under.  (The candidate bitmap stays valid either way: replay
+// re-bins by value through the new binding.)
 bool SameBinTables(const query::QuerySpec& a, const query::QuerySpec& b) {
   if (a.bins.size() != b.bins.size()) return false;
   for (size_t i = 0; i < a.bins.size(); ++i) {
@@ -56,7 +56,7 @@ ReuseCache::Match ReuseCache::Lookup(const query::QuerySpec& spec) {
     } else {
       // An epoch publish re-shaped the bin tables since this snapshot
       // was stored: the dense arrays are unusable, but the candidate
-      // list still displaces the scan — serve it as a replay hit.
+      // bitmap still displaces the scan — serve it as a replay hit.
       ++stats_.refinement_hits;
       match.kind = MatchKind::kRefinement;
     }
@@ -97,12 +97,8 @@ ReuseCache::Match ReuseCache::Lookup(const query::QuerySpec& spec) {
 void ReuseCache::Store(const query::QuerySpec& spec,
                        const BinnedAggregator& agg, const Binder& binder) {
   // Nothing to reuse from an empty feed, and nothing to replay from an
-  // aggregator that did not record its candidates (or whose recorder
-  // overflowed: the candidate list is incomplete).
-  if (agg.rows_seen() <= 0 || !agg.options().record_matches ||
-      agg.matches_overflowed()) {
-    return;
-  }
+  // aggregator that did not record its candidates.
+  if (agg.rows_seen() <= 0 || !agg.options().record_matches) return;
 
   // Chaos site: an eviction storm (memory-pressure spike) wipes the whole
   // cache just before the store.  Only physical work is displaced, so the
@@ -135,14 +131,14 @@ void ReuseCache::Store(const query::QuerySpec& spec,
   if (!bound.ok()) return;  // engine cannot re-bind: skip caching
   entry->bound = std::make_unique<BoundQuery>(std::move(bound).MoveValueUnsafe());
 
-  BinnedAggregatorOptions snapshot_options = agg.options();
-  snapshot_options.record_matches = true;  // the candidate list rides along
-  entry->snapshot = std::make_unique<BinnedAggregator>(entry->bound.get(),
-                                                       snapshot_options);
+  // The snapshot keeps `agg`'s options, recording included, so the
+  // candidate bitmap rides along.
+  entry->snapshot =
+      std::make_unique<BinnedAggregator>(entry->bound.get(), agg.options());
   entry->snapshot->MergeFrom(agg);
   entry->watermark = agg.rows_seen();
   entry->last_used = ++use_tick_;
-  // Candidate list + bin tables, plus a coarse per-entry floor for the
+  // Candidate bitmap + bin tables, plus a coarse per-entry floor for the
   // binding and bookkeeping.
   entry->approx_bytes = entry->snapshot->ApproxMemoryBytes() + 4096;
 
@@ -195,8 +191,8 @@ void ReuseCache::EvictOverflow(const std::string& viz) {
   }
 }
 
-int64_t ReuseCache::Serve(const Match& match, BinnedAggregator* agg,
-                          int64_t begin, int64_t end) {
+int64_t ReuseCache::Serve(const Match& match, const FeedOrder& order,
+                          BinnedAggregator* agg, int64_t begin, int64_t end) {
   if (!match || match.kind == MatchKind::kNone) return begin;
   const Entry& entry = *match.entry;
   const int64_t upto = std::min(end, entry.watermark);
@@ -205,13 +201,13 @@ int64_t ReuseCache::Serve(const Match& match, BinnedAggregator* agg,
   if (match.kind == MatchKind::kEqual && begin == 0 &&
       agg->rows_seen() == 0 && upto == entry.watermark) {
     // The range covers the whole snapshot: adopt its bin tables (and
-    // candidate list) wholesale.
+    // candidate bitmap) wholesale.
     agg->MergeFrom(*entry.snapshot);
     return upto;
   }
-  // Partial or refined coverage: replay the candidate slice through this
-  // query's own filter at the original positions and weights.
-  agg->ReplayMatches(entry.snapshot->matched_rows(), begin, upto);
+  // Partial or refined coverage: feed the candidate positions of the
+  // range through this query's own order and filter.
+  agg->ReplayMatches(entry.snapshot->match_bits(), order, begin, upto);
   return upto;
 }
 

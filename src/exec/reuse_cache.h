@@ -16,16 +16,23 @@
 ///    join chain are implied by the catalog) together with the
 ///    sampled-row *watermark* — how far along its feed (sampling walk,
 ///    scan, or weighted sample) the snapshot got.
+///  * Each snapshot carries a *candidate bitmap*: one bit per feed
+///    position below the watermark, set where the position matched (the
+///    recording aggregator's `match_bits()`).  Positions, not rows: the
+///    serving query maps them to rows through its own `FeedOrder`.  A
+///    million-position snapshot costs 125 KB of bitmap at any
+///    selectivity, so the recorder needs no cap.
 ///  * A subsumption matcher recognizes when a new interaction's predicate
 ///    set is *equal to* a cached entry (serve the snapshot and continue
 ///    sampling past the watermark) or a *refinement* of one (replay only
-///    the cached candidate rows through the refined filter instead of
+///    the candidate positions through the refined filter instead of
 ///    rescanning every row — rows the weaker filter rejected cannot pass
 ///    the stronger one).
 ///
 /// Transparency contract: serving from the cache reproduces, bit for
 /// bit, the aggregator state the engine would have built by feeding the
-/// same positions sequentially (see `BinnedAggregator::ReplayMatches`).
+/// same positions sequentially (see `BinnedAggregator::ReplayMatches`;
+/// `Serve` states what it assumes of the feed order).
 /// The virtual cost model is never touched — reuse displaces *physical*
 /// work (benchmark wall-clock), not simulated time — so results with
 /// the cache on and off are identical; `tests/workflow_fuzz_test.cc`
@@ -38,8 +45,8 @@
 /// exact comparison is valid).
 ///
 /// Snapshots compose with morsel-parallel execution: they are adopted
-/// via `MergeFrom` (which also carries the recorded candidate list) and
-/// the remainder of a feed may run through `exec/parallel.h` as usual.
+/// via `MergeFrom` (which also carries the candidate bitmap) and the
+/// remainder of a feed may run through `exec/parallel.h` as usual.
 ///
 /// Entries survive ingest epochs: every feed order is prefix-invariant
 /// under epoch publishes (see `FeedOrder`), so a snapshot's first
@@ -81,9 +88,9 @@ struct ReuseCacheOptions {
   int64_t max_entries_total = 64;
 
   /// Global byte budget over the entries' dominant allocations
-  /// (candidate lists + bin tables, estimated); LRU-evicts past it, so
-  /// low-selectivity snapshots cannot pin entry-count × candidate-cap
-  /// worth of memory.
+  /// (candidate bitmaps + bin tables, estimated); LRU-evicts past it, so
+  /// entries over long feeds or wide bin tables cannot pin unbounded
+  /// memory.
   int64_t max_total_bytes = 64 << 20;
 };
 
@@ -103,11 +110,12 @@ class ReuseCache {
     std::unique_ptr<query::QuerySpec> spec;  // stable address for `bound`
     std::unique_ptr<BoundQuery> bound;
     /// Aggregator state after the first `watermark` feed positions; its
-    /// recorder holds the candidate (matched) rows of that prefix.
+    /// `match_bits()` mark the candidate (matched) positions of that
+    /// prefix.
     std::unique_ptr<BinnedAggregator> snapshot;
     int64_t watermark = 0;
     uint64_t last_used = 0;
-    /// Estimated resident size (candidate list + bin tables); the unit
+    /// Estimated resident size (candidate bitmap + bin tables); the unit
     /// of the cache's byte budget.
     int64_t approx_bytes = 0;
   };
@@ -142,20 +150,36 @@ class ReuseCache {
   /// and hit/miss counters.
   Match Lookup(const query::QuerySpec& spec);
 
-  /// Snapshots `agg` (which must have been built with
-  /// `record_matches`, and fed in feed-position order) under `spec`'s
-  /// signature.  Replaces an existing entry only when the new watermark
-  /// is deeper; evicts per-viz and global LRU overflow.
+  /// Snapshots `agg` (which must have been built with `record_matches`,
+  /// and fed from position 0 in feed-position order) under `spec`'s
+  /// signature; an aggregator without a recorder is not stored.
+  /// Replaces an existing entry only when the new watermark is deeper;
+  /// evicts per-viz and global LRU overflow.
   void Store(const query::QuerySpec& spec, const BinnedAggregator& agg,
              const Binder& binder);
 
-  /// Serves feed positions [begin, end) of `match` into `agg`: adopts the
-  /// whole snapshot via MergeFrom when the range covers the watermark
-  /// from zero, otherwise replays the recorded candidate slice.  Returns
-  /// the position up to which the cache served (== begin when the match
-  /// is empty or exhausted); the caller feeds the remainder physically.
-  static int64_t Serve(const Match& match, BinnedAggregator* agg,
-                       int64_t begin, int64_t end);
+  /// Serves feed positions [begin, end) of `match` into `agg`, which has
+  /// been fed [0, begin) of `order` already: adopts the whole snapshot
+  /// via MergeFrom when the range covers the watermark from zero,
+  /// otherwise replays the snapshot's candidate positions of the range
+  /// through `order` (`BinnedAggregator::ReplayMatches`).  Returns the
+  /// position up to which the cache served (== begin when the match is
+  /// empty or exhausted); the caller feeds the remainder physically.
+  ///
+  /// Precondition: `order` is the serving query's own feed order, and
+  /// below the watermark it names the same rows as the order the
+  /// snapshot was recorded under.  The engines guarantee it:
+  ///  * every engine gives all queries of one core signature one order —
+  ///    a scan (the blocking engine; the online engine's fallback, which
+  ///    it picks from the aggregates alone, as it does its walk), the
+  ///    walk `EngineBase::WalkOrder` keys by the core signature, or the
+  ///    stratified engine's single sample;
+  ///  * entries match only on an equal full or core signature;
+  ///  * every order is prefix-invariant under epoch publishes (see
+  ///    `FeedOrder`), so positions below the watermark name the same
+  ///    rows at any later epoch.
+  static int64_t Serve(const Match& match, const FeedOrder& order,
+                       BinnedAggregator* agg, int64_t begin, int64_t end);
 
   /// Adds to the rows-served telemetry (the engine knows how many
   /// positions `Serve` displaced).

@@ -34,7 +34,11 @@ int Ratekeeper::LevelFor(Micros backlog) const {
     }
     level += static_cast<int>(backlog / options_.backlog_degrade);
   }
-  return std::min(level, levels + 1);
+  // Only the hard live limit and `backlog_reject` refuse: below them the
+  // ladder's deepest rung is degradation, however far the two signals'
+  // levels add up.
+  return live_ >= options_.hard_live_limit ? levels + 1
+                                           : std::min(level, levels);
 }
 
 AdmitDecision Ratekeeper::Admit(const std::string& tenant, Micros now,

@@ -7,6 +7,8 @@
 #include "net/ratekeeper.h"
 
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -164,6 +166,25 @@ TEST(RatekeeperTest, BacklogDegradesThenRejects) {
   const AdmitDecision rejected = keeper.Admit("t", 0, /*backlog=*/2'000'000);
   EXPECT_EQ(rejected.action, AdmitAction::kReject);
   EXPECT_STREQ(rejected.reason, "backlogged");
+}
+
+/// Regression: backlog levels added past `degrade_levels` and refused
+/// as `over_capacity` with nothing live — at the defaults, every lag
+/// from 2 s to just under `backlog_reject` (5 s).  Backlog alone
+/// degrades at most to the deepest level; only `backlog_reject` refuses.
+TEST(RatekeeperTest, BacklogAloneCapsAtDeepestDegradeLevel) {
+  Ratekeeper keeper(RatekeeperOptions{});
+  ASSERT_EQ(keeper.live(), 0);
+  const std::vector<std::pair<Micros, int>> admitted = {
+      {1'400'000, 2}, {2'000'000, 3}, {3'000'000, 3}, {4'999'000, 3}};
+  for (const auto& [backlog, level] : admitted) {
+    const AdmitDecision d = keeper.Admit("t", 0, backlog);
+    EXPECT_TRUE(d.admitted()) << "lag " << backlog << ": " << d.reason;
+    EXPECT_EQ(d.degrade_level, level) << "lag " << backlog;
+  }
+  const AdmitDecision refused = keeper.Admit("t", 0, 5'000'000);
+  EXPECT_EQ(refused.action, AdmitAction::kReject);
+  EXPECT_STREQ(refused.reason, "backlogged");
 }
 
 TEST(RatekeeperTest, StatsAccountEveryDecision) {

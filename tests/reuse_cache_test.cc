@@ -1,8 +1,9 @@
 /// \file reuse_cache_test.cc
 /// Unit tests of the cross-interaction reuse cache: signature and
-/// subsumption matching, snapshot serve/replay bit-exactness (including
-/// against the morsel-parallel path), match recording through partial
-/// merges, and per-viz LRU eviction.
+/// subsumption matching, snapshot serve/replay bit-exactness through each
+/// feed order (including against the morsel-parallel path), candidate
+/// bitmaps through partial merges and their cost, and per-viz LRU
+/// eviction.
 
 #include <memory>
 #include <string>
@@ -28,7 +29,7 @@ using query::QuerySpec;
 constexpr int64_t kRows = 3000;
 
 /// A small deterministic table with enough spread for selective filters.
-std::shared_ptr<storage::Catalog> MakeCatalog() {
+std::shared_ptr<storage::Catalog> MakeCatalog(int64_t rows = kRows) {
   storage::Schema schema({
       {"value", storage::DataType::kDouble,
        storage::AttributeKind::kQuantitative},
@@ -40,7 +41,7 @@ std::shared_ptr<storage::Catalog> MakeCatalog() {
   auto table = std::make_shared<storage::Table>("fact", schema);
   const char* groups[] = {"a", "b", "c", "d"};
   Rng rng(21);
-  for (int64_t i = 0; i < kRows; ++i) {
+  for (int64_t i = 0; i < rows; ++i) {
     table->mutable_column(0).AppendDouble(rng.Uniform(0.0, 100.0));
     table->mutable_column(1).AppendDouble(rng.Uniform(-10.0, 10.0));
     table->mutable_column(2).AppendString(groups[rng.UniformInt(0, 3)]);
@@ -147,7 +148,9 @@ TEST(ReuseCacheTest, EpochGrowthDeltaVsInvalidateModes) {
   const ReuseCache::Match match = delta.Lookup(spec);
   EXPECT_EQ(match.kind, ReuseCache::MatchKind::kEqual);
   BinnedAggregator grown(&*bound, Recording());
-  EXPECT_EQ(ReuseCache::Serve(match, &grown, 0, kRows + 500), 1000);
+  EXPECT_EQ(ReuseCache::Serve(match, FeedOrder::Scan(), &grown, 0,
+                              kRows + 500),
+            1000);
   EXPECT_EQ(grown.rows_seen(), 1000);
 }
 
@@ -238,7 +241,8 @@ TEST(ReuseCacheTest, ServeIsBitIdenticalToDirectProcessing) {
   // Full adoption + physical continuation == direct feed of [0, 2600).
   {
     BinnedAggregator served(&*bound, Recording());
-    EXPECT_EQ(ReuseCache::Serve(match, &served, 0, 2600), 2000);
+    EXPECT_EQ(ReuseCache::Serve(match, FeedOrder::Scan(), &served, 0, 2600),
+              2000);
     served.Process(FeedOrder::Scan(), 2000, 2600);
     BinnedAggregator direct(&*bound, Recording());
     direct.Process(FeedOrder::Scan(), 0, 2600);
@@ -249,21 +253,23 @@ TEST(ReuseCacheTest, ServeIsBitIdenticalToDirectProcessing) {
     testharness::ExpectResultsBitIdentical(
         served.EstimateFromUniformSample(kRows, 1.96),
         direct.EstimateFromUniformSample(kRows, 1.96), "full adoption est");
-    // The recorder survives adoption, so the served aggregator can
-    // itself be stored at the deeper watermark.
-    EXPECT_EQ(served.matched_rows().size(), direct.matched_rows().size());
+    // The bitmap survives adoption, so the served aggregator can itself
+    // be stored at the deeper watermark.
+    EXPECT_EQ(served.match_bits(), direct.match_bits());
   }
 
   // Partial replay below the watermark == direct feed of [0, 700).
   {
     BinnedAggregator served(&*bound, Recording());
-    EXPECT_EQ(ReuseCache::Serve(match, &served, 0, 700), 700);
+    EXPECT_EQ(ReuseCache::Serve(match, FeedOrder::Scan(), &served, 0, 700),
+              700);
     BinnedAggregator direct(&*bound, Recording());
     direct.Process(FeedOrder::Scan(), 0, 700);
     EXPECT_EQ(served.rows_seen(), direct.rows_seen());
     EXPECT_EQ(served.rows_matched(), direct.rows_matched());
     testharness::ExpectResultsBitIdentical(
         served.ExactResult(), direct.ExactResult(), "partial replay");
+    EXPECT_EQ(served.match_bits(), direct.match_bits());
   }
 
   // Refined replay: candidates re-filtered through the stricter query.
@@ -276,25 +282,25 @@ TEST(ReuseCacheTest, ServeIsBitIdenticalToDirectProcessing) {
     ASSERT_EQ(refined_match.kind, ReuseCache::MatchKind::kRefinement);
 
     BinnedAggregator served(&*refined_bound, Recording());
-    EXPECT_EQ(ReuseCache::Serve(refined_match, &served, 0, 2000), 2000);
+    EXPECT_EQ(ReuseCache::Serve(refined_match, FeedOrder::Scan(), &served, 0,
+                                2000),
+              2000);
     BinnedAggregator direct(&*refined_bound, Recording());
     direct.Process(FeedOrder::Scan(), 0, 2000);
     EXPECT_EQ(served.rows_seen(), direct.rows_seen());
     EXPECT_EQ(served.rows_matched(), direct.rows_matched());
     testharness::ExpectResultsBitIdentical(
         served.ExactResult(), direct.ExactResult(), "refined replay");
-    // Matches recorded during replay carry the original feed positions.
-    ASSERT_EQ(served.matched_rows().size(), direct.matched_rows().size());
-    for (size_t i = 0; i < served.matched_rows().size(); ++i) {
-      EXPECT_EQ(served.matched_rows()[i].pos, direct.matched_rows()[i].pos);
-      EXPECT_EQ(served.matched_rows()[i].row, direct.matched_rows()[i].row);
-    }
+    // Bits recorded during replay sit at the original feed positions.
+    EXPECT_EQ(served.match_bits(), direct.match_bits());
   }
 
   // Ranges past the watermark serve nothing.
   {
     BinnedAggregator served(&*bound, Recording());
-    EXPECT_EQ(ReuseCache::Serve(match, &served, 2000, 2600), 2000);
+    EXPECT_EQ(
+        ReuseCache::Serve(match, FeedOrder::Scan(), &served, 2000, 2600),
+        2000);
     EXPECT_EQ(served.rows_seen(), 0);
   }
 }
@@ -319,7 +325,8 @@ TEST(ReuseCacheTest, ServeComposesWithMorselPathMergeFrom) {
 
   for (int parallelism : {1, 2, 4}) {
     BinnedAggregator served(&*bound, Recording());
-    ASSERT_EQ(ReuseCache::Serve(match, &served, 0, kRows), 1500);
+    ASSERT_EQ(ReuseCache::Serve(match, FeedOrder::Scan(), &served, 0, kRows),
+              1500);
     MorselProcess(&served, FeedOrder::Scan(), 1500, kRows, parallelism,
                   /*morsel_rows=*/512);
 
@@ -334,15 +341,34 @@ TEST(ReuseCacheTest, ServeComposesWithMorselPathMergeFrom) {
     testharness::ExpectResultsBitIdentical(
         served.ExactResult(), direct.ExactResult(),
         "morsel continuation, parallelism " + std::to_string(parallelism));
-    // Recorder positions survive the partial merges in morsel order.
-    ASSERT_EQ(served.matched_rows().size(), direct.matched_rows().size());
-    for (size_t i = 0; i < served.matched_rows().size(); ++i) {
-      EXPECT_EQ(served.matched_rows()[i].pos, direct.matched_rows()[i].pos);
-    }
+    // Bit positions survive the partial merges in morsel order, the
+    // second morsel's at an offset that is not a whole word.
+    EXPECT_EQ(served.match_bits(), direct.match_bits());
+    BinnedAggregator sequential(&*bound, Recording());
+    sequential.Process(FeedOrder::Scan(), 0, kRows);
+    EXPECT_EQ(served.match_bits(), sequential.match_bits());
   }
 }
 
-/// Weighted feeds replay with their recorded weights.
+/// Two stratum weight runs, as the stratified engine lays its sample out:
+/// each of `rows` table rows once, in a seeded shuffle, the first
+/// `boundary` at weight 3.5 and the rest at 7.25.
+aqp::StratifiedSample TwoRunSample(int64_t rows, int64_t boundary) {
+  aqp::StratifiedSample sample;
+  sample.rows.resize(static_cast<size_t>(rows));
+  for (int64_t i = 0; i < rows; ++i) sample.rows[static_cast<size_t>(i)] = i;
+  Rng rng(5);
+  rng.Shuffle(&sample.rows);
+  for (int64_t i = 0; i < rows; ++i) {
+    sample.weights.push_back(i < boundary ? 3.5 : 7.25);
+  }
+  sample.base_rows = rows;
+  sample.num_strata = 2;
+  return sample;
+}
+
+/// Sample feeds replay at each position's own weight, split where the
+/// weight changes.
 TEST(ReuseCacheTest, WeightedReplayPreservesWeights) {
   auto catalog = MakeCatalog();
   ReuseCache cache;
@@ -350,83 +376,186 @@ TEST(ReuseCacheTest, WeightedReplayPreservesWeights) {
   auto bound = BoundQuery::Bind(spec, *catalog);
   ASSERT_TRUE(bound.ok());
 
-  // Two weight strata, as the stratified engine feeds them.
-  std::vector<int64_t> rows(kRows);
-  for (int64_t i = 0; i < kRows; ++i) rows[static_cast<size_t>(i)] = i;
+  const aqp::StratifiedSample sample = TwoRunSample(kRows, 1200);
+  const FeedOrder order = FeedOrder::Sample(&sample);
   BinnedAggregator source(&*bound, Recording());
-  source.ProcessBatch(rows.data(), 1200, 3.5);
-  source.ProcessBatch(rows.data() + 1200, 800, 7.25);
+  source.Process(order, 0, 2000);
   cache.Store(spec, source, BinderFor(catalog));
 
   auto match = cache.Lookup(spec);
   ASSERT_EQ(match.kind, ReuseCache::MatchKind::kEqual);
   BinnedAggregator served(&*bound, Recording());
   // Replay a window straddling the weight boundary.
-  EXPECT_EQ(ReuseCache::Serve(match, &served, 0, 1700), 1700);
+  EXPECT_EQ(ReuseCache::Serve(match, order, &served, 0, 1700), 1700);
 
   BinnedAggregator direct(&*bound, Recording());
-  direct.ProcessBatch(rows.data(), 1200, 3.5);
-  direct.ProcessBatch(rows.data() + 1200, 500, 7.25);
+  direct.Process(order, 0, 1700);
   EXPECT_EQ(served.rows_seen(), direct.rows_seen());
+  EXPECT_EQ(served.match_bits(), direct.match_bits());
   testharness::ExpectResultsBitIdentical(
       served.EstimateFromWeightedSample(1.96),
       direct.EstimateFromWeightedSample(1.96), "weighted replay");
 }
 
-/// Past the recording cap the candidate list is released and the state
-/// becomes non-cacheable — memory stays bounded no matter how weak the
-/// filter is.
-TEST(ReuseCacheTest, RecorderOverflowDisablesCaching) {
+/// Rows of the replay differential's table: enough that the feed past
+/// the watermark spans several 1,024-position morsels.
+constexpr int64_t kReplayRows = 6000;
+
+/// Replay differential through one feed order over the first `end`
+/// positions of a `kReplayRows`-row table.  For a dense base filter
+/// (~90 % of rows: windows fed whole) and a sparse one (~30 %:
+/// candidates picked out), each stored at `watermark`, and for the base
+/// itself (equal hit) and a refinement of it: serving [cursor,
+/// watermark) into an aggregator already fed [0, cursor), then
+/// continuing to `end` through MorselProcess at 4 threads, must be
+/// bit-identical to feeding the same positions directly — bins,
+/// estimates, counters and recorded bits.  `cursor` and `watermark` are
+/// not multiples of 64, so the served range starts mid-word and the
+/// morsel partials merge at bit offsets inside a word.
+void ExpectReplayMatchesDirectFeed(const FeedOrder& order, int64_t cursor,
+                                   int64_t watermark, int64_t end,
+                                   const std::string& label) {
+  ASSERT_NE(cursor % 64, 0);
+  ASSERT_NE(watermark % 64, 0);
+  ASSERT_GT(end - watermark, kVectorBatchSize);  // several morsels
+  auto catalog = MakeCatalog(kReplayRows);
+  for (const auto& [lo, hi] : {std::pair{5.0, 95.0}, std::pair{10.0, 40.0}}) {
+    QuerySpec base = BaseSpec(*catalog);
+    base.filter.And(Range("value", lo, hi));
+    auto base_bound = BoundQuery::Bind(base, *catalog);
+    ASSERT_TRUE(base_bound.ok());
+    ReuseCache cache;
+    BinnedAggregator source(&*base_bound, Recording());
+    source.Process(order, 0, watermark);
+    cache.Store(base, source, BinderFor(catalog));
+
+    QuerySpec refined = base;
+    refined.filter.And(Range("amount", -3.0, 3.0));
+    for (const QuerySpec* spec : {&base, &refined}) {
+      const std::string where = label + " base [" + std::to_string(lo) +
+                                ", " + std::to_string(hi) + ")" +
+                                (spec == &refined ? " refined" : " equal");
+      auto bound = BoundQuery::Bind(*spec, *catalog);
+      ASSERT_TRUE(bound.ok());
+      const ReuseCache::Match match = cache.Lookup(*spec);
+      ASSERT_TRUE(match) << where;
+
+      BinnedAggregator served(&*bound, Recording());
+      served.Process(order, 0, cursor);
+      ASSERT_EQ(ReuseCache::Serve(match, order, &served, cursor, end),
+                watermark)
+          << where;
+      MorselProcess(&served, order, watermark, end, /*parallelism=*/4,
+                    /*morsel_rows=*/kVectorBatchSize);
+
+      BinnedAggregator direct(&*bound, Recording());
+      direct.Process(order, 0, cursor);
+      direct.Process(order, cursor, watermark);
+      MorselProcess(&direct, order, watermark, end, /*parallelism=*/4,
+                    /*morsel_rows=*/kVectorBatchSize);
+
+      // Bits are exact under any merge tree, so one sequential feed of
+      // [0, end) also pins where the morsel merges put them.
+      BinnedAggregator sequential(&*bound, Recording());
+      sequential.Process(order, 0, end);
+
+      EXPECT_EQ(served.rows_seen(), end) << where;
+      EXPECT_EQ(served.rows_matched(), direct.rows_matched()) << where;
+      EXPECT_EQ(served.match_bits(), direct.match_bits()) << where;
+      EXPECT_EQ(served.match_bits(), sequential.match_bits()) << where;
+      testharness::ExpectResultsBitIdentical(served.ExactResult(),
+                                             direct.ExactResult(), where);
+      testharness::ExpectResultsBitIdentical(
+          served.EstimateFromUniformSample(end, 1.96),
+          direct.EstimateFromUniformSample(end, 1.96), where + " est");
+      testharness::ExpectResultsBitIdentical(
+          served.EstimateFromWeightedSample(1.96),
+          direct.EstimateFromWeightedSample(1.96), where + " weighted");
+    }
+  }
+}
+
+TEST(ReuseReplayTest, ScanIsBitIdenticalToDirectFeed) {
+  ExpectReplayMatchesDirectFeed(FeedOrder::Scan(), /*cursor=*/1037,
+                                /*watermark=*/3700, /*end=*/kReplayRows,
+                                "scan");
+}
+
+/// A walk over a base plus 1 and 3 published epochs; the served range
+/// crosses from the base window into the epoch rings.
+TEST(ReuseReplayTest, WalkIsBitIdenticalToDirectFeed) {
+  for (const std::vector<int64_t>& epochs :
+       {std::vector<int64_t>{3000, kReplayRows},
+        std::vector<int64_t>{2000, 3000, 4500, kReplayRows}}) {
+    aqp::ShuffledIndex index(epochs.front());
+    for (size_t e = 1; e < epochs.size(); ++e) {
+      Rng rng = Rng(9).Fork(e);
+      index.ExtendTo(epochs[e], &rng);
+    }
+    ExpectReplayMatchesDirectFeed(
+        FeedOrder::Walk(&index, /*key=*/1234), /*cursor=*/1037,
+        /*watermark=*/3700, /*end=*/kReplayRows,
+        "walk over " + std::to_string(epochs.size() - 1) + " epochs");
+  }
+}
+
+/// A sample with two weight runs; the served range crosses the boundary.
+TEST(ReuseReplayTest, SampleIsBitIdenticalToDirectFeed) {
+  const aqp::StratifiedSample sample = TwoRunSample(kReplayRows, 2400);
+  ExpectReplayMatchesDirectFeed(FeedOrder::Sample(&sample), /*cursor=*/1037,
+                                /*watermark=*/3700, /*end=*/kReplayRows,
+                                "sample");
+}
+
+/// The candidate bitmap costs one bit per position whatever the filter
+/// keeps: an unfiltered N-position snapshot costs at most N/8 bytes,
+/// rounded up to a whole 64-bit word, beyond its bin tables.
+TEST(ReuseCacheTest, UnfilteredSnapshotCostsOneBitPerPosition) {
   auto catalog = MakeCatalog();
   QuerySpec spec = BaseSpec(*catalog);  // no filter: every row matches
   auto bound = BoundQuery::Bind(spec, *catalog);
   ASSERT_TRUE(bound.ok());
 
-  BinnedAggregatorOptions options = Recording();
-  options.record_matches_limit = 100;
-  BinnedAggregator agg(&*bound, options);
-  agg.Process(FeedOrder::Scan(), 0, 500);
-  EXPECT_TRUE(agg.matches_overflowed());
-  EXPECT_TRUE(agg.matched_rows().empty());
-  // Results are unaffected by the recorder overflowing.
-  EXPECT_EQ(agg.rows_matched(), 500);
+  BinnedAggregator recording(&*bound, Recording());
+  BinnedAggregator plain(&*bound);  // the same bin tables, no bitmap
+  recording.Process(FeedOrder::Scan(), 0, kRows);
+  plain.Process(FeedOrder::Scan(), 0, kRows);
+  EXPECT_EQ(recording.rows_matched(), kRows);
+  const int64_t bitmap_bytes = (kRows + 63) / 64 * 8;
 
   ReuseCache cache;
-  cache.Store(spec, agg, BinderFor(catalog));
-  EXPECT_EQ(cache.size(), 0u);
-
-  // Overflow propagates through merges (morsel partials).
-  BinnedAggregator target(&*bound, options);
-  target.MergeFrom(agg);
-  EXPECT_TRUE(target.matches_overflowed());
-
-  // Merging matched rows from a non-recording side poisons the
-  // recorder too: the candidate list would otherwise silently miss them.
-  BinnedAggregator plain(&*bound);
-  plain.Process(FeedOrder::Scan(), 0, 50);
-  BinnedAggregator recording(&*bound, Recording());
-  recording.MergeFrom(plain);
-  EXPECT_TRUE(recording.matches_overflowed());
-  EXPECT_TRUE(recording.matched_rows().empty());
+  cache.Store(spec, recording, BinderFor(catalog));
+  const ReuseCache::Match match = cache.Lookup(spec);
+  ASSERT_TRUE(match);
+  const BinnedAggregator& snapshot = *match.entry->snapshot;
+  EXPECT_EQ(snapshot.match_bits(), recording.match_bits());
+  EXPECT_LE(snapshot.ApproxMemoryBytes(),
+            plain.ApproxMemoryBytes() + bitmap_bytes);
 }
 
 /// The byte budget LRU-evicts heavy snapshots while keeping the most
 /// recent entry.
 TEST(ReuseCacheTest, ByteBudgetEviction) {
   auto catalog = MakeCatalog();
-  ReuseCacheOptions options;
-  // Each unfiltered snapshot records 2000 matches (~48 KB + floor).
-  options.max_total_bytes = 120 << 10;
-  ReuseCache cache(options);
-
-  for (double lo : {1.0, 2.0, 3.0, 4.0}) {
+  const auto store = [&](ReuseCache* cache, double lo) {
     QuerySpec spec = BaseSpec(*catalog);
     spec.filter.And(Range("amount", -100.0 - lo, 100.0 + lo));  // matches all
     auto bound = BoundQuery::Bind(spec, *catalog);
     ASSERT_TRUE(bound.ok());
     BinnedAggregator agg(&*bound, Recording());
     agg.Process(FeedOrder::Scan(), 0, 2000);
-    cache.Store(spec, agg, BinderFor(catalog));
+    cache->Store(spec, agg, BinderFor(catalog));
+  };
+  // Each snapshot costs the same: its bin tables, a 2000-bit bitmap and
+  // the per-entry floor.  Measure one, then budget two and a half.
+  ReuseCache probe;
+  store(&probe, 1.0);
+  ReuseCacheOptions options;
+  options.max_total_bytes = probe.total_bytes() * 5 / 2;
+  ReuseCache cache(options);
+
+  for (double lo : {1.0, 2.0, 3.0, 4.0}) {
+    store(&cache, lo);
     EXPECT_LE(cache.total_bytes(), options.max_total_bytes);
   }
   EXPECT_EQ(cache.size(), 2u);
