@@ -63,9 +63,13 @@ query::QuerySpec CountByCarrierSpec() {
 
 /// The sampled-aggregation hot loop: a sampling walk over the fact table
 /// feeding a filtered, binned COUNT + AVG — the per-row work every
-/// sampling engine performs.  Three variants trace the perf trajectory:
-/// scalar reference, vectorized kernels + hash bin table, and vectorized
-/// kernels + dense bin table (the default).  Run with
+/// sampling engine performs.  Four variants trace the perf trajectory:
+/// scalar reference, vectorized kernels + hash bin table, vectorized
+/// kernels + dense bin table (the default), each of the vectorized two
+/// fed through `Process(FeedOrder::Walk(...))` as the engines feed it
+/// (row runs inside the base), and the default fed the same walk as one
+/// row-id list through `ProcessBatch` — the path of epoch rings,
+/// wrapped batches and samples.  Run with
 /// `bench_micro --benchmark_filter=HotLoop`.
 query::QuerySpec HotLoopSpec() {
   query::QuerySpec spec;
@@ -91,14 +95,20 @@ query::QuerySpec HotLoopSpec() {
   return spec;
 }
 
-/// Row order shared by the hot-loop variants: a whole walk as the
-/// sampling engines take it, the table's own rows as a ring rotated to
-/// start mid-table.
+/// The walk every hot-loop variant feeds, as the sampling engines take
+/// it: the table's own rows as a ring rotated to start mid-table.
+exec::FeedOrder HotLoopWalk() {
+  static const aqp::ShuffledIndex index(SharedTable().num_rows());
+  return exec::FeedOrder::Walk(&index, /*key=*/SharedTable().num_rows() / 2);
+}
+
+/// The same walk as one row-id list, for the scalar and id-list variants.
 const std::vector<int64_t>& SharedWalk() {
   static const std::vector<int64_t> walk = [] {
+    const exec::FeedOrder order = HotLoopWalk();
     const int64_t rows = SharedTable().num_rows();
     std::vector<int64_t> out(static_cast<size_t>(rows));
-    aqp::ShuffledIndex(rows).GatherWalk(/*key=*/rows / 2, 0, rows, out.data());
+    order.index->GatherWalk(order.key, 0, rows, out.data());
     return out;
   }();
   return walk;
@@ -127,20 +137,38 @@ void BM_HotLoopVectorizedHashBins(benchmark::State& state) {
   query::QuerySpec spec = HotLoopSpec();
   auto bound = exec::BoundQuery::Bind(spec, *catalog);
   IDB_CHECK(bound.ok());
-  const std::vector<int64_t>& walk = SharedWalk();
+  const int64_t rows = SharedTable().num_rows();
   exec::BinnedAggregatorOptions options;
   options.enable_dense_bins = false;
   for (auto _ : state) {
     exec::BinnedAggregator agg(&*bound, options);
-    agg.ProcessBatch(walk.data(), static_cast<int64_t>(walk.size()));
+    IDB_CHECK(!agg.uses_dense_bins());
+    agg.Process(HotLoopWalk(), 0, rows);
     benchmark::DoNotOptimize(agg.rows_matched());
   }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(walk.size()));
+  state.SetItemsProcessed(state.iterations() * rows);
 }
 BENCHMARK(BM_HotLoopVectorizedHashBins);
 
 void BM_HotLoopVectorized(benchmark::State& state) {
+  auto catalog = SharedCatalog();
+  query::QuerySpec spec = HotLoopSpec();
+  auto bound = exec::BoundQuery::Bind(spec, *catalog);
+  IDB_CHECK(bound.ok());
+  const int64_t rows = SharedTable().num_rows();
+  for (auto _ : state) {
+    exec::BinnedAggregator agg(&*bound);
+    IDB_CHECK(agg.uses_dense_bins());
+    agg.Process(HotLoopWalk(), 0, rows);
+    benchmark::DoNotOptimize(agg.rows_matched());
+  }
+  state.SetItemsProcessed(state.iterations() * rows);
+}
+BENCHMARK(BM_HotLoopVectorized);
+
+/// The default variant fed the same walk as one row-id list: what epoch
+/// rings, wrapped walk batches and samples cost per row.
+void BM_HotLoopVectorizedIdList(benchmark::State& state) {
   auto catalog = SharedCatalog();
   query::QuerySpec spec = HotLoopSpec();
   auto bound = exec::BoundQuery::Bind(spec, *catalog);
@@ -155,7 +183,7 @@ void BM_HotLoopVectorized(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(walk.size()));
 }
-BENCHMARK(BM_HotLoopVectorized);
+BENCHMARK(BM_HotLoopVectorizedIdList);
 
 /// Morsel-parallel variant of the hot loop: the same sampling walk, fed
 /// through exec::MorselProcess at 1/2/4/8 worker threads.  Each
@@ -171,13 +199,10 @@ void BM_HotLoopParallel(benchmark::State& state) {
   auto bound = exec::BoundQuery::Bind(spec, *catalog);
   IDB_CHECK(bound.ok());
   const int64_t rows = SharedTable().num_rows();
-  const aqp::ShuffledIndex walk_order(rows);
   for (auto _ : state) {
     exec::BinnedAggregator agg(&*bound);
     for (int64_t r = 0; r < kWalkRepeats; ++r) {
-      exec::MorselProcess(&agg,
-                          exec::FeedOrder::Walk(&walk_order, /*key=*/rows / 2),
-                          0, rows, threads);
+      exec::MorselProcess(&agg, HotLoopWalk(), 0, rows, threads);
     }
     benchmark::DoNotOptimize(agg.rows_matched());
   }

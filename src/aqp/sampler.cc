@@ -51,6 +51,15 @@ void ShuffledIndex::GatherWalk(int64_t key, int64_t start_pos, int64_t count,
   }
 }
 
+int64_t ShuffledIndex::BaseRun(int64_t key, int64_t start_pos,
+                               int64_t count) const {
+  IDB_CHECK(key >= 0 && start_pos >= 0);
+  const int64_t base = bounds_[0];
+  if (base <= 0 || start_pos + count > base) return -1;  // reaches an epoch
+  const int64_t first = (key % base + start_pos) % base;
+  return first + count <= base ? first : -1;
+}
+
 void ShuffledIndex::ExtendTo(int64_t new_n, Rng* rng) {
   const int64_t old_n = size();
   if (new_n <= old_n) return;

@@ -49,6 +49,12 @@ class ShuffledIndex {
   void GatherWalk(int64_t key, int64_t start_pos, int64_t count,
                   int64_t* out) const;
 
+  /// When walk positions [start_pos, start_pos + count) of the walk keyed
+  /// `key` are consecutive base rows, returns the first of them, so the
+  /// caller can read the run without gathering it; -1 when they wrap the
+  /// base ring or reach an epoch segment (`GatherWalk` copies those).
+  int64_t BaseRun(int64_t key, int64_t start_pos, int64_t count) const;
+
   /// Appends rows [size(), new_n) as one new segment, shuffled with
   /// `rng`.  No-op when `new_n <= size()`.
   void ExtendTo(int64_t new_n, Rng* rng);

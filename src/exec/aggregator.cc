@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <numeric>
+#include <type_traits>
 
 #include "common/logging.h"
 
@@ -194,26 +194,110 @@ void BinnedAggregator::ProcessRowAt(int64_t row, double weight, int64_t pos) {
 
 void BinnedAggregator::ProcessBatch(const int64_t* rows, int64_t n,
                                     double weight) {
+  FeedRows(rows, 0, n, weight);
+}
+
+void BinnedAggregator::FeedRows(const int64_t* rows, int64_t first_row,
+                                int64_t n, double weight) {
   for (int64_t off = 0; off < n; off += kVectorBatchSize) {
     const int64_t c = std::min(n - off, kVectorBatchSize);
-    const int64_t first = rows_seen_;  // feed position of rows[off]
+    const int64_t first_pos = rows_seen_;
     AdvanceRows(c);
-    FeedChunk(rows + off, c, weight, first, nullptr);
+    FeedChunk(rows != nullptr ? rows + off : nullptr, first_row + off, c,
+              weight, first_pos, nullptr);
   }
 }
 
-void BinnedAggregator::FeedChunk(const int64_t* rows, int64_t n,
-                                 double weight, int64_t first,
+namespace {
+
+/// Calls `f` with `type` as a compile-time constant.
+template <typename F>
+void WithAggType(AggregateType type, F f) {
+  switch (type) {
+    case AggregateType::kCount:
+      return f(std::integral_constant<AggregateType, AggregateType::kCount>{});
+    case AggregateType::kSum:
+      return f(std::integral_constant<AggregateType, AggregateType::kSum>{});
+    case AggregateType::kAvg:
+      return f(std::integral_constant<AggregateType, AggregateType::kAvg>{});
+    case AggregateType::kMin:
+      return f(std::integral_constant<AggregateType, AggregateType::kMin>{});
+    case AggregateType::kMax:
+      break;
+  }
+  return f(std::integral_constant<AggregateType, AggregateType::kMax>{});
+}
+
+/// The weight-1 update of an aggregate of type `T`: only the fields its
+/// estimators read (`AggAccum`), each with the operation `Accumulate`
+/// applies at weight 1.
+template <AggregateType T>
+inline void UnitUpdate(AggAccum* acc, double v) {
+  constexpr bool kSums = T == AggregateType::kSum || T == AggregateType::kAvg;
+  if constexpr (T != AggregateType::kSum) ++acc->n;
+  if constexpr (kSums) {
+    acc->sum += v;
+    acc->sumsq += v * v;
+  }
+  if constexpr (T == AggregateType::kCount || T == AggregateType::kAvg) {
+    acc->wsum += 1.0;
+  }
+  if constexpr (kSums) acc->wvsum += v;
+  if constexpr (T == AggregateType::kMin) acc->min = std::min(acc->min, v);
+  if constexpr (T == AggregateType::kMax) acc->max = std::max(acc->max, v);
+}
+
+/// A slot of the fused unit-weight pass: how row i updates one
+/// aggregate's accumulator.  `OnesSlot` is a COUNT without an input
+/// column (1 per row, no lane); `LaneSlot<T>` reads a value lane and
+/// skips NaN inputs (scalar parity); `NoSlot` marks a one-aggregate pass.
+struct NoSlot {};
+struct OnesSlot {
+  static void Apply(AggAccum* acc, const double*, int64_t) {
+    UnitUpdate<AggregateType::kCount>(acc, 1.0);
+  }
+};
+template <AggregateType T>
+struct LaneSlot {
+  static void Apply(AggAccum* acc, const double* values, int64_t i) {
+    const double v = values[i];
+    if (v == v) UnitUpdate<T>(acc, v);
+  }
+};
+
+/// The fused dense pass of a unit-weight chunk with one or two
+/// aggregates: one sweep over the selection, each row's accumulator row
+/// resolved once.  Per-cell order (aggregate 0 then 1 within a row, rows
+/// in feed order) matches the aggregate-major general path bit-exactly,
+/// because two aggregates never share a cell.
+template <typename S0, typename S1>
+void FusedUnitPass(const int64_t* keys, int64_t m, AggAccum* dense,
+                   uint8_t* touched, const double* v0, const double* v1) {
+  constexpr size_t kAggs = std::is_same_v<S1, NoSlot> ? 1 : 2;
+  for (int64_t i = 0; i < m; ++i) {
+    const size_t d = static_cast<size_t>(keys[i]);
+    touched[d] = 1;
+    AggAccum* base = dense + d * kAggs;
+    S0::Apply(&base[0], v0, i);
+    if constexpr (kAggs == 2) S1::Apply(&base[1], v1, i);
+  }
+}
+
+}  // namespace
+
+void BinnedAggregator::FeedChunk(const int64_t* rows, int64_t first_row,
+                                 int64_t n, double weight, int64_t first_pos,
                                  const int64_t* positions) {
   if (vec_ == nullptr) {
     for (int64_t i = 0; i < n; ++i) {
-      ProcessRowAt(rows[i], weight,
-                   positions != nullptr ? positions[i] : first + i);
+      ProcessRowAt(rows != nullptr ? rows[i] : first_row + i, weight,
+                   positions != nullptr ? positions[i] : first_pos + i);
     }
     return;
   }
   RowBatch batch;
   batch.rows = rows;
+  batch.first = first_row;
   batch.n = n;
   const int64_t m = vec_->FilterAndBin(&batch);
   rows_matched_ += m;
@@ -223,33 +307,51 @@ void BinnedAggregator::FeedChunk(const int64_t* rows, int64_t n,
     if (positions != nullptr) {
       for (int64_t i = 0; i < m; ++i) SetMatchBit(positions[batch.sel[i]]);
     } else {
-      for (int64_t i = 0; i < m; ++i) SetMatchBit(first + batch.sel[i]);
+      for (int64_t i = 0; i < m; ++i) SetMatchBit(first_pos + batch.sel[i]);
     }
   }
 
-  // Fused agg-set kernel for the canonical dashboard shape — COUNT plus
-  // one value aggregate, unit weight, dense table: one pass over the
-  // selection, accumulator row resolved once per row, no bases scratch.
-  // Per-cell accumulation order (agg 0 then agg 1 within a row, rows in
-  // feed order) matches the agg-major loops below bit-exactly because
-  // the two aggregates never share a cell.
-  const size_t naggs = query_->spec().aggregates.size();
-  if (use_dense_ && weight == 1.0 && naggs == 2 && vec_->agg_is_count(0) &&
-      !vec_->agg_is_count(1)) {
+  const std::vector<query::AggregateSpec>& aggs = query_->spec().aggregates;
+  const size_t naggs = aggs.size();
+  const bool unit_weight = weight == 1.0;
+  // A COUNT without input fuses as `OnesSlot`; any other aggregate
+  // without input (the constant 1 under another type) takes the general
+  // path below.
+  const auto fusable = [&](size_t a) {
+    return !vec_->agg_is_count(a) || aggs[a].type == AggregateType::kCount;
+  };
+  if (use_dense_ && unit_weight && (naggs == 1 || naggs == 2) &&
+      fusable(0) && (naggs == 1 || fusable(1))) {
     EnsureDenseAllocated();
-    const double* values = vec_->GatherAggValues(1, &batch);
-    for (int64_t i = 0; i < m; ++i) {
-      const size_t d = static_cast<size_t>(batch.keys[i]);
-      dense_touched_[d] = 1;
-      AggAccum* base = dense_.data() + d * 2;
-      AccumulateUnit(&base[0], 1.0);
-      const double v = values[i];
-      if (v == v) AccumulateUnit(&base[1], v);
-    }
+    const auto lane = [&](size_t a, double* out) -> const double* {
+      return vec_->agg_is_count(a) ? nullptr
+                                   : vec_->GatherAggValues(a, &batch, out);
+    };
+    const double* v0 = lane(0, batch.values.data());
+    const double* v1 = naggs == 2 ? lane(1, batch.values2.data()) : nullptr;
+    const auto with_slot = [&](size_t a, auto f) {
+      if (vec_->agg_is_count(a)) return f(OnesSlot{});
+      WithAggType(aggs[a].type,
+                  [&](auto t) { f(LaneSlot<decltype(t)::value>{}); });
+    };
+    const int64_t* keys = batch.keys.data();
+    AggAccum* dense = dense_.data();
+    uint8_t* touched = dense_touched_.data();
+    with_slot(0, [&](auto s0) {
+      using S0 = decltype(s0);
+      if (naggs == 1) {
+        FusedUnitPass<S0, NoSlot>(keys, m, dense, touched, v0, v1);
+        return;
+      }
+      with_slot(1, [&](auto s1) {
+        FusedUnitPass<S0, decltype(s1)>(keys, m, dense, touched, v0, v1);
+      });
+    });
     return;
   }
 
-  // Resolve each selected row's accumulator base once.
+  // General path: resolve each selected row's accumulator row once, then
+  // accumulate aggregate by aggregate.
   std::array<AggAccum*, kVectorBatchSize> bases;
   if (use_dense_) {
     EnsureDenseAllocated();
@@ -269,25 +371,29 @@ void BinnedAggregator::FeedChunk(const int64_t* rows, int64_t n,
     }
   }
 
-  const bool unit_weight = weight == 1.0;
   for (size_t a = 0; a < naggs; ++a) {
-    if (vec_->agg_is_count(a)) {
-      if (unit_weight) {
-        for (int64_t i = 0; i < m; ++i) AccumulateUnit(&bases[i][a], 1.0);
-      } else {
-        for (int64_t i = 0; i < m; ++i) Accumulate(&bases[i][a], 1.0, weight);
+    const double* values = vec_->agg_is_count(a)
+                               ? nullptr
+                               : vec_->GatherAggValues(a, &batch,
+                                                       batch.values.data());
+    const auto feed = [&](auto update) {
+      if (values == nullptr) {  // COUNT-style input: 1 per row
+        for (int64_t i = 0; i < m; ++i) update(bases[i] + a, 1.0);
+        return;
       }
-      continue;
-    }
-    const double* values = vec_->GatherAggValues(a, &batch);
-    for (int64_t i = 0; i < m; ++i) {
-      const double v = values[i];
-      if (!(v == v)) continue;  // NaN input: scalar parity
-      if (unit_weight) {
-        AccumulateUnit(&bases[i][a], v);
-      } else {
-        Accumulate(&bases[i][a], v, weight);
+      for (int64_t i = 0; i < m; ++i) {
+        const double v = values[i];
+        if (v == v) update(bases[i] + a, v);  // NaN input: scalar parity
       }
+    };
+    if (unit_weight) {
+      WithAggType(aggs[a].type, [&](auto t) {
+        feed([](AggAccum* acc, double v) {
+          UnitUpdate<decltype(t)::value>(acc, v);
+        });
+      });
+    } else {
+      feed([weight](AggAccum* acc, double v) { Accumulate(acc, v, weight); });
     }
   }
 }
@@ -314,7 +420,7 @@ void BinnedAggregator::Process(const FeedOrder& order, int64_t begin,
       // (or land in any bin) is skipped wholesale — rows still accounted,
       // so results are bit-identical to the unpruned scan.  This is the
       // only place a scan prunes: a morsel is one block, and each runs
-      // through here.
+      // through here.  The rest of a block feeds as one row run.
       for (int64_t seg = begin; seg < end;) {
         // Zone-block-aligned segment [seg, seg_end).
         const int64_t block_end = (seg / storage::kZoneMapBlockRows + 1) *
@@ -328,24 +434,23 @@ void BinnedAggregator::Process(const FeedOrder& order, int64_t begin,
           seg = seg_end;
           continue;
         }
-        for (int64_t b = seg; b < seg_end; b += kVectorBatchSize) {
-          const int64_t c = std::min(seg_end - b, kVectorBatchSize);
-          for (int64_t i = 0; i < c; ++i) {
-            rows[static_cast<size_t>(i)] = b + i;
-          }
-          ProcessBatch(rows.data(), c);
-        }
+        FeedRows(nullptr, seg, seg_end - seg, 1.0);
         seg = seg_end;
       }
       return;
     case FeedOrder::Kind::kWalk:
-      // The shared hot loop of the sampling engines: gather each batch
-      // of walk steps (over the base, one contiguous row range, or two
-      // where the batch wraps the ring), then feed it.
+      // The shared hot loop of the sampling engines: a batch of walk
+      // steps inside the base is one run of rows and feeds as such; one
+      // that wraps the base ring or reaches an epoch is gathered first.
       for (int64_t pos = begin; pos < end; pos += kVectorBatchSize) {
         const int64_t c = std::min(end - pos, kVectorBatchSize);
-        order.index->GatherWalk(order.key, pos, c, rows.data());
-        ProcessBatch(rows.data(), c);
+        const int64_t first = order.index->BaseRun(order.key, pos, c);
+        if (first >= 0) {
+          FeedRows(nullptr, first, c, 1.0);
+        } else {
+          order.index->GatherWalk(order.key, pos, c, rows.data());
+          FeedRows(rows.data(), 0, c, 1.0);
+        }
       }
       return;
     case FeedOrder::Kind::kSample:
@@ -398,7 +503,7 @@ void BinnedAggregator::ReplayMatches(const std::vector<uint64_t>& candidates,
   int64_t n = 0;
   double weight = 1.0;
   const auto flush = [&] {
-    if (n > 0) FeedChunk(rows.data(), n, weight, 0, positions.data());
+    if (n > 0) FeedChunk(rows.data(), 0, n, weight, 0, positions.data());
     n = 0;
   };
   for (int64_t w = begin, w_end; w < end; w = w_end) {
@@ -415,12 +520,13 @@ void BinnedAggregator::ReplayMatches(const std::vector<uint64_t>& candidates,
     AdvanceRows(w_end - w);
     if (count == 0) continue;
     if (n + count > kVectorBatchSize) flush();
-    // Rows (and weights) of the window's positions under `order`.
+    // Rows (and weights) of the window's positions under `order`; a
+    // scan's position is its row.
     const int64_t* window_rows = window.data();
     const double* weights = nullptr;
     switch (order.kind) {
       case FeedOrder::Kind::kScan:
-        std::iota(window.begin(), window.begin() + (w_end - w), w);
+        window_rows = nullptr;
         break;
       case FeedOrder::Kind::kWalk:
         order.index->GatherWalk(order.key, w, w_end - w, window.data());
@@ -437,7 +543,8 @@ void BinnedAggregator::ReplayMatches(const std::vector<uint64_t>& candidates,
         const double wp = weights != nullptr ? weights[i] : 1.0;
         if (n > 0 && wp != weight) flush();  // split at weight changes
         weight = wp;
-        rows[static_cast<size_t>(n)] = window_rows[i];
+        rows[static_cast<size_t>(n)] =
+            window_rows != nullptr ? window_rows[i] : p;
         positions[static_cast<size_t>(n)] = p;
         ++n;
       }

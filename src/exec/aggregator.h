@@ -30,10 +30,14 @@
 ///    predicates, branchless SIMD bin keys — and accumulates straight
 ///    into a *dense flat bin table* whenever the resolved bin-key space
 ///    is small (the common IDEBench case), falling back to the hash map
-///    transparently otherwise.
+///    transparently otherwise.  Scan ranges and walk batches inside the
+///    base are fed as row runs (`RowBatch`'s run form), with no row-id
+///    list; wrapped walk batches, epochs, samples and picked replay
+///    candidates as id lists.
 ///
-/// Both paths write the same accumulator streams in the same per-bin
-/// order, so results are bit-identical.
+/// Both paths apply the same updates, in the same per-bin order, to
+/// every accumulator field an estimator reads (`AggAccum`), so results
+/// are bit-identical.
 ///
 /// Scan feeds additionally consult the fact columns' zone maps
 /// (storage/column.h) through the compiled prune checks: 64K blocks that
@@ -70,7 +74,21 @@
 
 namespace idebench::exec {
 
-/// Per-(bin, aggregate) running sums.
+/// Per-(bin, aggregate) running sums.  The scalar path and every
+/// weighted feed update all of them (`Accumulate`).  Unit-weight feeds on
+/// the fused path update only the fields the three estimators
+/// (`ExactResult`, `EstimateFromUniformSample`,
+/// `EstimateFromWeightedSample`) read for the aggregate's type:
+///
+///  * COUNT: n and wsum;
+///  * SUM: sum, sumsq and wvsum;
+///  * AVG: n, sum, sumsq, wsum and wvsum;
+///  * MIN / MAX: n and the extreme (min / max).
+///
+/// Each of those gets the operations `Accumulate` applies at weight 1, in
+/// the same order (w*v is exactly v); the Poisson terms wvar and wvsumsq
+/// would only gain exactly 0.  So every estimate is bit-identical to the
+/// scalar path's, while fields no estimator of the type reads may differ.
 struct AggAccum {
   int64_t n = 0;          // matched rows
   double sum = 0.0;       // sum of input values (weighted when weights used)
@@ -226,8 +244,10 @@ class BinnedAggregator {
   void ProcessBatch(const int64_t* rows, int64_t n, double weight = 1.0);
 
   /// Feeds positions [begin, end) of `order`, the one single-threaded
-  /// feed: a scan range with zone-map pruning, a walk gathered batch by
-  /// batch, or a sample's equal-weight runs as weighted batches.
+  /// feed: a scan range with zone-map pruning, as row runs; a walk batch
+  /// by batch, as a row run inside the base and gathered where it wraps
+  /// the base or reaches an epoch; or a sample's equal-weight runs as
+  /// weighted batches of row ids.
   void Process(const FeedOrder& order, int64_t begin, int64_t end);
 
   /// Rows / block-sized ranges skipped by zone-map pruning so far
@@ -329,8 +349,9 @@ class BinnedAggregator {
     into->max = std::max(into->max, from.max);
   }
 
-  /// Applies one (value, weight) observation to `acc`; the single shared
-  /// update both paths funnel through.
+  /// Applies one (value, weight) observation to every field of `acc`:
+  /// the scalar path's update, and the fused path's for weights other
+  /// than 1 (unit weights update per type; see `AggAccum`).
   static void Accumulate(AggAccum* acc, double v, double weight) {
     ++acc->n;
     acc->sum += v;
@@ -339,20 +360,6 @@ class BinnedAggregator {
     acc->wvar += weight * (weight - 1.0);
     acc->wvsum += weight * v;
     acc->wvsumsq += weight * (weight - 1.0) * v * v;
-    acc->min = std::min(acc->min, v);
-    acc->max = std::max(acc->max, v);
-  }
-
-  /// Weight-1 specialization of `Accumulate`: the Poisson terms
-  /// w*(w-1) and w*(w-1)*v^2 are exactly 0 and w*v is exactly v, so the
-  /// stored values are bit-identical to the general update (-0.0 vs +0.0
-  /// is unobservable: the estimators compare/max against 0 first).
-  static void AccumulateUnit(AggAccum* acc, double v) {
-    ++acc->n;
-    acc->sum += v;
-    acc->sumsq += v * v;
-    acc->wsum += 1.0;
-    acc->wvsum += v;
     acc->min = std::min(acc->min, v);
     acc->max = std::max(acc->max, v);
   }
@@ -401,11 +408,19 @@ class BinnedAggregator {
   void ProcessRowAt(int64_t row, double weight, int64_t pos);
 
   /// Feeds `n` <= kVectorBatchSize rows at `weight` through the fused
-  /// kernels (the scalar path when uncompiled).  Row i sits at feed
-  /// position `positions[i]`, or `first + i` when `positions` is null;
-  /// the caller has accounted every one of them in `rows_seen_`.
-  void FeedChunk(const int64_t* rows, int64_t n, double weight,
-                 int64_t first, const int64_t* positions);
+  /// kernels (the scalar path when uncompiled).  Row i is `rows[i]`, or
+  /// `first_row + i` when `rows` is null (`RowBatch`'s run form); it sits
+  /// at feed position `positions[i]`, or `first_pos + i` when
+  /// `positions` is null.  The caller has accounted every position in
+  /// `rows_seen_`.
+  void FeedChunk(const int64_t* rows, int64_t first_row, int64_t n,
+                 double weight, int64_t first_pos, const int64_t* positions);
+
+  /// Feeds `n` rows — `rows[0..n)`, or the run from `first_row` when
+  /// `rows` is null — at `weight` and the next `n` feed positions, in
+  /// chunks of at most kVectorBatchSize.
+  void FeedRows(const int64_t* rows, int64_t first_row, int64_t n,
+                double weight);
 
   /// Advances `rows_seen_` by `n`, growing the candidate bitmap (when
   /// recording) to cover it with zero bits.

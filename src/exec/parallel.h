@@ -120,8 +120,11 @@ class WorkerPool {
 };
 
 /// The morsel-driven feed.  Splits positions [begin, end) of `order`
-/// into morsels of `morsel_rows` (clamped to a multiple of
-/// `kVectorBatchSize`), aggregates each morsel into a partial with
+/// into morsels of `morsel_rows`, rounded down to a multiple of
+/// `kVectorBatchSize` — and raised to one batch, 1,024 positions, when
+/// smaller, so a `morsel_rows` below 1,024 runs as 1,024 and a range of
+/// at most 1,024 positions is one morsel that merges nothing.  It
+/// aggregates each morsel into a partial with
 /// `BinnedAggregator::Process`, and merges partials into `agg` in morsel
 /// order — bit-identical results for every `parallelism >= 1`; see the
 /// file comment.  A sample's equal-weight runs are split one by one, so

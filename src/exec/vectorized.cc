@@ -33,30 +33,52 @@ auto WithLoad(Ld load, F f) {
 
 /// The one gather every kernel reads its column through: loads the
 /// numeric-view value of each selected row into the contiguous lane
-/// `out[0..n)`.  Row i is `rows[sel[i]]`, or `rows[i]` when `First` (a
-/// chain's first filter, whose identity selection is never written).  A
-/// join miss loads NaN, which then passes no predicate and lands in no
-/// bin, exactly like a NaN cell.
+/// `out[0..n)` and returns the lane.  Lane entry i reads batch index
+/// `sel[i]`, or `i` itself when `First` (a chain's first filter, whose
+/// identity selection is never written).  Batch index j is row `rows[j]`
+/// for an id list, or `first + j` for a run (`rows == nullptr`,
+/// `RowBatch`'s run form): the one branch per call offsets the column,
+/// or the join mapping, by `first` and then indexes it by batch index,
+/// reading no row id.  A run's first filter over a double column needs
+/// no copy at all: its lane is the column slice, returned in place of
+/// `out`.  A join miss loads NaN, which then passes no predicate and
+/// lands in no bin, exactly like a NaN cell.
 template <Ld L, bool First>
-void Gather(const ColumnAccess& c, const int64_t* rows, const int32_t* sel,
-            int64_t n, double* out) {
-  for (int64_t i = 0; i < n; ++i) {
-    const int64_t row = rows[First ? i : sel[i]];
-    if constexpr (L == Ld::kI64) {
-      out[i] = static_cast<double>(c.i64[row]);
-    } else if constexpr (L == Ld::kF64) {
-      out[i] = c.f64[row];
-    } else {
-      const int32_t dim = c.join[row];
-      if (dim < 0) {
-        out[i] = kNaN;
-      } else if (L == Ld::kI64Join) {
-        out[i] = static_cast<double>(c.i64[dim]);
+const double* Gather(ColumnAccess c, const int64_t* rows, int64_t first,
+                     const int32_t* sel, int64_t n, double* out) {
+  const auto load = [&](auto row_of) {
+    for (int64_t i = 0; i < n; ++i) {
+      const int64_t row = row_of(First ? i : sel[i]);
+      if constexpr (L == Ld::kI64) {
+        out[i] = static_cast<double>(c.i64[row]);
+      } else if constexpr (L == Ld::kF64) {
+        out[i] = c.f64[row];
       } else {
-        out[i] = c.f64[dim];
+        const int32_t dim = c.join[row];
+        if (dim < 0) {
+          out[i] = kNaN;
+        } else if (L == Ld::kI64Join) {
+          out[i] = static_cast<double>(c.i64[dim]);
+        } else {
+          out[i] = c.f64[dim];
+        }
       }
     }
+  };
+  if (rows != nullptr) {
+    load([rows](int64_t j) { return rows[j]; });
+    return out;
   }
+  if constexpr (L == Ld::kI64) {
+    c.i64 += first;
+  } else if constexpr (L == Ld::kF64) {
+    if constexpr (First) return c.f64 + first;
+    c.f64 += first;
+  } else {
+    c.join += first;
+  }
+  load([](int64_t j) { return j; });
+  return out;
 }
 
 /// Predicate test on a gathered value, mirroring expr::Predicate::Matches.
@@ -80,10 +102,10 @@ inline bool Test(double v, double value, double lo, double hi) {
 /// nothing; duplicates are harmless).  `First` synthesizes the identity
 /// selection, so the caller skips the selection-vector init pass.
 template <CompareOp Op, Ld L, bool First>
-int64_t FilterImpl(const FilterKernel& k, const int64_t* rows, int32_t* sel,
-                   int64_t n_sel) {
-  alignas(64) double vals[kVectorBatchSize];
-  Gather<L, First>(k.col, rows, sel, n_sel, vals);
+int64_t FilterImpl(const FilterKernel& k, const int64_t* rows, int64_t first,
+                   int32_t* sel, int64_t n_sel) {
+  alignas(64) double lane[kVectorBatchSize];
+  const double* vals = Gather<L, First>(k.col, rows, first, sel, n_sel, lane);
   [[maybe_unused]] alignas(64) uint8_t pass[kVectorBatchSize];
   if constexpr (Op == CompareOp::kIn) {
     for (int64_t i = 0; i < n_sel; ++i) pass[i] = 0;
@@ -140,9 +162,9 @@ FilterKernel::Fn PickFilter(CompareOp op, Ld load, bool first) {
 }
 
 template <Ld L>
-void AggImpl(const AggKernel& k, const int64_t* rows, const int32_t* sel,
-             int64_t n_sel, double* out) {
-  Gather<L, false>(k.col, rows, sel, n_sel, out);
+void AggImpl(const AggKernel& k, const int64_t* rows, int64_t first,
+             const int32_t* sel, int64_t n_sel, double* out) {
+  Gather<L, false>(k.col, rows, first, sel, n_sel, out);
 }
 
 /// Resolves the access path of `binding`; returns false when it cannot be
@@ -197,9 +219,10 @@ bool SameAccess(const ColumnAccess& a, const ColumnAccess& b) {
 /// vectorizable.  NaN fails both compares and keys to -1, matching the
 /// scalar NaN/miss path.
 template <Ld L, bool Nominal, bool UseInv>
-void FusedBinImpl(const BinKernel& k, const int64_t* rows, const int32_t* sel,
-                  int64_t n_sel, int64_t* out, double* out_vals) {
-  Gather<L, false>(k.col, rows, sel, n_sel, out_vals);
+void FusedBinImpl(const BinKernel& k, const int64_t* rows, int64_t first,
+                  const int32_t* sel, int64_t n_sel, int64_t* out,
+                  double* out_vals) {
+  Gather<L, false>(k.col, rows, first, sel, n_sel, out_vals);
   const double lo = k.lo;
   const double width = k.width;
   const double inv = k.inv_width;
@@ -439,7 +462,7 @@ int64_t VectorizedQuery::FilterAndBin(RowBatch* batch) const {
   }
   for (const FilterKernel& k : filters_) {
     if (n_sel == 0) break;
-    n_sel = k.fn(k, batch->rows, batch->sel.data(), n_sel);
+    n_sel = k.fn(k, batch->rows, batch->first, batch->sel.data(), n_sel);
   }
   if (n_sel == 0) {
     batch->n_sel = 0;
@@ -447,12 +470,12 @@ int64_t VectorizedQuery::FilterAndBin(RowBatch* batch) const {
   }
 
   const BinKernel& b0 = bins_[0];
-  b0.fn(b0, batch->rows, batch->sel.data(), n_sel, batch->keys.data(),
-        batch->bin_vals.data());
+  b0.fn(b0, batch->rows, batch->first, batch->sel.data(), n_sel,
+        batch->keys.data(), batch->bin_vals.data());
   if (two_d_) {
     const BinKernel& b1 = bins_[1];
-    b1.fn(b1, batch->rows, batch->sel.data(), n_sel, batch->keys2.data(),
-          batch->bin_vals2.data());
+    b1.fn(b1, batch->rows, batch->first, batch->sel.data(), n_sel,
+          batch->keys2.data(), batch->bin_vals2.data());
   }
 
   // Drop rows with any out-of-range dimension and pack dense keys
@@ -483,14 +506,14 @@ int64_t VectorizedQuery::FilterAndBin(RowBatch* batch) const {
   return out;
 }
 
-const double* VectorizedQuery::GatherAggValues(size_t a,
-                                               RowBatch* batch) const {
+const double* VectorizedQuery::GatherAggValues(size_t a, RowBatch* batch,
+                                               double* lane) const {
   const int8_t shared = agg_shared_dim_[a];
   if (shared == 0) return batch->bin_vals.data();
   if (shared == 1) return batch->bin_vals2.data();
   const AggKernel& k = agg_kernels_[a];
-  k.fn(k, batch->rows, batch->sel.data(), batch->n_sel, batch->values.data());
-  return batch->values.data();
+  k.fn(k, batch->rows, batch->first, batch->sel.data(), batch->n_sel, lane);
+  return lane;
 }
 
 }  // namespace idebench::exec

@@ -11,13 +11,19 @@
 /// subsystem is the other path: type-specialized kernels compiled once
 /// per bound query.
 ///
-///  * a `RowBatch` carries up to `kVectorBatchSize` gathered fact-row ids
-///    plus a *selection vector* that filter kernels compact in place;
+///  * a `RowBatch` carries up to `kVectorBatchSize` fact rows — a list of
+///    row ids, or in its *run form* the consecutive rows [first, first +
+///    n) with no list at all — plus a *selection vector* that filter
+///    kernels compact in place;
 ///  * every kernel reads its column through one gather, which loads the
 ///    raw contiguous array (`Column::Int64Data` / `DoubleData`) of a fact
 ///    column, or of a dimension column through the join mapping, into a
 ///    contiguous value lane; a join miss loads NaN, so join misses and
-///    NaN cells are one case from there on;
+///    NaN cells are one case from there on.  The gather branches once per
+///    call on the batch's form: a run indexes the column (or the join
+///    mapping) from `first` by selection index alone, with no row id
+///    read, and a run's first filter over a double column compares the
+///    column slice in place instead of copying it;
 ///  * each filter predicate compiles to one two-phase kernel per (op,
 ///    load path): the gather, then a compare fused into branchless
 ///    compaction (IN-sets inside-out, one sweep per set element);
@@ -38,8 +44,9 @@
 /// evaluates the same double-typed expression the scalar path evaluates
 /// (including int64→double casts, NaN-never-matches, truncation for
 /// nominal bins and floor-division for quantitative bins), and surviving
-/// rows hit each per-bin accumulator in the same order, so accumulator
-/// streams are identical in value *and order*.
+/// rows hit each per-bin accumulator in the same order, so every
+/// accumulator field an estimator reads gets identical values in
+/// identical order (exec/aggregator.h's `AggAccum`).
 ///
 /// The compiled form also carries **zone-map prune checks**: for every
 /// filter predicate and bin dimension that reads a fact column directly,
@@ -65,21 +72,27 @@ namespace idebench::exec {
 /// dispatch, small enough that batch scratch stays cache-resident.
 inline constexpr int64_t kVectorBatchSize = 1024;
 
-/// One batch of fact rows threaded through the kernels.  `rows` is the
-/// caller-owned gather list (e.g. a slice of a sampling walk); `sel`
-/// holds the indices into `rows` that survived filtering; `keys` holds
-/// the dense bin key per selected row after `FilterAndBin`;
+/// One batch of fact rows threaded through the kernels.  Row i of the
+/// batch is `rows[i]` when `rows` is set (a caller-owned id list: a
+/// wrapped walk batch, an epoch's shuffle, a sample, picked replay
+/// candidates), or `first + i` when `rows` is null (the run form: a scan
+/// range, a walk batch inside the base).  The two forms feed the same
+/// values in the same order, so every result is bit-identical between
+/// them.  `sel` holds the batch indices that survived filtering; `keys`
+/// holds the dense bin key per selected row after `FilterAndBin`;
 /// `bin_vals`/`bin_vals2` stash the binned dimension values (compacted
 /// with the selection) so aggregates sharing a binned column skip their
 /// gather.
 struct RowBatch {
   const int64_t* rows = nullptr;
+  int64_t first = 0;  // run form (rows == nullptr): the batch's first row
   int64_t n = 0;
   int64_t n_sel = 0;
   std::array<int32_t, kVectorBatchSize> sel;
   std::array<int64_t, kVectorBatchSize> keys;
   std::array<int64_t, kVectorBatchSize> keys2;   // scratch: 2nd-dim indices
   std::array<double, kVectorBatchSize> values;   // gathered agg inputs
+  std::array<double, kVectorBatchSize> values2;  // a 2nd agg's, fused pass
   std::array<double, kVectorBatchSize> bin_vals;   // dim-0 value lane
   std::array<double, kVectorBatchSize> bin_vals2;  // dim-1 value lane
 };
@@ -94,10 +107,11 @@ struct ColumnAccess {
 };
 
 /// A compiled filter predicate: a type-specialized function pointer plus
-/// its operands.
+/// its operands.  Every kernel takes its batch's rows as `(rows, first)`,
+/// `RowBatch`'s two forms.
 struct FilterKernel {
   using Fn = int64_t (*)(const FilterKernel&, const int64_t* rows,
-                         int32_t* sel, int64_t n_sel);
+                         int64_t first, int32_t* sel, int64_t n_sel);
   Fn fn = nullptr;
   ColumnAccess col;
   double value = 0.0;  // kEq..kGe
@@ -112,7 +126,7 @@ struct FilterKernel {
 /// value per row into `out_vals` (NaN on join miss) so aggregates over
 /// the same column can reuse it.
 struct BinKernel {
-  using Fn = void (*)(const BinKernel&, const int64_t* rows,
+  using Fn = void (*)(const BinKernel&, const int64_t* rows, int64_t first,
                       const int32_t* sel, int64_t n_sel, int64_t* out,
                       double* out_vals);
   Fn fn = nullptr;
@@ -126,7 +140,7 @@ struct BinKernel {
 /// A compiled aggregate input: gathers the aggregate's value per selected
 /// row (NaN on join miss).  COUNT has no kernel (`is_count`).
 struct AggKernel {
-  using Fn = void (*)(const AggKernel&, const int64_t* rows,
+  using Fn = void (*)(const AggKernel&, const int64_t* rows, int64_t first,
                       const int32_t* sel, int64_t n_sel, double* out);
   Fn fn = nullptr;
   ColumnAccess col;
@@ -151,8 +165,8 @@ class VectorizedQuery {
   size_t num_aggregates() const { return agg_kernels_.size(); }
   bool agg_is_count(size_t a) const { return agg_kernels_[a].is_count; }
 
-  /// Runs all filter kernels then the bin-key kernels over
-  /// `batch->rows[0..n)`.  On return `batch->sel[0..n_sel)` are the
+  /// Runs all filter kernels then the bin-key kernels over the batch's
+  /// `n` rows, in either form.  On return `batch->sel[0..n_sel)` are the
   /// surviving row indices and `batch->keys[0..n_sel)` their *dense* bin
   /// keys.  Returns `n_sel`.
   int64_t FilterAndBin(RowBatch* batch) const;
@@ -160,8 +174,10 @@ class VectorizedQuery {
   /// Returns aggregate `a`'s inputs for the current selection (requires
   /// `!agg_is_count(a)`): a pointer into `batch->bin_vals`/`bin_vals2`
   /// when the aggregate reads a binned dimension column (no re-gather),
-  /// otherwise gathers into `batch->values` and returns that.
-  const double* GatherAggValues(size_t a, RowBatch* batch) const;
+  /// otherwise gathers into `lane` (`batch->values` or `values2`) and
+  /// returns that.
+  const double* GatherAggValues(size_t a, RowBatch* batch,
+                                double* lane) const;
 
   // --- Zone-map block pruning -------------------------------------------
 

@@ -109,6 +109,35 @@ TEST(ShuffledIndexTest, PositionsWrap) {
   }
 }
 
+/// `BaseRun` names the first row exactly when a window's positions are
+/// consecutive base rows, and -1 when it wraps the base ring or reaches
+/// an epoch, whose rows only `GatherWalk` can list.
+TEST(ShuffledIndexTest, BaseRunIsTheGatheredRunInsideTheBase) {
+  for (const int epochs : {0, 1, 3}) {
+    ShuffledIndex index(kBaseRows);
+    AddEpochs(&index, epochs);
+    for (const int64_t key : {0, 3, 799, 803}) {
+      for (const int64_t pos : {0, 1, 500, 796, 799, 800, 950}) {
+        for (const int64_t count : {1, 3, 4, 301}) {
+          if (pos + count > index.size()) continue;
+          std::vector<int64_t> rows(static_cast<size_t>(count));
+          index.GatherWalk(key, pos, count, rows.data());
+          bool consecutive = true;
+          for (int64_t i = 0; i < count; ++i) {
+            consecutive &= rows[static_cast<size_t>(i)] == rows[0] + i;
+          }
+          const bool in_base = pos + count <= kBaseRows;
+          EXPECT_EQ(index.BaseRun(key, pos, count),
+                    in_base && consecutive ? rows[0] : -1)
+              << epochs << " epochs, key " << key << " pos " << pos
+              << " count " << count;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(ShuffledIndex(0).BaseRun(5, 0, 0), -1);
+}
+
 TEST(ShuffledIndexTest, EmptyAndSingle) {
   for (const int epochs : {0, 1, 3}) {
     ShuffledIndex empty(0);

@@ -187,6 +187,7 @@ TEST(ChaosExecTest, WorkerPoolStallIsBitTransparent) {
   exec::MorselProcess(&stalled, exec::FeedOrder::Scan(), 0, 4000,
                       /*parallelism=*/4, morsel);
   EXPECT_GT(injector.site_stats(FaultSite::kWorkerPoolStall).fires, 0);
+  EXPECT_GT(stalled.partial_pool_size(), 0u);  // the morsel merge ran
 
   // Same morsel boundaries, inline drain: bit-identical, even for
   // real-valued sums.

@@ -1,11 +1,13 @@
 /// \file exec_fused_test.cc
 /// Differential tests for the fused single-pass kernels and zone-map
 /// block pruning: the fused pipeline (vertical branchless bin keys,
-/// gather dedup) must produce results bit-identical to the scalar
-/// reference across every (op, type, join, bin, agg) combination —
-/// including NaN doubles, empty IN-sets, string dictionary codes absent
-/// from the bin config or added after compile — and zone-map pruning
-/// must never change any result, only skip provably-empty blocks.
+/// gather dedup, per-type unit-weight accumulation) must produce results
+/// bit-identical to the scalar reference across every (op, type, join,
+/// bin, agg) combination — including NaN doubles, empty IN-sets, string
+/// dictionary codes absent from the bin config or added after compile —
+/// whether its batches are row-id lists or row runs, and zone-map
+/// pruning must never change any result, only skip provably-empty
+/// blocks.
 
 #include <cmath>
 #include <limits>
@@ -106,44 +108,82 @@ void ExpectBitIdentical(const query::QueryResult& a,
   }
 }
 
+/// Requires two fed aggregators to agree bit for bit: counters, candidate
+/// bits and all three estimators.
+void ExpectSameState(const BinnedAggregator& a, const BinnedAggregator& b,
+                     const std::string& what) {
+  EXPECT_EQ(a.rows_seen(), b.rows_seen()) << what;
+  EXPECT_EQ(a.rows_matched(), b.rows_matched()) << what;
+  EXPECT_EQ(a.match_bits(), b.match_bits()) << what;
+  ExpectBitIdentical(a.ExactResult(), b.ExactResult(),
+                     (what + " exact").c_str());
+  ExpectBitIdentical(a.EstimateFromUniformSample(2 * kRows, 1.96),
+                     b.EstimateFromUniformSample(2 * kRows, 1.96),
+                     (what + " uniform").c_str());
+  ExpectBitIdentical(a.EstimateFromWeightedSample(1.96),
+                     b.EstimateFromWeightedSample(1.96),
+                     (what + " weighted").c_str());
+}
+
+/// Binds `spec`, building the catalog's one join index into `*join` when
+/// the spec reads a dimension column.
+Result<BoundQuery> BindWithJoin(const QuerySpec& spec,
+                                const storage::Catalog& catalog,
+                                std::unique_ptr<JoinIndex>* join) {
+  std::vector<const JoinIndex*> joins;
+  IDB_ASSIGN_OR_RETURN(std::vector<std::string> required,
+                       BoundQuery::RequiredJoins(spec, catalog));
+  if (!required.empty()) {
+    IDB_ASSIGN_OR_RETURN(JoinIndex built,
+                         JoinIndex::Build(catalog, catalog.foreign_keys()[0]));
+    *join = std::make_unique<JoinIndex>(std::move(built));
+    joins.push_back(join->get());
+  }
+  return BoundQuery::Bind(spec, catalog, joins);
+}
+
+/// Where the run-form feed of `RunDifferential` splits the table: not a
+/// multiple of the batch size, so the second run starts mid batch and mid
+/// zone block.
+constexpr int64_t kRunSplit = 1237;
+
 /// Feeds the same rows through scalar and fused aggregators and requires
-/// bit-identical state and snapshots from both.
+/// bit-identical state and snapshots from both, candidate bits included:
+///  * `rows` at `weight` as one id list;
+///  * the table's rows in order as row runs (two scan ranges split at
+///    `kRunSplit`), against the same order as an id list and through the
+///    scalar path, at weight 1.
 void RunDifferential(const QuerySpec& spec,
                      const std::shared_ptr<storage::Catalog>& catalog,
-                     const std::vector<int64_t>& rows, double weight = 1.0) {
-  std::vector<const JoinIndex*> joins;
+                     const std::vector<int64_t>& rows, double weight = 1.0,
+                     BinnedAggregatorOptions options = {}) {
   std::unique_ptr<JoinIndex> join;
-  auto required = BoundQuery::RequiredJoins(spec, *catalog);
-  ASSERT_TRUE(required.ok());
-  if (!required->empty()) {
-    auto built = JoinIndex::Build(*catalog, catalog->foreign_keys()[0]);
-    ASSERT_TRUE(built.ok());
-    join = std::make_unique<JoinIndex>(std::move(built).MoveValueUnsafe());
-    joins.push_back(join.get());
-  }
-  auto bound = BoundQuery::Bind(spec, *catalog, joins);
+  auto bound = BindWithJoin(spec, *catalog, &join);
   ASSERT_TRUE(bound.ok());
 
-  BinnedAggregatorOptions scalar_options;
+  options.record_matches = true;
+  BinnedAggregatorOptions scalar_options = options;
   scalar_options.enable_vectorized = false;
   BinnedAggregator scalar(&*bound, scalar_options);
-  BinnedAggregator fused(&*bound);
+  BinnedAggregator fused(&*bound, options);
   ASSERT_TRUE(fused.uses_vectorized());
 
   for (int64_t row : rows) scalar.ProcessRowWeighted(row, weight);
   fused.ProcessBatch(rows.data(), static_cast<int64_t>(rows.size()), weight);
+  ExpectSameState(scalar, fused, "scalar vs fused");
 
-  EXPECT_EQ(scalar.rows_seen(), fused.rows_seen());
-  EXPECT_EQ(scalar.rows_matched(), fused.rows_matched());
-  ExpectBitIdentical(scalar.ExactResult(), fused.ExactResult(),
-                     "scalar vs fused exact");
-  ExpectBitIdentical(
-      scalar.EstimateFromUniformSample(2 * kRows, 1.96),
-      fused.EstimateFromUniformSample(2 * kRows, 1.96),
-      "scalar vs fused uniform");
-  ExpectBitIdentical(scalar.EstimateFromWeightedSample(1.96),
-                     fused.EstimateFromWeightedSample(1.96),
-                     "scalar vs fused weighted");
+  const int64_t table_rows = catalog->fact_table()->num_rows();
+  std::vector<int64_t> in_order(static_cast<size_t>(table_rows));
+  std::iota(in_order.begin(), in_order.end(), 0);
+  BinnedAggregator scalar_in_order(&*bound, scalar_options);
+  BinnedAggregator id_list(&*bound, options);
+  BinnedAggregator runs(&*bound, options);
+  for (int64_t row : in_order) scalar_in_order.ProcessRow(row);
+  id_list.ProcessBatch(in_order.data(), table_rows);
+  runs.Process(FeedOrder::Scan(), 0, kRunSplit);
+  runs.Process(FeedOrder::Scan(), kRunSplit, table_rows);
+  ExpectSameState(scalar_in_order, runs, "scalar vs runs");
+  ExpectSameState(id_list, runs, "id list vs runs");
 }
 
 std::vector<int64_t> ShuffledRows(uint64_t seed, int64_t n = kRows) {
@@ -475,6 +515,124 @@ TEST(FusedDifferentialTest, RandomizedTwentySeedSweep) {
   }
 }
 
+// --- Per-type unit-weight accumulation --------------------------------------
+
+/// Aggregates of every type, with and without an input column: COUNT and
+/// a SUM of the constant 1 without one, the rest over NaN-bearing fact
+/// and joined columns.
+std::vector<AggregateSpec> EveryAggregateType() {
+  return {Agg(AggregateType::kCount),
+          Agg(AggregateType::kCount, "amount"),
+          Agg(AggregateType::kSum, "amount"),
+          Agg(AggregateType::kAvg, "dval"),
+          Agg(AggregateType::kMin, "amount"),
+          Agg(AggregateType::kMax, "value"),
+          Agg(AggregateType::kSum)};
+}
+
+QuerySpec TypedSpec(const std::shared_ptr<storage::Catalog>& catalog,
+                    std::vector<AggregateSpec> aggregates) {
+  QuerySpec spec = BaseSpec(catalog, "group", BinningMode::kNominal);
+  spec.aggregates = std::move(aggregates);
+  expr::Predicate p;
+  p.column = "value";
+  p.op = expr::CompareOp::kRange;
+  p.lo = -20.0;
+  p.hi = 130.0;
+  spec.filter.And(p);
+  return spec;
+}
+
+/// Every aggregate type alone and in every ordered pair — each one- and
+/// two-aggregate shape of the fused dense pass — and all of them at once
+/// (the general path), over the dense and the hash bin table, fed at unit
+/// weight and at weight 2.5: all three estimators equal the scalar
+/// reference bit for bit, though unit-weight feeds update only the
+/// accumulator fields each type's estimators read.
+TEST(FusedDifferentialTest, EveryAggregateTypeAloneAndInPairs) {
+  auto catalog = MakeCatalog();
+  const std::vector<AggregateSpec> types = EveryAggregateType();
+  std::vector<std::vector<AggregateSpec>> shapes = {types};
+  for (const AggregateSpec& a : types) {
+    shapes.push_back({a});
+    for (const AggregateSpec& b : types) shapes.push_back({a, b});
+  }
+  BinnedAggregatorOptions hash;
+  hash.enable_dense_bins = false;
+  const std::vector<int64_t> rows = ShuffledRows(19);
+  for (const auto& shape : shapes) {
+    std::string name;
+    for (const AggregateSpec& a : shape) {
+      name += std::string(query::AggregateTypeName(a.type)) + "(" + a.column +
+              ") ";
+    }
+    for (const double weight : {1.0, 2.5}) {
+      for (const bool dense : {true, false}) {
+        SCOPED_TRACE(name + "weight " + std::to_string(weight) +
+                     (dense ? " dense" : " hash"));
+        RunDifferential(TypedSpec(catalog, shape), catalog, rows, weight,
+                        dense ? BinnedAggregatorOptions{} : hash);
+      }
+    }
+  }
+}
+
+/// A stratified sample whose middle run has weight 1.0 (a stratum taken
+/// whole) between runs of other weights, fed through `MorselProcess` at
+/// 4 threads in 1,024-position morsels, so unit-weight and weighted
+/// partials merge into the same bins.  For every aggregate type alone and
+/// all of them at once, over the dense and the hash bin table, the
+/// counters, the candidate bits and all three estimators equal the
+/// scalar path fed through the same morsels bit for bit; a
+/// single-threaded feed equals the scalar path row by row.
+TEST(FusedDifferentialTest, SampleRunsMixUnitAndWeightedAccumulation) {
+  auto catalog = MakeCatalog();
+  aqp::StratifiedSample sample;
+  sample.rows = ShuffledRows(23);
+  for (int64_t p = 0; p < kRows; ++p) {
+    sample.weights.push_back(p < 700 ? 3.5 : p < 1900 ? 1.0 : 7.25);
+  }
+  const FeedOrder order = FeedOrder::Sample(&sample);
+  const std::vector<AggregateSpec> types = EveryAggregateType();
+  std::vector<std::vector<AggregateSpec>> shapes = {types};
+  for (const AggregateSpec& a : types) shapes.push_back({a});
+  for (const auto& shape : shapes) {
+    const QuerySpec spec = TypedSpec(catalog, shape);  // outlives `bound`
+    std::unique_ptr<JoinIndex> join;
+    auto bound = BindWithJoin(spec, *catalog, &join);
+    ASSERT_TRUE(bound.ok());
+    for (const bool dense : {true, false}) {
+      SCOPED_TRACE(std::string(query::AggregateTypeName(shape[0].type)) + "(" +
+                   shape[0].column + ")" +
+                   (shape.size() > 1 ? " and the rest" : "") +
+                   (dense ? " dense" : " hash"));
+      BinnedAggregatorOptions options;
+      options.record_matches = true;
+      options.enable_dense_bins = dense;
+      BinnedAggregatorOptions scalar_options = options;
+      scalar_options.enable_vectorized = false;
+
+      BinnedAggregator scalar(&*bound, scalar_options);
+      BinnedAggregator fused(&*bound, options);
+      MorselProcess(&scalar, order, 0, kRows, /*parallelism=*/4,
+                    kVectorBatchSize);
+      MorselProcess(&fused, order, 0, kRows, /*parallelism=*/4,
+                    kVectorBatchSize);
+      EXPECT_GT(fused.partial_pool_size(), 0u);  // the morsel merge ran
+      ExpectSameState(scalar, fused, "morsels");
+
+      BinnedAggregator scalar_rows(&*bound, scalar_options);
+      for (int64_t p = 0; p < kRows; ++p) {
+        scalar_rows.ProcessRowWeighted(sample.rows[static_cast<size_t>(p)],
+                                       sample.weights[static_cast<size_t>(p)]);
+      }
+      BinnedAggregator flat(&*bound, options);
+      flat.Process(order, 0, kRows);
+      ExpectSameState(scalar_rows, flat, "single thread");
+    }
+  }
+}
+
 // --- Zone-map pruning ------------------------------------------------------
 
 /// Time-ordered catalog spanning several zone blocks: `day` increases
@@ -562,6 +720,7 @@ TEST(ZonePruneTest, MorselDispatchSkipsAndStaysThreadInvariant) {
     BinnedAggregator agg(&*bound);
     MorselProcess(&agg, FeedOrder::Scan(), 0, rows, threads);
     SCOPED_TRACE(threads);
+    EXPECT_GT(agg.partial_pool_size(), 0u);  // the morsel merge ran
     EXPECT_GT(agg.zone_rows_skipped(), 0);
     EXPECT_EQ(agg.rows_seen(), reference.rows_seen());
     EXPECT_EQ(agg.rows_matched(), reference.rows_matched());
@@ -633,6 +792,7 @@ TEST(ZonePruneTest, RecordingAggregatorKeepsWalkPositions) {
     BinnedAggregator unpruned(&*bound, record_no_prune);
     MorselProcess(&pruned, FeedOrder::Scan(), 0, rows, threads);
     MorselProcess(&unpruned, FeedOrder::Scan(), 0, rows, threads);
+    EXPECT_GT(pruned.partial_pool_size(), 0u);  // the morsel merge ran
     EXPECT_GT(pruned.zone_rows_skipped(), 0);
     EXPECT_EQ(pruned.match_bits(), unpruned.match_bits());
   }

@@ -21,6 +21,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <numeric>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -207,6 +208,10 @@ Result<BoundQuery> BindWithJoins(
 ///  (3) the morsel path at parallelism {2, 4, 7}.
 /// (2) and (3) must agree *bitwise*; against (1), counters are exact and
 /// estimates/margins agree within `scalar_tol` (0 = bitwise there too).
+/// Then the table's rows in order, at weight 1, as row runs (the scan
+/// feed) must agree bitwise — candidate bits included — with the same
+/// rows as an id list (a one-run sample) and with the scalar path, each
+/// fed through the same morsels at every parallelism.
 void RunThreadInvariance(const QuerySpec& spec,
                          const std::shared_ptr<storage::Catalog>& catalog,
                          const std::vector<int64_t>& rows, double weight,
@@ -240,9 +245,37 @@ void RunThreadInvariance(const QuerySpec& spec,
   for (int threads : kThreadCounts) {
     BinnedAggregator parallel(&*bound, options);
     MorselProcess(&parallel, order, 0, sample.size(), threads, kSmallMorsel);
+    EXPECT_GT(parallel.partial_pool_size(), 0u);  // the morsel merge ran
     // Bit-identical across every thread count: the reduction tree is
     // fixed by the morsel decomposition, not by the schedule.
     ExpectAggregatorsMatch(reference, parallel, /*tol=*/0.0);
+  }
+
+  const int64_t table_rows = catalog->fact_table()->num_rows();
+  aqp::StratifiedSample in_order;
+  in_order.rows.resize(static_cast<size_t>(table_rows));
+  std::iota(in_order.rows.begin(), in_order.rows.end(), 0);
+  in_order.weights.assign(in_order.rows.size(), 1.0);
+  BinnedAggregatorOptions recording = options;
+  recording.record_matches = true;
+  BinnedAggregatorOptions scalar_recording = recording;
+  scalar_recording.enable_vectorized = false;
+  BinnedAggregator scalar_runs(&*bound, scalar_recording);
+  MorselProcess(&scalar_runs, FeedOrder::Scan(), 0, table_rows,
+                /*parallelism=*/1, kSmallMorsel);
+  for (int threads : kThreadCounts) {
+    SCOPED_TRACE(::testing::Message() << "runs at " << threads << " threads");
+    BinnedAggregator runs(&*bound, recording);
+    BinnedAggregator id_list(&*bound, recording);
+    MorselProcess(&runs, FeedOrder::Scan(), 0, table_rows, threads,
+                  kSmallMorsel);
+    MorselProcess(&id_list, FeedOrder::Sample(&in_order), 0, table_rows,
+                  threads, kSmallMorsel);
+    EXPECT_GT(runs.partial_pool_size(), 0u);
+    ExpectAggregatorsMatch(scalar_runs, runs, /*tol=*/0.0);
+    ExpectAggregatorsMatch(id_list, runs, /*tol=*/0.0);
+    EXPECT_EQ(scalar_runs.match_bits(), runs.match_bits());
+    EXPECT_EQ(id_list.match_bits(), runs.match_bits());
   }
 }
 
@@ -419,6 +452,7 @@ TEST(ThreadInvarianceTest, RangeAndShuffledDriversAtDefaultMorselSize) {
   for (int threads : kThreadCounts) {
     BinnedAggregator ranged(&*bound);
     MorselProcess(&ranged, FeedOrder::Scan(), 0, kBig, threads);
+    EXPECT_GT(ranged.partial_pool_size(), 0u);  // the morsel merge ran
     ExpectAggregatorsMatch(sequential, ranged, /*tol=*/0.0);
   }
 
@@ -429,15 +463,19 @@ TEST(ThreadInvarianceTest, RangeAndShuffledDriversAtDefaultMorselSize) {
     BinnedAggregator walk_par(&*bound);
     MorselProcess(&walk_par, FeedOrder::Walk(&order, /*key=*/500), 0, kBig,
                   threads);
+    EXPECT_GT(walk_par.partial_pool_size(), 0u);
     ExpectAggregatorsMatch(walk_seq, walk_par, /*tol=*/0.0);
   }
 }
 
-/// Walk windows that wrap the base ring or cross into epoch segments
-/// feed bit-identically through `Process` and through `MorselProcess` at
-/// 4 threads.  A morsel is at least one vector batch of 1,024 positions,
-/// so the fixture is four times the walk tests' (aqp_test.cc): 3,200
-/// base rows and epochs of 800, with windows of several morsels.
+/// Walk windows inside the base, wrapping its ring or crossing into epoch
+/// segments feed bit-identically — counters, results and candidate bits —
+/// through `Process` (row runs for batches inside the base, id lists for
+/// the rest), as one gathered id list, through the scalar path, and
+/// through `MorselProcess` at 4 threads.  A morsel is at least one vector
+/// batch of 1,024 positions, so the fixture is four times the walk
+/// tests' (aqp_test.cc): 3,200 base rows and epochs of 800, with windows
+/// of several morsels.
 TEST(ThreadInvarianceTest, WalkWindowsThatWrapOrCrossEpochsFeedIdentically) {
   constexpr int64_t kBase = 3200;
   constexpr int64_t kEpoch = 800;
@@ -452,6 +490,10 @@ TEST(ThreadInvarianceTest, WalkWindowsThatWrapOrCrossEpochsFeedIdentically) {
   ASSERT_TRUE(spec.ResolveBins(*catalog).ok());
   auto bound = BoundQuery::Bind(spec, *catalog);
   ASSERT_TRUE(bound.ok());
+  BinnedAggregatorOptions recording;
+  recording.record_matches = true;
+  BinnedAggregatorOptions scalar_recording = recording;
+  scalar_recording.enable_vectorized = false;
 
   struct Window {
     int64_t key, begin, end;
@@ -463,10 +505,13 @@ TEST(ThreadInvarianceTest, WalkWindowsThatWrapOrCrossEpochsFeedIdentically) {
       index.ExtendTo(index.size() + kEpoch, &rng);
     }
     const int64_t n = index.size();
-    // Base windows that wrap the ring in their first, second and third
-    // morsel, then windows from deep in the base across every epoch.
-    std::vector<Window> windows = {
-        {kBase - 500, 0, 2500}, {kBase - 1500, 0, 2500}, {1000, 300, 2800}};
+    // A base window that never wraps, base windows that wrap the ring in
+    // their first, second and third morsel, then windows from deep in the
+    // base across every epoch.
+    std::vector<Window> windows = {{0, 100, 3100},
+                                   {kBase - 500, 0, 2500},
+                                   {kBase - 1500, 0, 2500},
+                                   {1000, 300, 2800}};
     if (epochs > 0) {
       windows.push_back({1000, kBase - 1800, n});
       windows.push_back({kBase - 100, kBase - 1200, n});
@@ -476,13 +521,23 @@ TEST(ThreadInvarianceTest, WalkWindowsThatWrapOrCrossEpochsFeedIdentically) {
                                         << ", [" << w.begin << ", " << w.end
                                         << ")");
       const FeedOrder order = FeedOrder::Walk(&index, w.key);
-      BinnedAggregator flat(&*bound);
+      BinnedAggregator flat(&*bound, recording);
       flat.Process(order, w.begin, w.end);
-      BinnedAggregator morsels(&*bound);
+      std::vector<int64_t> rows(static_cast<size_t>(w.end - w.begin));
+      index.GatherWalk(w.key, w.begin, w.end - w.begin, rows.data());
+      BinnedAggregator id_list(&*bound, recording);
+      id_list.ProcessBatch(rows.data(), w.end - w.begin);
+      BinnedAggregator scalar(&*bound, scalar_recording);
+      for (int64_t row : rows) scalar.ProcessRow(row);
+      BinnedAggregator morsels(&*bound, recording);
       MorselProcess(&morsels, order, w.begin, w.end, /*parallelism=*/4,
                     /*morsel_rows=*/kVectorBatchSize);
+      EXPECT_GT(morsels.partial_pool_size(), 0u);  // the morsel merge ran
       EXPECT_EQ(flat.rows_seen(), w.end - w.begin);
-      ExpectAggregatorsMatch(flat, morsels, /*tol=*/0.0);
+      for (const BinnedAggregator* other : {&id_list, &scalar, &morsels}) {
+        ExpectAggregatorsMatch(flat, *other, /*tol=*/0.0);
+        EXPECT_EQ(flat.match_bits(), other->match_bits());
+      }
     }
   }
 }
@@ -507,6 +562,7 @@ TEST(ThreadInvarianceTest, IncrementalFeedsAccumulateAcrossCalls) {
   BinnedAggregator sliced(&*bound);
   MorselProcess(&sliced, FeedOrder::Scan(), 0, kRows / 3, 4, kSmallMorsel);
   MorselProcess(&sliced, FeedOrder::Scan(), kRows / 3, kRows, 4, kSmallMorsel);
+  EXPECT_GT(sliced.partial_pool_size(), 0u);  // the second slice merged
   ExpectAggregatorsMatch(whole, sliced, /*tol=*/0.0);
 }
 

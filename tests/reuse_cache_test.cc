@@ -6,7 +6,9 @@
 /// eviction.
 
 #include <memory>
+#include <numeric>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -318,7 +320,8 @@ TEST(ReuseCacheTest, ServeComposesWithMorselPathMergeFrom) {
 
   BinnedAggregator source(&*bound, Recording());
   MorselProcess(&source, FeedOrder::Scan(), 0, 1500, /*parallelism=*/4,
-                /*morsel_rows=*/512);
+                /*morsel_rows=*/kVectorBatchSize);
+  EXPECT_GT(source.partial_pool_size(), 0u);  // the morsel merge ran
   cache.Store(spec, source, BinderFor(catalog));
   auto match = cache.Lookup(spec);
   ASSERT_EQ(match.kind, ReuseCache::MatchKind::kEqual);
@@ -328,13 +331,14 @@ TEST(ReuseCacheTest, ServeComposesWithMorselPathMergeFrom) {
     ASSERT_EQ(ReuseCache::Serve(match, FeedOrder::Scan(), &served, 0, kRows),
               1500);
     MorselProcess(&served, FeedOrder::Scan(), 1500, kRows, parallelism,
-                  /*morsel_rows=*/512);
+                  /*morsel_rows=*/kVectorBatchSize);
+    EXPECT_GT(served.partial_pool_size(), 0u);
 
     BinnedAggregator direct(&*bound, Recording());
     MorselProcess(&direct, FeedOrder::Scan(), 0, 1500, /*parallelism=*/2,
-                  /*morsel_rows=*/512);
+                  /*morsel_rows=*/kVectorBatchSize);
     MorselProcess(&direct, FeedOrder::Scan(), 1500, kRows, parallelism,
-                  /*morsel_rows=*/512);
+                  /*morsel_rows=*/kVectorBatchSize);
 
     EXPECT_EQ(served.rows_seen(), direct.rows_seen());
     EXPECT_EQ(served.rows_matched(), direct.rows_matched());
@@ -401,6 +405,21 @@ TEST(ReuseCacheTest, WeightedReplayPreservesWeights) {
 /// the watermark spans several 1,024-position morsels.
 constexpr int64_t kReplayRows = 6000;
 
+/// Positions [0, end) of `order` as a sample of their rows and weights,
+/// which feeds them only as row-id lists, never as row runs.
+aqp::StratifiedSample AsIdList(const FeedOrder& order, int64_t end) {
+  if (order.kind == FeedOrder::Kind::kSample) return *order.sample;
+  aqp::StratifiedSample ids;
+  ids.rows.resize(static_cast<size_t>(end));
+  if (order.kind == FeedOrder::Kind::kWalk) {
+    order.index->GatherWalk(order.key, 0, end, ids.rows.data());
+  } else {
+    std::iota(ids.rows.begin(), ids.rows.end(), 0);
+  }
+  ids.weights.assign(ids.rows.size(), 1.0);
+  return ids;
+}
+
 /// Replay differential through one feed order over the first `end`
 /// positions of a `kReplayRows`-row table.  For a dense base filter
 /// (~90 % of rows: windows fed whole) and a sparse one (~30 %:
@@ -409,9 +428,12 @@ constexpr int64_t kReplayRows = 6000;
 /// watermark) into an aggregator already fed [0, cursor), then
 /// continuing to `end` through MorselProcess at 4 threads, must be
 /// bit-identical to feeding the same positions directly — bins,
-/// estimates, counters and recorded bits.  `cursor` and `watermark` are
-/// not multiples of 64, so the served range starts mid-word and the
-/// morsel partials merge at bit offsets inside a word.
+/// estimates, counters and recorded bits.  The same holds against the
+/// direct call sequence fed only as row-id lists (`AsIdList`) and through
+/// the scalar path, so whole windows replayed as row runs match both.
+/// `cursor` and `watermark` are not multiples of 64, so the served range
+/// starts mid-word and the morsel partials merge at bit offsets inside a
+/// word.
 void ExpectReplayMatchesDirectFeed(const FeedOrder& order, int64_t cursor,
                                    int64_t watermark, int64_t end,
                                    const std::string& label) {
@@ -419,6 +441,7 @@ void ExpectReplayMatchesDirectFeed(const FeedOrder& order, int64_t cursor,
   ASSERT_NE(watermark % 64, 0);
   ASSERT_GT(end - watermark, kVectorBatchSize);  // several morsels
   auto catalog = MakeCatalog(kReplayRows);
+  const aqp::StratifiedSample ids = AsIdList(order, end);
   for (const auto& [lo, hi] : {std::pair{5.0, 95.0}, std::pair{10.0, 40.0}}) {
     QuerySpec base = BaseSpec(*catalog);
     base.filter.And(Range("value", lo, hi));
@@ -447,30 +470,39 @@ void ExpectReplayMatchesDirectFeed(const FeedOrder& order, int64_t cursor,
           << where;
       MorselProcess(&served, order, watermark, end, /*parallelism=*/4,
                     /*morsel_rows=*/kVectorBatchSize);
-
-      BinnedAggregator direct(&*bound, Recording());
-      direct.Process(order, 0, cursor);
-      direct.Process(order, cursor, watermark);
-      MorselProcess(&direct, order, watermark, end, /*parallelism=*/4,
-                    /*morsel_rows=*/kVectorBatchSize);
+      EXPECT_GT(served.partial_pool_size(), 0u);  // the morsel merge ran
 
       // Bits are exact under any merge tree, so one sequential feed of
       // [0, end) also pins where the morsel merges put them.
       BinnedAggregator sequential(&*bound, Recording());
       sequential.Process(order, 0, end);
-
       EXPECT_EQ(served.rows_seen(), end) << where;
-      EXPECT_EQ(served.rows_matched(), direct.rows_matched()) << where;
-      EXPECT_EQ(served.match_bits(), direct.match_bits()) << where;
       EXPECT_EQ(served.match_bits(), sequential.match_bits()) << where;
-      testharness::ExpectResultsBitIdentical(served.ExactResult(),
-                                             direct.ExactResult(), where);
-      testharness::ExpectResultsBitIdentical(
-          served.EstimateFromUniformSample(end, 1.96),
-          direct.EstimateFromUniformSample(end, 1.96), where + " est");
-      testharness::ExpectResultsBitIdentical(
-          served.EstimateFromWeightedSample(1.96),
-          direct.EstimateFromWeightedSample(1.96), where + " weighted");
+
+      BinnedAggregatorOptions scalar = Recording();
+      scalar.enable_vectorized = false;
+      const FeedOrder id_order = FeedOrder::Sample(&ids);
+      for (const auto& [how, options, direct_order] :
+           {std::tuple{"direct", Recording(), order},
+            std::tuple{"direct id lists", Recording(), id_order},
+            std::tuple{"direct scalar", scalar, order}}) {
+        const std::string vs = where + " vs " + how;
+        BinnedAggregator direct(&*bound, options);
+        direct.Process(direct_order, 0, cursor);
+        direct.Process(direct_order, cursor, watermark);
+        MorselProcess(&direct, direct_order, watermark, end,
+                      /*parallelism=*/4, /*morsel_rows=*/kVectorBatchSize);
+        EXPECT_EQ(served.rows_matched(), direct.rows_matched()) << vs;
+        EXPECT_EQ(served.match_bits(), direct.match_bits()) << vs;
+        testharness::ExpectResultsBitIdentical(served.ExactResult(),
+                                               direct.ExactResult(), vs);
+        testharness::ExpectResultsBitIdentical(
+            served.EstimateFromUniformSample(end, 1.96),
+            direct.EstimateFromUniformSample(end, 1.96), vs + " est");
+        testharness::ExpectResultsBitIdentical(
+            served.EstimateFromWeightedSample(1.96),
+            direct.EstimateFromWeightedSample(1.96), vs + " weighted");
+      }
     }
   }
 }
